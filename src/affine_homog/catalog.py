@@ -27,15 +27,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .frontend import DomainError, expand_graph, parse_surface
 from .groebner import solve_zero_dim
 from .jets import Jet
-from .linalg import LinearEquation, linear_solve
-from .normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm, cubic_basis,
-                        normalize_jet, pick_invariant, transform_graph)
+from .linalg import linear_solve, nullspace, solve_rows
+from .normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
+                        cubic_action_matrix, cubic_basis, normalize_jet,
+                        pick_invariant, transform_graph)
 from .poly import Poly
 from .scalars import RationalFunc, Tower, parse_rational, scalar_str
 from .symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES, AffineVectorField,
                        CompletionError, TangencyFamily, complete_series,
-                       closure_constraints, full_algebra, pqr_families,
-                       solve_tangency, tangency_residual)
+                       closure_constraints, full_algebra, matrix_unknowns,
+                       pqr_families, solve_tangency, tangency_residual)
 
 XYZ = ("x", "y", "z")
 F = Fraction
@@ -500,13 +501,12 @@ def discover(case: str) -> List[DiscoveryComponent]:
 
 def _member_matching(fam: TangencyFamily, target) -> bool:
     """Does some member of the tangency family have the target matrix?"""
-    free = fam.family.free
-    names = [f"{fam.prefix}{i}{j}" for i in range(1, 5) for j in range(1, 5)]
-    eqs = []
-    for n, t in zip(names, (target[i][j] for i in range(4) for j in range(4))):
-        coeffs = {free[k]: fam.family.basis[k][n] for k in range(len(free))}
-        eqs.append(LinearEquation(coeffs, t - fam.family.particular[n]))
-    return linear_solve(eqs, free) is not None
+    family = fam.family
+    names = matrix_unknowns(fam.prefix)
+    rows = [[vec[n] for vec in family.basis] for n in names]
+    entries = [t for row in target for t in row]
+    rhs = [t - family.particular[n] for n, t in zip(names, entries)]
+    return solve_rows(rows, rhs, len(family.basis)) is not None
 
 
 # the displayed symmetry triple of the I0.1 form at parameter 6,
@@ -760,48 +760,6 @@ def quadric_rigidity(max_order: int = 8) -> Report:
 
 # -- cubic eigen-analysis -----------------------------------------------------------
 
-def _cubic_coordinates(c: Poly):
-    """Coordinates of a trace-free cubic in the seven-element basis."""
-    basis = cubic_basis()
-    monos = sorted({m for b in basis for m in b.terms} | set(c.terms))
-    eqs = []
-    for m in monos:
-        row = {f"a{j}": b.coefficient(m) for j, b in enumerate(basis)}
-        eqs.append(LinearEquation(row, c.coefficient(m)))
-    fam = linear_solve(eqs, tuple(f"a{j}" for j in range(7)))
-    if fam is None or not fam.is_unique():
-        raise CatalogError("cubic is not in the trace-free span")
-    return [fam.particular[f"a{j}"] for j in range(7)]
-
-
-def _cubic_action_matrix(L, weight):
-    """Matrix, on the trace-free cubic basis, of c -> V(c) - weight*c for
-    the linear vector field V with coefficient matrix L on (x, y, z)."""
-    basis = cubic_basis()
-    cols = []
-    for b in basis:
-        img = b.scale(-weight)
-        for i, vi in enumerate(XYZ):
-            lin = Poly.zero(XYZ)
-            for j, vj in enumerate(XYZ):
-                if L[i][j]:
-                    lin = lin + Poly.var(vj, XYZ).scale(L[i][j])
-            img = img + lin * b.partial(vi)
-        cols.append(_cubic_coordinates(img))
-    return tuple(tuple(cols[j][i] for j in range(7)) for i in range(7))
-
-
-def _kernel(mat):
-    """Basis of the nullspace of a matrix with Fraction entries."""
-    names = tuple(f"a{j}" for j in range(len(mat[0])))
-    eqs = [LinearEquation({names[j]: row[j] for j in range(len(row)) if row[j]},
-                          F(0)) for row in mat]
-    fam = linear_solve(eqs, names)
-    if fam is None:
-        return []
-    return [[vec.get(n, F(0)) for n in names] for vec in fam.basis]
-
-
 def _scaling_matrix(t):
     # (t-1)x d/dx + (t+1)y d/dy + t z d/dz
     return ((t - 1, F(0), F(0)), (F(0), t + 1, F(0)), (F(0), F(0), t))
@@ -824,8 +782,8 @@ def cubic_eigen_analysis(t_range: int = 6) -> Report:
 
     expected_diag = tuple(tuple((F(1) if i == j else F(0)) for j in range(7))
                           for i in range(7))
-    m0 = _cubic_action_matrix(_scaling_matrix(F(0)), F(0))
-    m1 = _cubic_action_matrix(_scaling_matrix(F(1)), F(2))
+    m0 = cubic_action_matrix(_scaling_matrix(F(0)), F(0))
+    m1 = cubic_action_matrix(_scaling_matrix(F(1)), F(2))
     slope = tuple(tuple(m1[i][j] - m0[i][j] for j in range(7))
                   for i in range(7))
     diag_shape = (slope == expected_diag
@@ -838,7 +796,7 @@ def cubic_eigen_analysis(t_range: int = 6) -> Report:
     sing = {}
     for k in range(-t_range, t_range + 1):
         t = F(k)
-        ker = _kernel(_cubic_action_matrix(_scaling_matrix(t), 2 * t))
+        ker = nullspace(cubic_action_matrix(_scaling_matrix(t), 2 * t), 7)
         sing[k] = len(ker)
         if -3 <= k <= 3:
             want = [F(1) if j == 3 - k else F(0) for j in range(7)]
@@ -849,8 +807,8 @@ def cubic_eigen_analysis(t_range: int = 6) -> Report:
             ok = ok and not ker
     details["scaling_kernel_dims"] = sing
 
-    nr0 = _cubic_action_matrix(_null_rotation_matrix(F(0)), F(0))
-    nr1 = _cubic_action_matrix(_null_rotation_matrix(F(1)), F(2))
+    nr0 = cubic_action_matrix(_null_rotation_matrix(F(0)), F(0))
+    nr1 = cubic_action_matrix(_null_rotation_matrix(F(1)), F(2))
     nr_slope = tuple(tuple(nr1[i][j] - nr0[i][j] for j in range(7))
                      for i in range(7))
     expected_nil = tuple(
@@ -864,7 +822,7 @@ def cubic_eigen_analysis(t_range: int = 6) -> Report:
     nr_sing = {}
     for k in range(-t_range, t_range + 1):
         t = F(k)
-        ker = _kernel(_cubic_action_matrix(_null_rotation_matrix(t), 2 * t))
+        ker = nullspace(cubic_action_matrix(_null_rotation_matrix(t), 2 * t), 7)
         nr_sing[k] = len(ker)
         if k == 0:
             want = [F(1), F(0), F(0), F(0), F(0), F(0), F(0)]

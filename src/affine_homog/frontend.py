@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .jets import Jet
 from .poly import Poly
@@ -222,15 +222,6 @@ class _Parser:
                          pos)
 
 
-def parse_expression(text: str) -> Node:
-    p = _Parser(text)
-    node = p.parse_expr()
-    kind, tok, pos = p.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return node
-
-
 # -- SurfaceSpec --------------------------------------------------------------
 
 @dataclass
@@ -424,9 +415,6 @@ def ast_partial(node: Node, var: str) -> Node:
         return Mul(Pow(node.arg, Const(Fraction(-1))), ast_partial(node.arg, var))
     raise TypeError(f"unknown node {node!r}")
 
-
-# A Param exponent minus one is not Const; eval handles Sub(Param, Const) only
-# through generic evaluation, so patch Pow to accept such exponents lazily.
 
 def _exponent_value(e: Node, alpha):
     if isinstance(e, Const):

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import GREVLEX, LEX, Mono, Poly, TermOrder
-from .scalars import RationalFunc, scalar_str
+from .scalars import RationalFunc, rational_sqrt, scalar_str
 
 
 class GroebnerError(ValueError):
@@ -346,16 +346,6 @@ def _rational_roots(p: Poly, v: str):
     return roots, deflated
 
 
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def _poly_sqrt(coeffs) -> Optional[Tuple[Fraction, ...]]:
     """Square root of a univariate polynomial (ascending coefficients)."""
     cs = [Fraction(c) for c in coeffs]
@@ -366,7 +356,7 @@ def _poly_sqrt(coeffs) -> Optional[Tuple[Fraction, ...]]:
     d = len(cs) - 1
     if d % 2:
         return None
-    lead = _fraction_sqrt(cs[-1])
+    lead = rational_sqrt(cs[-1])
     if lead is None:
         return None
     h = d // 2

@@ -1,8 +1,10 @@
 """Exact linear algebra over the scalar domains.
 
-Systems are kept as named-unknown equations; solving is plain exact
-Gaussian elimination with pivots chosen by smallest bit-size to limit
-coefficient growth. Inconsistency is a returned value, not an exception.
+All elimination is one positional routine, ``solve_rows``: exact
+Gauss-Jordan reduction with pivots chosen by smallest bit-size to limit
+coefficient growth. ``linear_solve`` (named unknowns), ``nullspace`` and
+``matrix_rank`` are thin front ends to it. Inconsistency is a returned
+value, not an exception.
 """
 
 from __future__ import annotations
@@ -72,32 +74,22 @@ def _pivot_size(c) -> int:
     return 1 << 20
 
 
-def linear_solve(equations: Sequence[LinearEquation],
-                 unknowns: Sequence[str]) -> Optional[SolutionFamily]:
-    """Exact RREF solve. Returns None when inconsistent.
+def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
+               ncols: int):
+    """Exact RREF solve of ``rows . x = rhs`` over ``ncols`` columns.
 
-    Over a parametric field, pivots that vanish for special parameter
-    values are recorded in ``degeneracies`` rather than silently assumed
-    non-zero.
+    Returns None when inconsistent, otherwise ``(particular, basis,
+    free_cols, degeneracies)``: a particular solution, one nullspace vector
+    per free column (1 there, 0 at the other free columns), the free column
+    indices, and the non-constant parametric pivots. Over a parametric
+    field, pivots that vanish for special parameter values are recorded
+    in ``degeneracies`` rather than silently assumed non-zero.
     """
-    unknowns = list(unknowns)
-    n = len(unknowns)
-    idx = {u: i for i, u in enumerate(unknowns)}
-    rows = []
-    for eq in equations:
-        row = [Fraction(0)] * n
-        for u, c in eq.coeffs.items():
-            if u not in idx:
-                if c:
-                    raise KeyError(f"unknown {u!r} not declared")
-                continue
-            row[idx[u]] = row[idx[u]] + c
-        rows.append((row, eq.rhs))
-
+    rows = list(zip(rows, rhs))
     degeneracies: List[object] = []
     pivots = []  # (row_index, col_index)
     r = 0
-    for col in range(n):
+    for col in range(ncols):
         # choose the simplest non-zero pivot in this column
         best = None
         for i in range(r, len(rows)):
@@ -136,22 +128,62 @@ def linear_solve(equations: Sequence[LinearEquation],
             return None
 
     pivot_cols = {col: ri for ri, col in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     zero = Fraction(0)
-    particular = {u: zero for u in unknowns}
+    particular = [zero] * ncols
     for col, ri in pivot_cols.items():
-        particular[unknowns[col]] = rows[ri][1]
+        particular[col] = rows[ri][1]
     basis = []
     for fc in free_cols:
-        vec = {u: zero for u in unknowns}
-        vec[unknowns[fc]] = Fraction(1)
+        vec = [zero] * ncols
+        vec[fc] = Fraction(1)
         for col, ri in pivot_cols.items():
             c = rows[ri][0][fc]
             if c:
-                vec[unknowns[col]] = -c
+                vec[col] = -c
         basis.append(vec)
-    return SolutionFamily(unknowns=unknowns, particular=particular,
-                          basis=basis, free=[unknowns[c] for c in free_cols],
+    return particular, basis, free_cols, degeneracies
+
+
+def nullspace(rows: Sequence[Sequence[object]], ncols: int) -> List[List[object]]:
+    """Basis of the nullspace of a matrix given as rows, one vector per
+    free column."""
+    return solve_rows(rows, [Fraction(0)] * len(rows), ncols)[1]
+
+
+def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
+    """Exact rank of a matrix given as rows."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    return ncols - len(nullspace(rows, ncols))
+
+
+def linear_solve(equations: Sequence[LinearEquation],
+                 unknowns: Sequence[str]) -> Optional[SolutionFamily]:
+    """``solve_rows`` on named unknowns, in the order given. Returns None
+    when inconsistent."""
+    unknowns = list(unknowns)
+    n = len(unknowns)
+    idx = {u: i for i, u in enumerate(unknowns)}
+    rows = []
+    for eq in equations:
+        row = [Fraction(0)] * n
+        for u, c in eq.coeffs.items():
+            if u not in idx:
+                if c:
+                    raise KeyError(f"unknown {u!r} not declared")
+                continue
+            row[idx[u]] = row[idx[u]] + c
+        rows.append(row)
+    solved = solve_rows(rows, [eq.rhs for eq in equations], n)
+    if solved is None:
+        return None
+    particular, basis, free_cols, degeneracies = solved
+    return SolutionFamily(unknowns=unknowns,
+                          particular=dict(zip(unknowns, particular)),
+                          basis=[dict(zip(unknowns, vec)) for vec in basis],
+                          free=[unknowns[c] for c in free_cols],
                           degeneracies=degeneracies)
 
 
@@ -169,30 +201,3 @@ def equations_from_poly(constraint: Poly) -> LinearEquation:
         else:
             raise ValueError(f"non-linear constraint: {constraint}")
     return LinearEquation(coeffs, rhs)
-
-
-def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
-    """Exact rank of a matrix given as rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

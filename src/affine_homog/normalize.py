@@ -1,20 +1,20 @@
 """Normalization of graph jets.
 
 Brings w = F(x,y,z) to the shape 2xy+z^2 + trace-free cubic + O(4),
-classifies the cubic by exact invariants, and normalizes one-parameter
-isotropy generators to their three standard shapes.
+classifies the cubic by exact invariants, and gives the action of a
+linear vector field on the trace-free cubic basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .jets import Jet
-from .linalg import LinearEquation, linear_solve, matrix_rank
+from .linalg import matrix_rank, solve_rows
 from .poly import Poly
-from .scalars import RationalFunc, Tower, rational_sqrt
+from .scalars import Tower, rational_sqrt
 
 XYZ = ("x", "y", "z")
 XYZW = ("x", "y", "z", "w")
@@ -377,6 +377,34 @@ def cubic_basis() -> List[Poly]:
     return CUBIC_BASIS_POLYS
 
 
+def cubic_coordinates(c: Poly):
+    """Coordinates of a trace-free cubic in the seven-element basis."""
+    basis = cubic_basis()
+    monos = sorted({m for b in basis for m in b.terms} | set(c.terms))
+    solved = solve_rows([[b.coefficient(m) for b in basis] for m in monos],
+                        [c.coefficient(m) for m in monos], 7)
+    if solved is None or solved[1]:
+        raise NormalizationError("cubic is not in the trace-free span")
+    return solved[0]
+
+
+def cubic_action_matrix(L, weight):
+    """Matrix, on the trace-free cubic basis, of c -> V(c) - weight*c for
+    the linear vector field V with coefficient matrix L on (x, y, z)."""
+    basis = cubic_basis()
+    cols = []
+    for b in basis:
+        img = b.scale(-weight)
+        for i, vi in enumerate(XYZ):
+            lin = Poly.zero(XYZ)
+            for j, vj in enumerate(XYZ):
+                if L[i][j]:
+                    lin = lin + Poly.var(vj, XYZ).scale(L[i][j])
+            img = img + lin * b.partial(vi)
+        cols.append(cubic_coordinates(img))
+    return tuple(tuple(cols[j][i] for j in range(7)) for i in range(7))
+
+
 def cubic_tensor(c: Poly):
     """Fully symmetric 3-tensor C with c = sum C_ijk x_i x_j x_k."""
     from math import factorial
@@ -416,20 +444,15 @@ def trace_decompose(c: Poly, h: QuadraticForm) -> Tuple[Poly, Poly]:
     """Unique splitting c = c0 + q_h * l with c0 trace-free."""
     qh = quadratic_poly(h)
     # trace of q_h * (l1 x + l2 y + l3 z) is linear in l; match trace(c)
-    tc = trace_vector(c, h)
-    cols = []
-    for j in range(3):
-        tj = trace_vector(qh * Poly.var(XYZ[j]), h)
-        cols.append(tj)
-    eqs = [LinearEquation({f"l{j}": cols[j][i] for j in range(3)}, tc[i])
-           for i in range(3)]
-    fam = linear_solve(eqs, [f"l{j}" for j in range(3)])
-    if fam is None or not fam.is_unique():
+    cols = [trace_vector(qh * Poly.var(v), h) for v in XYZ]
+    solved = solve_rows([[col[i] for col in cols] for i in range(3)],
+                        trace_vector(c, h), 3)
+    if solved is None or solved[1]:
         raise NormalizationError("trace decomposition failed")
     l = Poly.zero(XYZ)
-    for j in range(3):
-        if fam.particular[f"l{j}"]:
-            l = l + Poly.var(XYZ[j]).scale(fam.particular[f"l{j}"])
+    for v, a in zip(XYZ, solved[0]):
+        if a:
+            l = l + Poly.var(v).scale(a)
     c0 = c - qh * l
     return c0, l
 
@@ -505,156 +528,6 @@ def cubic_type(c0: Poly, h: QuadraticForm) -> str:
     if d == 2:
         return CUBIC_I2
     return CUBIC_I1 if not pick_invariant(c0, h) else CUBIC_I0
-
-
-# -- isotropy generators -----------------------------------------------------------
-
-@dataclass
-class IsotropyGenerator:
-    matrix: Tuple[Tuple[object, ...], ...]
-    kind: str  # "pure-rescaling", "scaling", "null-rotation"
-    p: object = Fraction(0)
-    q: object = Fraction(0)
-    r: object = Fraction(0)
-    t: object = Fraction(0)
-    norm: object = Fraction(0)  # 2pq + r^2 on the rotation component
-
-
-def classify_isotropy_generator(M) -> IsotropyGenerator:
-    """Normalize a one-parameter isotropy generator of the quadric jet.
-
-    The matrix must have the rotation-plus-rescaling shape; the class is
-    decided by the invariant length 2pq + r^2 of the rotation component.
-    """
-    M = tuple(tuple(c for c in row) for row in M)
-    t2 = M[3][3]
-    t = t2 / 2
-    p, q, r = M[0][2], M[2][0], (M[1][1] - M[0][0]) / 2
-    expected = ((t - r, 0, p, 0),
-                (0, t + r, -q, 0),
-                (q, -p, t, 0),
-                (0, 0, 0, 2 * t))
-    for i in range(4):
-        for j in range(4):
-            if M[i][j] != expected[i][j]:
-                raise NormalizationError(
-                    "matrix is not a rotation-plus-rescaling generator")
-    n = 2 * p * q + r * r
-    if not p and not q and not r:
-        kind = "pure-rescaling"
-    elif n:
-        kind = "scaling"
-    else:
-        kind = "null-rotation"
-    return IsotropyGenerator(M, kind, p, q, r, t, n)
-
-
-def generator_vector_field_matrix(kind: str, t) -> Tuple[Tuple[object, ...], ...]:
-    """The standard generator of the given kind with parameter t."""
-    if kind == "pure-rescaling":
-        return ((Fraction(1), 0, 0, 0), (0, Fraction(1), 0, 0),
-                (0, 0, Fraction(1), 0), (0, 0, 0, Fraction(2)))
-    if kind == "scaling":
-        return ((t - 1, 0, 0, 0), (0, t + 1, 0, 0), (0, 0, t, 0), (0, 0, 0, 2 * t))
-    if kind == "null-rotation":
-        return ((t, 0, 0, 0), (0, t, Fraction(-1), 0),
-                (Fraction(1), 0, t, 0), (0, 0, 0, 2 * t))
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def cubic_action_matrix(kind: str, t):
-    """Matrix of (vector field action - 2t) on the trace-free cubic basis."""
-    gen = generator_vector_field_matrix(kind, t)
-    basis = cubic_basis()
-    images = []
-    for b in basis:
-        img = Poly.zero(XYZ)
-        for i in range(3):
-            lin = Poly.zero(XYZ)
-            for j in range(3):
-                if gen[i][j]:
-                    lin = lin + Poly.var(XYZ[j]).scale(gen[i][j])
-            if lin:
-                img = img + lin * b.partial(XYZ[i])
-        img = img - b.scale(2 * t)
-        images.append(img)
-    # express each image in the basis (the action preserves the span)
-    monos = sorted({m for b in basis for m in b.terms} |
-                   {m for im in images for m in im.terms})
-    mat = []
-    for row_m in range(7):
-        mat.append([Fraction(0)] * 7)
-    for col, img in enumerate(images):
-        eqs = []
-        for m in monos:
-            coeffs = {f"c{k}": basis[k].terms.get(m, Fraction(0)) for k in range(7)}
-            eqs.append(LinearEquation(coeffs, img.terms.get(m, Fraction(0))))
-        fam = linear_solve(eqs, [f"c{k}" for k in range(7)])
-        if fam is None or not fam.is_unique():
-            raise NormalizationError("generator action leaves the cubic span")
-        for row in range(7):
-            mat[row][col] = fam.particular[f"c{row}"]
-    return tuple(tuple(r) for r in mat)
-
-
-def cubic_action_kernel(kind: str, t) -> List[Poly]:
-    """Kernel of the action matrix at a concrete t, as cubics."""
-    mat = cubic_action_matrix(kind, t)
-    eqs = [LinearEquation({f"c{k}": mat[i][k] for k in range(7)}, Fraction(0))
-           for i in range(7)]
-    fam = linear_solve(eqs, [f"c{k}" for k in range(7)])
-    out = []
-    basis = cubic_basis()
-    for vec in fam.basis:
-        p = Poly.zero(XYZ)
-        for k in range(7):
-            if vec[f"c{k}"]:
-                p = p + basis[k].scale(vec[f"c{k}"])
-        out.append(p)
-    return out
-
-
-def constrained_cubics(kind: str):
-    """Admissible (t, cubic ray) pairs for a scaling or null-rotation
-    isotropy generator."""
-    if kind == "scaling":
-        out = []
-        for t in range(-3, 4):
-            ker = cubic_action_kernel("scaling", Fraction(t))
-            if ker:
-                out.append((Fraction(t), ker[0]))
-        return out
-    if kind == "null-rotation":
-        ker = cubic_action_kernel("null-rotation", Fraction(0))
-        return [(Fraction(0), ker[0])] if ker else []
-    raise ValueError("constrained cubics exist for scaling or null-rotation only")
-
-
-def action_determinant_poly(kind: str) -> RationalFunc:
-    """det of the cubic action matrix as a rational function of t."""
-    t = RationalFunc.gen("t")
-    mat = [list(r) for r in cubic_action_matrix(kind, t)]
-    det = RationalFunc.const(1, "t")
-    n = 7
-    rows = [[RationalFunc.const(c, "t") if isinstance(c, Fraction) else c
-             for c in row] for row in mat]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if rows[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return RationalFunc.const(0, "t")
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det = det * rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return det
 
 
 # -- full normalization pipeline ----------------------------------------------------

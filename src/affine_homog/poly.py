@@ -9,7 +9,7 @@ functions, tower elements, or (for constraint bookkeeping) other Polys.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 Mono = Tuple[int, ...]
 
@@ -311,7 +311,3 @@ class Poly:
         return out
 
     __repr__ = __str__
-
-
-def poly_from_terms(vars, pairs: Iterable):
-    return Poly(vars, dict(pairs))

@@ -35,8 +35,6 @@ def parse_rational(text: str) -> Fraction:
 
 def scalar_str(x) -> str:
     """Canonical exact string form ("-3/4", "(b+1)/(b-2)", ...)."""
-    if isinstance(x, int):
-        return str(x)
     return str(x)
 
 
@@ -250,6 +248,9 @@ class RationalFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant equals, so must hash as, the Fraction it holds
+        if self.is_constant():
+            return hash(self.as_fraction())
         return hash((self.var, self.num, self.den))
 
     def __bool__(self):
@@ -332,11 +333,6 @@ class Tower:
     def lift(self, elem: "TowerElement") -> "TowerElement":
         """Re-express an element of a sub-tower in this tower."""
         return TowerElement(self, _resize(elem.vec, self.dim))
-
-    def compatible(self, other: "Tower") -> bool:
-        d = min(self.depth, other.depth)
-        return (self.names[:d] == other.names[:d]
-                and self.squares[:d] == other.squares[:d])
 
 
 def _resize(vec, n):
@@ -474,6 +470,9 @@ class TowerElement:
         return self.vec == o.vec
 
     def __hash__(self):
+        # a rational element equals, so must hash as, its Fraction
+        if self.is_rational():
+            return hash(self.vec[0])
         return hash((self.tower.names, self.vec))
 
     def __bool__(self):

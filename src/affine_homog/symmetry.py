@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
 from .linalg import (LinearEquation, SolutionFamily, equations_from_poly,
-                     linear_solve, matrix_rank)
+                     linear_solve, matrix_rank, solve_rows)
 from .poly import GREVLEX, Poly
 
 XYZ = ("x", "y", "z")
@@ -27,10 +27,6 @@ E_X = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 E_Y = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
 E_Z = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
 ZERO4 = (Fraction(0),) * 4
-
-
-class TangencyError(ValueError):
-    pass
 
 
 class CompletionError(ValueError):
@@ -55,9 +51,6 @@ class AffineVectorField:
 
     def is_zero(self) -> bool:
         return not (any(any(r) for r in self.A) or any(self.v))
-
-    def is_linear(self) -> bool:
-        return not any(self.v)
 
     def scale(self, c) -> "AffineVectorField":
         return AffineVectorField(
@@ -392,11 +385,8 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
     if target.is_zero():
         return True
     coords = [f.coords() for f in fields]
-    tc = target.coords()
-    unknowns = [f"l{k}" for k in range(len(fields))]
-    eqs = [LinearEquation({unknowns[k]: coords[k][i] for k in range(len(fields))},
-                          tc[i]) for i in range(20)]
-    return linear_solve(eqs, unknowns) is not None
+    rows = [[c[i] for c in coords] for i in range(20)]
+    return solve_rows(rows, target.coords(), len(fields)) is not None
 
 
 def full_algebra(F: Jet, order: Optional[int] = None) -> SymmetryAlgebra:

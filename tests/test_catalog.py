@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from affine_homog import catalog as cat
+from affine_homog.normalize import cubic_basis, cubic_coordinates
 from affine_homog.scalars import RationalFunc
 
 
@@ -100,7 +101,17 @@ def test_closed_forms_match_completions_quick():
 
 
 def test_cubic_eigen_analysis():
-    assert cat.cubic_eigen_analysis(t_range=4).passed
+    rep = cat.cubic_eigen_analysis(t_range=4)
+    assert rep.passed
+    assert rep.details["scaling_kernel_dims"] == {
+        -4: 0, -3: 1, -2: 1, -1: 1, 0: 1, 1: 1, 2: 1, 3: 1, 4: 0}
+    assert rep.details["null_rotation_kernel_dims"] == {
+        k: int(k == 0) for k in range(-4, 5)}
+
+
+def test_cubic_coordinates_of_basis_are_unit_vectors():
+    for k, b in enumerate(cubic_basis()):
+        assert cubic_coordinates(b) == [F(int(j == k)) for j in range(7)]
 
 
 def test_coordinate_change_fixtures():

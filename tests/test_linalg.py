@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction as F
 
+import sympy
+
 from affine_homog.linalg import (LinearEquation, equations_from_poly,
-                                 linear_solve, matrix_rank)
+                                 linear_solve, matrix_rank, nullspace,
+                                 solve_rows)
 from affine_homog.poly import Poly
+from affine_homog.scalars import RationalFunc
 
 
 def eq(coeffs, rhs=0):
@@ -67,3 +72,84 @@ def test_big_random_consistency():
     m = fam.member({v: sol[v] for v in fam.free})
     for e in eqs:
         assert sum(c * m[n] for n, c in e.coeffs.items()) == e.rhs
+
+
+# -- the elimination kernel against the sympy oracle --------------------------
+
+def _rat(rng):
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_matrix(rng, nrows, ncols, rank):
+    """nrows x ncols rational matrix of rank at most ``rank``."""
+    left = [[_rat(rng) for _ in range(rank)] for _ in range(nrows)]
+    right = [[_rat(rng) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def _oracle(rows):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r]
+                         for r in rows])
+
+
+def _matrices():
+    """Seeded matrices up to 6x6: full rank, rank-deficient and zero."""
+    rng = random.Random(2000)
+    out = [[[F(0)] * 3 for _ in range(2)]]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(1, min(nrows, ncols))
+        out.append(_random_matrix(rng, nrows, ncols, rank))
+    return out
+
+
+def _apply(rows, x):
+    return [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+
+
+def test_matrix_rank_matches_sympy():
+    for rows in _matrices():
+        assert matrix_rank(rows) == _oracle(rows).rank()
+
+
+def test_nullspace_annihilated_with_full_count():
+    for rows in _matrices():
+        ncols = len(rows[0])
+        basis = nullspace(rows, ncols)
+        assert len(basis) == ncols - _oracle(rows).rank()
+        for vec in basis:
+            assert not any(_apply(rows, vec))
+        if basis:
+            assert _oracle(basis).rank() == len(basis)
+
+
+def test_solve_rows_consistency_matches_sympy():
+    rng = random.Random(1915)
+    inconsistent = 0
+    for rows in _matrices():
+        nrows, ncols = len(rows), len(rows[0])
+        target = [_rat(rng) for _ in range(ncols)]
+        for rhs in (_apply(rows, target), [_rat(rng) for _ in range(nrows)]):
+            got = solve_rows(rows, rhs, ncols)
+            aug = [r + [b] for r, b in zip(rows, rhs)]
+            if _oracle(aug).rank() > _oracle(rows).rank():
+                assert got is None
+                inconsistent += 1
+                continue
+            particular, basis, free_cols, degeneracies = got
+            assert _apply(rows, particular) == rhs
+            assert len(basis) == len(free_cols) == ncols - _oracle(rows).rank()
+            assert degeneracies == []
+    assert inconsistent > 10  # the seeded cases exercise both branches
+
+
+def test_solve_rows_records_parametric_pivot():
+    b = RationalFunc.gen()
+    one, zero = RationalFunc.const(1), RationalFunc.const(0)
+    got = solve_rows([[b, one], [zero, one]], [one, 2 * one], 2)
+    assert got is not None
+    particular, basis, free_cols, degeneracies = got
+    assert degeneracies == [b]
+    assert particular == [-1 / b, 2 * one]
+    assert basis == [] and free_cols == []

@@ -1,0 +1,39 @@
+"""Byte-identity of CLI output against the benchmark's recorded digests.
+
+``perfbench/reference.json`` maps each benchmark argv (joined by spaces)
+to the sha256 of its stdout. These tests replay the discover, normal-form
+and N6 entries, so a change to the exact output fails here and not only
+in a benchmark run. The file is only read.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from affine_homog import catalog as cat
+from affine_homog.cli import run
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+CASES = ("no-cubic", "I3", "I2", "I1", "I0", "Inr")
+
+KEYS = ([f"discover --case={case} --format=json" for case in CASES]
+        + [f"verify --entry={nf} --order=6 --format=json"
+           for nf in cat.NORMAL_FORM_IDS]
+        + ["verify --entry=I0.1 --order=6 --format=json --b=6",
+           "verify --entry=N6 --order=6 --format=json"])
+
+
+def test_keys_cover_the_guarded_ops():
+    assert len(KEYS) == 18
+    assert set(KEYS) <= set(REFERENCE)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_stdout_matches_reference_digest(key, capsys):
+    assert run(key.split(" ")) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE[key]

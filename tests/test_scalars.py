@@ -84,3 +84,18 @@ class TestTower:
         e = tw.const(F(5, 3))
         assert e.is_rational() and e.as_fraction() == F(5, 3)
         assert not tw.generator(0).is_rational()
+
+
+def test_equal_scalars_hash_equal():
+    # equal values must hash equal, so sets and dicts treat them as one key
+    tw = Tower(("s",), (F(2),))
+    for value, frac in ((RationalFunc.const(2), F(2)),
+                        (RationalFunc.const(F(-3, 7), "t"), F(-3, 7)),
+                        (tw.const(F(3)), F(3)),
+                        (Tower(("i", "s"), (F(-1), F(2))).const(0), F(0))):
+        assert value == frac
+        assert hash(value) == hash(frac)
+        assert len({value, frac}) == 1
+    b = RationalFunc.gen()
+    assert len({b, (b * b) / b}) == 1
+    assert len({tw.generator(0), tw.generator(0) + 0}) == 1
