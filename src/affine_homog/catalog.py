@@ -27,16 +27,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .frontend import DomainError, expand_graph, parse_surface
 from .groebner import solve_zero_dim
 from .jets import Jet
-from .linalg import linear_solve, nullspace, solve_rows
+from .linalg import linear_solve, nullspace
 from .normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
                         cubic_action_matrix, cubic_basis, normalize_jet,
                         pick_invariant, transform_graph)
 from .poly import Poly
-from .scalars import RationalFunc, Tower, parse_rational, scalar_str
+from .scalars import (InputError, RationalFunc, Tower, parse_rational,
+                      scalar_str)
 from .symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES, AffineVectorField,
-                       CompletionError, TangencyFamily, complete_series,
-                       closure_constraints, full_algebra, matrix_unknowns,
-                       pqr_families, solve_tangency, tangency_residual)
+                       CompletionError, complete_series, closure_constraints,
+                       degree_unknowns, full_algebra, linear_equations,
+                       pqr_families, reduce_against_span, solve_tangency,
+                       tangency_residual)
 
 XYZ = ("x", "y", "z")
 F = Fraction
@@ -231,7 +233,8 @@ def closed_form_jet(nf_id: str, order: int, b=None) -> Jet:
 
 # -- entry verification -----------------------------------------------------------
 
-def _homogeneous(alg) -> bool:
+def homogeneous(alg) -> bool:
+    """Closed, tangent, transitive (translation rank 3) and with isotropy."""
     return (alg.closed and alg.tangency_ok and alg.translation_rank == 3
             and alg.isotropy_dim >= 1)
 
@@ -243,12 +246,12 @@ def verify_entry(entry, alpha=None, order: int = 6) -> Report:
         entry = catalog()[entry]
     if entry.uses_alpha:
         if alpha is None:
-            raise ValueError(f"{entry.id} requires an alpha binding")
+            raise InputError(f"{entry.id} requires an alpha binding")
         alpha = parse_rational(str(alpha)) if not isinstance(alpha, Fraction) else alpha
         if alpha in entry.excluded_alphas:
             raise ValueError(f"{entry.id} excludes alpha={alpha}")
     elif alpha is not None:
-        raise ValueError(f"{entry.id} takes no alpha")
+        raise InputError(f"{entry.id} takes no alpha")
     details: Dict[str, object] = {"entry": entry.id, "order": order}
     try:
         spec = parse_surface(entry.surface, entry.basepoint, alpha)
@@ -261,7 +264,7 @@ def verify_entry(entry, alpha=None, order: int = 6) -> Report:
     stable = (alg.isotropy_dim == alg1.isotropy_dim
               and alg.full_dim == alg1.full_dim)
     norm = normalize_jet(Fj.truncate(order))
-    passed = (_homogeneous(alg) and _homogeneous(alg1) and stable
+    passed = (homogeneous(alg) and homogeneous(alg1) and stable
               and alg.isotropy_dim == entry.expected_isotropy)
     details.update({
         "closed": alg.closed and alg1.closed,
@@ -304,7 +307,7 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     Fj = expand_graph(spec, order)
     details: Dict[str, object] = {"variant": vid, "surface": text}
     alg4 = full_algebra(Fj, 4)
-    details["closed_at_4"] = _homogeneous(alg4)
+    details["closed_at_4"] = homogeneous(alg4)
     # do the order-4 symmetries stay tangent one order up?
     drops = False
     for b in alg4.basis:
@@ -314,7 +317,7 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     details["order_4_algebra_fails_at_5"] = drops
     first_failure = None
     for k in range(4, order + 1):
-        if not _homogeneous(full_algebra(Fj, k)):
+        if not homogeneous(full_algebra(Fj, k)):
             first_failure = k
             break
     details["first_failing_order"] = first_failure
@@ -333,9 +336,9 @@ def replacement_check(order: int = 6) -> Report:
     alg = full_algebra(Fj, order)
     same4 = Fj.truncate(4) == Vj.truncate(4)
     differ5 = Fj.truncate(5) != Vj.truncate(5)
-    passed = _homogeneous(alg) and same4 and differ5
+    passed = homogeneous(alg) and same4 and differ5
     return Report("replacement", passed, {
-        "surface": text, "homogeneous": _homogeneous(alg),
+        "surface": text, "homogeneous": homogeneous(alg),
         "isotropy_dim": alg.isotropy_dim,
         "same_4_jet_as_v1": same4, "5_jets_differ": differ5})
 
@@ -499,16 +502,6 @@ def discover(case: str) -> List[DiscoveryComponent]:
 
 # -- isotropy confirmation ---------------------------------------------------------
 
-def _member_matching(fam: TangencyFamily, target) -> bool:
-    """Does some member of the tangency family have the target matrix?"""
-    family = fam.family
-    names = matrix_unknowns(fam.prefix)
-    rows = [[vec[n] for vec in family.basis] for n in names]
-    entries = [t for row in target for t in row]
-    rhs = [t - family.particular[n] for n, t in zip(names, entries)]
-    return solve_rows(rows, rhs, len(family.basis)) is not None
-
-
 # the displayed symmetry triple of the I0.1 form at parameter 6,
 # each understood modulo the isotropy direction
 _I01_B6_TRIPLE = (
@@ -527,7 +520,8 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     isotropy dimension; the translated solutions must be unique modulo
     the isotropy directions."""
     if order < DETERMINING_ORDER[nf_id]:
-        raise ValueError("order below the determining order")
+        raise InputError(f"order {order} is below the determining order "
+                         f"{DETERMINING_ORDER[nf_id]} of {nf_id}")
     if nf_id in PARAMETRIC and b is None:
         b = RationalFunc.gen("b")
     jet0 = base_jet(nf_id, b)
@@ -564,7 +558,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
         "gauge_fixes_solution": gauge_cuts,
         "degeneracies": degs,
     })
-    passed = (_homogeneous(alg) and alg.isotropy_dim == expected
+    passed = (homogeneous(alg) and alg.isotropy_dim == expected
               and unique_mod_iso and gauge_cuts)
 
     if nf_id in ("I1.1", "I1.2"):
@@ -584,7 +578,9 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
         found = []
         for target, e in _I01_B6_TRIPLE:
             fam = solve_tangency(completed, translation=e)
-            found.append(fam is not None and _member_matching(fam, target))
+            # some member of the family has the target matrix
+            found.append(fam is not None and reduce_against_span(
+                fam.basis_fields(), AffineVectorField(target, e) - fam.field()))
         details["displayed_triple_in_algebra"] = found
         passed = passed and all(found)
 
@@ -732,25 +728,21 @@ def real_catalog_checks(order: int = 5) -> Report:
 def quadric_rigidity(max_order: int = 8) -> Report:
     """Tangency of the anisotropic dilation diag(1,1,1,2) forces every
     coefficient of degree three and up to vanish, order by order."""
-    names = []
-    for d in range(3, max_order + 1):
-        for i in range(d, -1, -1):
-            for j in range(d - i, -1, -1):
-                names.append((f"c{i}_{j}_{d - i - j}", (i, j, d - i - j)))
-    ring = tuple(sorted(n for n, _ in names))
-    terms: Dict[Tuple[int, int, int], object] = dict(QUADRIC_TERMS)
-    for n, m in names:
-        terms[m] = Poly.var(n, ring)
-    Fj = Jet(Poly(XYZ, terms), max_order)
+    mono_of = dict(nm for d in range(3, max_order + 1)
+                   for nm in degree_unknowns(d))
+    unknowns = sorted(mono_of)
     dil = AffineVectorField(((F(1), 0, 0, 0), (0, F(1), 0, 0),
                              (0, 0, F(1), 0), (0, 0, 0, F(2))))
-    res = tangency_residual(Fj, dil, max_order)
-    from .symmetry import _residual_equations
-    fam = linear_solve(_residual_equations(res), ring)
+    # the dilation has no F in its x, y, z rows, so its residual is linear
+    # in the jet: one column per monomial, plus the quadric's own residual
+    columns = [tangency_residual(Jet(_poly({mono_of[u]: F(1)}), max_order),
+                                 dil, max_order) for u in unknowns]
+    quadric = Jet(_poly(QUADRIC_TERMS), max_order)
+    base = tangency_residual(quadric, dil, max_order)
+    fam = linear_solve(linear_equations(columns, base, unknowns), unknowns)
     forced_zero = (fam is not None and fam.is_unique()
                    and not any(fam.particular.values()))
-    iso = solve_tangency(Jet(_poly(QUADRIC_TERMS), max_order),
-                         translation="zero")
+    iso = solve_tangency(quadric, translation="zero")
     iso_dim = iso.dimension if iso is not None else 0
     return Report("quadric-rigidity",
                   forced_zero and iso_dim == 4,

@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog as cat
 from .frontend import expand_graph, parse_surface
 from .jets import Jet
 from .normalize import normalize_jet
-from .scalars import parse_rational
+from .scalars import InputError, parse_rational
 from .symmetry import full_algebra
 
 DEFAULT_ORDER = 6
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_basepoint(text: str):
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 4:
-        raise ValueError("basepoint must be four comma-separated rationals")
+        raise InputError("basepoint must be four comma-separated rationals")
     return tuple(parse_rational(s) for s in parts)
 
 
@@ -108,7 +107,7 @@ def _require(parser, args, *names):
 
 def _check_order(args):
     if getattr(args, "order", 0) < 2:
-        raise ValueError("order must be at least 2")
+        raise InputError("order must be at least 2")
     if getattr(args, "order", 0) > ORDER_WARNING:
         print(f"warning: order {args.order} may be slow "
               "(exact coefficients grow quickly)", file=sys.stderr)
@@ -194,9 +193,7 @@ def _cmd_verify(parser, args) -> int:
         _require(parser, args, "basepoint")
         F = _load_jet(args)
         alg = full_algebra(F)
-        rep = cat.Report("verify:ad-hoc",
-                         alg.closed and alg.tangency_ok
-                         and alg.translation_rank == 3 and alg.isotropy_dim >= 1,
+        rep = cat.Report("verify:ad-hoc", cat.homogeneous(alg),
                          {"surface": args.surface, "order": args.order,
                           "algebra": alg})
     else:
@@ -267,12 +264,10 @@ def run(argv=None) -> int:
             parse_rational(args.alpha)
         if getattr(args, "basepoint", None) is not None:
             _parse_basepoint(args.basepoint)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(str(exc))
-    try:
         return DISPATCH[args.command](parser, args)
-    except (ValueError, ZeroDivisionError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (InputError, json.JSONDecodeError) as exc:
+        parser.error(str(exc))
+    except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,13 +14,14 @@ from typing import Dict, Optional, Tuple
 
 from .jets import Jet
 from .poly import Poly
-from .scalars import RationalFunc, parse_rational, rational_nth_root
+from .scalars import (InputError, RationalFunc, parse_rational,
+                      rational_nth_root)
 
 AMBIENT = ("W", "X", "Y", "Z")
 GRAPH_VARS = ("x", "y", "z")
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
         self.pos = pos
@@ -242,16 +243,16 @@ def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:
     bp = tuple(parse_rational(str(c)) if not isinstance(c, Fraction) else c
                for c in basepoint)
     if len(bp) != 4:
-        raise ValueError("basepoint must have four components (W,X,Y,Z)")
+        raise InputError("basepoint must have four components (W,X,Y,Z)")
     if alpha is not None and not isinstance(alpha, (Fraction, RationalFunc)):
         alpha = parse_rational(str(alpha))
     if _uses_param(lhs) or _uses_param(rhs):
         if alpha is None:
-            raise ValueError("equation uses alpha but no binding was given")
+            raise InputError("equation uses alpha but no binding was given")
     spec = SurfaceSpec(lhs, rhs, bp, alpha, text)
     val = eval_at_point(spec.residual_node(), dict(zip(AMBIENT, bp)), alpha)
     if val != 0:
-        raise ValueError(f"basepoint does not satisfy the equation (residual {val})")
+        raise InputError(f"basepoint does not satisfy the equation (residual {val})")
     return spec
 
 
@@ -437,27 +438,19 @@ def expand_graph(spec: SurfaceSpec, order: int) -> Jet:
     """
     g = spec.residual_node()
     gw = ast_partial(g, "W")
-    w0, x0, y0, z0 = spec.basepoint
     slope = eval_at_point(gw, dict(zip(AMBIENT, spec.basepoint)), spec.alpha)
     if slope == 0:
         raise DomainError("cannot solve for W at the basepoint "
                           "(implicit function condition fails)")
-
-    def images(w_jet: Jet, n: int) -> Dict[str, Jet]:
-        return {
-            "W": Jet(w_jet.poly + Poly.const(w0, GRAPH_VARS), n),
-            "X": Jet(Poly.const(x0, GRAPH_VARS) + Poly.var("x", GRAPH_VARS), n),
-            "Y": Jet(Poly.const(y0, GRAPH_VARS) + Poly.var("y", GRAPH_VARS), n),
-            "Z": Jet(Poly.const(z0, GRAPH_VARS) + Poly.var("z", GRAPH_VARS), n),
-        }
 
     w = Jet.zero(0, GRAPH_VARS)
     valid = 0
     while valid < order:
         valid = min(2 * valid + 1, order)
         w = Jet(w.poly, valid)
-        res = eval_jet(g, images(w, valid), valid, spec.alpha)
-        dres = eval_jet(gw, images(w, valid), valid, spec.alpha)
+        images = _ambient_images(spec.basepoint, w)
+        res = eval_jet(g, images, valid, spec.alpha)
+        dres = eval_jet(gw, images, valid, spec.alpha)
         w = w - res * dres.inverse()
     w = Jet(w.poly, order)
     assert not w.poly.constant_term()
@@ -504,14 +497,19 @@ def eval_jet(node: Node, images: Dict[str, Jet], order: int,
     return ev(node)
 
 
+def _ambient_images(basepoint, w: Jet) -> Dict[str, Jet]:
+    """W, X, Y, Z as jets at the basepoint, with W the graph offset w."""
+    w0, x0, y0, z0 = basepoint
+    n, vars = w.order, w.vars
+    return {
+        "W": Jet(w.poly + Poly.const(w0, vars), n),
+        "X": Jet(Poly.const(x0, vars) + Poly.var("x", vars), n),
+        "Y": Jet(Poly.const(y0, vars) + Poly.var("y", vars), n),
+        "Z": Jet(Poly.const(z0, vars) + Poly.var("z", vars), n),
+    }
+
+
 def graph_residual(spec: SurfaceSpec, w: Jet) -> Jet:
     """Substitute a graph jet back into the defining equation."""
-    n = w.order
-    w0, x0, y0, z0 = spec.basepoint
-    images = {
-        "W": Jet(w.poly + Poly.const(w0, w.vars), n),
-        "X": Jet(Poly.const(x0, w.vars) + Poly.var("x", w.vars), n),
-        "Y": Jet(Poly.const(y0, w.vars) + Poly.var("y", w.vars), n),
-        "Z": Jet(Poly.const(z0, w.vars) + Poly.var("z", w.vars), n),
-    }
-    return eval_jet(spec.residual_node(), images, n, spec.alpha)
+    return eval_jet(spec.residual_node(), _ambient_images(spec.basepoint, w),
+                    w.order, spec.alpha)

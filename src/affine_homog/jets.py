@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .poly import GREVLEX, Poly, XYZ
-from .scalars import parse_rational, scalar_str
+from .scalars import InputError, parse_rational, scalar_str
 
 
 class Jet:
@@ -150,18 +150,22 @@ class Jet:
 
     @classmethod
     def from_json(cls, data, tower=None) -> "Jet":
-        vars = tuple(data.get("vars", XYZ))
-        terms = {}
-        for t in data["terms"]:
-            c = t["c"]
-            if isinstance(c, dict):
-                if tower is None:
-                    raise ValueError("tower element without a tower")
-                c = tower.element([parse_rational(s) for s in c["coords"]])
-            else:
-                c = parse_rational(c)
-            terms[tuple(t["m"])] = c
-        return cls(Poly(vars, terms), data["order"])
+        """Inverse of ``to_json``; malformed data raises InputError."""
+        try:
+            vars = tuple(data.get("vars", XYZ))
+            terms = {}
+            for t in data["terms"]:
+                c = t["c"]
+                if isinstance(c, dict):
+                    if tower is None:
+                        raise ValueError("tower element without a tower")
+                    c = tower.element([parse_rational(s) for s in c["coords"]])
+                else:
+                    c = parse_rational(c)
+                terms[tuple(t["m"])] = c
+            return cls(Poly(vars, terms), data["order"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed jet JSON ({type(exc).__name__}: {exc})") from exc
 
     def __str__(self):
         return f"{self.poly} + O({self.order + 1})"

@@ -186,18 +186,3 @@ def linear_solve(equations: Sequence[LinearEquation],
                           free=[unknowns[c] for c in free_cols],
                           degeneracies=degeneracies)
 
-
-def equations_from_poly(constraint: Poly) -> LinearEquation:
-    """Degree-<=1 polynomial in named unknowns -> linear equation."""
-    coeffs: Dict[str, object] = {}
-    rhs = Fraction(0)
-    for m, c in constraint.terms.items():
-        d = sum(m)
-        if d == 0:
-            rhs = rhs - c
-        elif d == 1:
-            v = constraint.vars[m.index(1)]
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        else:
-            raise ValueError(f"non-linear constraint: {constraint}")
-    return LinearEquation(coeffs, rhs)

@@ -20,6 +20,10 @@ class ScalarError(ArithmeticError):
     pass
 
 
+class InputError(ValueError):
+    """A malformed or inconsistent input, not a mathematical failure."""
+
+
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -30,7 +34,10 @@ def as_fraction(x) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with optional sign, exactly."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational: {text!r}") from exc
 
 
 def scalar_str(x) -> str:

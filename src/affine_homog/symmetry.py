@@ -5,9 +5,11 @@ graph w = F(x,y,z) to order M when the tangency residual
 
     Tr^M [ (F_x, F_y, F_z, -1) . (A.(x,y,z,F)^T + v) ]
 
-vanishes. Tangency is linear in the field, so candidate symmetries come
-from exact linear solves; bracket closure of the resulting span is a
-polynomial condition on the remaining free entries.
+vanishes. Tangency is linear in the field: the residual of V is the
+coordinate-weighted sum of the residuals of the twenty unit fields (the
+columns, ``tangency_columns``), so every tangency system is assembled from
+those columns and solved exactly. Bracket closure of the resulting span is
+a polynomial condition on the remaining free entries.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
-from .linalg import (LinearEquation, SolutionFamily, equations_from_poly,
-                     linear_solve, matrix_rank, solve_rows)
+from .linalg import (LinearEquation, SolutionFamily, linear_solve,
+                     matrix_rank, solve_rows)
 from .poly import GREVLEX, Poly
 
 XYZ = ("x", "y", "z")
@@ -92,26 +94,59 @@ def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
     return AffineVectorField(A, t)
 
 
-def tangency_residual(F: Jet, V: AffineVectorField, M: int) -> Jet:
+def tangency_columns(F: Jet, M: int, ks: Sequence[int]) -> List[Jet]:
+    """Truncated residuals of the unit fields with coordinate indices ks,
+    in ``AffineVectorField.coords()`` order (A row-major, then v). The
+    column of A[i][j] is Tr^M(F_i . coord_j) for i < 3 and -coord_j for
+    i = 3, with coords (x, y, z, F); the column of v[i] is Tr^M(F_i) for
+    i < 3 and -1 for i = 3."""
     fp = F.poly
     partials = [fp.partial(n) for n in XYZ]
-    coords = [Poly.var(n, XYZ) for n in XYZ] + [fp]
-    res = Poly.zero(XYZ)
-    for i in range(4):
-        comp = Poly.zero(XYZ)
-        for j in range(4):
-            a = V.A[i][j]
-            if a:
-                comp = comp + coords[j].scale(a)
-        if V.v[i]:
-            comp = comp + Poly.const(V.v[i], XYZ)
-        if not comp:
+    coords = [Poly.var(n, XYZ) for n in XYZ] + [fp, Poly.const(1, XYZ)]
+    cols = []
+    for k in ks:
+        i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
+        col = partials[i].mul_truncated(coords[j], M) if i < 3 else -coords[j]
+        cols.append(Jet(col, M))
+    return cols
+
+
+def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
+    """sum(weights[k] * columns[k]); weights may be Poly-valued."""
+    acc: Dict[Tuple[int, ...], object] = {}
+    for col, c in zip(columns, weights):
+        if not c:
             continue
-        if i < 3:
-            res = res + partials[i].mul_truncated(comp, M)
-        else:
-            res = res - comp
-    return Jet(res.truncate(M), M)
+        for m, a in col.poly.terms.items():
+            acc[m] = acc.get(m, 0) + a * c
+    return Jet(Poly(XYZ, acc), M)
+
+
+def tangency_residual(F: Jet, V: AffineVectorField, M: int) -> Jet:
+    """Tr^M residual of V: its coordinates weighting their unit columns."""
+    coords = V.coords()
+    ks = [k for k, c in enumerate(coords) if c]
+    return _combine(tangency_columns(F, M, ks), [coords[k] for k in ks], M)
+
+
+def linear_equations(columns: Sequence[Jet], base: Jet,
+                     unknowns: Sequence[str]) -> List[LinearEquation]:
+    """The rows of ``base + sum(u_k * columns[k]) = 0``, one per monomial
+    with a nonzero row, in ascending grevlex order."""
+    monos = set(base.poly.terms)
+    for col in columns:
+        monos.update(col.poly.terms)
+    eqs = []
+    for m in sorted(monos, key=GREVLEX.key):
+        coeffs = {}
+        for u, col in zip(unknowns, columns):
+            c = col.poly.terms.get(m)
+            if c:
+                coeffs[u] = c
+        b = base.poly.terms.get(m)
+        if coeffs or b:
+            eqs.append(LinearEquation(coeffs, -b if b else Fraction(0)))
+    return eqs
 
 
 # -- linear tangency solves -----------------------------------------------------
@@ -152,51 +187,23 @@ class TangencyFamily:
     def dimension(self) -> int:
         return self.family.dimension
 
-    def _field_from_values(self, values: Dict[str, object]) -> AffineVectorField:
-        A = tuple(tuple(values[f"{self.prefix}{i}{j}"] for j in range(1, 5))
-                  for i in range(1, 5))
-        if self.translation == "free":
-            v = tuple(values[u] for u in translation_unknowns(self.prefix))
-        else:
-            v = tuple(self.translation)
-        return AffineVectorField(A, v)
+    def _field(self, values: Dict[str, object], fixed_v) -> AffineVectorField:
+        # the unknowns are the field's coordinates in coords() order
+        c = [values[u] for u in self.family.unknowns]
+        v = c[16:] if self.translation == "free" else fixed_v
+        return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), v)
 
     def field(self, free_values: Optional[Dict[str, object]] = None) -> AffineVectorField:
-        return self._field_from_values(self.family.member(free_values))
+        return self._field(self.family.member(free_values), self.translation)
 
     def basis_fields(self) -> List[AffineVectorField]:
         """Fields from the homogeneous basis vectors (zero fixed translation)."""
-        out = []
-        for vec in self.family.basis:
-            A = tuple(tuple(vec[f"{self.prefix}{i}{j}"] for j in range(1, 5))
-                      for i in range(1, 5))
-            if self.translation == "free":
-                v = tuple(vec[u] for u in translation_unknowns(self.prefix))
-            else:
-                v = ZERO4
-            out.append(AffineVectorField(A, v))
-        return out
+        return [self._field(vec, ZERO4) for vec in self.family.basis]
 
     def general_field(self, vars: Sequence[str]) -> AffineVectorField:
-        gm = self.family.general_member(vars)
-        A = tuple(tuple(gm[f"{self.prefix}{i}{j}"] for j in range(1, 5))
-                  for i in range(1, 5))
-        if self.translation == "free":
-            v = tuple(gm[u] for u in translation_unknowns(self.prefix))
-        else:
-            v = tuple(Poly.const(t, tuple(vars)) for t in self.translation)
-        return AffineVectorField(A, v)
-
-
-def _residual_equations(res: Jet) -> List[LinearEquation]:
-    eqs = []
-    for m in sorted(res.poly.terms, key=GREVLEX.key):
-        c = res.poly.terms[m]
-        if isinstance(c, Poly):
-            eqs.append(equations_from_poly(c))
-        elif c:
-            eqs.append(LinearEquation({}, -c))
-    return eqs
+        fixed_v = (() if self.translation == "free" else
+                   tuple(Poly.const(t, tuple(vars)) for t in self.translation))
+        return self._field(self.family.general_member(vars), fixed_v)
 
 
 def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
@@ -211,28 +218,21 @@ def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
     N = F.order
     if translation == "zero":
         translation = ZERO4
-    ring = list(matrix_unknowns(prefix))
+    unknowns = matrix_unknowns(prefix)
     if translation == "free":
-        ring += translation_unknowns(prefix)
+        unknowns += translation_unknowns(prefix)
     else:
         translation = tuple(translation)
-    ring = tuple(sorted(ring))
     if order is None:
         order = N if (translation != "free" and not any(translation)) else N - 1
-    A = tuple(tuple(Poly.var(f"{prefix}{i}{j}", ring) for j in range(1, 5))
-              for i in range(1, 5))
-    if translation == "free":
-        v = tuple(Poly.var(u, ring) for u in translation_unknowns(prefix))
-    else:
-        v = translation
-    res = tangency_residual(F, AffineVectorField(A, v), order)
-    eqs = _residual_equations(res) + list(extra_constraints)
-    fam = linear_solve(eqs, ring)
+    columns = tangency_columns(F, order, range(20))
+    base = _combine(columns[16:], ZERO4 if translation == "free" else translation,
+                    order)
+    eqs = linear_equations(columns[:len(unknowns)], base, unknowns)
+    fam = linear_solve(eqs + list(extra_constraints), unknowns)
     if fam is None:
         return None
-    return TangencyFamily(prefix, fam,
-                          "free" if translation == "free" else translation,
-                          order)
+    return TangencyFamily(prefix, fam, translation, order)
 
 
 def pqr_families(F: Jet, case: Optional[str] = None,
@@ -322,7 +322,8 @@ def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
 
 # -- term-by-term completion -------------------------------------------------------
 
-def _order_unknowns(m: int) -> List[Tuple[str, Tuple[int, int, int]]]:
+def degree_unknowns(m: int) -> List[Tuple[str, Tuple[int, int, int]]]:
+    """(name, monomial) of each coefficient of degree m."""
     out = []
     for i in range(m, -1, -1):
         for j in range(m - i, -1, -1):
@@ -331,24 +332,35 @@ def _order_unknowns(m: int) -> List[Tuple[str, Tuple[int, int, int]]]:
     return out
 
 
+def _derivative_along(mono: Tuple[int, int, int], e, M: int) -> Jet:
+    """e . grad(x^mono) for a degree-(M+1) monomial."""
+    p = Poly.monomial(mono, vars=XYZ)
+    return Jet(sum((p.partial(n).scale(t) for n, t in zip(XYZ, e) if t),
+                   Poly.zero(XYZ)), M)
+
+
 def complete_series(f: Jet, P, Q, R, M: int,
                     translations=(E_X, E_Y, E_Z)):
     """Extend f order by order so that the three translated fields stay
     tangent. Each order must be pinned down uniquely; failures carry the
-    offending order. Returns (jet, parametric degeneracy conditions)."""
+    offending order. Returns (jet, parametric degeneracy conditions).
+
+    f is a graph offset (zero constant term), so a degree-m term reaches
+    the (m-1)-truncated residual of A.p + e only through F_i . e_i: the
+    column of its coefficient is the derivative of its monomial along e."""
     cur = f.poly
     base = f.order
     degeneracies: List[object] = []
     for m in range(base + 1, M + 1):
-        names = _order_unknowns(m)
-        ring = tuple(sorted(n for n, _ in names))
-        fm = Poly(XYZ, {mono: Poly.var(n, ring) for n, mono in names})
-        ftot = Jet(cur + fm, m)
+        names = degree_unknowns(m)
+        mono_of = dict(names)
+        unknowns = sorted(mono_of)
         eqs: List[LinearEquation] = []
         for mat, e in zip((P, Q, R), translations):
-            res = tangency_residual(ftot, AffineVectorField(mat, e), m - 1)
-            eqs.extend(_residual_equations(res))
-        fam = linear_solve(eqs, ring)
+            columns = [_derivative_along(mono_of[u], e, m - 1) for u in unknowns]
+            res = tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1)
+            eqs.extend(linear_equations(columns, res, unknowns))
+        fam = linear_solve(eqs, unknowns)
         if fam is None:
             raise CompletionError("inconsistent completion system", m)
         if not fam.is_unique():

@@ -85,11 +85,30 @@ def test_usage_errors_exit_two(capsys):
                  ["verify", "--entry", "N99"],
                  ["expand", *SPHERE[:2], "--basepoint", "1,0,0"],
                  ["expand", *SPHERE, "--alpha", "x"],
-                 ["discover", "--case", "bogus"]):
+                 ["discover", "--case", "bogus"],
+                 ["verify", "--entry", "N7", "--order", "6"],  # no alpha
+                 ["verify", "--entry", "N1", "--alpha", "2"],  # takes none
+                 ["verify", "--entry", "I0.1", "--order", "3"],
+                 ["expand", "--surface", "W=X+", "--basepoint", "0,0,0,0"],
+                 # basepoint off the surface
+                 ["expand", "--surface", "W=X*Y+1", "--basepoint", "0,0,0,0"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ": error: " in err.splitlines()[-1]
+
+
+def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
+    for raw in ("{}", '{"terms": 3, "order": 2}'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        with pytest.raises(SystemExit) as exc:
+            run(["symmetry", "--jet", "-"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("affine-homog: error: malformed jet")
 
 
 def test_math_errors_exit_one(capsys):

@@ -3,10 +3,8 @@ from fractions import Fraction as F
 
 import sympy
 
-from affine_homog.linalg import (LinearEquation, equations_from_poly,
-                                 linear_solve, matrix_rank, nullspace,
-                                 solve_rows)
-from affine_homog.poly import Poly
+from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
+                                 nullspace, solve_rows)
 from affine_homog.scalars import RationalFunc
 
 
@@ -39,15 +37,6 @@ def test_member_ignores_extra_keys():
     fam = linear_solve([eq({"x": 1, "y": 1}, 1)], ("x", "y"))
     m = fam.member({"y": F(2), "unused": F(9)})
     assert m["x"] + m["y"] == 1
-
-
-def test_equations_from_poly_linear_in_unknowns():
-    ring = ("a", "b")
-    p = Poly(ring, {(1, 0): F(2), (0, 1): F(-3), (0, 0): F(6)})
-    e = equations_from_poly(p)
-    fam = linear_solve([e], ring)
-    m = fam.member({v: F(0) for v in fam.free})
-    assert 2 * m["a"] - 3 * m["b"] + 6 == 0
 
 
 def test_matrix_rank():

@@ -8,9 +8,9 @@ from affine_homog.jets import Jet
 from affine_homog.normalize import (HYPERBOLIC_GRAM, QuadraticForm,
                                     is_trace_free, trace_decompose)
 from affine_homog.poly import GREVLEX, LEX, Poly
-from affine_homog.symmetry import (AffineVectorField, bracket,
-                                   complete_series, pqr_families,
-                                   tangency_residual)
+from affine_homog.symmetry import (AffineVectorField, _derivative_along,
+                                   bracket, complete_series, pqr_families,
+                                   tangency_columns, tangency_residual)
 
 XYZ = ("x", "y", "z")
 HYP = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic")
@@ -108,6 +108,50 @@ def test_tangency_linearity(p, A1, v1, A2, v2, s, t):
     lhs = tangency_residual(Fj, comb, 4)
     rhs = tangency_residual(Fj, a, 4) * s + tangency_residual(Fj, b, 4) * t
     assert lhs == rhs
+
+
+# -- every residual is a weighted sum of unit-field columns --------------------------
+
+def _field_from_coords(c):
+    return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)),
+                             tuple(c[16:]))
+
+
+@lru_cache(maxsize=None)
+def _i11_jet():
+    from affine_homog.catalog import base_jet
+    return base_jet("I1.1")
+
+
+# integer pairs map to fractions far faster than st.fractions draws
+field_coords = st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 4)).map(
+    lambda t: F(*t)), min_size=20, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(max_degree=4), st.integers(1, 4), st.integers(0, 4),
+       field_coords, st.integers(5, 6), st.integers(0, 6), st.integers(0, 6))
+def test_residual_is_weighted_sum_of_columns(p, n, M, coords, m, i, j):
+    Fj = Jet(p, n)
+    cols = tangency_columns(Fj, M, range(20))
+    weighted = Jet.zero(M)
+    for c, col in zip(coords, cols):
+        weighted = weighted + col * c
+    assert tangency_residual(Fj, _field_from_coords(coords), M) == weighted
+    for k, col in enumerate(cols):
+        unit = [F(0)] * 20
+        unit[k] = F(1)
+        assert col == tangency_residual(Fj, _field_from_coords(unit), M)
+    # a degree-m coefficient reaches the (m-1)-residual of a graph offset
+    # only as e . grad(monomial)
+    i = min(i, m)
+    mono = (i, min(j, m - i), m - i - min(j, m - i))
+    f = _i11_jet()
+    V = _field_from_coords(coords)
+    added = Jet(f.poly + Poly.monomial(mono, vars=XYZ), m)
+    diff = (tangency_residual(added, V, m - 1)
+            - tangency_residual(Jet(f.poly, m), V, m - 1))
+    assert diff == _derivative_along(mono, V.v, m - 1)
 
 
 # -- trace decomposition is an idempotent projection ---------------------------------

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 from affine_homog.jets import Jet
 from affine_homog.poly import Poly
@@ -8,8 +9,9 @@ from affine_homog.symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES,
                                    AffineVectorField, CompletionError,
                                    bracket, closure_constraints,
                                    complete_series, full_algebra,
-                                   normalize_gauge, pqr_families,
-                                   solve_tangency, tangency_residual)
+                                   linear_equations, normalize_gauge,
+                                   pqr_families, solve_tangency,
+                                   tangency_columns, tangency_residual)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -32,6 +34,37 @@ def test_dilation_tangent_to_quadric():
 def test_shear_not_tangent():
     shear = field([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert not tangency_residual(QUADRIC, shear, 4).is_zero()
+
+
+def test_columns_match_sympy_residual_of_unit_fields():
+    x, y, z = sp.symbols("x y z")
+    f_expr = 2 * x * y + z**2 + x**2 * y - 2 * x * z**2 + sp.Rational(3, 4) * y**4
+    fj = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2)
+             + (Y * Y * Y * Y).scale(F(3, 4)), 4)
+    M = 3
+    grad = [sp.diff(f_expr, s) for s in (x, y, z)] + [sp.Integer(-1)]
+    coords = [x, y, z, f_expr, sp.Integer(1)]
+
+    def truncated(expr):
+        terms = sp.Poly(sp.expand(expr), x, y, z).terms()
+        return {m: F(int(c.p), int(c.q)) for m, c in terms if sum(m) <= M}
+
+    cols = tangency_columns(fj, M, range(20))
+    for k, col in enumerate(cols):
+        i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
+        # unit field: component i of A.(x,y,z,F)^T + v is coords[j]
+        assert col.poly.terms == truncated(grad[i] * coords[j]), k
+
+
+def test_linear_equations_rows_in_grevlex_order():
+    # base + u*(x + z^2) + w*(2y) = 0, rows ascending in grevlex;
+    # the monomial y*z appears nowhere and gets no row
+    base = Jet(Poly.const(F(3)) - Z * Z, 2)
+    cols = [Jet(X + Z * Z, 2), Jet(Y.scale(2), 2)]
+    eqs = linear_equations(cols, base, ["u", "w"])
+    assert [(e.coeffs, e.rhs) for e in eqs] == [
+        ({}, F(-3)), ({"w": F(2)}, F(0)), ({"u": F(1)}, F(0)),
+        ({"u": F(1)}, F(1))]
 
 
 def test_bracket_oracle():
