@@ -17,6 +17,7 @@ from . import catalog as cat
 from .frontend import expand_graph, parse_surface
 from .jets import Jet
 from .normalize import normalize_jet
+from .poly import XYZ
 from .scalars import InputError, parse_rational
 from .symmetry import full_algebra
 
@@ -91,9 +92,20 @@ def _parse_basepoint(text: str):
 
 def _load_jet(args) -> Jet:
     if getattr(args, "jet", None):
-        raw = (sys.stdin.read() if args.jet == "-"
-               else open(args.jet, "r", encoding="utf-8").read())
-        return Jet.from_json(json.loads(raw))
+        if args.jet == "-":
+            raw = sys.stdin.read()
+        else:
+            try:
+                with open(args.jet, "r", encoding="utf-8") as fh:
+                    raw = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"cannot read --jet: {exc}") from exc
+        F = Jet.from_json(json.loads(raw))
+        # the pipeline names the graph's coordinates x, y, z
+        if F.vars != XYZ:
+            raise InputError(f"malformed jet JSON (vars {list(F.vars)} "
+                             f"are not {list(XYZ)})")
+        return F
     spec = parse_surface(args.surface, _parse_basepoint(args.basepoint),
                          alpha=args.alpha)
     return expand_graph(spec, args.order)

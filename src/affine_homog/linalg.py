@@ -1,20 +1,35 @@
 """Exact linear algebra over the scalar domains.
 
-All elimination is one positional routine, ``solve_rows``: exact
-Gauss-Jordan reduction with pivots chosen by smallest bit-size to limit
-coefficient growth. ``linear_solve`` (named unknowns), ``nullspace`` and
-``matrix_rank`` are thin front ends to it. Inconsistency is a returned
-value, not an exception.
+All elimination goes through one positional routine, ``solve_rows``,
+which reduces to the unique RREF by one of two Gauss-Jordan branches that
+the scalar types alone select:
+
+- a system of ``int`` and ``Fraction`` entries is scaled to integer rows
+  and eliminated fraction-free (cross-multiplication, then division by
+  the row content), so ``Fraction`` normalisation is paid only once per
+  output entry;
+- any other system (``RationalFunc``, ``TowerElement`` or mixed) is
+  eliminated over its field with the smallest-``_pivot_size`` pivot.
+  That branch keeps its pivot rule because the non-constant parametric
+  pivots it picks are reported as ``degeneracies``, which appear in the
+  output.
+
+``linear_solve`` (named unknowns), ``nullspace`` and ``matrix_rank`` are
+thin front ends to it. Inconsistency is a returned value, not an
+exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence
 
 from .poly import Poly
 from .scalars import RationalFunc
+
+_RATIONAL = (int, Fraction)
 
 
 @dataclass
@@ -74,20 +89,14 @@ def _pivot_size(c) -> int:
     return 1 << 20
 
 
-def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
-               ncols: int):
-    """Exact RREF solve of ``rows . x = rhs`` over ``ncols`` columns.
-
-    Returns None when inconsistent, otherwise ``(particular, basis,
-    free_cols, degeneracies)``: a particular solution, one nullspace vector
-    per free column (1 there, 0 at the other free columns), the free column
-    indices, and the non-constant parametric pivots. Over a parametric
-    field, pivots that vanish for special parameter values are recorded
-    in ``degeneracies`` rather than silently assumed non-zero.
-    """
+def _field_rref(rows, rhs, ncols):
+    """Gauss-Jordan over any scalar field, picking the smallest pivot by
+    ``_pivot_size``. Returns None when inconsistent, else the pivot rows
+    as ``{col: (row, rhs)}`` scaled to pivot 1, and the non-constant
+    ``RationalFunc`` pivots."""
     rows = list(zip(rows, rhs))
     degeneracies: List[object] = []
-    pivots = []  # (row_index, col_index)
+    pivots = {}
     r = 0
     for col in range(ncols):
         # choose the simplest non-zero pivot in this column
@@ -117,28 +126,109 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
                 nrow = [a - f * b for a, b in zip(rows[j][0], inv_row)]
                 nrhs = rows[j][1] - f * inv_rhs
                 rows[j] = (nrow, nrhs)
-        pivots.append((r, col))
+        pivots[col] = r
         r += 1
         if r == len(rows):
             break
 
     # consistency: zero rows must have zero rhs
-    for j in range(r, len(rows)):
-        if rows[j][1]:
-            return None
+    if any(rows[j][1] for j in range(r, len(rows))):
+        return None
+    return {col: rows[ri] for col, ri in pivots.items()}, degeneracies
 
-    pivot_cols = {col: ri for ri, col in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+
+def _primitive(row: List[int]) -> List[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _integer_rref(rows, rhs, ncols):
+    """Fraction-free Gauss-Jordan over Z for rational systems. Each row,
+    augmented by its rhs, is scaled by the lcm of its denominators; a row
+    is eliminated by ``(p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``
+    and then divided by its content, so no ``Fraction`` is normalised per
+    scalar operation. Returns None when inconsistent, else the pivot rows as
+    ``{col: (row, rhs)}`` with pivot 1 and ``Fraction`` entries, and no
+    degeneracies."""
+    work = []
+    for row, b in zip(rows, rhs):
+        aug = (*row, b)
+        den = lcm(*(c.denominator for c in aug))
+        ints = [c.numerator * (den // c.denominator) for c in aug]
+        if any(ints):
+            work.append(_primitive(ints))
+    pivots = {}
+    r = 0
+    for col in range(ncols):
+        # any non-zero pivot gives the same RREF; the smallest keeps
+        # the cross-multiplied rows short
+        best = None
+        for i in range(r, len(work)):
+            c = work[i][col]
+            if c and (best is None or abs(c) < abs(work[best][col])):
+                best = i
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        prow = work[r]
+        p = prow[col]
+        for j in range(len(work)):
+            f = work[j][col]
+            if j != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                work[j] = _primitive([a * x - b * y for x, y in zip(work[j], prow)])
+        pivots[col] = r
+        r += 1
+        if r == len(work):
+            break
+
+    if any(work[j][ncols] for j in range(r, len(work))):
+        return None
+    zero = Fraction(0)
+    out = {}
+    for col, ri in pivots.items():
+        row = work[ri]
+        p = row[col]
+        out[col] = ([Fraction(a, p) if a else zero for a in row[:ncols]],
+                    Fraction(row[ncols], p))
+    return out, []
+
+
+def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
+               ncols: int):
+    """Exact RREF solve of ``rows . x = rhs`` over ``ncols`` columns.
+
+    Returns None when inconsistent, otherwise ``(particular, basis,
+    free_cols, degeneracies)``: a particular solution, one nullspace vector
+    per free column (1 there, 0 at the other free columns), the free column
+    indices, and the non-constant parametric pivots. Over a parametric
+    field, pivots that vanish for special parameter values are recorded
+    in ``degeneracies`` rather than silently assumed non-zero.
+
+    The scalar types pick the elimination: an all-``int``/``Fraction``
+    system runs fraction-free over Z (``_integer_rref``), anything else
+    runs over its field (``_field_rref``). The RREF is unique, so both give
+    the same values on a rational system.
+    """
+    rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
+        isinstance(c, _RATIONAL) for row in rows for c in row)
+    solved = (_integer_rref if rational else _field_rref)(rows, rhs, ncols)
+    if solved is None:
+        return None
+    pivot_rows, degeneracies = solved
+
+    free_cols = [c for c in range(ncols) if c not in pivot_rows]
     zero = Fraction(0)
     particular = [zero] * ncols
-    for col, ri in pivot_cols.items():
-        particular[col] = rows[ri][1]
+    for col, (_, b) in pivot_rows.items():
+        particular[col] = b
     basis = []
     for fc in free_cols:
         vec = [zero] * ncols
         vec[fc] = Fraction(1)
-        for col, ri in pivot_cols.items():
-            c = rows[ri][0][fc]
+        for col, (row, _) in pivot_rows.items():
+            c = row[fc]
             if c:
                 vec[col] = -c
         basis.append(vec)

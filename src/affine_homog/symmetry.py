@@ -84,14 +84,18 @@ class AffineVectorField:
 
 
 def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
-    """Lie bracket: (A2 A1 - A1 A2, A2 v1 - A1 v2)."""
+    """Lie bracket: (A2 A1 - A1 A2, A2 v1 - A1 v2). Symmetry fields are
+    sparse, so products with a zero factor are skipped."""
     a1, a2 = v1.A, v2.A
-    A = tuple(tuple(sum(a2[i][k] * a1[k][j] for k in range(4))
-                    - sum(a1[i][k] * a2[k][j] for k in range(4))
-                    for j in range(4)) for i in range(4))
-    t = tuple(sum(a2[i][k] * v1.v[k] for k in range(4))
-              - sum(a1[i][k] * v2.v[k] for k in range(4)) for i in range(4))
-    return AffineVectorField(A, t)
+    # columns of the augmented matrices [A | v]
+    c1, c2 = (*zip(*a1), v1.v), (*zip(*a2), v2.v)
+
+    def dot(row, col):
+        return sum((a * b for a, b in zip(row, col) if a and b), Fraction(0))
+
+    rows = [[dot(a2[i], c1[j]) - dot(a1[i], c2[j]) for j in range(5)]
+            for i in range(4)]
+    return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
 
 
 def tangency_columns(F: Jet, M: int, ks: Sequence[int]) -> List[Jet]:

@@ -91,7 +91,8 @@ def test_usage_errors_exit_two(capsys):
                  ["verify", "--entry", "I0.1", "--order", "3"],
                  ["expand", "--surface", "W=X+", "--basepoint", "0,0,0,0"],
                  # basepoint off the surface
-                 ["expand", "--surface", "W=X*Y+1", "--basepoint", "0,0,0,0"]):
+                 ["expand", "--surface", "W=X*Y+1", "--basepoint", "0,0,0,0"],
+                 ["symmetry", "--jet", "/nonexistent/jet.json"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
@@ -101,7 +102,9 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
-    for raw in ("{}", '{"terms": 3, "order": 2}'):
+    for raw in ("{}", '{"terms": 3, "order": 2}',
+                '{"order": 3, "vars": ["a", "b", "c"], '
+                '"terms": [{"m": [1, 1, 0], "c": "1"}]}'):
         monkeypatch.setattr("sys.stdin", io.StringIO(raw))
         with pytest.raises(SystemExit) as exc:
             run(["symmetry", "--jet", "-"])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
                                  nullspace, solve_rows)
@@ -142,3 +143,73 @@ def test_solve_rows_records_parametric_pivot():
     assert degeneracies == [b]
     assert particular == [-1 / b, 2 * one]
     assert basis == [] and free_cols == []
+
+
+# -- the fraction-free integer branch against sympy's rref --------------------
+
+_small = st.integers(-3, 3)
+_entries = st.one_of(
+    _small,
+    st.builds(F, _small, st.integers(1, 4)),
+    # above 64 bits in numerator and denominator
+    st.builds(F, st.integers(-2**72, 2**72), st.integers(2**64, 2**66)))
+
+
+@st.composite
+def _rational_systems(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):  # a duplicate, scaled row
+        k = draw(st.sampled_from((1, -2, F(1, 3))))
+        rows.append([k * c for c in rows[draw(st.integers(0, nrows - 1))]])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[col] = 0
+    if draw(st.booleans()):  # consistent by construction
+        x = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+    else:  # usually inconsistent when the rows are dependent
+        rhs = draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+def _sympy_solution(rows, rhs, ncols):
+    """(particular, basis, free_cols) read off sympy's RREF of [rows | rhs],
+    or None when inconsistent."""
+    aug = sympy.Matrix([[sympy.Rational(F(c).numerator, F(c).denominator)
+                         for c in (*r, b)] for r, b in zip(rows, rhs)])
+    rref, pivots = aug.rref()
+    if ncols in pivots:
+        return None
+    frac = lambda e: F(int(e.p), int(e.q))
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    particular = [F(0)] * ncols
+    for i, col in enumerate(pivots):
+        particular[col] = frac(rref[i, ncols])
+    basis = []
+    for fc in free_cols:
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -frac(rref[i, fc])
+        basis.append(vec)
+    return particular, basis, free_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_systems())
+def test_integer_branch_matches_sympy_rref(system):
+    rows, rhs, ncols = system
+    got = solve_rows(rows, rhs, ncols)
+    want = _sympy_solution(rows, rhs, ncols)
+    if want is None:
+        assert got is None
+        return
+    particular, basis, free_cols, degeneracies = got
+    assert (particular, basis, free_cols) == want
+    assert degeneracies == []
+    assert all(type(c) is F for vec in (particular, *basis) for c in vec)

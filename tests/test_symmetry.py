@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from affine_homog.jets import Jet
 from affine_homog.poly import Poly
@@ -34,6 +35,31 @@ def test_dilation_tangent_to_quadric():
 def test_shear_not_tangent():
     shear = field([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert not tangency_residual(QUADRIC, shear, 4).is_zero()
+
+
+# about three entries in four are zero, as in symmetry-algebra bases
+sparse_entries = st.tuples(st.integers(0, 3), st.integers(-5, 5),
+                           st.integers(1, 4)).map(
+    lambda t: F(t[1], t[2]) if t[0] == 0 else F(0))
+sparse_fields = st.tuples(
+    st.tuples(*[st.tuples(*[sparse_entries] * 4)] * 4),
+    st.tuples(*[sparse_entries] * 4)).map(lambda av: AffineVectorField(*av))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_fields, sparse_fields)
+def test_bracket_matches_sympy_matrices(v1, v2):
+    mat = lambda rows: sp.Matrix([[sp.Rational(c.numerator, c.denominator)
+                                   for c in r] for r in rows])
+    A1, A2 = mat(v1.A), mat(v2.A)
+    t1, t2 = mat([v1.v]).T, mat([v2.v]).T
+    want_A, want_v = A2 * A1 - A1 * A2, A2 * t1 - A1 * t2
+    got = bracket(v1, v2)
+    frac = lambda e: F(int(e.p), int(e.q))
+    for i in range(4):
+        for j in range(4):
+            assert got.A[i][j] == frac(want_A[i, j])
+        assert got.v[i] == frac(want_v[i])
 
 
 def test_columns_match_sympy_residual_of_unit_fields():
