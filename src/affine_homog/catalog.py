@@ -317,7 +317,7 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     details["order_4_algebra_fails_at_5"] = drops
     first_failure = None
     for k in range(4, order + 1):
-        if not homogeneous(full_algebra(Fj, k)):
+        if not homogeneous(alg4 if k == 4 else full_algebra(Fj, k)):
             first_failure = k
             break
     details["first_failing_order"] = first_failure

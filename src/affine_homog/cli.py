@@ -10,6 +10,7 @@ Exit codes: 0 success/pass, 1 mathematical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,11 @@ ENTRY_IDS = tuple(f"N{k}" for k in range(1, 21))
 CASES = ("no-cubic", "I3", "I2", "I1", "I0", "Inr")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: an
+    argparse parser is a cyclic object graph, and in-process callers run
+    many commands."""
     parser = argparse.ArgumentParser(
         prog="affine-homog",
         description="Exact verification toolkit for homogeneous graph "

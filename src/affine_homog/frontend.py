@@ -2,7 +2,8 @@
 
 Parses implicit defining equations over W,X,Y,Z (explicit '*', '^' with
 rational or 'alpha' exponents, exp and log), and Taylor-expands them at a
-basepoint into a graph-form jet w = F(x,y,z) by Newton iteration on jets.
+basepoint into a graph-form jet w = F(x,y,z) by evaluating the equation on
+jets and solving it for w order by order.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .jets import Jet
+from .jets import Jet, solve_series
 from .poly import Poly
 from .scalars import (InputError, RationalFunc, parse_rational,
                       rational_nth_root)
 
-AMBIENT = ("W", "X", "Y", "Z")
 GRAPH_VARS = ("x", "y", "z")
 
 
@@ -250,7 +250,8 @@ def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:
         if alpha is None:
             raise InputError("equation uses alpha but no binding was given")
     spec = SurfaceSpec(lhs, rhs, bp, alpha, text)
-    val = eval_at_point(spec.residual_node(), dict(zip(AMBIENT, bp)), alpha)
+    at_bp = _ambient_images(bp, Jet.zero(0, GRAPH_VARS))
+    val = eval_jet(spec.residual_node(), at_bp, 0, alpha).poly.constant_term()
     if val != 0:
         raise InputError(f"basepoint does not satisfy the equation (residual {val})")
     return spec
@@ -266,41 +267,7 @@ def _uses_param(node: Node) -> bool:
     return False
 
 
-# -- exact pointwise evaluation ------------------------------------------------
-
-def eval_at_point(node: Node, values: Dict[str, Fraction], alpha=None) -> Fraction:
-    if isinstance(node, Var):
-        return values[node.name]
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Param):
-        if alpha is None:
-            raise ValueError("unbound parameter alpha")
-        return alpha
-    if isinstance(node, Add):
-        return eval_at_point(node.left, values, alpha) + eval_at_point(node.right, values, alpha)
-    if isinstance(node, Sub):
-        return eval_at_point(node.left, values, alpha) - eval_at_point(node.right, values, alpha)
-    if isinstance(node, Mul):
-        return eval_at_point(node.left, values, alpha) * eval_at_point(node.right, values, alpha)
-    if isinstance(node, Pow):
-        base = eval_at_point(node.base, values, alpha)
-        e = _exponent_value(node.exponent, alpha)
-        if e is None:
-            raise ValueError("unbound parameter alpha")
-        return _rational_pow(base, e)
-    if isinstance(node, Exp):
-        a = eval_at_point(node.arg, values, alpha)
-        if a != 0:
-            raise DomainError("exp only has an exact value at 0")
-        return Fraction(1)
-    if isinstance(node, Log):
-        a = eval_at_point(node.arg, values, alpha)
-        if a != 1:
-            raise DomainError("log only has an exact value at 1")
-        return Fraction(0)
-    raise TypeError(f"unknown node {node!r}")
-
+# -- Taylor primitives ----------------------------------------------------------
 
 def _rational_pow(base: Fraction, e: Fraction) -> Fraction:
     if e.denominator == 1:
@@ -315,8 +282,6 @@ def _rational_pow(base: Fraction, e: Fraction) -> Fraction:
         raise DomainError(f"{base}^(1/{e.denominator}) is irrational")
     return root ** e.numerator
 
-
-# -- Taylor primitives ----------------------------------------------------------
 
 def taylor_primitive(fn: str, center: Fraction, order: int,
                      exponent: Optional[Fraction] = None) -> Jet:
@@ -388,80 +353,31 @@ def _compose_primitive(fn: str, arg: Jet, order: int,
     return out
 
 
-# -- AST derivative (for Newton) ---------------------------------------------------
-
-def ast_partial(node: Node, var: str) -> Node:
-    zero = Const(Fraction(0))
-    if isinstance(node, Var):
-        return Const(Fraction(1)) if node.name == var else zero
-    if isinstance(node, (Const, Param)):
-        return zero
-    if isinstance(node, Add):
-        return Add(ast_partial(node.left, var), ast_partial(node.right, var))
-    if isinstance(node, Sub):
-        return Sub(ast_partial(node.left, var), ast_partial(node.right, var))
-    if isinstance(node, Mul):
-        return Add(Mul(ast_partial(node.left, var), node.right),
-                   Mul(node.left, ast_partial(node.right, var)))
-    if isinstance(node, Pow):
-        e = node.exponent
-        em1 = (Const(e.value - 1) if isinstance(e, Const)
-               else Sub(Param(), Const(Fraction(1))))
-        scale = Const(e.value) if isinstance(e, Const) else Param()
-        return Mul(Mul(scale, Pow(node.base, em1)),
-                   ast_partial(node.base, var))
-    if isinstance(node, Exp):
-        return Mul(node, ast_partial(node.arg, var))
-    if isinstance(node, Log):
-        return Mul(Pow(node.arg, Const(Fraction(-1))), ast_partial(node.arg, var))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _exponent_value(e: Node, alpha):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Param):
-        return alpha
-    if isinstance(e, Sub) and isinstance(e.left, Param) and isinstance(e.right, Const):
-        return (alpha - e.right.value) if alpha is not None else None
-    raise ValueError(f"unsupported exponent {e!r}")
-
-
 # -- graph expansion -----------------------------------------------------------------
 
 def expand_graph(spec: SurfaceSpec, order: int) -> Jet:
     """Solve the implicit equation for W near the basepoint.
 
     Returns the jet w(x,y,z) of the graph offset, zero constant term,
-    where (x,y,z) are offsets of (X,Y,Z) and w the offset of W. Newton
-    iteration on jets doubles the valid order each step.
+    where (x,y,z) are offsets of (X,Y,Z) and w the offset of W. The
+    w-slope of the equation at the basepoint, read off its 1-jet in
+    (x, y, z, w), drives a chord iteration on jets.
     """
-    g = spec.residual_node()
-    gw = ast_partial(g, "W")
-    slope = eval_at_point(gw, dict(zip(AMBIENT, spec.basepoint)), spec.alpha)
+    w1 = Jet(Poly.var("w", GRAPH_VARS + ("w",)), 1)
+    lin = eval_jet(spec.residual_node(), _ambient_images(spec.basepoint, w1),
+                   1, spec.alpha)
+    slope = lin.poly.coefficient((0, 0, 0, 1))
     if slope == 0:
         raise DomainError("cannot solve for W at the basepoint "
                           "(implicit function condition fails)")
-
-    w = Jet.zero(0, GRAPH_VARS)
-    valid = 0
-    while valid < order:
-        valid = min(2 * valid + 1, order)
-        w = Jet(w.poly, valid)
-        images = _ambient_images(spec.basepoint, w)
-        res = eval_jet(g, images, valid, spec.alpha)
-        dres = eval_jet(gw, images, valid, spec.alpha)
-        w = w - res * dres.inverse()
-    w = Jet(w.poly, order)
-    assert not w.poly.constant_term()
-    return w
+    return solve_series(lambda w: graph_residual(spec, w), slope,
+                        Jet.zero(0, GRAPH_VARS), order)
 
 
 def eval_jet(node: Node, images: Dict[str, Jet], order: int,
              alpha: Optional[Fraction] = None) -> Jet:
     """Evaluate an AST on jets. ``images`` sends each ambient variable to
-    a jet whose constant term is that basepoint coordinate. Exponents of
-    the form alpha-1 (from differentiation) are accepted."""
+    a jet whose constant term is that basepoint coordinate."""
     some = next(iter(images.values()))
     vars = some.vars
 
@@ -481,11 +397,12 @@ def eval_jet(node: Node, images: Dict[str, Jet], order: int,
         if isinstance(n, Mul):
             return ev(n.left) * ev(n.right)
         if isinstance(n, Pow):
-            e = _exponent_value(n.exponent, alpha)
+            e = n.exponent.value if isinstance(n.exponent, Const) else alpha
             if e is None:
                 raise ValueError("unbound parameter alpha")
             base = ev(n.base)
-            if e.denominator == 1:
+            # a negative power at a zero center is refused by the primitive
+            if e.denominator == 1 and (e >= 0 or base.poly.constant_term()):
                 return base ** e.numerator
             return _compose_primitive("pow", base, order, e)
         if isinstance(n, Exp):
@@ -498,7 +415,8 @@ def eval_jet(node: Node, images: Dict[str, Jet], order: int,
 
 
 def _ambient_images(basepoint, w: Jet) -> Dict[str, Jet]:
-    """W, X, Y, Z as jets at the basepoint, with W the graph offset w."""
+    """W, X, Y, Z as jets at the basepoint, with W the offset w (a jet in
+    x, y, z and possibly further variables)."""
     w0, x0, y0, z0 = basepoint
     n, vars = w.order, w.vars
     return {

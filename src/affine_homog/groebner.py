@@ -20,18 +20,11 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import GREVLEX, LEX, Mono, Poly, TermOrder
-from .scalars import RationalFunc, rational_sqrt, scalar_str
+from .scalars import RationalFunc, rational_sqrt
 
 
 class GroebnerError(ValueError):
     pass
-
-
-def _monic(p: Poly, order: TermOrder) -> Poly:
-    c = p.leading_term(order)[1]
-    if c == 1:
-        return p
-    return p.map_coefficients(lambda a: a / c)
 
 
 def _divides(a: Mono, b: Mono) -> bool:
@@ -84,7 +77,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
     G: List[Poly] = []
     for g in gens:
         if g:
-            G.append(_monic(g, order))
+            G.append(g.monic(order))
     if not G:
         return []
     lt = [g.leading_term(order)[0] for g in G]
@@ -126,7 +119,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
             continue
         r = reduce(s_poly(G[i], G[j], order), G, order)
         if r:
-            r = _monic(r, order)
+            r = r.monic(order)
             k = len(G)
             G.append(r)
             lt.append(r.leading_term(order)[0])
@@ -150,7 +143,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
         others = [h for j, h in enumerate(minimal) if j != i]
         r = reduce(g, others, order)
         if r:
-            reduced.append(_monic(r, order))
+            reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     # safety: the pair-elimination criteria must not have lost anything
     for i in range(len(reduced)):
@@ -166,7 +159,6 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
 class ParametricFamily:
     free: str
     assignments: Dict[str, RationalFunc]
-    degeneracies: List[RationalFunc] = field(default_factory=list)
 
 
 @dataclass
@@ -181,20 +173,6 @@ class SolutionSet:
     points: List[Dict[str, Fraction]] = field(default_factory=list)
     families: List[ParametricFamily] = field(default_factory=list)
     residual: List[ResidualComponent] = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "points": [{u: scalar_str(v) for u, v in sorted(pt.items())}
-                       for pt in self.points],
-            "families": [{"free": f.free,
-                          "assignments": {u: scalar_str(v)
-                                          for u, v in sorted(f.assignments.items())}}
-                         for f in self.families],
-            "residual": [{"basis": [str(p) for p in r.basis],
-                          "assignments": {u: scalar_str(v)
-                                          for u, v in sorted(r.assignments.items())}}
-                         for r in self.residual],
-        }
 
 
 def _restrict(p: Poly, vars: Tuple[str, ...]) -> Poly:

@@ -5,7 +5,7 @@ operands."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .poly import GREVLEX, Poly, XYZ
 from .scalars import InputError, parse_rational, scalar_str
@@ -97,25 +97,15 @@ class Jet:
         c0 = self.poly.constant_term()
         if not c0:
             raise ZeroDivisionError("jet with zero constant term")
-        one = Fraction(1)
-        inv = Jet.const(one / c0, self.order, self.vars)
-        # Newton: x -> x*(2 - a*x), doubles correct order each step
-        k = 0
-        while k < self.order:
-            k = 2 * k + 1
-            inv = inv * (2 - self * inv)
-        return inv
+        x0 = Jet.const(Fraction(1) / c0, 0, self.vars)
+        return solve_series(lambda x: self * x - 1, c0, x0, self.order)
 
     def sqrt(self) -> "Jet":
         """Square root with constant term 1 (used by series checks)."""
         if self.poly.constant_term() != 1:
             raise ValueError("jet sqrt requires constant term 1")
-        r = Jet.const(Fraction(1), self.order, self.vars)
-        k = 0
-        while k < self.order:
-            k = 2 * k + 1
-            r = (r + self * r.inverse()) / Fraction(2)
-        return r
+        r0 = Jet.const(Fraction(1), 0, self.vars)
+        return solve_series(lambda r: r * r - self, Fraction(2), r0, self.order)
 
     def partial(self, name: str) -> "Jet":
         return Jet(self.poly.partial(name), max(self.order - 1, 0))
@@ -171,3 +161,19 @@ class Jet:
         return f"{self.poly} + O({self.order + 1})"
 
     __repr__ = __str__
+
+
+def solve_series(residual: Callable[[Jet], Jet], slope, w: Jet,
+                 order: int) -> Jet:
+    """The jet w, to ``order``, with residual(w) = 0, by chord iteration.
+
+    ``w`` is the 0-jet of the solution and ``slope`` the (nonzero) scalar
+    derivative of the residual there. Each step lifts w to one order
+    higher and applies w <- w - residual(w)/slope: the error then gains
+    one order, because the true derivative differs from ``slope`` only in
+    positive degree. The solution is unique modulo O(order+1).
+    """
+    for k in range(1, order + 1):
+        w = Jet(w.poly, k)
+        w = w - residual(w) / slope
+    return w

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .jets import Jet
+from .jets import Jet, solve_series
 from .linalg import matrix_rank, solve_rows
 from .poly import Poly
 from .scalars import Tower, rational_sqrt
@@ -74,47 +74,26 @@ class AffineMap:
 
 def transform_graph(F: Jet, phi: AffineMap) -> Jet:
     """Defining jet of the graph w=F after the coordinate change ``phi``
-    (old = phi(new)). Solved for the new w by Newton iteration on jets."""
-    n = F.order
+    (old = phi(new)), solved for the new w order by order."""
     comps = phi.component_polys()
 
-    def plug(p4: Poly, w: Jet) -> Jet:
+    def G(w: Jet) -> Jet:
         images = {"x": Poly.var("x", XYZ), "y": Poly.var("y", XYZ),
                   "z": Poly.var("z", XYZ), "w": w.poly}
-        return Jet(p4.substitute(images, max_degree=w.order), w.order)
-
-    def G(w: Jet) -> Jet:
-        xs = [plug(comps[i], w) for i in range(3)]
-        wold = plug(comps[3], w)
-        Fval = Jet(F.poly.substitute(
-            {"x": xs[0].poly, "y": xs[1].poly, "z": xs[2].poly},
-            max_degree=w.order), w.order)
-        return wold - Fval
-
-    def dG(w: Jet) -> Jet:
-        # derivative of G with respect to the new w coordinate
-        xs = [plug(comps[i], w) for i in range(3)]
-        # component polys are degree 1, so their w-partials are constants
-        out = Jet.const(comps[3].partial("w").constant_term(), w.order, XYZ)
-        for i, v in enumerate(XYZ):
-            di = comps[i].partial("w")
-            if di:
-                Fi = Jet(F.poly.partial(v).substitute(
-                    {"x": xs[0].poly, "y": xs[1].poly, "z": xs[2].poly},
-                    max_degree=w.order), w.order)
-                coeff = di.constant_term()
-                out = out - Fi * coeff
-        return out
+        old = [p.substitute(images, max_degree=w.order) for p in comps]
+        Fval = F.poly.substitute(dict(zip(XYZ, old)), max_degree=w.order)
+        return Jet(old[3] - Fval, w.order)
 
     w = Jet.zero(0, XYZ)
     if not G(w).is_zero():
         raise NormalizationError("coordinate change does not fix the basepoint")
-    valid = 0
-    while valid < n:
-        valid = min(2 * valid + 1, n)
-        w = Jet(w.poly, valid)
-        w = w - G(w) * dG(w).inverse()
-    return Jet(w.poly, n)
+    # d(old w - F(old x, y, z))/d(new w) at the origin
+    grad = [F.poly.coefficient(tuple(int(j == i) for j in range(3)))
+            for i in range(3)]
+    slope = phi.linear[3][3] - sum(phi.linear[i][3] * grad[i] for i in range(3))
+    if not slope and F.order:
+        raise NormalizationError("coordinate change cannot be solved for w")
+    return solve_series(G, slope, w, F.order)
 
 
 def remove_linear(F: Jet) -> Tuple[Jet, AffineMap]:

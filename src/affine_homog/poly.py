@@ -124,6 +124,11 @@ class Poly:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
+    def monic(self, order: TermOrder = GREVLEX) -> "Poly":
+        """This polynomial divided by its leading coefficient."""
+        c = self.leading_term(order)[1]
+        return self if c == 1 else self.map_coefficients(lambda a: a / c)
+
     # -- arithmetic
 
     def _check(self, other: "Poly"):

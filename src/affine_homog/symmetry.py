@@ -14,7 +14,7 @@ a polynomial condition on the remaining free entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -256,44 +256,6 @@ def pqr_families(F: Jet, case: Optional[str] = None,
 
 # -- closure ---------------------------------------------------------------------
 
-def _mm(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
-                       for j in range(4)) for i in range(4))
-
-
-def _msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def _msc(c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
-def closure_matrices(P, Q, R):
-    """The three bracket-combination matrices whose tangency expresses
-    Lie closure of span(P+e_x, Q+e_y, R+e_z, isotropy)."""
-    X1 = _msub(_msub(_mm(P, Q), _mm(Q, P)),
-               _msc(P[0][1] - Q[0][0], P))
-    X1 = _msub(X1, _msc(P[1][1] - Q[1][0], Q))
-    X1 = _msub(X1, _msc(P[2][1] - Q[2][0], R))
-    X2 = _msub(_msub(_mm(Q, R), _mm(R, Q)),
-               _msc(Q[1][2] - R[1][1], Q))
-    X2 = _msub(X2, _msc(Q[2][2] - R[2][1], R))
-    X2 = _msub(X2, _msc(Q[0][2] - R[0][1], P))
-    X3 = _msub(_msub(_mm(R, P), _mm(P, R)),
-               _msc(R[2][0] - P[2][2], R))
-    X3 = _msub(X3, _msc(R[0][0] - P[0][2], P))
-    X3 = _msub(X3, _msc(R[1][0] - P[1][2], Q))
-    return X1, X2, X3
-
-
-def _canonical_constraint(p: Poly) -> Poly:
-    lead = p.leading_term()[1]
-    if lead == 1:
-        return p
-    return p.map_coefficients(lambda c: c / lead)
-
-
 def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
                         famR: TangencyFamily, dedupe: bool = False) -> List[Poly]:
     """Coefficient-wise polynomial closure constraints on the free
@@ -301,20 +263,23 @@ def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
     unknowns, monic-normalized). One constraint per nonzero residual
     coefficient; pass dedupe=True to drop repeats up to scale."""
     ring = tuple(sorted(famP.family.free + famQ.family.free + famR.family.free))
-    P = famP.general_field(ring).A
-    Q = famQ.general_field(ring).A
-    R = famR.general_field(ring).A
+    fields = [fam.general_field(ring) for fam in (famP, famQ, famR)]
     constraints: List[Poly] = []
     seen = set()
-    for X in closure_matrices(P, Q, R):
-        res = tangency_residual(F, AffineVectorField(X, ZERO4), F.order)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        # the bracket minus the span's translation part: its linear part
+        # must be tangent for the span to close
+        B = bracket(fields[a], fields[b])
+        for c, V in zip(B.v, fields):
+            B = B - V.scale(c)
+        res = tangency_residual(F, AffineVectorField(B.A, ZERO4), F.order)
         for m in sorted(res.poly.terms, key=GREVLEX.key):
             c = res.poly.terms[m]
             if not isinstance(c, Poly):
                 c = Poly.const(c, ring)
             if not c:
                 continue
-            c = _canonical_constraint(c)
+            c = c.monic()
             if dedupe:
                 key = frozenset(c.terms.items())
                 if key in seen:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affine_homog.cli import run
+from affine_homog.cli import _build_parser, run
 
 SPHERE = ["--surface", "W^2 = X*Y + Z^2 + 1", "--basepoint", "1,0,0,0"]
 
@@ -151,3 +151,17 @@ def test_text_format_renders_without_json_noise(capsys):
                           "--format", "text")
     assert code == 0
     assert "passed: yes" in out and "{" not in out
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    argv = ("expand", *SPHERE, "--order", "4", "--format", "json")
+    first = invoke(capsys, *argv)
+    assert first[0] == 0
+    for bad in (["expand", *SPHERE, "--order", "1"],  # rejected after parsing
+                ["discover", "--case", "bogus"]):      # rejected by argparse
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert invoke(capsys, *argv) == first
+    assert _build_parser.cache_info().misses == 1

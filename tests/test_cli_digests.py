@@ -1,0 +1,73 @@
+"""Byte-identity of `expand` and `normalize` output for the catalog entries.
+
+``cli_digests.json`` holds, for each argv below, the exit code and the
+sha256 of stdout recorded from an earlier version of the program. These
+tests replay them, so a change to jet expansion or normalization that
+alters any printed coefficient fails here.
+
+Regenerate the file (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_cli_digests.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from affine_homog import catalog as cat
+from affine_homog.cli import run
+
+DATA = Path(__file__).with_name("cli_digests.json")
+
+COMMANDS = (["expand", "--order=8"],
+            ["normalize", "--order=6"],
+            ["normalize", "--order=5", "--real=hyperbolic"])
+
+
+def argvs():
+    out = []
+    entries = cat.catalog()
+    for eid in sorted(entries, key=lambda s: int(s[1:])):
+        e = entries[eid]
+        spec = ["--surface=" + e.surface,
+                "--basepoint=" + ",".join(str(c) for c in e.basepoint)]
+        if eid in cat.SWEEP_ALPHAS:
+            spec.append(f"--alpha={cat.SWEEP_ALPHAS[eid]}")
+        for cmd in COMMANDS:
+            out.append(cmd + spec + ["--format=json"])
+    return out
+
+
+def _entry(code, out):
+    return {"exit": code,
+            "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+
+
+RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
+
+
+def test_every_argv_is_recorded():
+    keys = [" ".join(a) for a in argvs()]
+    assert len(keys) == 60
+    assert set(keys) == set(RECORDED)
+
+
+@pytest.mark.parametrize("argv", argvs(), ids=lambda a: " ".join(a))
+def test_output_matches_recorded_digest(argv, capsys):
+    code = run(list(argv))
+    assert _entry(code, capsys.readouterr().out) == RECORDED[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    table = {}
+    for argv in argvs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(list(argv))
+        table[" ".join(argv)] = _entry(code, buf.getvalue())
+    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
+from affine_homog.cli import run
 from affine_homog.frontend import (DomainError, ParseError, expand_graph,
                                    graph_residual, parse_surface,
                                    taylor_primitive)
 from affine_homog.jets import Jet
+from affine_homog.poly import Poly
+
+Y = Poly.var("y")
 
 
 def sympy_graph_jet(expr, order):
@@ -118,6 +122,34 @@ def test_parse_errors():
 
 
 def test_log_domain_error():
-    with pytest.raises((DomainError, ValueError)):
+    with pytest.raises(DomainError):
         spec = parse_surface("W = X*Y + log(Z)", ("0", "0", "0", "0"))
         expand_graph(spec, 3)
+
+
+@pytest.mark.parametrize("text, basepoint", [
+    ("W = X^(-1)", "0,0,0,0"),    # zero to a negative power
+    ("W = log(X)", "0,2,0,0"),    # log has an exact value only at 1
+    ("W = X^(1/2)", "0,-1,0,0"),  # root of a negative number
+    ("W = exp(X)", "1,1,0,0"),    # exp has an exact value only at 0
+    ("W^2 = X", "0,0,0,0"),       # zero w-slope: not a graph over x, y, z
+])
+def test_domain_errors_are_domain_errors(text, basepoint, capsys):
+    with pytest.raises(DomainError):
+        expand_graph(parse_surface(text, basepoint.split(",")), 4)
+    assert run(["expand", "--surface", text, "--basepoint", basepoint]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_zero_power_at_zero_base_is_one():
+    spec = parse_surface("W = X^0 - 1 + Y", ("0", "0", "0", "0"))
+    assert expand_graph(spec, 3).poly == Y
+
+
+def test_expansion_solves_for_w_with_rational_slope():
+    # 2W - W^2 = X*Y + Z^2: slope 2, the square-root branch through 0
+    spec = parse_surface("2*W - W^2 = X*Y + Z^2", ("0", "0", "0", "0"))
+    j = expand_graph(spec, 6)
+    assert j.order == 6 and graph_residual(spec, j).is_zero()
+    x, y, z = sp.symbols("x y z")
+    assert jet_terms(j) == sympy_graph_jet(1 - sp.sqrt(1 - x * y - z ** 2), 6)

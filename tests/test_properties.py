@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from affine_homog.groebner import buchberger, reduce, s_poly
 from affine_homog.jets import Jet
-from affine_homog.normalize import (HYPERBOLIC_GRAM, QuadraticForm,
-                                    is_trace_free, trace_decompose)
+from affine_homog.normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
+                                    is_trace_free, trace_decompose,
+                                    transform_graph)
 from affine_homog.poly import GREVLEX, LEX, Poly
 from affine_homog.symmetry import (AffineVectorField, _derivative_along,
                                    bracket, complete_series, pqr_families,
@@ -210,3 +212,47 @@ def _completion(nf, order):
 def test_completion_truncation_coherence(nf, m, n):
     lo, hi = min(m, n), max(m, n)
     assert _completion(nf, hi).truncate(lo) == _completion(nf, lo)
+
+
+# -- series solves: inverse, square root and graph transforms ------------------------
+
+def unit_jets(max_order=5):
+    """Jets of order <= max_order with a nonzero constant term."""
+    return st.tuples(polys(max_degree=5), rationals.filter(bool),
+                     st.integers(0, max_order)).map(
+        lambda t: Jet(t[0] - t[0].homogeneous_part(0) + Poly.const(t[1], XYZ), t[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_jets())
+def test_jet_inverse_times_self_is_one(a):
+    assert a * a.inverse() == Jet.const(F(1), a.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_jets())
+def test_jet_sqrt_squared_is_self(a):
+    a = a / a.poly.constant_term()
+    r = a.sqrt()
+    assert r.poly.constant_term() == 1
+    assert r * r == a
+
+
+def _inverse(m):
+    inv = sp.Matrix(m).inv()
+    return tuple(tuple(F(int(c.p), int(c.q)) for c in inv.row(i))
+                 for i in range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(max_degree=5), st.integers(1, 5), matrices)
+def test_transform_graph_round_trip(p, n, m):
+    # order >= 1: the way back needs the image's linear part
+    f = Jet(p - p.homogeneous_part(0), n)
+    # the map fixes the origin; it must be invertible and keep the image a
+    # graph over the new (x, y, z): d(old w - f(old x, y, z))/d(new w) != 0
+    assume(sp.Matrix(m).det() != 0)
+    assume(m[3][3] != sum(m[i][3] * f.poly.coefficient(
+        tuple(int(j == i) for j in range(3))) for i in range(3)))
+    g = transform_graph(f, AffineMap(m))
+    assert transform_graph(g, AffineMap(_inverse(m))) == f
