@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import GREVLEX, LEX, Mono, Poly, TermOrder
-from .scalars import RationalFunc, rational_sqrt
+from .scalars import (RationalFunc, _udivmod, _ueval, primitive_integers,
+                      ratfunc_sqrt)
 
 
 class GroebnerError(ValueError):
@@ -259,58 +259,22 @@ def _rational_roots(p: Poly, v: str):
         if not isinstance(c, Fraction):
             return [], p  # parametric coefficients: report residual
         coeffs[m[i]] = c
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    if content:
-        ints = [c // content for c in ints]
-
-    def eval_at(cs, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    def deflate(cs, x: Fraction):
-        out = [Fraction(0)] * (len(cs) - 1)
-        acc = Fraction(0)
-        for k in range(len(cs) - 1, 0, -1):
-            acc = acc * x + cs[k]
-            out[k - 1] = acc
-        return out
-
     roots = []
-    cur = [Fraction(c) for c in ints]
+    cur = tuple(map(Fraction, primitive_integers(coeffs)))
     # strip zero roots
     while len(cur) > 1 and not cur[0]:
         roots.append(Fraction(0))
         cur = cur[1:]
-    changed = True
-    while changed and len(cur) > 1:
-        changed = False
-        dl = _den_lcm(cur)
-        ic = [int(c * dl) for c in cur]
-        g = 0
-        for c in ic:
-            g = gcd(g, abs(c))
-        if g:
-            ic = [c // g for c in ic]
-        for pn in _divisors(abs(ic[0])):
-            for qn in _divisors(abs(ic[-1])):
-                for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
-                    if eval_at(cur, cand) == 0:
-                        roots.append(cand)
-                        cur = deflate(cur, cand)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    while len(cur) > 1:
+        ic = primitive_integers(cur)
+        root = next((cand for pn in _divisors(abs(ic[0]))
+                     for qn in _divisors(abs(ic[-1]))
+                     for cand in (Fraction(pn, qn), Fraction(-pn, qn))
+                     if not _ueval(cur, cand)), None)
+        if root is None:
+            break
+        roots.append(root)
+        cur = _udivmod(cur, (-root, Fraction(1)))[0]
     # multiplicities matter for deflation but branches must not repeat
     roots = list(dict.fromkeys(roots))
     deflated = None
@@ -322,43 +286,6 @@ def _rational_roots(p: Poly, v: str):
                 terms[m] = c
         deflated = Poly(p.vars, terms)
     return roots, deflated
-
-
-def _poly_sqrt(coeffs) -> Optional[Tuple[Fraction, ...]]:
-    """Square root of a univariate polynomial (ascending coefficients)."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and not cs[-1]:
-        cs.pop()
-    if not cs:
-        return ()
-    d = len(cs) - 1
-    if d % 2:
-        return None
-    lead = rational_sqrt(cs[-1])
-    if lead is None:
-        return None
-    h = d // 2
-    q = [Fraction(0)] * (h + 1)
-    q[h] = lead
-    for k in range(d - 1, h - 1, -1):
-        s = sum((q[i] * q[k - i] for i in range(k - h + 1, h)
-                 if 0 <= k - i <= h), Fraction(0))
-        q[k - h] = (cs[k] - s) / (2 * lead)
-    prod = [Fraction(0)] * (d + 1)
-    for i, a in enumerate(q):
-        for j, b in enumerate(q):
-            prod[i + j] += a * b
-    if prod != cs + [Fraction(0)] * (d + 1 - len(cs)):
-        return None
-    return tuple(q)
-
-
-def _ratfunc_sqrt(rf: RationalFunc) -> Optional[RationalFunc]:
-    n = _poly_sqrt(rf.num)
-    d = _poly_sqrt(rf.den)
-    if n is None or d is None:
-        return None
-    return RationalFunc(n, d, var=rf.var)
 
 
 def _parametric_roots(p: Poly, v: str):
@@ -384,19 +311,12 @@ def _parametric_roots(p: Poly, v: str):
     if deg == 1:
         return [-cs[0] / cs[1]], True
     a, b, c = cs[2], cs[1], cs[0]
-    s = _ratfunc_sqrt(b * b - 4 * a * c)
+    s = ratfunc_sqrt(b * b - 4 * a * c)
     if s is None:
         return [], False
     r1 = (-b + s) / (2 * a)
     r2 = (-b - s) / (2 * a)
     return ([r1] if r1 == r2 else [r1, r2]), True
-
-
-def _den_lcm(cs) -> int:
-    out = 1
-    for c in cs:
-        out = out * c.denominator // gcd(out, c.denominator)
-    return out
 
 
 def _divisors(n: int):

@@ -82,6 +82,8 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
+        if isinstance(other, int):
+            other = Fraction(other)
         return Jet(self.poly.map_coefficients(lambda c: c / other), self.order)
 
     def __eq__(self, other):
@@ -139,20 +141,12 @@ class Jet:
         return {"order": self.order, "vars": list(self.vars), "terms": terms}
 
     @classmethod
-    def from_json(cls, data, tower=None) -> "Jet":
-        """Inverse of ``to_json``; malformed data raises InputError."""
+    def from_json(cls, data) -> "Jet":
+        """Inverse of ``to_json`` for rational coefficients; malformed data
+        raises InputError."""
         try:
             vars = tuple(data.get("vars", XYZ))
-            terms = {}
-            for t in data["terms"]:
-                c = t["c"]
-                if isinstance(c, dict):
-                    if tower is None:
-                        raise ValueError("tower element without a tower")
-                    c = tower.element([parse_rational(s) for s in c["coords"]])
-                else:
-                    c = parse_rational(c)
-                terms[tuple(t["m"])] = c
+            terms = {tuple(t["m"]): parse_rational(t["c"]) for t in data["terms"]}
             return cls(Poly(vars, terms), data["order"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed jet JSON ({type(exc).__name__}: {exc})") from exc

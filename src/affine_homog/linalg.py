@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence
 
-from .poly import Poly
-from .scalars import RationalFunc
+from .scalars import RationalFunc, primitive, primitive_integers
 
 _RATIONAL = (int, Fraction)
 
@@ -56,7 +55,8 @@ class SolutionFamily:
         return not self.basis
 
     def member(self, free_values: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-        """A concrete solution; free unknowns default to zero."""
+        """The solution at the given values of the free unknowns, which may
+        be scalars or polynomials; unlisted ones are zero."""
         free_values = free_values or {}
         out = dict(self.particular)
         for i, f in enumerate(self.free):
@@ -66,18 +66,6 @@ class SolutionFamily:
             vec = self.basis[i]
             for u in self.unknowns:
                 out[u] = out[u] + t * vec[u]
-        return out
-
-    def general_member(self, vars: Optional[Sequence[str]] = None) -> Dict[str, Poly]:
-        """Each unknown as a degree-<=1 polynomial in the free unknowns."""
-        vars = tuple(vars) if vars is not None else tuple(self.free)
-        out = {}
-        for u in self.unknowns:
-            p = Poly.const(self.particular[u], vars)
-            for f, vec in zip(self.free, self.basis):
-                if vec[u]:
-                    p = p + Poly.var(f, vars).scale(vec[u])
-            out[u] = p
         return out
 
 
@@ -137,11 +125,6 @@ def _field_rref(rows, rhs, ncols):
     return {col: rows[ri] for col, ri in pivots.items()}, degeneracies
 
 
-def _primitive(row: List[int]) -> List[int]:
-    g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
-
-
 def _integer_rref(rows, rhs, ncols):
     """Fraction-free Gauss-Jordan over Z for rational systems. Each row,
     augmented by its rhs, is scaled by the lcm of its denominators; a row
@@ -152,11 +135,9 @@ def _integer_rref(rows, rhs, ncols):
     degeneracies."""
     work = []
     for row, b in zip(rows, rhs):
-        aug = (*row, b)
-        den = lcm(*(c.denominator for c in aug))
-        ints = [c.numerator * (den // c.denominator) for c in aug]
+        ints = primitive_integers((*row, b))
         if any(ints):
-            work.append(_primitive(ints))
+            work.append(ints)
     pivots = {}
     r = 0
     for col in range(ncols):
@@ -177,7 +158,7 @@ def _integer_rref(rows, rhs, ncols):
             if j != r and f:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                work[j] = _primitive([a * x - b * y for x, y in zip(work[j], prow)])
+                work[j] = primitive([a * x - b * y for x, y in zip(work[j], prow)])
         pivots[col] = r
         r += 1
         if r == len(work):

@@ -111,6 +111,8 @@ def remove_linear(F: Jet) -> Tuple[Jet, AffineMap]:
 
 # -- quadratic normal form ------------------------------------------------------
 
+IDENTITY3 = tuple(tuple(Fraction(1 if i == j else 0) for j in range(3))
+                  for i in range(3))
 HYPERBOLIC_GRAM = ((Fraction(0), Fraction(1), Fraction(0)),
                    (Fraction(1), Fraction(0), Fraction(0)),
                    (Fraction(0), Fraction(0), Fraction(1)))
@@ -122,7 +124,11 @@ class QuadraticForm:
     signature: str  # "hyperbolic", "elliptic", or "complex"
 
     def inverse_gram(self):
-        return _invert3(self.gram)
+        """The inverse of the gram matrix, one solved column at a time."""
+        cols = [solve_rows(self.gram, e, 3) for e in IDENTITY3]
+        if any(col is None or col[1] for col in cols):
+            raise NormalizationError("singular quadratic form")
+        return tuple(zip(*(col[0] for col in cols)))
 
 
 def gram_matrix(F: Jet):
@@ -137,26 +143,6 @@ def gram_matrix(F: Jet):
             H[i][j] = H[i][j] + c / 2
             H[j][i] = H[j][i] + c / 2
     return tuple(tuple(row) for row in H)
-
-
-def _det3(H):
-    return (H[0][0] * (H[1][1] * H[2][2] - H[1][2] * H[2][1])
-            - H[0][1] * (H[1][0] * H[2][2] - H[1][2] * H[2][0])
-            + H[0][2] * (H[1][0] * H[2][1] - H[1][1] * H[2][0]))
-
-
-def _invert3(H):
-    d = _det3(H)
-    if not d:
-        raise NormalizationError("singular quadratic form")
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [[H[r][c] for c in range(3) if c != j]
-                   for r in range(3) if r != i]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[j][i] = (minor if (i + j) % 2 == 0 else -minor) / d
-    return tuple(tuple(row) for row in cof)
 
 
 def _ip(H, u, v):
@@ -207,7 +193,7 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     if F.homogeneous_part(0) or F.homogeneous_part(1):
         raise NormalizationError("expected a jet without constant or linear terms")
     H = gram_matrix(F)
-    if not _det3(H):
+    if matrix_rank(H) < 3:
         raise NormalizationError("degenerate quadratic part (non-degeneracy fails)")
     basis = _diagonalize(H)
     d = [_ip(H, b, b) for b in basis]
@@ -235,9 +221,7 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
         t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
         phi = AffineMap.xyz_linear(t3, w_scale=1 / _promote(mu, tower))
         jet = _apply_quadratic_change(F, t3, mu, tower)
-        form = QuadraticForm(
-            tuple(tuple(Fraction(1 if i == j else 0) for j in range(3))
-                  for i in range(3)), "elliptic")
+        form = QuadraticForm(IDENTITY3, "elliptic")
         return NormalizedQuadratic(jet, phi, form, tower)
 
     # hyperbolic / complex target 2xy+z^2: find an isotropic vector

@@ -42,10 +42,6 @@ GREVLEX = TermOrder("grevlex", grevlex_key)
 LEX = TermOrder("lex", lex_key)
 
 
-def _is_scalar(c) -> bool:
-    return not isinstance(c, Poly)
-
-
 class Poly:
     """Immutable sparse polynomial."""
 
@@ -127,6 +123,8 @@ class Poly:
     def monic(self, order: TermOrder = GREVLEX) -> "Poly":
         """This polynomial divided by its leading coefficient."""
         c = self.leading_term(order)[1]
+        if isinstance(c, int):
+            c = Fraction(c)
         return self if c == 1 else self.map_coefficients(lambda a: a / c)
 
     # -- arithmetic
@@ -219,9 +217,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)) or _is_scalar(other):
-            return self.terms == Poly.const(other, self.vars).terms
-        return NotImplemented
+        return self.terms == Poly.const(other, self.vars).terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))

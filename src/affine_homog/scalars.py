@@ -9,11 +9,8 @@ code can stay generic over the coefficient type.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
-
-Rat = Fraction
-
-ScalarLike = Union[int, Fraction, "RationalFunc", "TowerElement"]
+from math import gcd, lcm
+from typing import List, Optional, Sequence
 
 
 class ScalarError(ArithmeticError):
@@ -36,7 +33,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with optional sign, exactly."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
 
 
@@ -506,25 +503,31 @@ class TowerElement:
     __repr__ = __str__
 
 
-def rational_sqrt(q: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    q = as_fraction(q)
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    rn = _isqrt_exact(n)
-    rd = _isqrt_exact(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
+def primitive(ints: List[int]) -> List[int]:
+    """An integer vector divided by its content (zero stays zero)."""
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
 
 
-def _isqrt_exact(n: int):
-    from math import isqrt
-    r = isqrt(n)
-    return r if r * r == n else None
+def primitive_integers(vec: Sequence[Fraction]) -> List[int]:
+    """The primitive integer vector that is a positive multiple of a
+    vector of rationals."""
+    den = lcm(*(c.denominator for c in vec))
+    return primitive([c.numerator * (den // c.denominator) for c in vec])
+
+
+def _iroot_exact(m: int, n: int) -> Optional[int]:
+    """r with r**n == m for an integer m >= 0, or None."""
+    if m < 2:
+        return m
+    # integer Newton iteration from above converges to floor(m ** (1/n))
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    return r if r ** n == m else None
 
 
 def rational_nth_root(q: Fraction, n: int):
@@ -532,25 +535,40 @@ def rational_nth_root(q: Fraction, n: int):
     q = as_fraction(q)
     if q <= 0 or n <= 0:
         return None
-    num, den = q.numerator, q.denominator
-    rn = _iroot_exact(num, n)
-    rd = _iroot_exact(den, n)
+    rn = _iroot_exact(q.numerator, n)
+    rd = _iroot_exact(q.denominator, n)
     if rn is None or rd is None:
         return None
     return Fraction(rn, rd)
 
 
-def _iroot_exact(m: int, n: int):
-    if m == 1:
-        return 1
-    lo, hi = 1, m
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** n
-        if p == m:
-            return mid
-        if p < m:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+def rational_sqrt(q: Fraction):
+    """Exact square root of a non-negative rational, or None."""
+    q = as_fraction(q)
+    return q if q == 0 else rational_nth_root(q, 2)
+
+
+def ratfunc_sqrt(r: RationalFunc) -> Optional[RationalFunc]:
+    """Exact square root of a rational function, or None. Numerator and
+    denominator are coprime, so each must be a square; the root of each
+    is solved from the top coefficient down and checked by squaring."""
+    roots = []
+    for a in (r.num, r.den):
+        if not a:
+            roots.append(())
+            continue
+        d = len(a) - 1
+        lead = rational_sqrt(a[-1]) if d % 2 == 0 else None
+        if lead is None:
+            return None
+        h = d // 2
+        q = [Fraction(0)] * (h + 1)
+        q[h] = lead
+        # coefficient k of q*q is 2*lead*q[k-h] plus products of known entries
+        for k in range(d - 1, h - 1, -1):
+            s = sum((q[i] * q[k - i] for i in range(k - h + 1, h)), Fraction(0))
+            q[k - h] = (a[k] - s) / (2 * lead)
+        if _umul(q, q) != a:
+            return None
+        roots.append(q)
+    return RationalFunc(*roots, var=r.var)

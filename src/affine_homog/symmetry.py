@@ -76,12 +76,6 @@ class AffineVectorField:
         return {"A": [[scalar_str(a) for a in r] for r in self.A],
                 "v": [scalar_str(t) for t in self.v]}
 
-    @classmethod
-    def from_json(cls, data) -> "AffineVectorField":
-        from .scalars import parse_rational
-        return cls(tuple(tuple(parse_rational(a) for a in r) for r in data["A"]),
-                   tuple(parse_rational(t) for t in data["v"]))
-
 
 def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
     """Lie bracket: (A2 A1 - A1 A2, A2 v1 - A1 v2). Symmetry fields are
@@ -204,11 +198,6 @@ class TangencyFamily:
         """Fields from the homogeneous basis vectors (zero fixed translation)."""
         return [self._field(vec, ZERO4) for vec in self.family.basis]
 
-    def general_field(self, vars: Sequence[str]) -> AffineVectorField:
-        fixed_v = (() if self.translation == "free" else
-                   tuple(Poly.const(t, tuple(vars)) for t in self.translation))
-        return self._field(self.family.general_member(vars), fixed_v)
-
 
 def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
                    extra_constraints: Sequence[LinearEquation] = (),
@@ -257,15 +246,14 @@ def pqr_families(F: Jet, case: Optional[str] = None,
 # -- closure ---------------------------------------------------------------------
 
 def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
-                        famR: TangencyFamily, dedupe: bool = False) -> List[Poly]:
+                        famR: TangencyFamily) -> List[Poly]:
     """Coefficient-wise polynomial closure constraints on the free
     entries of the three gauge-fixed families (quadratic in the
-    unknowns, monic-normalized). One constraint per nonzero residual
-    coefficient; pass dedupe=True to drop repeats up to scale."""
+    unknowns, monic-normalized), one per nonzero residual coefficient."""
     ring = tuple(sorted(famP.family.free + famQ.family.free + famR.family.free))
-    fields = [fam.general_field(ring) for fam in (famP, famQ, famR)]
+    fields = [fam.field({u: Poly.var(u, ring) for u in fam.family.free})
+              for fam in (famP, famQ, famR)]
     constraints: List[Poly] = []
-    seen = set()
     for a, b in ((0, 1), (1, 2), (2, 0)):
         # the bracket minus the span's translation part: its linear part
         # must be tangent for the span to close
@@ -275,17 +263,8 @@ def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
         res = tangency_residual(F, AffineVectorField(B.A, ZERO4), F.order)
         for m in sorted(res.poly.terms, key=GREVLEX.key):
             c = res.poly.terms[m]
-            if not isinstance(c, Poly):
-                c = Poly.const(c, ring)
-            if not c:
-                continue
-            c = c.monic()
-            if dedupe:
-                key = frozenset(c.terms.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-            constraints.append(c)
+            c = c if isinstance(c, Poly) else Poly.const(c, ring)
+            constraints.append(c.monic())
     return constraints
 
 

@@ -40,7 +40,7 @@ def test_criterion_02_two_point_discovery():
     f = cat.case_jet("I1")
     fams = pqr_families(f, case="I1")
     free = sum(len(g.family.free) for g in fams)
-    cons = closure_constraints(f, *fams, dedupe=False)
+    cons = closure_constraints(f, *fams)
     comps = cat.discover("I1")
     ok = free == 18 and len(cons) == 41
     ok = ok and [c.kind for c in comps] == ["point", "point"]

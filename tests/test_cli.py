@@ -104,7 +104,9 @@ def test_usage_errors_exit_two(capsys):
 def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
     for raw in ("{}", '{"terms": 3, "order": 2}',
                 '{"order": 3, "vars": ["a", "b", "c"], '
-                '"terms": [{"m": [1, 1, 0], "c": "1"}]}'):
+                '"terms": [{"m": [1, 1, 0], "c": "1"}]}',
+                '{"order": 2, "terms": [{"m": [2, 0, 0], "c": '
+                '{"basis": ["1", "s1"], "coords": ["1", "2"]}}]}'):
         monkeypatch.setattr("sys.stdin", io.StringIO(raw))
         with pytest.raises(SystemExit) as exc:
             run(["symmetry", "--jet", "-"])

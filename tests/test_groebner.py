@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
-from affine_homog.groebner import (GroebnerError, buchberger, reduce,
-                                   solve_zero_dim, s_poly)
+from affine_homog.groebner import (GroebnerError, _rational_roots, buchberger,
+                                   reduce, solve_zero_dim, s_poly)
 from affine_homog.poly import GREVLEX, LEX, Poly
 from affine_homog.scalars import RationalFunc
 
@@ -134,3 +135,37 @@ def test_solutions_are_verified_exactly():
     for pt in sols.points:
         for g in gens:
             assert g.eval(pt) == 0
+
+
+fractions = st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda t: F(*t))
+
+
+def linear_factor_roots(expr, u):
+    """{root: multiplicity} of the rational roots, from sympy's factors."""
+    out = {}
+    for f, m in sp.factor_list(expr, u)[1]:
+        if sp.degree(f, u) == 1:
+            a, b = sp.Poly(f, u).all_coeffs()
+            r = -b / a
+            out[F(int(r.p), int(r.q))] = m
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractions, max_size=4), st.lists(fractions, max_size=3),
+       fractions.filter(bool))
+def test_rational_roots_match_sympy(roots, tail, lead):
+    # a product of rational linear factors and an arbitrary cofactor
+    u = sp.Symbol("u")
+    cofactor = lead * u ** len(tail) + sum(c * u ** k for k, c in enumerate(tail))
+    expr = sp.expand(cofactor * sp.prod([u - r for r in roots]))
+    assume(sp.degree(expr, u) >= 1)
+    found, deflated = _rational_roots(from_sympy(expr, (u,), ("u",)), "u")
+    expected = linear_factor_roots(expr, u)
+    assert len(found) == len(set(found))
+    assert set(found) == set(expected)
+    rest = to_sympy(deflated, (u,)) if deflated is not None else sp.Integer(1)
+    assert not linear_factor_roots(rest, u)
+    scale = sp.cancel(expr / (rest * sp.prod([(u - r) ** m
+                                              for r, m in expected.items()])))
+    assert scale.is_Rational and scale != 0

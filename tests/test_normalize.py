@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
@@ -123,3 +125,25 @@ def test_transform_graph_inverse_composition():
                      (F(0), F(0), F(0), F(1, 3))))
     g = transform_graph(f, phi)
     assert transform_graph(g, inv) == f
+
+
+fractions = st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda t: F(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractions, min_size=9, max_size=9), st.booleans())
+def test_inverse_gram_matches_sympy(entries, singular):
+    rows = [entries[0:3], entries[3:6], entries[6:9]]
+    if singular:
+        s, t = entries[6], entries[7]
+        rows[2] = [s * a + t * b for a, b in zip(rows[0], rows[1])]
+    form = QuadraticForm(tuple(map(tuple, rows)), "complex")
+    M = sp.Matrix([[sp.Rational(c.numerator, c.denominator) for c in r]
+                   for r in rows])
+    if M.det() == 0:
+        with pytest.raises(NormalizationError, match="singular"):
+            form.inverse_gram()
+    else:
+        expected = [[F(int(c.p), int(c.q)) for c in M.inv().row(i)]
+                    for i in range(3)]
+        assert [list(r) for r in form.inverse_gram()] == expected

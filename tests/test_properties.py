@@ -38,6 +38,8 @@ def cubics():
         lambda d: Poly(XYZ, {m: c for m, c in d.items() if c}))
 
 
+int_polys = st.dictionaries(monomials(3), st.integers(-9, 9).filter(bool),
+                            min_size=1, max_size=5).map(lambda d: Poly(XYZ, d))
 matrices = st.tuples(*[st.tuples(*[rationals] * 4)] * 4)
 vectors = st.tuples(*[rationals] * 4)
 
@@ -66,6 +68,18 @@ def test_jet_truncation_coherence(p, q, n, k):
     k = min(k, n)
     a, b = Jet(p, n), Jet(q, n)
     assert (a * b).truncate(k) == (a.truncate(k) * b.truncate(k)).truncate(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, st.integers(-9, 9).filter(bool), st.integers(0, 4))
+def test_jet_division_and_monic_stay_exact(p, d, n):
+    # int coefficients and divisors must give Fractions, never floats
+    q = Jet(p, n) / d
+    m = p.monic()
+    for c in (*q.poly.terms.values(), *m.terms.values()):
+        assert isinstance(c, (int, F))
+    assert q * d == Jet(p, n)
+    assert m.scale(p.leading_term()[1]) == p
 
 
 # -- vector-field bracket -----------------------------------------------------------

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from affine_homog.scalars import (RationalFunc, ScalarError, Tower,
-                                  parse_rational, rational_nth_root,
-                                  rational_sqrt, scalar_str)
+                                  parse_rational, ratfunc_sqrt,
+                                  rational_nth_root, rational_sqrt, scalar_str)
 
 
 def test_parse_rational():
@@ -99,3 +101,32 @@ def test_equal_scalars_hash_equal():
     b = RationalFunc.gen()
     assert len({b, (b * b) / b}) == 1
     assert len({tw.generator(0), tw.generator(0) + 0}) == 1
+
+
+fractions = st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda t: F(*t))
+ratfuncs = st.tuples(st.lists(fractions, max_size=4),
+                     st.lists(fractions, min_size=1, max_size=3)).filter(
+    lambda t: any(t[1])).map(lambda t: RationalFunc(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratfuncs)
+def test_ratfunc_sqrt_of_a_square(r):
+    s = ratfunc_sqrt(r * r)
+    assert s is not None and s * s == r * r
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratfuncs)
+def test_ratfunc_sqrt_exists_exactly_for_squares(r):
+    # num/den in lowest terms is a square in Q(b) exactly when num*den is a
+    # square in Q[b]: a square rational content and even multiplicities
+    b = sp.Symbol("b")
+    nd = sum(c * b ** k for k, c in enumerate(r.num)) * sum(
+        c * b ** k for k, c in enumerate(r.den))
+    content, factors = sp.factor_list(sp.expand(nd), b)
+    square = (rational_sqrt(F(int(content.p), int(content.q))) is not None
+              and all(m % 2 == 0 for _, m in factors))
+    s = ratfunc_sqrt(r)
+    assert (s is not None) == square
+    assert s is None or s * s == r

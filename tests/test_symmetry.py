@@ -139,7 +139,7 @@ def test_pqr_families_translations():
 def test_closure_constraint_count_i1():
     f = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2), 3)
     fams = pqr_families(f, case="I1")
-    cons = closure_constraints(f, *fams, dedupe=False)
+    cons = closure_constraints(f, *fams)
     assert len(cons) == 41
 
 
