@@ -12,7 +12,13 @@ the scalar types alone select:
   eliminated over its field with the smallest-``_pivot_size`` pivot.
   That branch keeps its pivot rule because the non-constant parametric
   pivots it picks are reported as ``degeneracies``, which appear in the
-  output.
+  output. It does no arithmetic on zero entries, but gives each skipped
+  entry the type the arithmetic would have given it (``_like``):
+  ``_pivot_size`` weighs a ``Fraction`` and a constant ``RationalFunc``
+  differently, so the types, not only the values, decide the pivots.
+  ``RationalFunc`` itself pays for a gcd only where a result can share a
+  factor with its denominator (see its docstring), so a parametric system
+  whose pivots are constants runs without one.
 
 ``linear_solve`` (named unknowns), ``nullspace`` and ``matrix_rank`` are
 thin front ends to it. Inconsistency is a returned value, not an
@@ -26,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence
 
-from .scalars import RationalFunc, primitive, primitive_integers
+from .scalars import RationalFunc, TowerElement, primitive, primitive_integers
 
 _RATIONAL = (int, Fraction)
 
@@ -65,8 +71,24 @@ class SolutionFamily:
                 continue
             vec = self.basis[i]
             for u in self.unknowns:
-                out[u] = out[u] + t * vec[u]
+                c = vec[u]
+                out[u] = out[u] + t * c if c else _like(out[u], t, c)
         return out
+
+
+def _like(a, *others):
+    """``a`` in the type that arithmetic with ``others`` would give it, for
+    an operation skipped because its other operand is zero: a rational
+    meeting a ``RationalFunc`` or ``TowerElement`` becomes one, an ``int``
+    meeting a ``Fraction`` becomes one, and anything else is kept."""
+    for o in others:
+        if isinstance(o, RationalFunc):
+            return a if type(a) is RationalFunc else RationalFunc.const(a, o.var)
+        if isinstance(o, TowerElement):
+            return a if type(a) is TowerElement else o.tower.const(a)
+    if type(a) is int and any(type(o) is Fraction for o in others):
+        return Fraction(a)
+    return a
 
 
 def _pivot_size(c) -> int:
@@ -103,17 +125,18 @@ def _field_rref(rows, rhs, ncols):
         p = prow[col]
         if isinstance(p, RationalFunc) and not p.is_constant():
             degeneracies.append(p)
-        inv_row = [c / p for c in prow]
-        inv_rhs = prhs / p
+        inv_row = [c / p if c else _like(c, p) for c in prow]
+        inv_rhs = prhs / p if prhs else _like(prhs, p)
         rows[r] = (inv_row, inv_rhs)
         for j in range(len(rows)):
             if j == r:
                 continue
             f = rows[j][0][col]
             if f:
-                nrow = [a - f * b for a, b in zip(rows[j][0], inv_row)]
-                nrhs = rows[j][1] - f * inv_rhs
-                rows[j] = (nrow, nrhs)
+                row, b = rows[j]
+                rows[j] = ([x - f * y if y else _like(x, f, y)
+                            for x, y in zip(row, inv_row)],
+                           b - f * inv_rhs if inv_rhs else _like(b, f, inv_rhs))
         pivots[col] = r
         r += 1
         if r == len(rows):

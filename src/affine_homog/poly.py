@@ -11,9 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
+from .scalars import RationalFunc, TowerElement
+
 Mono = Tuple[int, ...]
 
 XYZ = ("x", "y", "z")
+
+# the coefficient types a polynomial compares equal to as a constant
+_SCALARS = (int, Fraction, RationalFunc, TowerElement)
 
 
 class VariableMismatch(ValueError):
@@ -217,7 +222,9 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.vars == other.vars and self.terms == other.terms
-        return self.terms == Poly.const(other, self.vars).terms
+        if isinstance(other, _SCALARS):
+            return self.terms == Poly.const(other, self.vars).terms
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))

@@ -131,39 +131,65 @@ def _ustr(a, var):
     return out
 
 
+_ONE = (Fraction(1),)
+
+
 class RationalFunc:
     """Exact rational function in one named parameter over Q.
 
-    Stored in lowest terms with monic denominator; equality is exact.
+    Canonical form: ``num`` and ``den`` are trimmed coefficient tuples of
+    ``Fraction``s, coprime, with ``den`` monic, so equality and hashing
+    compare tuples. The general constructor restores that form with a
+    polynomial gcd. An operation skips the gcd only where the gcd is
+    provably 1, and then builds its result with ``_canonical``:
+
+    - any denominator of length 1 (the gcd with a constant is a unit);
+    - ``r + p`` and ``r - p`` for a polynomial ``p`` (including a constant):
+      ``(num + p*den)/den``, since gcd(num + p*den, den) = gcd(num, den);
+    - ``c*r`` and ``r/c`` for a nonzero constant ``c``, and negation, which
+      scale ``num`` only;
+    - the product of two polynomials.
+
+    Every other quotient and product keeps the general constructor.
     """
 
     __slots__ = ("var", "num", "den")
 
-    def __init__(self, num, den=(Fraction(1),), var="b"):
+    def __init__(self, num, den=_ONE, var="b"):
         num = _utrim([as_fraction(c) for c in num])
         den = _utrim([as_fraction(c) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = _ugcd(num, den)
-        if g and len(g) > 1:
-            num = _udivmod(num, g)[0]
-            den = _udivmod(den, g)[0]
-        if den:
-            lc = den[-1]
-            if lc != 1:
-                num = tuple(c / lc for c in num)
-                den = tuple(c / lc for c in den)
+        if len(den) > 1:
+            g = _ugcd(num, den)
+            if len(g) > 1:
+                num = _udivmod(num, g)[0]
+                den = _udivmod(den, g)[0]
+        lc = den[-1]
+        if lc != 1:
+            num = tuple(c / lc for c in num)
+            den = tuple(c / lc for c in den)
         self.var = var
         self.num = num
         self.den = den
 
     @classmethod
+    def _canonical(cls, num, den, var) -> "RationalFunc":
+        """Wrap a pair that is already in canonical form."""
+        r = object.__new__(cls)
+        r.var = var
+        r.num = num
+        r.den = den
+        return r
+
+    @classmethod
     def const(cls, q, var="b") -> "RationalFunc":
-        return cls((as_fraction(q),), var=var)
+        q = as_fraction(q)
+        return cls._canonical((q,) if q else (), _ONE, var)
 
     @classmethod
     def gen(cls, var="b") -> "RationalFunc":
-        return cls((Fraction(0), Fraction(1)), var=var)
+        return cls._canonical((Fraction(0), Fraction(1)), _ONE, var)
 
     # -- predicates
 
@@ -192,13 +218,19 @@ class RationalFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunc(_uadd(_umul(self.num, o.den), _umul(o.num, self.den)),
-                            _umul(self.den, o.den), var=self.var)
+        if len(self.den) > 1 and len(o.den) > 1:
+            return RationalFunc(_uadd(_umul(self.num, o.den), _umul(o.num, self.den)),
+                                _umul(self.den, o.den), var=self.var)
+        if len(o.den) > 1:
+            self, o = o, self
+        # o is a polynomial, so (num + o*den)/den is already in lowest terms
+        shifted = _umul(o.num, self.den) if len(self.den) > 1 else o.num
+        return RationalFunc._canonical(_uadd(self.num, shifted), self.den, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunc(_uneg(self.num), self.den, var=self.var)
+        return RationalFunc._canonical(_uneg(self.num), self.den, self.var)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -209,10 +241,20 @@ class RationalFunc:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c: Fraction) -> "RationalFunc":
+        num = tuple(x * c for x in self.num) if c else ()
+        return RationalFunc._canonical(num, self.den if c else _ONE, self.var)
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_constant():
+            return self._scale(o.num[0] if o.num else 0)
+        if self.is_constant():
+            return o._scale(self.num[0] if self.num else 0)
+        if len(self.den) == 1 and len(o.den) == 1:
+            return RationalFunc._canonical(_umul(self.num, o.num), _ONE, self.var)
         return RationalFunc(_umul(self.num, o.num), _umul(self.den, o.den),
                             var=self.var)
 
@@ -224,6 +266,8 @@ class RationalFunc:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero rational function")
+        if o.is_constant():
+            return self._scale(1 / o.num[0])
         return RationalFunc(_umul(self.num, o.den), _umul(self.den, o.num),
                             var=self.var)
 
@@ -273,7 +317,7 @@ class RationalFunc:
 
     def __str__(self):
         ns = _ustr(self.num, self.var)
-        if self.den == (Fraction(1),):
+        if self.den == _ONE:
             return ns
         return f"({ns})/({_ustr(self.den, self.var)})"
 

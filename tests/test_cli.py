@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from affine_homog import scalars
 from affine_homog.cli import _build_parser, run
 
 SPHERE = ["--surface", "W^2 = X*Y + Z^2 + 1", "--basepoint", "1,0,0,0"]
@@ -167,3 +168,15 @@ def test_parser_is_built_once_and_reused(capsys):
         capsys.readouterr()
     assert invoke(capsys, *argv) == first
     assert _build_parser.cache_info().misses == 1
+
+
+def test_parametric_verify_runs_few_polynomial_gcds(capsys, monkeypatch):
+    # RationalFunc pays for a gcd only where a result can share a factor
+    # with its denominator, which a normal form's systems almost never do
+    calls = []
+    gcd = scalars._ugcd
+    monkeypatch.setattr(scalars, "_ugcd", lambda a, b: calls.append(1) or gcd(a, b))
+    code, out, _ = invoke(capsys, "verify", "--entry=I0.2", "--order=6",
+                          "--format", "json")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert len(calls) < 100

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction as F
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
-from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
-                                 nullspace, solve_rows)
+from affine_homog.linalg import (LinearEquation, _pivot_size, linear_solve,
+                                 matrix_rank, nullspace, solve_rows)
 from affine_homog.scalars import RationalFunc
+from test_scalars import ratfuncs
 
 
 def eq(coeffs, rhs=0):
@@ -145,6 +147,23 @@ def test_solve_rows_records_parametric_pivot():
     assert basis == [] and free_cols == []
 
 
+def test_skipped_zero_products_keep_their_type():
+    # b*0 turns the 3 below into a constant RationalFunc, which _pivot_size
+    # ranks behind 1/2; left a Fraction it would tie with 1/2 and win, and
+    # the last pivot, a printed degeneracy, would be b - 1/6 instead
+    b = RationalFunc.gen()
+    rows = [[F(1), F(0), F(0)], [b, F(3), F(1)], [F(0), F(1, 2), b]]
+    assert solve_rows(rows, [F(0)] * 3, 3)[3] == [1 - 6 * b]
+
+
+def test_member_at_a_parameter_is_parametric():
+    fam = linear_solve([eq({"x": 1, "y": 1}, 1)], ("x", "y", "z"))
+    b = RationalFunc.gen()
+    m = fam.member({"y": b})
+    assert m == {"x": 1 - b, "y": b, "z": 0}
+    assert all(type(v) is RationalFunc for v in m.values())
+
+
 # -- the fraction-free integer branch against sympy's rref --------------------
 
 _small = st.integers(-3, 3)
@@ -183,19 +202,25 @@ def _sympy_solution(rows, rhs, ncols):
     aug = sympy.Matrix([[sympy.Rational(F(c).numerator, F(c).denominator)
                          for c in (*r, b)] for r, b in zip(rows, rhs)])
     rref, pivots = aug.rref()
+    return _read_off(rref.tolist(), pivots, ncols, lambda e: F(int(e.p), int(e.q)))
+
+
+def _read_off(rref, pivots, ncols, value):
+    """(particular, basis, free_cols) from the RREF of [rows | rhs], given as
+    a list of rows whose entries ``value`` converts, or None when
+    inconsistent."""
     if ncols in pivots:
         return None
-    frac = lambda e: F(int(e.p), int(e.q))
     free_cols = [c for c in range(ncols) if c not in pivots]
     particular = [F(0)] * ncols
     for i, col in enumerate(pivots):
-        particular[col] = frac(rref[i, ncols])
+        particular[col] = value(rref[i][ncols])
     basis = []
     for fc in free_cols:
         vec = [F(0)] * ncols
         vec[fc] = F(1)
         for i, col in enumerate(pivots):
-            vec[col] = -frac(rref[i, fc])
+            vec[col] = -value(rref[i][fc])
         basis.append(vec)
     return particular, basis, free_cols
 
@@ -213,3 +238,81 @@ def test_integer_branch_matches_sympy_rref(system):
     assert (particular, basis, free_cols) == want
     assert degeneracies == []
     assert all(type(c) is F for vec in (particular, *basis) for c in vec)
+
+
+# -- the field branch over QQ(b) against sympy's rref -----------------------
+
+_QQb = sympy.QQ.frac_field(sympy.Symbol("b"))
+
+
+def _to_field(r):
+    """A RationalFunc as an element of sympy's field QQ(b)."""
+    poly = lambda cs: _QQb.field.ring.from_list(
+        [sympy.QQ(c.numerator, c.denominator) for c in reversed(cs)])
+    return _QQb.field.new(poly(r.num), poly(r.den))
+
+
+def _from_field(e):
+    """An element of sympy's QQ(b) as a RationalFunc."""
+    def coeffs(p):
+        out = [F(0)] * (max((k for (k,), _ in p.terms()), default=-1) + 1)
+        for (k,), q in p.terms():
+            out[k] = F(int(q.numerator), int(q.denominator))
+        return out
+    return RationalFunc(coeffs(e.numer), coeffs(e.denom))
+
+
+def _sympy_pivots(rows, ncols):
+    """The pivots of a Gauss-Jordan run in sympy's QQ(b) with
+    ``solve_rows``'s rule: the first candidate of smallest ``_pivot_size``."""
+    work = [[_to_field(c) for c in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        cands = [i for i in range(len(pivots), len(work)) if work[i][col]]
+        if not cands:
+            continue
+        i = min(cands, key=lambda i: _pivot_size(_from_field(work[i][col])))
+        r = len(pivots)
+        work[r], work[i] = work[i], work[r]
+        p = work[r][col]
+        pivots.append(_from_field(p))
+        work[r] = [c / p for c in work[r]]
+        for j in range(len(work)):
+            f = work[j][col]
+            if j != r and f:
+                work[j] = [a - f * c for a, c in zip(work[j], work[r])]
+    return pivots
+
+
+@st.composite
+def _parametric_systems(draw):
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(ratfuncs, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):  # a dependent row, scaled by a rational function
+        k = draw(ratfuncs.filter(bool))
+        rows.append([k * c for c in rows[draw(st.integers(0, nrows - 1))]])
+    if draw(st.booleans()):  # consistent by construction
+        x = draw(st.lists(ratfuncs, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * c for a, c in zip(r, x)), RationalFunc.const(0)) for r in rows]
+    else:  # usually inconsistent when the rows are dependent
+        rhs = draw(st.lists(ratfuncs, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parametric_systems())
+def test_field_branch_matches_sympy_rref(system):
+    rows, rhs, ncols = system
+    got = solve_rows(rows, rhs, ncols)
+    aug = DomainMatrix([[_to_field(c) for c in (*r, v)] for r, v in zip(rows, rhs)],
+                       (len(rows), ncols + 1), _QQb)
+    rref, pivots = aug.rref()
+    want = _read_off(rref.to_list(), pivots, ncols, _from_field)
+    if want is None:
+        assert got is None
+        return
+    particular, basis, free_cols, degeneracies = got
+    assert (particular, basis, free_cols) == want
+    assert degeneracies == [p for p in _sympy_pivots(rows, ncols)
+                            if not p.is_constant()]

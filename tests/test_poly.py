@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from affine_homog.jets import Jet
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
 
 X = Poly.var("x")
@@ -74,3 +75,11 @@ def test_immutability_via_hashable_terms():
     before = dict(p.terms)
     _ = p + Z
     assert dict(p.terms) == before
+
+
+def test_equality_only_with_polys_and_scalars():
+    zero = Poly.zero()
+    for other in (None, [], {}):
+        assert zero != other and other != zero
+        assert Jet.zero(3) != other
+    assert zero == 0 and Poly.const(F(1, 2)) == F(1, 2)

@@ -130,3 +130,51 @@ def test_ratfunc_sqrt_exists_exactly_for_squares(r):
     s = ratfunc_sqrt(r)
     assert (s is not None) == square
     assert s is None or s * s == r
+
+
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+_b = sp.Symbol("b")
+
+
+def _sym(x):
+    """The sympy expression of an int, Fraction or RationalFunc."""
+    if isinstance(x, RationalFunc):
+        return _sym_poly(x.num) / _sym_poly(x.den)
+    x = F(x)
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def _sym_poly(coeffs):
+    return sum((_sym(c) * _b ** k for k, c in enumerate(coeffs)), sp.Integer(0))
+
+
+@st.composite
+def _operands(draw):
+    """A rational function and a second operand, which may share a factor
+    with its denominator (a polynomial multiple of it, or a quotient by
+    it), so that a skipped reduction would show."""
+    r = draw(ratfuncs)
+    den = RationalFunc(r.den)
+    return r, draw(st.one_of(
+        ratfuncs, fractions, st.integers(-6, 6),
+        st.lists(fractions, max_size=3).map(lambda p: RationalFunc(p) * den),
+        ratfuncs.map(lambda s: s / den)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_OPS)), _operands(), st.booleans())
+def test_ratfunc_arithmetic_is_canonical(op, operands, swap):
+    x, y = operands[::-1] if swap else operands
+    if op == "/" and not y:
+        return
+    got = _OPS[op](x, y)
+    # the value is sympy's, in lowest terms with a monic denominator
+    num, den = sp.fraction(sp.cancel(_OPS[op](_sym(x), _sym(y))))
+    assert sp.expand(_sym_poly(got.num) * den - _sym_poly(got.den) * num) == 0
+    assert len(got.den) - 1 == sp.degree(den, _b) and got.den[-1] == 1
+    assert all(type(c) is F for c in got.num + got.den)
+    # and no fast path skipped a reduction the general constructor makes
+    rebuilt = RationalFunc(got.num, got.den, var=got.var)
+    assert (rebuilt.num, rebuilt.den) == (got.num, got.den)
+    assert hash(rebuilt) == hash(got)
