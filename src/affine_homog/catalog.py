@@ -263,7 +263,8 @@ def verify_entry(entry, alpha=None, order: int = 6) -> Report:
     alg1 = full_algebra(Fj, order + 1)
     stable = (alg.isotropy_dim == alg1.isotropy_dim
               and alg.full_dim == alg1.full_dim)
-    norm = normalize_jet(Fj.truncate(order))
+    # the class and the Pick invariant are read off the 3-jet
+    norm = normalize_jet(Fj.truncate(3))
     passed = (homogeneous(alg) and homogeneous(alg1) and stable
               and alg.isotropy_dim == entry.expected_isotropy)
     details.update({
@@ -656,7 +657,7 @@ def sphere_series(sign: int, order: int = 4) -> Jet:
     return ((one + u * 4).sqrt() - one) * F(1, 2)
 
 
-def real_catalog_checks(order: int = 5) -> Report:
+def real_catalog_checks() -> Report:
     """The real refinements of the complex list: both square-root branch
     expansions, both nr quartic signs, the hyperbolic-to-split change of
     the I0 cubic over Q(i, sqrt 2), the elliptic change of the quadric,

@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("real", help="real-coefficient catalog checks")
-    p.add_argument("--order", type=int, default=5)
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -255,7 +254,7 @@ def _cmd_catalog(parser, args) -> int:
 
 
 def _cmd_real(parser, args) -> int:
-    rep = cat.real_catalog_checks(order=args.order)
+    rep = cat.real_catalog_checks()
     _emit(rep.to_json(), args.format)
     return 0 if rep.passed else 1
 

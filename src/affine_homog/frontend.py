@@ -340,17 +340,9 @@ def _compose_primitive(fn: str, arg: Jet, order: int,
         raise DomainError("primitive center must be rational")
     series = taylor_primitive(fn, center, order, exponent)
     delta = arg - Jet.const(center, arg.order, arg.vars)
-    # delta has zero constant term, so powers gain degree and the sum is finite
-    out = Jet.const(series.poly.coefficient((0,)), order, arg.vars)
-    p = Jet.const(Fraction(1), order, arg.vars)
-    for k in range(1, order + 1):
-        p = p * delta
-        if p.is_zero():
-            break
-        c = series.poly.coefficient((k,))
-        if c:
-            out = out + p * c
-    return out
+    # delta has zero constant term, so truncating at the order is exact
+    return Jet(series.poly.substitute({"u": delta.poly}, max_degree=order),
+               delta.order)
 
 
 # -- graph expansion -----------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact polynomial system solving for the closure constraints.
 
-Buchberger's algorithm (normal/sugar selection, Gebauer-Moller useless
-pair elimination, reduced monic output) plus a zero-dimensional solver:
-linear elimination first, then lexicographic elimination with rational
-root extraction and back-substitution. After a free parameter has been
-designated, quadratics over its function field are split whenever the
-discriminant is a perfect square. Irrational roots are reported as
-residual components with their defining polynomials, never approximated.
+Buchberger's algorithm (normal selection; pairs skipped by Buchberger's
+coprime criterion and a chain check; reduced monic output, re-checked on
+every S-pair) plus a zero-dimensional solver: linear elimination first,
+then lexicographic elimination with rational root extraction and
+back-substitution. After a free parameter has been designated,
+quadratics over its function field are split whenever the discriminant
+is a perfect square. Irrational roots are reported as residual
+components with their defining polynomials, never approximated.
 
 Deterministic throughout: variables are ordered lexically by name and
 all tie-breaking is by fixed term-order keys.
@@ -187,40 +188,6 @@ def _restrict(p: Poly, vars: Tuple[str, ...]) -> Poly:
     return Poly(vars, terms)
 
 
-def _substitute_scalar(p: Poly, v: str, value) -> Poly:
-    """Set variable v to a scalar; result lives in the ring without v."""
-    i = p.vars.index(v)
-    new_vars = p.vars[:i] + p.vars[i + 1:]
-    out: Dict[Mono, object] = {}
-    for m, c in p.terms.items():
-        c2 = c * value ** m[i] if m[i] else c
-        m2 = m[:i] + m[i + 1:]
-        if m2 in out:
-            s = out[m2] + c2
-            if s:
-                out[m2] = s
-            else:
-                del out[m2]
-        elif c2:
-            out[m2] = c2
-    return Poly(new_vars, out)
-
-
-def _substitute_poly(p: Poly, v: str, expr: Poly) -> Poly:
-    """Replace variable v by a polynomial in the remaining variables."""
-    i = p.vars.index(v)
-    new_vars = p.vars[:i] + p.vars[i + 1:]
-    out = Poly.zero(new_vars)
-    powers = [Poly.const(Fraction(1), new_vars)]
-    for m, c in p.terms.items():
-        e = m[i]
-        while len(powers) <= e:
-            powers.append(powers[-1] * expr)
-        m2 = m[:i] + m[i + 1:]
-        out = out + Poly.monomial(m2, c, new_vars) * powers[e]
-    return out
-
-
 def _linear_coefficient(p: Poly, v: str):
     """(c, rest) with p = c*v + rest, when p is linear in v with scalar c."""
     i = p.vars.index(v)
@@ -333,15 +300,15 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def solve_zero_dim(gens: Sequence[Poly], unknowns: Optional[Sequence[str]] = None,
-                   max_parameters: int = 1) -> SolutionSet:
+def solve_zero_dim(gens: Sequence[Poly],
+                   unknowns: Optional[Sequence[str]] = None) -> SolutionSet:
     """All solutions of a polynomial system over the rationals.
 
     Strategy: eliminate unknowns that occur linearly with scalar
     coefficients; run a lexicographic Groebner basis on what remains;
     branch over rational roots of univariate basis elements; designate a
     free parameter for positive-dimensional components. Components that
-    resist this shape (irrational roots, > max_parameters free unknowns)
+    resist this shape (irrational roots, more than one free unknown)
     are reported as residual with their bases.
     """
     if unknowns is None:
@@ -356,7 +323,7 @@ def solve_zero_dim(gens: Sequence[Poly], unknowns: Optional[Sequence[str]] = Non
     ring = unknowns
     sys0 = [_restrict(g, ring) if g.vars != ring else g for g in gens]
     out = SolutionSet(list(unknowns))
-    _solve_rec(sys0, ring, {}, [], [], max_parameters, out)
+    _solve_rec(sys0, ring, {}, [], [], out)
     _dedupe(out)
     _verify_solutions(gens, out)
     return out
@@ -385,7 +352,7 @@ def _dedupe(out: SolutionSet):
 
 def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
                fixed: Dict[str, object], stack: List[Tuple[str, Poly]],
-               params: List[str], max_parameters: int, out: SolutionSet):
+               params: List[str], out: SolutionSet):
     system = [p for p in system if p]
     if any(p.is_constant() for p in system):
         return  # inconsistent branch
@@ -409,13 +376,11 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
                 break
         if best:
             p, v, (c, rest) = best
-            expr = rest.map_coefficients(lambda a: -a / c)
             i = ring.index(v)
-            expr = Poly(ring[:i] + ring[i + 1:],
-                        {m[:i] + m[i + 1:]: co for m, co in expr.terms.items()})
-            stack.append((v, expr))
             ring = ring[:i] + ring[i + 1:]
-            system = [_substitute_poly(q, v, expr) for q in system if q is not p]
+            expr = _restrict(rest.map_coefficients(lambda a: -a / c), ring)
+            stack.append((v, expr))
+            system = [q.substitute({v: expr}) for q in system if q is not p]
             progress = True
 
     system = [p for p in system if p]
@@ -426,7 +391,7 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
         free_vars = list(ring)
         if not free_vars:
             _emit(fixed, stack, {}, params, out)
-        elif len(free_vars) == 1 and len(params) == 0 and max_parameters >= 1:
+        elif len(free_vars) == 1 and not params:
             v = free_vars[0]
             _emit(fixed, stack, {v: RationalFunc.gen(v)}, [v], out)
         else:
@@ -460,11 +425,10 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
         i = ring.index(v)
         sub_ring = ring[:i] + ring[i + 1:]
         for root in roots:
-            sub = [_substitute_scalar(q, v, root) for q in gb]
+            sub = [q.substitute({v: Poly.const(root, sub_ring)}) for q in gb]
             nf = dict(fixed)
             nf[v] = root
-            _solve_rec(sub, sub_ring, nf, list(stack), params,
-                       max_parameters, out)
+            _solve_rec(sub, sub_ring, nf, list(stack), params, out)
         return
 
     # positive-dimensional: pick a parameter not leading any basis element
@@ -476,7 +440,7 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
                 leading_vars.add(v)
                 break
     candidates = [v for v in ring if v not in leading_vars]
-    if not candidates or len(params) >= max_parameters:
+    if not candidates or params:
         out.residual.append(ResidualComponent(
             gb, _assemble(fixed, stack, {u: Poly.var(u, ring) for u in ring})))
         return
@@ -484,11 +448,10 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
     i = ring.index(v)
     sub_ring = ring[:i] + ring[i + 1:]
     param = RationalFunc.gen(v)
-    sub = [_substitute_scalar(q, v, param) for q in gb]
+    sub = [q.substitute({v: Poly.const(param, sub_ring)}) for q in gb]
     nf = dict(fixed)
     nf[v] = param
-    _solve_rec(sub, sub_ring, nf, list(stack), params + [v],
-               max_parameters, out)
+    _solve_rec(sub, sub_ring, nf, list(stack), params + [v], out)
 
 
 def _assemble(fixed: Dict[str, object], stack: List[Tuple[str, Poly]],

@@ -123,7 +123,9 @@ def _field_rref(rows, rhs, ncols):
         rows[r], rows[i] = rows[i], rows[r]
         prow, prhs = rows[r]
         p = prow[col]
-        if isinstance(p, RationalFunc) and not p.is_constant():
+        if isinstance(p, int):
+            p = Fraction(p)
+        elif isinstance(p, RationalFunc) and not p.is_constant():
             degeneracies.append(p)
         inv_row = [c / p if c else _like(c, p) for c in prow]
         inv_rhs = prhs / p if prhs else _like(prhs, p)

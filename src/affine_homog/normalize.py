@@ -76,13 +76,12 @@ def transform_graph(F: Jet, phi: AffineMap) -> Jet:
     """Defining jet of the graph w=F after the coordinate change ``phi``
     (old = phi(new)), solved for the new w order by order."""
     comps = phi.component_polys()
+    # H(x, y, z, w) = old w - F(old x, y, z); the solved w has no constant
+    # term, so terms of H above degree N reach only degrees above N
+    H = comps[3] - F.poly.substitute(dict(zip(XYZ, comps)), max_degree=F.order)
 
     def G(w: Jet) -> Jet:
-        images = {"x": Poly.var("x", XYZ), "y": Poly.var("y", XYZ),
-                  "z": Poly.var("z", XYZ), "w": w.poly}
-        old = [p.substitute(images, max_degree=w.order) for p in comps]
-        Fval = F.poly.substitute(dict(zip(XYZ, old)), max_degree=w.order)
-        return Jet(old[3] - Fval, w.order)
+        return Jet(H.substitute({"w": w.poly}, max_degree=w.order), w.order)
 
     w = Jet.zero(0, XYZ)
     if not G(w).is_zero():
@@ -220,7 +219,7 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
         cols = [[basis[i][r] * scales[i] for r in range(3)] for i in range(3)]
         t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
         phi = AffineMap.xyz_linear(t3, w_scale=1 / _promote(mu, tower))
-        jet = _apply_quadratic_change(F, t3, mu, tower)
+        jet = transform_graph(F, phi)
         form = QuadraticForm(IDENTITY3, "elliptic")
         return NormalizedQuadratic(jet, phi, form, tower)
 
@@ -287,7 +286,7 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     cols = [u_scaled, v, e]
     t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
     phi = AffineMap.xyz_linear(t3, w_scale=1 / mu)
-    jet = _apply_quadratic_change(F, t3, mu, tower)
+    jet = transform_graph(F, phi)
     sig = "complex" if fld == "complex" else "hyperbolic"
     form = QuadraticForm(HYPERBOLIC_GRAM, sig)
     return NormalizedQuadratic(jet, phi, form, tower)
@@ -301,21 +300,6 @@ def _promote(c, tower: Optional[Tower]):
 
 def _promote_matrix(H, tower):
     return tuple(tuple(_promote(c, tower) for c in row) for row in H)
-
-
-def _apply_quadratic_change(F: Jet, t3, mu, tower: Optional[Tower]) -> Jet:
-    poly = F.poly
-    if tower is not None:
-        poly = poly.map_coefficients(lambda c: _promote(c, tower))
-    images = {}
-    for j, v in enumerate(XYZ):
-        p = Poly.zero(XYZ)
-        for i, u in enumerate(XYZ):
-            if t3[j][i]:
-                p = p + Poly.var(u, XYZ).scale(t3[j][i])
-        images[v] = p
-    sub = poly.substitute(images, max_degree=F.order)
-    return Jet(sub.scale(_promote(mu, tower)), F.order)
 
 
 # -- trace decomposition and cubic classification --------------------------------

@@ -47,6 +47,42 @@ GREVLEX = TermOrder("grevlex", grevlex_key)
 LEX = TermOrder("lex", lex_key)
 
 
+def _add_terms(d: Dict[Mono, object], terms: Mapping[Mono, object]):
+    """Add ``terms`` into ``d`` in place, dropping cancelled entries."""
+    for m, c in terms.items():
+        if m in d:
+            s = d[m] + c
+            if s:
+                d[m] = s
+            else:
+                del d[m]
+        elif c:
+            d[m] = c
+
+
+def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
+               max_degree) -> Dict[Mono, object]:
+    """Product of two term dicts, without the terms above ``max_degree``
+    (None keeps all); each coefficient is ``ca * cb``."""
+    d: Dict[Mono, object] = {}
+    for m1, c1 in a.items():
+        d1 = sum(m1)
+        for m2, c2 in b.items():
+            if max_degree is not None and d1 + sum(m2) > max_degree:
+                continue
+            m = tuple(x + y for x, y in zip(m1, m2))
+            c = c1 * c2
+            if m in d:
+                s = d[m] + c
+                if s:
+                    d[m] = s
+                else:
+                    del d[m]
+            elif c:
+                d[m] = c
+    return d
+
+
 class Poly:
     """Immutable sparse polynomial."""
 
@@ -142,19 +178,14 @@ class Poly:
         if isinstance(other, Poly):
             self._check(other)
             return other
-        if isinstance(other, int):
-            other = Fraction(other)
+        if not isinstance(other, _SCALARS):
+            raise TypeError(f"cannot combine a polynomial with a "
+                            f"{type(other).__name__}")
         return Poly.const(other, self.vars)
 
     def __add__(self, other):
-        o = self._coerce(other)
         d = dict(self.terms)
-        for m, c in o.terms.items():
-            s = d.get(m, 0) + c
-            if s:
-                d[m] = s
-            elif m in d:
-                del d[m]
+        _add_terms(d, self._coerce(other).terms)
         return Poly(self.vars, d)
 
     __radd__ = __add__
@@ -170,35 +201,18 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly) and other.vars == self.vars:
-            return self._mul_poly(other, None)
+            return Poly(self.vars, _mul_terms(self.terms, other.terms, None))
         if isinstance(other, Poly):
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return self.scale(other)
 
     __rmul__ = __mul__
 
-    def _mul_poly(self, other: "Poly", max_degree) -> "Poly":
-        d: Dict[Mono, object] = {}
-        for m1, c1 in self.terms.items():
-            d1 = sum(m1)
-            for m2, c2 in other.terms.items():
-                if max_degree is not None and d1 + sum(m2) > max_degree:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                if m in d:
-                    s = d[m] + c
-                    if s:
-                        d[m] = s
-                    else:
-                        del d[m]
-                elif c:
-                    d[m] = c
-        return Poly(self.vars, d)
-
     def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
         self._check(other)
-        return self._mul_poly(other, max_degree)
+        return Poly(self.vars, _mul_terms(self.terms, other.terms, max_degree))
 
     def scale(self, c) -> "Poly":
         if isinstance(c, int):
@@ -249,36 +263,39 @@ class Poly:
                     {m: c for m, c in self.terms.items() if sum(m) == degree})
 
     def substitute(self, images: Mapping[str, "Poly"], max_degree=None) -> "Poly":
-        """Ring homomorphism sending each variable to its image.
+        """Ring homomorphism sending each variable to its image, dropping
+        every term above ``max_degree`` (None keeps all).
 
         Unlisted variables map to the same-named variable of the image
         ring. All images must share one ambient ring.
         """
         some = next(iter(images.values()), None)
         tgt_vars = some.vars if some is not None else self.vars
-        imgs = {}
-        for v in self.vars:
-            if v in images:
-                imgs[v] = images[v]
-            else:
-                imgs[v] = Poly.var(v, tgt_vars)
-        out = Poly(tgt_vars)
-        one = Poly.const(Fraction(1), tgt_vars)
-        pow_cache = {v: [one] for v in self.vars}
+        # an unlisted variable keeps its exponent, moved to its target slot
+        moved = [(i, tgt_vars.index(v)) for i, v in enumerate(self.vars)
+                 if v not in images]
+        # powers[i][e] holds the terms of the i-th image to the power e
+        powers = [(i, [None, images[v].terms])
+                  for i, v in enumerate(self.vars) if v in images]
+        zero = [0] * len(tgt_vars)
+        out: Dict[Mono, object] = {}
         for m, c in self.terms.items():
-            acc = Poly.const(c, tgt_vars)
-            for v, e in zip(self.vars, m):
-                cache = pow_cache[v]
-                while len(cache) <= e:
-                    nxt = cache[-1]._mul_poly(imgs[v], max_degree)
-                    cache.append(nxt)
-                acc = acc._mul_poly(cache[e], max_degree)
-                if not acc:
-                    break
-            out = out + acc
-        if max_degree is not None:
-            out = out.truncate(max_degree)
-        return out
+            base = list(zero)
+            for i, j in moved:
+                base[j] = m[i]
+            if max_degree is not None and sum(base) > max_degree:
+                continue
+            acc = {tuple(base): Fraction(c) if isinstance(c, int) else c}
+            for i, pw in powers:
+                e = m[i]
+                if e:
+                    while len(pw) <= e:
+                        pw.append(_mul_terms(pw[-1], pw[1], max_degree))
+                    acc = _mul_terms(acc, pw[e], max_degree)
+                    if not acc:
+                        break
+            _add_terms(out, acc)
+        return Poly(tgt_vars, out)
 
     def eval(self, values: Mapping[str, object]):
         """Full evaluation at scalar values (all variables bound)."""

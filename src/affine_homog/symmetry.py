@@ -287,8 +287,7 @@ def _derivative_along(mono: Tuple[int, int, int], e, M: int) -> Jet:
                    Poly.zero(XYZ)), M)
 
 
-def complete_series(f: Jet, P, Q, R, M: int,
-                    translations=(E_X, E_Y, E_Z)):
+def complete_series(f: Jet, P, Q, R, M: int):
     """Extend f order by order so that the three translated fields stay
     tangent. Each order must be pinned down uniquely; failures carry the
     offending order. Returns (jet, parametric degeneracy conditions).
@@ -304,7 +303,7 @@ def complete_series(f: Jet, P, Q, R, M: int,
         mono_of = dict(names)
         unknowns = sorted(mono_of)
         eqs: List[LinearEquation] = []
-        for mat, e in zip((P, Q, R), translations):
+        for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z)):
             columns = [_derivative_along(mono_of[u], e, m - 1) for u in unknowns]
             res = tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1)
             eqs.extend(linear_equations(columns, res, unknowns))

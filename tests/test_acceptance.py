@@ -158,7 +158,7 @@ def test_criterion_10_eigen_analysis():
 
 
 def test_criterion_11_real_suite():
-    rep = cat.real_catalog_checks(order=5)
+    rep = cat.real_catalog_checks()
     neg = cat.sphere_series(-1, order=4)
     expected = Poly(XYZ, {(1, 1, 0): F(2), (0, 0, 2): F(1), (2, 2, 0): F(-4),
                           (1, 1, 2): F(-4), (0, 0, 4): F(-1)})

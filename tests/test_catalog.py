@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from affine_homog import catalog as cat
-from affine_homog.normalize import cubic_basis, cubic_coordinates
+from affine_homog.frontend import expand_graph, parse_surface
+from affine_homog.normalize import cubic_basis, cubic_coordinates, normalize_jet
 from affine_homog.scalars import RationalFunc
 
 
@@ -19,6 +20,16 @@ def test_alpha_restrictions_recorded():
     assert entries["N7"].excluded_alphas == (F(0), F(1), F(2))
     assert entries["N16"].excluded_alphas == (F(0), F(1), F(2), F(3))
     assert not entries["N8"].uses_alpha
+
+
+@pytest.mark.parametrize("eid", [f"N{k}" for k in range(1, 21)])
+def test_class_and_pick_are_read_off_the_3_jet(eid):
+    entry = cat.catalog()[eid]
+    spec = parse_surface(entry.surface, entry.basepoint,
+                         cat.SWEEP_ALPHAS.get(eid))
+    jet = expand_graph(spec, 6)
+    full, cubic = normalize_jet(jet), normalize_jet(jet.truncate(3))
+    assert (cubic.cubic_class, cubic.pick) == (full.cubic_class, full.pick)
 
 
 def test_base_jet_quartics():

@@ -93,7 +93,8 @@ def test_usage_errors_exit_two(capsys):
                  ["expand", "--surface", "W=X+", "--basepoint", "0,0,0,0"],
                  # basepoint off the surface
                  ["expand", "--surface", "W=X*Y+1", "--basepoint", "0,0,0,0"],
-                 ["symmetry", "--jet", "/nonexistent/jet.json"]):
+                 ["symmetry", "--jet", "/nonexistent/jet.json"],
+                 ["real", "--order", "5"]):                 # takes no order
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2

@@ -1,4 +1,5 @@
-"""Byte-identity of `expand` and `normalize` output for the catalog entries.
+"""Byte-identity of `expand` and `normalize` output for the catalog entries
+and for three definite quadrics normalized over the reals.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
@@ -25,6 +26,11 @@ COMMANDS = (["expand", "--order=8"],
             ["normalize", "--order=6"],
             ["normalize", "--order=5", "--real=hyperbolic"])
 
+# definite quadrics normalized over the reals, adjoining 0, 1 and 2 square roots
+ELLIPTIC = ("W = X^2 + Y^2 + Z^2",
+            "W = -X^2 - 7*Y^2 - Z^2 + Y^3",
+            "W = X^2 + 2*Y^2 + 3*Z^2 + X^3")
+
 
 def argvs():
     out = []
@@ -37,6 +43,10 @@ def argvs():
             spec.append(f"--alpha={cat.SWEEP_ALPHAS[eid]}")
         for cmd in COMMANDS:
             out.append(cmd + spec + ["--format=json"])
+    for surface in ELLIPTIC:
+        out.append(["normalize", "--order=5", "--real=elliptic",
+                    "--surface=" + surface, "--basepoint=0,0,0,0",
+                    "--format=json"])
     return out
 
 
@@ -50,7 +60,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()]
-    assert len(keys) == 60
+    assert len(keys) == 63
     assert set(keys) == set(RECORDED)
 
 

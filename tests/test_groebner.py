@@ -118,7 +118,7 @@ def test_nonsquare_discriminant_reported_residual():
 
 def test_too_many_free_directions():
     sols = solve_zero_dim([P({(1, 0, 0): 1}, UVW)], UVW)
-    assert sols.residual  # v and w both free exceeds max_parameters=1
+    assert sols.residual  # v and w both free: more than one parameter
 
 
 def test_inconsistent_system_no_solutions():

@@ -147,6 +147,13 @@ def test_solve_rows_records_parametric_pivot():
     assert basis == [] and free_cols == []
 
 
+def test_int_pivot_gives_exact_solution():
+    b = RationalFunc.gen()
+    particular = solve_rows([[2, b]], [1], 2)[0]
+    assert particular == [F(1, 2), 0]
+    assert all(isinstance(c, (F, RationalFunc)) for c in particular)
+
+
 def test_skipped_zero_products_keep_their_type():
     # b*0 turns the 3 below into a constant RationalFunc, which _pivot_size
     # ranks behind 1/2; left a Fraction it would tie with 1/2 and win, and

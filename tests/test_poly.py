@@ -1,9 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from affine_homog.jets import Jet
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
+from affine_homog.scalars import RationalFunc
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -83,3 +86,80 @@ def test_equality_only_with_polys_and_scalars():
         assert zero != other and other != zero
         assert Jet.zero(3) != other
     assert zero == 0 and Poly.const(F(1, 2)) == F(1, 2)
+
+
+def test_arithmetic_only_with_polys_and_scalars():
+    x = Poly.var("x")
+    for other in (None, []):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b):
+            for a, b in ((x, other), (other, x),
+                         (Jet.zero(3), other), (other, Jet.zero(3))):
+                with pytest.raises(TypeError):
+                    op(a, b)
+    b = RationalFunc.gen()
+    assert x + 1 == 1 + x and (x - F(1, 2)).constant_term() == F(-1, 2)
+    assert (x + b).constant_term() == b and (b - x).constant_term() == b
+    assert (x * 2).coefficient((1, 0, 0)) == 2 and (b * x) == x.scale(b)
+    assert (Jet.zero(3) + 1) == Jet.const(F(1), 3)
+    assert (Jet.zero(3) - b).poly.constant_term() == -b
+
+
+# -- substitution against sympy ----------------------------------------------------
+
+SOURCE = ("x", "y", "z", "w")
+SYMBOLS = {v: sp.Symbol(v) for v in SOURCE + ("t",)}
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _terms(nvars, max_degree, max_terms):
+    monos = st.tuples(*[st.integers(0, max_degree)] * nvars).filter(
+        lambda m: sum(m) <= max_degree)
+    return st.dictionaries(monos, coefficients, max_size=max_terms)
+
+
+def _to_sympy(p):
+    return sum((sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*[SYMBOLS[v] ** e for v, e in zip(p.vars, m)])
+                for m, c in p.terms.items()), sp.Integer(0))
+
+
+@st.composite
+def substitutions(draw):
+    """(p, images, max_degree): some variables without an image, zero,
+    constant and general images, and image rings that drop substituted
+    variables, add one, or reorder them."""
+    p = Poly(SOURCE, draw(_terms(4, 4, 6)))
+    mapped = draw(st.lists(st.sampled_from(SOURCE), min_size=1,
+                           max_size=4, unique=True))
+    kept = [v for v in SOURCE if v not in mapped]
+    kept += draw(st.lists(st.sampled_from(mapped + ["t"]), unique=True))
+    ring = tuple(draw(st.permutations(kept)))
+    images = {}
+    for v in mapped:
+        kind = draw(st.sampled_from(("zero", "constant", "general")))
+        if kind == "zero":
+            images[v] = Poly.zero(ring)
+        elif kind == "constant":
+            images[v] = Poly.const(draw(coefficients), ring)
+        else:
+            images[v] = Poly(ring, draw(_terms(len(ring), 2, 3)))
+    return p, images, draw(st.none() | st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitute_matches_sympy(case):
+    p, images, max_degree = case
+    ring = next(iter(images.values())).vars
+    got = p.substitute(images, max_degree)
+    assert got.vars == ring
+    assert max_degree is None or all(sum(m) <= max_degree for m in got.terms)
+    want = sp.expand(_to_sympy(p).subs(
+        {SYMBOLS[v]: _to_sympy(q) for v, q in images.items()},
+        simultaneous=True))
+    if max_degree is not None:
+        want = sum((term for term in sp.Add.make_args(want)
+                    if sp.Poly(term, *[SYMBOLS[v] for v in ring]).total_degree()
+                    <= max_degree) if ring else [want], sp.Integer(0))
+    assert sp.expand(_to_sympy(got) - want) == 0
