@@ -1,8 +1,14 @@
 """Exact polynomial system solving for the closure constraints.
 
-Buchberger's algorithm (normal selection; pairs skipped by Buchberger's
-coprime criterion and a chain check; reduced monic output, re-checked on
-every S-pair) plus a zero-dimensional solver: linear elimination first,
+Buchberger's algorithm plus a zero-dimensional solver. The S-pairs wait
+in a heap keyed by (degree of the lcm, term-order key of the lcm, i, j),
+with the lcm computed once when the pair is queued; popping the minimum
+is the normal selection strategy. Pairs are skipped by Buchberger's
+coprime criterion and a chain check. Division works in place on one dict
+of remaining terms and one of remainder terms, subtracting each multiple
+of a basis element term by term. The output is reduced and monic, and
+every S-pair of it is re-checked to reduce to zero, which certifies that
+the skipped pairs lost nothing. The solver does linear elimination first,
 then lexicographic elimination with rational root extraction and
 back-substitution. After a free parameter has been designated,
 quadratics over its function field are split whenever the discriminant
@@ -15,11 +21,12 @@ all tie-breaking is by fixed term-order keys.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import GREVLEX, LEX, Mono, Poly, TermOrder
+from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _add_terms
 from .scalars import (RationalFunc, _udivmod, _ueval, primitive_integers,
                       ratfunc_sqrt)
 
@@ -41,28 +48,34 @@ def _msub(a: Mono, b: Mono) -> Mono:
 
 
 def reduce(p: Poly, basis: Sequence[Poly], order: TermOrder = GREVLEX) -> Poly:
-    """Normal form of p modulo the basis (full multivariate division)."""
+    """Normal form of p modulo the basis (full multivariate division).
+
+    The leading term of what is left is divided by the first basis element
+    whose leading term divides it, and moved to the remainder when none
+    does.
+    """
     if not basis:
         return p
-    lts = [g.leading_term(order) for g in basis]
-    rem = Poly.zero(p.vars)
-    work = p
+    for g in basis:
+        p._check(g)
+    key = order.key
+    divisors = [(*g.leading_term(order), g.terms) for g in basis]
+    work = dict(p.terms)
+    rem = {}
     while work:
-        m, c = work.leading_term(order)
-        hit = None
-        for i, (gm, gc) in enumerate(lts):
+        m = max(work, key=key)
+        c = work[m]
+        for gm, gc, gterms in divisors:
             if _divides(gm, m):
-                hit = i
+                f = c / gc
+                q = _msub(m, gm)
+                _add_terms(work, {tuple(a + b for a, b in zip(q, tm)): -(f * tc)
+                                  for tm, tc in gterms.items()})
                 break
-        if hit is None:
-            t = Poly.monomial(m, c, work.vars)
-            rem = rem + t
-            work = work - t
         else:
-            gm, gc = lts[hit]
-            factor = Poly.monomial(_msub(m, gm), c / gc, work.vars)
-            work = work - factor * basis[hit]
-    return rem
+            rem[m] = c
+            del work[m]
+    return Poly(p.vars, rem)
 
 
 def s_poly(f: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
@@ -83,11 +96,18 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
         return []
     lt = [g.leading_term(order)[0] for g in G]
 
-    pairs: List[Tuple[int, int]] = []
+    # heap of (degree, order key, i, j, lcm); (i, j) is unique, so the
+    # first four entries order the pairs totally and the lcm is never compared
+    pairs: List[Tuple[int, tuple, int, int, Mono]] = []
+    pair_set = set()
 
-    def useless(i: int, j: int) -> bool:
-        # Buchberger's first criterion: coprime leading terms
+    def push(i: int, j: int):
         l = _lcm(lt[i], lt[j])
+        heapq.heappush(pairs, (sum(l), order.key(l), i, j, l))
+        pair_set.add((i, j))
+
+    def useless(i: int, j: int, l: Mono) -> bool:
+        # Buchberger's first criterion: coprime leading terms
         if l == tuple(a + b for a, b in zip(lt[i], lt[j])):
             return True
         # chain criterion
@@ -101,22 +121,14 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
                     return True
         return False
 
-    pair_set = set()
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            pairs.append((i, j))
-            pair_set.add((i, j))
-
-    def sel_key(pr):
-        i, j = pr
-        l = _lcm(lt[i], lt[j])
-        return (sum(l), order.key(l), i, j)
+            push(i, j)
 
     while pairs:
-        pairs.sort(key=sel_key)
-        i, j = pairs.pop(0)
+        _, _, i, j, l = heapq.heappop(pairs)
         pair_set.discard((i, j))
-        if useless(i, j):
+        if useless(i, j, l):
             continue
         r = reduce(s_poly(G[i], G[j], order), G, order)
         if r:
@@ -125,8 +137,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
             G.append(r)
             lt.append(r.leading_term(order)[0])
             for a in range(k):
-                pairs.append((a, k))
-                pair_set.add((a, k))
+                push(a, k)
 
     # minimalize: drop generators whose leading term another one divides
     minimal = []

@@ -215,6 +215,9 @@ class Poly:
         return Poly(self.vars, _mul_terms(self.terms, other.terms, max_degree))
 
     def scale(self, c) -> "Poly":
+        if not isinstance(c, _SCALARS):
+            raise TypeError(f"cannot scale a polynomial by a "
+                            f"{type(c).__name__}")
         if isinstance(c, int):
             c = Fraction(c)
         if not c:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affine_homog import scalars
+from affine_homog import groebner, scalars
 from affine_homog.cli import _build_parser, run
 
 SPHERE = ["--surface", "W^2 = X*Y + Z^2 + 1", "--basepoint", "1,0,0,0"]
@@ -181,3 +181,14 @@ def test_parametric_verify_runs_few_polynomial_gcds(capsys, monkeypatch):
                           "--format", "json")
     assert code == 0 and json.loads(out)["passed"] is True
     assert len(calls) < 100
+
+
+def test_discover_computes_each_pair_lcm_once(capsys, monkeypatch):
+    # buchberger computes each S-pair's lcm once, when the pair is queued,
+    # not in a sort key on every selection
+    calls = []
+    lcm = groebner._lcm
+    monkeypatch.setattr(groebner, "_lcm", lambda a, b: calls.append(1) or lcm(a, b))
+    code, out, _ = invoke(capsys, "discover", "--case=I2", "--format", "json")
+    assert code == 0 and json.loads(out)["components"]
+    assert len(calls) < 2000

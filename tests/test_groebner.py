@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affine_homog.groebner import (GroebnerError, _rational_roots, buchberger,
                                    reduce, solve_zero_dim, s_poly)
-from affine_homog.poly import GREVLEX, LEX, Poly
+from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
 from affine_homog.scalars import RationalFunc
 
 UV = ("u", "v")
@@ -50,6 +50,64 @@ def test_buchberger_matches_sympy_lex(gens):
     assert set(ours) == expect
 
 
+def _monomials(n, degree):
+    if n == 0:
+        return [()]
+    return [(e,) + rest for e in range(degree + 1)
+            for rest in _monomials(n - 1, degree - e)]
+
+
+coefficients = st.integers(-3, 3).filter(bool)
+
+
+def polys(vars, degree):
+    """Nonzero polynomials in vars of total degree <= degree."""
+    return st.dictionaries(st.sampled_from(_monomials(len(vars), degree)),
+                           coefficients, min_size=1, max_size=4
+                           ).map(lambda terms: P(terms, vars))
+
+
+# 2-3 generators in 2-3 variables, degree <= 2, coefficients in [-3, 3]
+small_systems = st.sampled_from([UV, UVW]).flatmap(
+    lambda vars: st.tuples(st.just(vars),
+                           st.lists(polys(vars, 2), min_size=2, max_size=3)))
+
+ORDERS = [(LEX, "lex"), (GREVLEX, "grevlex")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems)
+def test_buchberger_matches_sympy(case):
+    vars, gens = case
+    syms = sp.symbols(vars)
+    for order, name in ORDERS:
+        ours = buchberger(gens, order)
+        assert all(g.leading_term(order)[1] == 1 for g in ours)
+        theirs = sp.groebner([to_sympy(g, syms) for g in gens], *syms,
+                             order=name, domain=sp.QQ)
+        expect = {from_sympy(e, syms, vars).monic(order) for e in theirs.exprs}
+        assert set(ours) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems.flatmap(
+    lambda case: st.tuples(st.just(case), polys(case[0], 3))))
+def test_reduce_is_the_normal_form(case_and_p):
+    # the normal form modulo a Groebner basis is unique, so it equals
+    # sympy's remainder whatever divisor either side picks
+    (vars, gens), p = case_and_p
+    syms = sp.symbols(vars)
+    for order, name in ORDERS:
+        gb = buchberger(gens, order)
+        r = reduce(p, gb, order)
+        lts = [g.leading_term(order)[0] for g in gb]
+        assert not any(all(a <= b for a, b in zip(lt, m))
+                       for m in r.terms for lt in lts)
+        expect = sp.reduced(to_sympy(p, syms), [to_sympy(g, syms) for g in gb],
+                            *syms, order=name, domain=sp.QQ)[1]
+        assert r == from_sympy(expect, syms, vars)
+
+
 def test_reduce_ideal_membership():
     gens = [P({(2, 0): 1, (0, 1): -1}), P({(0, 2): 1, (1, 0): -1})]
     gb = buchberger(gens, GREVLEX)
@@ -57,6 +115,8 @@ def test_reduce_ideal_membership():
     assert reduce(inside, gb, GREVLEX).is_zero()
     outside = P({(1, 0): 1})
     assert not reduce(outside, gb, GREVLEX).is_zero()
+    with pytest.raises(VariableMismatch):
+        reduce(P({(1, 0): 1}, ("v", "u")), gb, GREVLEX)
 
 
 def test_s_poly_reduces_in_basis():

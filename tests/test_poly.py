@@ -105,6 +105,15 @@ def test_arithmetic_only_with_polys_and_scalars():
     assert (Jet.zero(3) - b).poly.constant_term() == -b
 
 
+def test_scale_only_by_scalars():
+    # a float would break exactness, and a non-scalar must not pass as zero
+    x = Poly.var("x")
+    for other in (None, [], 0.5, "a"):
+        with pytest.raises(TypeError):
+            x.scale(other)
+    assert x.scale(0).is_zero() and x.scale(F(1, 2)) == x * F(1, 2)
+
+
 # -- substitution against sympy ----------------------------------------------------
 
 SOURCE = ("x", "y", "z", "w")
