@@ -763,6 +763,29 @@ def _null_rotation_matrix(t):
     return ((t, F(0), F(0)), (F(0), t, F(-1)), (F(1), F(0), t))
 
 
+def _generator_check(matrix, m0, survivor, t_range):
+    """One residual-isotropy generator t -> matrix(t) on the cubic basis.
+
+    Checks that its action with weight 2t is m0 + t (``m0`` holds the
+    nonzero entries at t = 0) and, for each integer t in [-t_range,
+    t_range], that the kernel is spanned by the basis cubic survivor(t),
+    or is zero where survivor(t) is None. Returns (matrix shape holds,
+    kernel dimension by t, kernels as expected)."""
+    a0 = cubic_action_matrix(matrix(F(0)), F(0))
+    a1 = cubic_action_matrix(matrix(F(1)), F(2))
+    shape = all(a0[i][j] == m0.get((i, j), 0)
+                and a1[i][j] - a0[i][j] == int(i == j)
+                for i in range(7) for j in range(7))
+    dims, kernels = {}, True
+    for k in range(-t_range, t_range + 1):
+        ker = nullspace(cubic_action_matrix(matrix(F(k)), F(2 * k)), 7)
+        dims[k] = len(ker)
+        j = survivor(k)
+        want = [] if j is None else [[F(int(i == j)) for i in range(7)]]
+        kernels = kernels and [[abs(c) for c in v] for v in ker] == want
+    return shape, dims, kernels
+
+
 def cubic_eigen_analysis(t_range: int = 6) -> Report:
     """Which cubics survive the two kinds of residual isotropy.
 
@@ -770,61 +793,19 @@ def cubic_eigen_analysis(t_range: int = 6) -> Report:
     eigenvalues t-3, ..., t+3, so a single basis cubic survives for each
     integer t in [-3, 3]. The null-rotation generator is singular only at
     t = 0 and there its kernel is spanned by x^3."""
-    details: Dict[str, object] = {}
-    ok = True
-
-    expected_diag = tuple(tuple((F(1) if i == j else F(0)) for j in range(7))
-                          for i in range(7))
-    m0 = cubic_action_matrix(_scaling_matrix(F(0)), F(0))
-    m1 = cubic_action_matrix(_scaling_matrix(F(1)), F(2))
-    slope = tuple(tuple(m1[i][j] - m0[i][j] for j in range(7))
-                  for i in range(7))
-    diag_shape = (slope == expected_diag
-                  and m0 == tuple(tuple(F(i - 3) if i == j else F(0)
-                                        for j in range(7))
-                                  for i in range(7)))
-    details["scaling_matrix_is_diag_shift"] = diag_shape
-    ok = ok and diag_shape
-
-    sing = {}
-    for k in range(-t_range, t_range + 1):
-        t = F(k)
-        ker = nullspace(cubic_action_matrix(_scaling_matrix(t), 2 * t), 7)
-        sing[k] = len(ker)
-        if -3 <= k <= 3:
-            want = [F(1) if j == 3 - k else F(0) for j in range(7)]
-            good = len(ker) == 1 and (ker[0] == want or
-                                      [-c for c in ker[0]] == want)
-            ok = ok and good
-        else:
-            ok = ok and not ker
-    details["scaling_kernel_dims"] = sing
-
-    nr0 = cubic_action_matrix(_null_rotation_matrix(F(0)), F(0))
-    nr1 = cubic_action_matrix(_null_rotation_matrix(F(1)), F(2))
-    nr_slope = tuple(tuple(nr1[i][j] - nr0[i][j] for j in range(7))
-                     for i in range(7))
-    expected_nil = tuple(
-        tuple(({(0, 1): F(1), (1, 2): F(-5), (2, 3): F(3), (3, 4): F(-2),
-                (4, 5): F(1), (5, 6): F(-3)}.get((i, j), F(0)))
-              for j in range(7)) for i in range(7))
-    nr_shape = nr_slope == expected_diag and nr0 == expected_nil
-    details["null_rotation_matrix_shape"] = nr_shape
-    ok = ok and nr_shape
-
-    nr_sing = {}
-    for k in range(-t_range, t_range + 1):
-        t = F(k)
-        ker = nullspace(cubic_action_matrix(_null_rotation_matrix(t), 2 * t), 7)
-        nr_sing[k] = len(ker)
-        if k == 0:
-            want = [F(1), F(0), F(0), F(0), F(0), F(0), F(0)]
-            ok = ok and len(ker) == 1 and (ker[0] == want
-                                           or [-c for c in ker[0]] == want)
-        else:
-            ok = ok and not ker
-    details["null_rotation_kernel_dims"] = nr_sing
-    return Report("cubic-eigen-analysis", ok, details)
+    sc_shape, sc_dims, sc_ok = _generator_check(
+        _scaling_matrix, {(i, i): F(i - 3) for i in range(7)},
+        {k: 3 - k for k in range(-3, 4)}.get, t_range)
+    nr_shape, nr_dims, nr_ok = _generator_check(
+        _null_rotation_matrix, {(0, 1): F(1), (1, 2): F(-5), (2, 3): F(3),
+                                (3, 4): F(-2), (4, 5): F(1), (5, 6): F(-3)},
+        {0: 0}.get, t_range)
+    return Report("cubic-eigen-analysis",
+                  sc_shape and sc_ok and nr_shape and nr_ok,
+                  {"scaling_matrix_is_diag_shift": sc_shape,
+                   "scaling_kernel_dims": sc_dims,
+                   "null_rotation_matrix_shape": nr_shape,
+                   "null_rotation_kernel_dims": nr_dims})
 
 
 # -- coordinate-change fixtures ------------------------------------------------------

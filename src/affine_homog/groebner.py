@@ -364,39 +364,32 @@ def _dedupe(out: SolutionSet):
 def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
                fixed: Dict[str, object], stack: List[Tuple[str, Poly]],
                params: List[str], out: SolutionSet):
-    system = [p for p in system if p]
-    if any(p.is_constant() for p in system):
-        return  # inconsistent branch
-
-    # linear elimination with scalar pivots
-    progress = True
-    while progress:
-        progress = False
+    # linear elimination with scalar pivots: eliminate through the pivot
+    # polynomial with the fewest terms, then the lowest degree, then the
+    # first in text order
+    while True:
         system = [p for p in system if p]
         if any(p.is_constant() for p in system):
-            return
-        best = None
-        for p in sorted(system, key=lambda q: (len(q.terms), q.total_degree(),
-                                               str(q))):
+            return  # inconsistent branch
+        pivots = []
+        for p in system:
             for v in ring:
                 lin = _linear_coefficient(p, v)
                 if lin is not None:
-                    best = (p, v, lin)
+                    pivots.append(((len(p.terms), p.total_degree()), p, v, lin))
                     break
-            if best:
-                break
-        if best:
-            p, v, (c, rest) = best
-            i = ring.index(v)
-            ring = ring[:i] + ring[i + 1:]
-            expr = _restrict(rest.map_coefficients(lambda a: -a / c), ring)
-            stack.append((v, expr))
-            system = [q.substitute({v: expr}) for q in system if q is not p]
-            progress = True
-
-    system = [p for p in system if p]
-    if any(p.is_constant() for p in system):
-        return
+        if not pivots:
+            break
+        low = min(t[0] for t in pivots)
+        pivots = [t for t in pivots if t[0] == low]
+        if len(pivots) > 1:
+            pivots.sort(key=lambda t: str(t[1]))
+        _, p, v, (c, rest) = pivots[0]
+        i = ring.index(v)
+        ring = ring[:i] + ring[i + 1:]
+        expr = _restrict(rest.map_coefficients(lambda a: -a / c), ring)
+        stack.append((v, expr))
+        system = [q.substitute({v: expr}) for q in system if q is not p]
 
     if not system:
         free_vars = list(ring)
@@ -420,8 +413,7 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
     univars = [(g, _univariate_in(g)) for g in gb]
     univars = [(g, v) for g, v in univars if v is not None]
     if univars:
-        univars.sort(key=lambda t: (ring[::-1].index(t[1])
-                                    if t[1] in ring else 0, str(t[0])))
+        univars.sort(key=lambda t: (ring[::-1].index(t[1]), str(t[0])))
         g, v = univars[0]
         roots, deflated = _rational_roots(g, v)
         if deflated is not None:

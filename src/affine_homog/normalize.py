@@ -1,14 +1,16 @@
 """Normalization of graph jets.
 
 Brings w = F(x,y,z) to the shape 2xy+z^2 + trace-free cubic + O(4),
-classifies the cubic by exact invariants, and gives the action of a
-linear vector field on the trace-free cubic basis.
+classifies the cubic by exact invariants taken from its derivatives (the
+trace from the h-Laplacian, the Pick invariant from the apolar pairing),
+and gives the action of a linear vector field on the trace-free cubic basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import List, Optional, Tuple
 
 from .jets import Jet, solve_series
@@ -18,6 +20,7 @@ from .scalars import Tower, rational_sqrt
 
 XYZ = ("x", "y", "z")
 XYZW = ("x", "y", "z", "w")
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # exponents of x, y and z
 
 
 class NormalizationError(ValueError):
@@ -87,8 +90,7 @@ def transform_graph(F: Jet, phi: AffineMap) -> Jet:
     if not G(w).is_zero():
         raise NormalizationError("coordinate change does not fix the basepoint")
     # d(old w - F(old x, y, z))/d(new w) at the origin
-    grad = [F.poly.coefficient(tuple(int(j == i) for j in range(3)))
-            for i in range(3)]
+    grad = [F.poly.coefficient(e) for e in UNITS]
     slope = phi.linear[3][3] - sum(phi.linear[i][3] * grad[i] for i in range(3))
     if not slope and F.order:
         raise NormalizationError("coordinate change cannot be solved for w")
@@ -102,8 +104,8 @@ def remove_linear(F: Jet) -> Tuple[Jet, AffineMap]:
         return F, AffineMap.identity()
     # old w = new w + L(x,y,z)
     rows = [list(r) for r in AffineMap.identity().linear]
-    for j, v in enumerate(XYZ):
-        rows[3][j] = lin.coefficient(tuple(1 if k == j else 0 for k in range(3)))
+    for j, e in enumerate(UNITS):
+        rows[3][j] = lin.coefficient(e)
     phi = AffineMap(tuple(tuple(r) for r in rows))
     return Jet(F.poly - lin, F.order), phi
 
@@ -230,8 +232,6 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
             if i == j:
                 continue
             val = -d[i] / d[j]
-            if val == 0:
-                continue
             s = rational_sqrt(val) if val > 0 else None
             if s is not None:
                 iso = [a + s * b for a, b in zip(basis[i], basis[j])]
@@ -352,30 +352,14 @@ def cubic_action_matrix(L, weight):
     return tuple(tuple(cols[j][i] for j in range(7)) for i in range(7))
 
 
-def cubic_tensor(c: Poly):
-    """Fully symmetric 3-tensor C with c = sum C_ijk x_i x_j x_k."""
-    from math import factorial
-    C = {}
-    for m, co in c.terms.items():
-        if sum(m) != 3:
-            raise ValueError("not a cubic form")
-        mult = factorial(3)
-        for e in m:
-            mult //= factorial(e)
-        idx = tuple(i for i, e in enumerate(m) for _ in range(e))
-        C[idx] = co / mult
-    return C
-
-
-def _tensor_entry(C, i, j, k):
-    return C.get(tuple(sorted((i, j, k))), Fraction(0))
-
-
-def trace_vector(c: Poly, h: QuadraticForm):
-    C = cubic_tensor(c)
+def _laplacian(c: Poly, h: QuadraticForm) -> Poly:
+    """The h-Laplacian sum_jk (H^-1)_jk d_j d_k c of a cubic form c."""
+    if any(sum(m) != 3 for m in c.terms):
+        raise ValueError("not a cubic form")
     Hi = h.inverse_gram()
-    return [sum(Hi[j][k] * _tensor_entry(C, i, j, k)
-                for j in range(3) for k in range(3)) for i in range(3)]
+    return sum((c.partial(vj).partial(vk).scale(Hi[j][k])
+                for j, vj in enumerate(XYZ) for k, vk in enumerate(XYZ)
+                if Hi[j][k]), Poly.zero(XYZ))
 
 
 def quadratic_poly(h: QuadraticForm) -> Poly:
@@ -388,24 +372,18 @@ def quadratic_poly(h: QuadraticForm) -> Poly:
 
 
 def trace_decompose(c: Poly, h: QuadraticForm) -> Tuple[Poly, Poly]:
-    """Unique splitting c = c0 + q_h * l with c0 trace-free."""
-    qh = quadratic_poly(h)
-    # trace of q_h * (l1 x + l2 y + l3 z) is linear in l; match trace(c)
-    cols = [trace_vector(qh * Poly.var(v), h) for v in XYZ]
-    solved = solve_rows([[col[i] for col in cols] for i in range(3)],
-                        trace_vector(c, h), 3)
-    if solved is None or solved[1]:
-        raise NormalizationError("trace decomposition failed")
-    l = Poly.zero(XYZ)
-    for v, a in zip(XYZ, solved[0]):
-        if a:
-            l = l + Poly.var(v).scale(a)
-    c0 = c - qh * l
-    return c0, l
+    """Unique splitting c = c0 + q_h * l with c0 trace-free.
+
+    For a symmetric nondegenerate h in three variables the h-Laplacian
+    sends q_h * l to (2n+4) l = 10 l and kills c0, so l = Lap_h(c) / 10.
+    """
+    l = _laplacian(c, h).scale(Fraction(1, 10))
+    return c - quadratic_poly(h) * l, l
 
 
 def is_trace_free(c: Poly, h: QuadraticForm) -> bool:
-    return not any(trace_vector(c, h))
+    """Lap_h(c) = 6 sum_i trace_i(c) x_i: trace-free means h-harmonic."""
+    return _laplacian(c, h).is_zero()
 
 
 def normal_shear(F: Jet) -> Tuple[Jet, AffineMap]:
@@ -424,12 +402,10 @@ def normal_shear(F: Jet) -> Tuple[Jet, AffineMap]:
     if not l:
         return F, AffineMap.identity()
     Hi = h.inverse_gram()
-    lv = [l.coefficient(tuple(1 if k == i else 0 for k in range(3)))
-          for i in range(3)]
-    a = [-sum(Hi[i][j] * lv[j] for j in range(3)) / 2 for i in range(3)]
+    lv = [l.coefficient(e) for e in UNITS]
     rows = [list(r) for r in AffineMap.identity().linear]
     for i in range(3):
-        rows[i][3] = a[i]
+        rows[i][3] = -sum(Hi[i][j] * lv[j] for j in range(3)) / 2
     phi = AffineMap(tuple(tuple(r) for r in rows))
     out = transform_graph(F, phi)
     return out, phi
@@ -439,23 +415,20 @@ CUBIC_ZERO, CUBIC_I3, CUBIC_I2, CUBIC_I1, CUBIC_I0 = "Zero", "I3", "I2", "I1", "
 
 
 def pick_invariant(c0: Poly, h: QuadraticForm):
-    """Full self-contraction of the trace-free cubic with the inverse form."""
-    C = cubic_tensor(c0) if c0 else {}
+    """Full self-contraction sum C_ijk C_lmn H^il H^jm H^kn of a cubic with
+    the inverse form: the apolar pairing c0(D) c0 / 6 with D = H^-1 grad.
+
+    The monomial x^m of c0(H^-1 x), as an operator, sends c0 to m! times
+    its x^m coefficient. Every product is added, zero or not, so a cubic
+    over a tower gives a tower element."""
+    if any(sum(m) != 3 for m in c0.terms):
+        raise ValueError("not a cubic form")
     Hi = h.inverse_gram()
-    total = Fraction(0)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                a = _tensor_entry(C, i, j, k)
-                if not a:
-                    continue
-                for l in range(3):
-                    for m in range(3):
-                        for n in range(3):
-                            b = _tensor_entry(C, l, m, n)
-                            if b:
-                                total = total + a * b * Hi[i][l] * Hi[j][m] * Hi[k][n]
-    return total
+    dual = c0.substitute({v: Poly(XYZ, zip(UNITS, Hi[i]))
+                          for i, v in enumerate(XYZ)})
+    return sum((a * c0.coefficient(m) * factorial(m[0]) * factorial(m[1])
+                * factorial(m[2]) for m, a in dual.terms.items()),
+               Fraction(0)) / 6
 
 
 def partials_span_dimension(c0: Poly) -> int:
@@ -511,8 +484,7 @@ def normalize_jet(F: Jet, fld: str = "complex") -> NormalizationReport:
         c = nq.jet.homogeneous_part(3)
         return NormalizationReport(nq.jet, change, nq.form, c,
                                    "unclassified-elliptic",
-                                   pick_invariant(c, nq.form) if c else Fraction(0),
-                                   nq.tower)
+                                   pick_invariant(c, nq.form), nq.tower)
     F2, phi3 = normal_shear(nq.jet)
     change = phi1.compose(nq.change).compose(phi3)
     h = QuadraticForm(HYPERBOLIC_GRAM, nq.form.signature)

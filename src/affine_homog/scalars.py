@@ -363,9 +363,6 @@ class Tower:
                                for lb in labels]
         return labels
 
-    def element(self, coords) -> "TowerElement":
-        return TowerElement(self, coords)
-
     def const(self, q) -> "TowerElement":
         return TowerElement(self, [as_fraction(q)] + [Fraction(0)] * (self.dim - 1))
 

@@ -6,6 +6,7 @@ import pytest
 
 from affine_homog import groebner, scalars
 from affine_homog.cli import _build_parser, run
+from affine_homog.poly import Poly
 
 SPHERE = ["--surface", "W^2 = X*Y + Z^2 + 1", "--basepoint", "1,0,0,0"]
 
@@ -192,3 +193,14 @@ def test_discover_computes_each_pair_lcm_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "discover", "--case=I2", "--format", "json")
     assert code == 0 and json.loads(out)["components"]
     assert len(calls) < 2000
+
+
+def test_discover_renders_polynomials_only_to_break_ties(capsys, monkeypatch):
+    # the linear elimination picks its pivot polynomial by size and renders
+    # text only to order pivot polynomials of the same size
+    calls = []
+    text = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda p: calls.append(1) or text(p))
+    code, out, _ = invoke(capsys, "discover", "--case=I2")
+    assert code == 0 and out
+    assert len(calls) < 150

@@ -2,18 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
-from affine_homog.normalize import (HYPERBOLIC_GRAM, AffineMap,
+from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, AffineMap,
                                     NormalizationError, QuadraticForm,
                                     cubic_basis, cubic_type, is_trace_free,
                                     normal_shear, normalize_jet,
                                     normalize_quadratic,
                                     partials_span_dimension, pick_invariant,
-                                    remove_linear, trace_decompose,
-                                    transform_graph)
+                                    quadratic_poly, remove_linear,
+                                    trace_decompose, transform_graph)
 from affine_homog.poly import Poly
 
 X = Poly.var("x")
@@ -147,3 +147,71 @@ def test_inverse_gram_matches_sympy(entries, singular):
         expected = [[F(int(c.p), int(c.q)) for c in M.inv().row(i)]
                     for i in range(3)]
         assert [list(r) for r in form.inverse_gram()] == expected
+
+
+CUBIC_MONOS = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+
+
+def _sympy_tensor(c: Poly):
+    """C_ijk = d_i d_j d_k c / 6, so that c = sum C_ijk x_i x_j x_k."""
+    xs = sp.symbols("x y z")
+    P = sp.Poly.from_dict({m: sp.Rational(v.numerator, v.denominator)
+                           for m, v in c.terms.items()}, *xs)
+    return [[[P.diff(xi).diff(xj).diff(xk).as_expr() / 6 for xk in xs]
+             for xj in xs] for xi in xs]
+
+
+@st.composite
+def cubic_and_form(draw):
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=10, max_size=10))
+    c = Poly(("x", "y", "z"), zip(CUBIC_MONOS, map(F, coeffs)))
+    gram = draw(st.one_of(
+        st.sampled_from([HYPERBOLIC_GRAM, IDENTITY3]),
+        st.lists(fractions, min_size=6, max_size=6).map(
+            lambda e: ((e[0], e[1], e[2]), (e[1], e[3], e[4]),
+                       (e[2], e[4], e[5])))))
+    return c, gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(cubic_and_form())
+def test_cubic_invariants_match_the_tensor_contractions(case):
+    # the deleted 3-tensor formulas, evaluated in sympy, as the oracle for
+    # the h-Laplacian and apolar-pairing forms
+    c, gram = case
+    M = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in r]
+                   for r in gram])
+    assume(M.det() != 0)
+    Hi = M.inv()
+    h = QuadraticForm(gram, "complex")
+
+    def trace(C):
+        return [sum(Hi[j, k] * C[i][j][k] for j in range(3) for k in range(3))
+                for i in range(3)]
+
+    def pick(C):
+        # sum C_ijk C_lmn H^il H^jm H^kn, raising one index at a time
+        r = range(3)
+        D = C
+        for _ in r:
+            # contract the first index with H^-1 and move it to the end
+            D = [[[sum(Hi[i, l] * D[i][j][k] for i in r) for l in r]
+                  for k in r] for j in r]
+        total = sum(C[i][j][k] * D[i][j][k] for i in r for j in r for k in r)
+        return F(int(total.p), int(total.q))
+
+    C = _sympy_tensor(c)
+    assert is_trace_free(c, h) == (trace(C) == [0, 0, 0])
+    c0, l = trace_decompose(c, h)
+    assert c == c0 + quadratic_poly(h) * l
+    assert l.homogeneous_part(1) == l
+    C0 = _sympy_tensor(c0)
+    assert trace(C0) == [0, 0, 0] and is_trace_free(c0, h)
+    assert pick_invariant(c0, h) == pick(C0)
+    assert pick_invariant(c, h) == pick(C)
+
+
+def test_invariants_reject_non_cubics():
+    for fn in (is_trace_free, trace_decompose, pick_invariant):
+        with pytest.raises(ValueError, match="not a cubic form"):
+            fn(X * Y + Z, HYP)
