@@ -38,7 +38,7 @@ from .symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES, AffineVectorField,
                        CompletionError, complete_series, closure_constraints,
                        degree_unknowns, full_algebra, linear_equations,
                        pqr_families, reduce_against_span, solve_tangency,
-                       tangency_residual)
+                       tangency_columns, tangency_residual)
 
 XYZ = ("x", "y", "z")
 F = Fraction
@@ -259,8 +259,10 @@ def verify_entry(entry, alpha=None, order: int = 6) -> Report:
     except (DomainError, ValueError) as exc:
         details["error"] = str(exc)
         return Report(f"verify:{entry.id}", False, details)
-    alg = full_algebra(Fj, order)
-    alg1 = full_algebra(Fj, order + 1)
+    # one column set for both orders (the sharing rule of symmetry.py)
+    columns = tangency_columns(Fj, order + 1, range(20))
+    alg = full_algebra(Fj, order, columns)
+    alg1 = full_algebra(Fj, order + 1, columns)
     stable = (alg.isotropy_dim == alg1.isotropy_dim
               and alg.full_dim == alg1.full_dim)
     # the class and the Pick invariant are read off the 3-jet
@@ -307,18 +309,21 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     spec = parse_surface(text, tuple(parse_rational(c) for c in bp))
     Fj = expand_graph(spec, order)
     details: Dict[str, object] = {"variant": vid, "surface": text}
-    alg4 = full_algebra(Fj, 4)
+    # one column set for every order (the sharing rule of symmetry.py),
+    # built at least to order 5 for the re-check below
+    columns = tangency_columns(Fj, max(order, 5), range(20))
+    alg4 = full_algebra(Fj, 4, columns)
     details["closed_at_4"] = homogeneous(alg4)
     # do the order-4 symmetries stay tangent one order up?
     drops = False
     for b in alg4.basis:
         m = 4 if any(b.v) else 5
-        if not tangency_residual(Fj.truncate(5), b, m).is_zero():
+        if not tangency_residual(Fj.truncate(5), b, m, columns).is_zero():
             drops = True
     details["order_4_algebra_fails_at_5"] = drops
     first_failure = None
     for k in range(4, order + 1):
-        if not homogeneous(alg4 if k == 4 else full_algebra(Fj, k)):
+        if not homogeneous(alg4 if k == 4 else full_algebra(Fj, k, columns)):
             first_failure = k
             break
     details["first_failing_order"] = first_failure
@@ -531,8 +536,10 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     details: Dict[str, object] = {"normal_form": nf_id, "order": order}
     if b is not None:
         details["b"] = b
-    gauged = pqr_families(jet0, case=case)
-    ungauged = pqr_families(jet0, case=None)
+    # the six translated solves share one column set
+    columns = tangency_columns(jet0, jet0.order - 1, range(20))
+    gauged = pqr_families(jet0, case=case, columns=columns)
+    ungauged = pqr_families(jet0, case=None, columns=columns)
     if gauged is None or ungauged is None:
         details["error"] = "no translated tangency solutions"
         return Report(f"isotropy:{nf_id}", False, details)
@@ -550,7 +557,9 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     except CompletionError as exc:
         details["error"] = str(exc)
         return Report(f"isotropy:{nf_id}", False, details)
-    alg = full_algebra(completed)
+    # as do every solve and re-check on the completed jet
+    columns = tangency_columns(completed, completed.order, range(20))
+    alg = full_algebra(completed, columns=columns)
     details.update({
         "closed": alg.closed, "isotropy_dim": alg.isotropy_dim,
         "expected_isotropy": expected, "full_dim": alg.full_dim,
@@ -563,7 +572,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
               and unique_mod_iso and gauge_cuts)
 
     if nf_id in ("I1.1", "I1.2"):
-        iso = solve_tangency(completed, translation="zero")
+        iso = solve_tangency(completed, translation="zero", columns=columns)
         gen_ok = False
         if iso is not None and iso.dimension == 1:
             g = iso.basis_fields()[0].A
@@ -578,7 +587,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     if nf_id == "I0.1" and b == 6:
         found = []
         for target, e in _I01_B6_TRIPLE:
-            fam = solve_tangency(completed, translation=e)
+            fam = solve_tangency(completed, translation=e, columns=columns)
             # some member of the family has the target matrix
             found.append(fam is not None and reduce_against_span(
                 fam.basis_fields(), AffineVectorField(target, e) - fam.field()))

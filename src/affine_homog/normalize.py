@@ -14,7 +14,7 @@ from math import factorial
 from typing import List, Optional, Tuple
 
 from .jets import Jet, solve_series
-from .linalg import matrix_rank, solve_rows
+from .linalg import _like, matrix_rank, solve_rows
 from .poly import Poly
 from .scalars import Tower, rational_sqrt
 
@@ -50,12 +50,16 @@ class AffineMap:
         return cls(tuple(rows))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner in substitution order: old = self(inner(new))."""
-        lin = tuple(tuple(sum(self.linear[i][k] * inner.linear[k][j]
-                              for k in range(4)) for j in range(4))
-                    for i in range(4))
-        tr = tuple(sum(self.linear[i][k] * inner.translation[k] for k in range(4))
-                   + self.translation[i] for i in range(4))
+        """self after inner in substitution order: old = self(inner(new)).
+        Products with a zero factor are skipped; each entry keeps the type
+        the full sum would have."""
+        def dot(row, col):
+            return _like(sum(a * b for a, b in zip(row, col) if a and b), *row, *col)
+
+        cols = tuple(zip(*inner.linear))
+        lin = tuple(tuple(dot(r, c) for c in cols) for r in self.linear)
+        tr = tuple(dot(r, inner.translation) + t
+                   for r, t in zip(self.linear, self.translation))
         return AffineMap(lin, tr)
 
     def component_polys(self):
@@ -147,7 +151,11 @@ def gram_matrix(F: Jet):
 
 
 def _ip(H, u, v):
-    return sum(u[i] * H[i][j] * v[j] for i in range(3) for j in range(3))
+    """u^T H v, skipping products with a zero factor; the sum keeps the
+    type the full sum would have."""
+    s = sum(u[i] * H[i][j] * v[j] for i in range(3) if u[i]
+            for j in range(3) if H[i][j] and v[j])
+    return _like(s, *u, *H[0], *H[1], *H[2], *v)
 
 
 def _diagonalize(H):

@@ -10,6 +10,16 @@ coordinate-weighted sum of the residuals of the twenty unit fields (the
 columns, ``tangency_columns``), so every tangency system is assembled from
 those columns and solved exactly. Bracket closure of the resulting span is
 a polynomial condition on the remaining free entries.
+
+The columns are built once per jet, at the highest order any solve or
+re-check on it needs, and every solve and re-check reads their truncations
+to its own order. A jet F with no constant term (``expand_graph`` gives
+one) may share the columns built at order N+1 from F with the solves on
+F.truncate(N): the matrix columns (k < 16) agree at every order M <= N,
+the translation columns (k >= 16) only at M <= N-1, because F_i gains
+degree-N terms one order up. Any other jet (one read with ``symmetry
+--jet -`` may have a constant term) shares its columns only at its own
+order, where truncation is always exact.
 """
 
 from __future__ import annotations
@@ -109,6 +119,11 @@ def tangency_columns(F: Jet, M: int, ks: Sequence[int]) -> List[Jet]:
     return cols
 
 
+def _at(columns: Sequence[Jet], M: int) -> List[Jet]:
+    """The columns truncated to order M."""
+    return [c if c.order == M else Jet(c.poly, M) for c in columns]
+
+
 def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
     """sum(weights[k] * columns[k]); weights may be Poly-valued."""
     acc: Dict[Tuple[int, ...], object] = {}
@@ -120,11 +135,16 @@ def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
     return Jet(Poly(XYZ, acc), M)
 
 
-def tangency_residual(F: Jet, V: AffineVectorField, M: int) -> Jet:
-    """Tr^M residual of V: its coordinates weighting their unit columns."""
+def tangency_residual(F: Jet, V: AffineVectorField, M: int,
+                      columns: Optional[Sequence[Jet]] = None) -> Jet:
+    """Tr^M residual of V: its coordinates weighting their unit columns.
+    ``columns``, when given, are F's columns at an order >= M, indexed as
+    in ``tangency_columns`` and covering V's nonzero coordinates."""
     coords = V.coords()
     ks = [k for k, c in enumerate(coords) if c]
-    return _combine(tangency_columns(F, M, ks), [coords[k] for k in ks], M)
+    cols = (tangency_columns(F, M, ks) if columns is None
+            else _at([columns[k] for k in ks], M))
+    return _combine(cols, [coords[k] for k in ks], M)
 
 
 def linear_equations(columns: Sequence[Jet], base: Jet,
@@ -201,12 +221,16 @@ class TangencyFamily:
 
 def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
                    extra_constraints: Sequence[LinearEquation] = (),
-                   order: Optional[int] = None) -> Optional[TangencyFamily]:
+                   order: Optional[int] = None,
+                   columns: Optional[Sequence[Jet]] = None
+                   ) -> Optional[TangencyFamily]:
     """Family of fields tangent to F with the given translation part.
 
     Truncation defaults to N for a zero translation and N-1 otherwise
     (the jet of the graph determines residuals only that far).
-    Returns None when no such field exists.
+    ``columns``, when given, are F's twenty columns (the sixteen matrix
+    columns suffice for a zero translation) at an order at least the
+    truncation order. Returns None when no such field exists.
     """
     N = F.order
     if translation == "zero":
@@ -218,7 +242,8 @@ def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
         translation = tuple(translation)
     if order is None:
         order = N if (translation != "free" and not any(translation)) else N - 1
-    columns = tangency_columns(F, order, range(20))
+    columns = (tangency_columns(F, order, range(20)) if columns is None
+               else _at(columns, order))
     base = _combine(columns[16:], ZERO4 if translation == "free" else translation,
                     order)
     eqs = linear_equations(columns[:len(unknowns)], base, unknowns)
@@ -229,14 +254,20 @@ def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
 
 
 def pqr_families(F: Jet, case: Optional[str] = None,
-                 order: Optional[int] = None):
+                 order: Optional[int] = None,
+                 columns: Optional[Sequence[Jet]] = None):
     """The three tangency families with unit translation parts along x, y
-    and z, gauge-fixed for the given cubic case when one is named."""
+    and z, gauge-fixed for the given cubic case when one is named. The
+    three solves share one column set (``columns`` when given)."""
+    order = F.order - 1 if order is None else order
+    if columns is None:
+        columns = tangency_columns(F, order, range(20))
     out = []
     for prefix, e in (("p", E_X), ("q", E_Y), ("r", E_Z)):
         extra = normalize_gauge(case, (prefix,)) if case else ()
         fam = solve_tangency(F, translation=e, prefix=prefix,
-                             extra_constraints=extra, order=order)
+                             extra_constraints=extra, order=order,
+                             columns=columns)
         if fam is None:
             return None
         out.append(fam)
@@ -348,23 +379,35 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
     return solve_rows(rows, target.coords(), len(fields)) is not None
 
 
-def full_algebra(F: Jet, order: Optional[int] = None) -> SymmetryAlgebra:
+def full_algebra(F: Jet, order: Optional[int] = None,
+                 columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
     """Candidate symmetry algebra of the graph w = F at the given order:
     all affine fields tangent to order N-1, with an exact bracket-closure
-    check and a tangency re-check of the pure-linear part at order N."""
+    check and a tangency re-check of the pure-linear part at order N.
+
+    Every solve and re-check reads one column set: ``columns`` when given
+    (built from F at an order >= N, shared under the rule of the module
+    docstring), else the columns of F.truncate(N) at order N."""
     N = order if order is not None else F.order
     Ft = F.truncate(N)
-    fam = solve_tangency(Ft, translation="free", prefix="a", order=N - 1)
+    if columns is None:
+        columns = tangency_columns(Ft, N, range(20))
+    # shared translation columns may differ from F.truncate(N)'s at order
+    # N, where only the matrix columns are read
+    low, top = _at(columns, N - 1), _at(columns[:16], N)
+    fam = solve_tangency(Ft, translation="free", prefix="a", order=N - 1,
+                         columns=low)
     basis = fam.basis_fields() if fam is not None else []
     full_dim = len(basis)
     trans_rank = matrix_rank([list(b.v[:3]) for b in basis]) if basis else 0
-    iso = solve_tangency(Ft, translation="zero", prefix="a", order=N)
+    iso = solve_tangency(Ft, translation="zero", prefix="a", order=N,
+                         columns=top)
     iso_dim = iso.dimension if iso is not None else 0
     # tangency re-check at the tightest order each element allows
     tangency_ok = True
     for b in basis:
-        M = N - 1 if any(b.v) else N
-        if not tangency_residual(Ft, b, M).is_zero():
+        M, cols = (N - 1, low) if any(b.v) else (N, top)
+        if not tangency_residual(Ft, b, M, cols).is_zero():
             tangency_ok = False
     closed = tangency_ok
     for i in range(len(basis)):

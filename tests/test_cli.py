@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affine_homog import groebner, scalars
+from affine_homog import catalog, groebner, scalars, symmetry
 from affine_homog.cli import _build_parser, run
 from affine_homog.poly import Poly
 
@@ -182,6 +182,25 @@ def test_parametric_verify_runs_few_polynomial_gcds(capsys, monkeypatch):
                           "--format", "json")
     assert code == 0 and json.loads(out)["passed"] is True
     assert len(calls) < 100
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["verify", "--entry=N6", "--order=6"], 1),
+    (["symmetry", *SPHERE], 1),
+    # one set for the translated families, one for the completed jet, and
+    # one per field and order of the series completion (orders 5 and 6)
+    (["verify", "--entry=I1.1"], 8),
+])
+def test_tangency_columns_are_built_once_per_jet(capsys, monkeypatch, argv, builds):
+    # every solve and re-check on one jet reads truncations of one column set
+    calls = []
+    columns = symmetry.tangency_columns
+    counted = lambda *a: calls.append(1) or columns(*a)
+    monkeypatch.setattr(symmetry, "tangency_columns", counted)
+    monkeypatch.setattr(catalog, "tangency_columns", counted)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out
+    assert len(calls) == builds
 
 
 def test_discover_computes_each_pair_lcm_once(capsys, monkeypatch):

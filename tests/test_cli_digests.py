@@ -1,10 +1,11 @@
-"""Byte-identity of `expand` and `normalize` output for the catalog entries
-and for three definite quadrics normalized over the reals.
+"""Byte-identity of `expand`, `normalize` and `symmetry` output for the
+catalog entries and for three definite quadrics normalized over the reals.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
-tests replay them, so a change to jet expansion or normalization that
-alters any printed coefficient fails here.
+tests replay them, so a change to jet expansion, normalization or the
+tangency solves that alters any printed coefficient or basis field fails
+here.
 
 Regenerate the file (only when an output change is intended) with
 
@@ -24,7 +25,9 @@ DATA = Path(__file__).with_name("cli_digests.json")
 
 COMMANDS = (["expand", "--order=8"],
             ["normalize", "--order=6"],
-            ["normalize", "--order=5", "--real=hyperbolic"])
+            ["normalize", "--order=5", "--real=hyperbolic"],
+            ["symmetry", "--order=6"],
+            ["symmetry", "--order=7"])
 
 # definite quadrics normalized over the reals, adjoining 0, 1 and 2 square roots
 ELLIPTIC = ("W = X^2 + Y^2 + Z^2",
@@ -60,7 +63,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()]
-    assert len(keys) == 63
+    assert len(keys) == 103
     assert set(keys) == set(RECORDED)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
 from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, AffineMap,
-                                    NormalizationError, QuadraticForm,
+                                    NormalizationError, QuadraticForm, _ip,
                                     cubic_basis, cubic_type, is_trace_free,
                                     normal_shear, normalize_jet,
                                     normalize_quadratic,
@@ -15,6 +15,7 @@ from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, AffineMap,
                                     quadratic_poly, remove_linear,
                                     trace_decompose, transform_graph)
 from affine_homog.poly import Poly
+from affine_homog.scalars import Tower
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -215,3 +216,38 @@ def test_invariants_reject_non_cubics():
     for fn in (is_trace_free, trace_decompose, pick_invariant):
         with pytest.raises(ValueError, match="not a cubic form"):
             fn(X * Y + Z, HYP)
+
+
+# zeros of every scalar type the normalization meets, and nonzero values
+_TOWER = Tower(("s",), (F(2),))
+_S = _TOWER.generator(0)
+mixed_scalars = st.sampled_from([0, 1, F(0), F(1), F(-3, 2), _TOWER.const(0),
+                                 _S, 1 + _S, _TOWER.const(F(2, 3))])
+
+
+def _same(got, want):
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_scalars, min_size=15, max_size=15))
+def test_ip_skips_zero_products_keeping_the_full_sum(xs):
+    u, v, H = xs[:3], xs[3:6], (xs[6:9], xs[9:12], xs[12:15])
+    full = sum(u[i] * H[i][j] * v[j] for i in range(3) for j in range(3))
+    assert _same(_ip(H, u, v), full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_scalars, min_size=40, max_size=40))
+def test_compose_skips_zero_products_keeping_the_full_sums(xs):
+    rows = lambda ys: tuple(tuple(ys[i:i + 4]) for i in range(0, 16, 4))
+    a = AffineMap(rows(xs[:16]), tuple(xs[16:20]))
+    b = AffineMap(rows(xs[20:36]), tuple(xs[36:]))
+    got = a.compose(b)
+    for i in range(4):
+        for j in range(4):
+            assert _same(got.linear[i][j], sum(a.linear[i][k] * b.linear[k][j]
+                                               for k in range(4)))
+        assert _same(got.translation[i],
+                     sum(a.linear[i][k] * b.translation[k] for k in range(4))
+                     + a.translation[i])

@@ -4,6 +4,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from affine_homog import catalog as cat
+from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
 from affine_homog.poly import Poly
 from affine_homog.symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES,
@@ -80,6 +82,39 @@ def test_columns_match_sympy_residual_of_unit_fields():
         i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
         # unit field: component i of A.(x,y,z,F)^T + v is coords[j]
         assert col.poly.terms == truncated(grad[i] * coords[j]), k
+
+
+def _expanded(order):
+    """Every catalog entry (at its sweep alpha), near-miss variant and the
+    replacement surface, expanded to the given order."""
+    specs = [parse_surface(e.surface, e.basepoint, cat.SWEEP_ALPHAS.get(eid))
+             for eid, e in cat.catalog().items()]
+    specs += [parse_surface(text, tuple(F(c) for c in bp))
+              for text, bp in (*cat.VARIANTS.values(), cat.REPLACEMENT_SURFACE)]
+    return [expand_graph(spec, order) for spec in specs]
+
+
+@pytest.mark.parametrize("N", (6, 7))
+def test_columns_built_one_order_up_truncate_where_the_rule_allows(N):
+    # shared columns: built at N+1 from F, read at M for F.truncate(N)
+    translation_differs = False
+    for Fj in _expanded(N + 1)[:len(cat.catalog())]:
+        top = tangency_columns(Fj, N + 1, range(20))
+        for M in range(N + 1):
+            own = tangency_columns(Fj.truncate(N), M, range(20))
+            for k, (shared, col) in enumerate(zip(top, own)):
+                if k < 16 or M <= N - 1:
+                    assert Jet(shared.poly, M) == col, (M, k)
+                else:
+                    translation_differs |= Jet(shared.poly, M) != col
+    # the translation columns at M = N are outside the rule
+    assert translation_differs
+
+
+def test_expanded_graphs_have_no_constant_term():
+    # the column-sharing rule needs F(0) = 0
+    for Fj in _expanded(7):
+        assert not Fj.poly.constant_term()
 
 
 def test_linear_equations_rows_in_grevlex_order():
