@@ -590,7 +590,8 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
             fam = solve_tangency(completed, translation=e, columns=columns)
             # some member of the family has the target matrix
             found.append(fam is not None and reduce_against_span(
-                fam.basis_fields(), AffineVectorField(target, e) - fam.field()))
+                fam.basis_fields(), AffineVectorField(target, e) - fam.field(),
+                fam.free_coords))
         details["displayed_triple_in_algebra"] = found
         passed = passed and all(found)
 

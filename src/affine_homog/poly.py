@@ -89,9 +89,12 @@ class Poly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Mono, object] = ()):
+        """Validate and merge ``terms`` (a mapping or (exponents,
+        coefficient) pairs): check each arity, drop zero coefficients and
+        sum repeated monomials."""
         self.vars = tuple(vars)
         d: Dict[Mono, object] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         for m, c in items:
             if len(m) != len(self.vars):
                 raise VariableMismatch("exponent arity mismatch")
@@ -106,6 +109,15 @@ class Poly:
                 else:
                     d[m] = c
         self.terms = d
+
+    @classmethod
+    def _canonical(cls, vars: Tuple[str, ...], terms: Dict[Mono, object]) -> "Poly":
+        """Wrap a term dict that is already canonical: tuple exponents of
+        the arity of ``vars`` (a tuple) and no zero coefficient."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
 
     # -- constructors
 
@@ -186,12 +198,12 @@ class Poly:
     def __add__(self, other):
         d = dict(self.terms)
         _add_terms(d, self._coerce(other).terms)
-        return Poly(self.vars, d)
+        return Poly._canonical(self.vars, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._canonical(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -201,7 +213,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly) and other.vars == self.vars:
-            return Poly(self.vars, _mul_terms(self.terms, other.terms, None))
+            return Poly._canonical(self.vars,
+                                   _mul_terms(self.terms, other.terms, None))
         if isinstance(other, Poly):
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
         if not isinstance(other, _SCALARS):
@@ -212,7 +225,8 @@ class Poly:
 
     def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
         self._check(other)
-        return Poly(self.vars, _mul_terms(self.terms, other.terms, max_degree))
+        return Poly._canonical(self.vars,
+                               _mul_terms(self.terms, other.terms, max_degree))
 
     def scale(self, c) -> "Poly":
         if not isinstance(c, _SCALARS):
@@ -222,7 +236,10 @@ class Poly:
             c = Fraction(c)
         if not c:
             return Poly(self.vars)
-        return Poly(self.vars, {m: co * c for m, co in self.terms.items()})
+        # a product of nonzero scalars vanishes only in a tower that is not
+        # a field, so the check is kept
+        return Poly._canonical(self.vars, {m: p for m, co in self.terms.items()
+                                           if (p := co * c)})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -249,21 +266,23 @@ class Poly:
     # -- calculus / structure
 
     def partial(self, name: str) -> "Poly":
+        # distinct monomials have distinct derivatives, and c * m[i] != 0
         i = self.vars.index(name)
-        d = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                m2 = m[:i] + (m[i] - 1,) + m[i + 1:]
-                d[m2] = d.get(m2, 0) + c * m[i]
-        return Poly(self.vars, d)
+        return Poly._canonical(self.vars, {
+            m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+            for m, c in self.terms.items() if m[i]})
 
     def truncate(self, max_degree: int) -> "Poly":
-        return Poly(self.vars,
-                    {m: c for m, c in self.terms.items() if sum(m) <= max_degree})
+        """This polynomial without its terms above ``max_degree``: itself
+        when it has none."""
+        kept = {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
+        if len(kept) == len(self.terms):
+            return self
+        return Poly._canonical(self.vars, kept)
 
     def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly(self.vars,
-                    {m: c for m, c in self.terms.items() if sum(m) == degree})
+        return Poly._canonical(
+            self.vars, {m: c for m, c in self.terms.items() if sum(m) == degree})
 
     def substitute(self, images: Mapping[str, "Poly"], max_degree=None) -> "Poly":
         """Ring homomorphism sending each variable to its image, dropping
@@ -298,7 +317,7 @@ class Poly:
                     if not acc:
                         break
             _add_terms(out, acc)
-        return Poly(tgt_vars, out)
+        return Poly._canonical(tgt_vars, out)
 
     def eval(self, values: Mapping[str, object]):
         """Full evaluation at scalar values (all variables bound)."""

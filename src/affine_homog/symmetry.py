@@ -11,6 +11,12 @@ columns, ``tangency_columns``), so every tangency system is assembled from
 those columns and solved exactly. Bracket closure of the resulting span is
 a polynomial condition on the remaining free entries.
 
+A solved span is closed when every bracket of two basis fields lies in it.
+The basis is the RREF nullspace basis of the solve, so each field is 1 at
+its own free coordinate and 0 at the others: a bracket is reduced in those
+free coordinates (it is in the span exactly when it equals the basis
+weighted by its own free coordinates), with no elimination.
+
 The columns are built once per jet, at the highest order any solve or
 re-check on it needs, and every solve and re-check reads their truncations
 to its own order. A jet F with no constant term (``expand_graph`` gives
@@ -29,8 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
-from .linalg import (LinearEquation, SolutionFamily, linear_solve,
-                     matrix_rank, solve_rows)
+from .linalg import LinearEquation, SolutionFamily, linear_solve, matrix_rank
 from .poly import GREVLEX, Poly
 
 XYZ = ("x", "y", "z")
@@ -89,16 +94,23 @@ class AffineVectorField:
 
 def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
     """Lie bracket: (A2 A1 - A1 A2, A2 v1 - A1 v2). Symmetry fields are
-    sparse, so products with a zero factor are skipped."""
-    a1, a2 = v1.A, v2.A
-    # columns of the augmented matrices [A | v]
-    c1, c2 = (*zip(*a1), v1.v), (*zip(*a2), v2.v)
+    sparse, so each product runs over the nonzero entries of A2 (or A1)
+    and of the augmented rows [A1 | v1] (or [A2 | v2]) only; every entry
+    of either product starts at Fraction(0) and sums its terms in
+    ascending inner index."""
+    def product(a, aug):
+        out = [[Fraction(0)] * 5 for _ in range(4)]
+        for row, acc in zip(a, out):
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in enumerate(aug[k]):
+                        if y:
+                            acc[j] = acc[j] + x * y
+        return out
 
-    def dot(row, col):
-        return sum((a * b for a, b in zip(row, col) if a and b), Fraction(0))
-
-    rows = [[dot(a2[i], c1[j]) - dot(a1[i], c2[j]) for j in range(5)]
-            for i in range(4)]
+    p = product(v2.A, [(*r, t) for r, t in zip(v1.A, v1.v)])
+    q = product(v1.A, [(*r, t) for r, t in zip(v2.A, v2.v)])
+    rows = [[x - y for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
     return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
 
 
@@ -213,6 +225,12 @@ class TangencyFamily:
 
     def field(self, free_values: Optional[Dict[str, object]] = None) -> AffineVectorField:
         return self._field(self.family.member(free_values), self.translation)
+
+    @property
+    def free_coords(self) -> List[int]:
+        """The coordinate index of each free unknown, in ``coords()`` order:
+        basis field k is 1 at ``free_coords[k]`` and 0 at the others."""
+        return [self.family.unknowns.index(u) for u in self.family.free]
 
     def basis_fields(self) -> List[AffineVectorField]:
         """Fields from the homogeneous basis vectors (zero fixed translation)."""
@@ -370,13 +388,23 @@ class SymmetryAlgebra:
 
 
 def reduce_against_span(fields: Sequence[AffineVectorField],
-                        target: AffineVectorField) -> bool:
-    """True when target lies in the exact linear span of the fields."""
-    if target.is_zero():
-        return True
-    coords = [f.coords() for f in fields]
-    rows = [[c[i] for c in coords] for i in range(20)]
-    return solve_rows(rows, target.coords(), len(fields)) is not None
+                        target: AffineVectorField, free: Sequence[int]) -> bool:
+    """True when target lies in the exact linear span of the fields.
+
+    The fields are an RREF nullspace basis (``basis_fields``): field k is 1
+    at coordinate ``free[k]`` and 0 at every other free coordinate. A
+    member of the span is then the combination of the fields weighted by
+    its own free coordinates, so target is in the span exactly when it
+    equals that combination; no elimination is needed."""
+    t = target.coords()
+    rest = list(t)
+    for i, f in zip(free, fields):
+        w = t[i]
+        if w:
+            for c, x in enumerate(f.coords()):
+                if x:
+                    rest[c] = rest[c] - w * x
+    return not any(rest)
 
 
 def full_algebra(F: Jet, order: Optional[int] = None,
@@ -398,6 +426,7 @@ def full_algebra(F: Jet, order: Optional[int] = None,
     fam = solve_tangency(Ft, translation="free", prefix="a", order=N - 1,
                          columns=low)
     basis = fam.basis_fields() if fam is not None else []
+    free = fam.free_coords if fam is not None else []
     full_dim = len(basis)
     trans_rank = matrix_rank([list(b.v[:3]) for b in basis]) if basis else 0
     iso = solve_tangency(Ft, translation="zero", prefix="a", order=N,
@@ -412,7 +441,7 @@ def full_algebra(F: Jet, order: Optional[int] = None,
     closed = tangency_ok
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not reduce_against_span(basis, bracket(basis[i], basis[j])):
+            if not reduce_against_span(basis, bracket(basis[i], basis[j]), free):
                 closed = False
                 break
         if not closed:

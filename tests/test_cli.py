@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from affine_homog import catalog, groebner, scalars, symmetry
+from affine_homog import catalog, groebner, linalg, normalize, scalars, symmetry
 from affine_homog.cli import _build_parser, run
 from affine_homog.poly import Poly
 
@@ -201,6 +201,21 @@ def test_tangency_columns_are_built_once_per_jet(capsys, monkeypatch, argv, buil
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and out
     assert len(calls) == builds
+
+
+def test_bracket_closure_runs_no_elimination(capsys, monkeypatch):
+    # full_algebra reduces each bracket in the basis's free coordinates, so
+    # the only eliminations left are the tangency solves, the ranks and
+    # normalize's (the closure check used to add one per bracket: 33 calls)
+    calls = []
+    solve_rows = linalg.solve_rows
+    counted = lambda *a: calls.append(1) or solve_rows(*a)
+    for module in (linalg, normalize, symmetry, catalog):
+        if hasattr(module, "solve_rows"):
+            monkeypatch.setattr(module, "solve_rows", counted)
+    code, out, _ = invoke(capsys, "verify", "--entry=N6", "--order=6")
+    assert code == 0 and out
+    assert len(calls) <= 23
 
 
 def test_discover_computes_each_pair_lcm_once(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Byte-identity of `expand`, `normalize` and `symmetry` output for the
-catalog entries and for three definite quadrics normalized over the reals.
+catalog entries, for three definite quadrics normalized over the reals, and
+of the catalog-wide `catalog --verify-all` and `real` reports.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
@@ -50,6 +51,8 @@ def argvs():
         out.append(["normalize", "--order=5", "--real=elliptic",
                     "--surface=" + surface, "--basepoint=0,0,0,0",
                     "--format=json"])
+    out.append(["catalog", "--verify-all", "--format=json"])
+    out.append(["real", "--format=json"])
     return out
 
 
@@ -63,7 +66,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()]
-    assert len(keys) == 103
+    assert len(keys) == 105
     assert set(keys) == set(RECORDED)
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from affine_homog.jets import Jet
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
-from affine_homog.scalars import RationalFunc
+from affine_homog.scalars import RationalFunc, Tower
 
+XYZ = ("x", "y", "z")
 X = Poly.var("x")
 Y = Poly.var("y")
 Z = Poly.var("z")
@@ -172,3 +173,82 @@ def test_substitute_matches_sympy(case):
                     if sp.Poly(term, *[SYMBOLS[v] for v in ring]).total_degree()
                     <= max_degree) if ring else [want], sp.Integer(0))
     assert sp.expand(_to_sympy(got) - want) == 0
+
+
+# -- results built without re-validation ------------------------------------------
+
+_B = RationalFunc.gen()
+_TOWER = Tower(("s",), (F(2),))
+_S = _TOWER.generator(0)
+_AC = ("a", "c")
+_A, _C = Poly.var("a", _AC), Poly.var("c", _AC)
+# per coefficient domain: nonzero coefficients (negatives included, so that
+# sums cancel) and nonzero scalars to scale by
+DOMAINS = (
+    ((F(1), F(-1), F(2), F(-3, 2), F(1, 3)), (F(2), F(-1, 3))),
+    ((RationalFunc.const(1), _B, _B + 1, -_B, 1 / (_B - 1), F(2)),
+     (_B, F(-2), 1 / (_B + 1))),
+    ((_TOWER.const(1), _S, 1 + _S, -_S, _TOWER.const(-1)), (_S, 1 - _S, F(3))),
+    ((_A, _C, _A + 1, -_A, Poly.const(2, _AC)), (F(-1), F(5, 2))),
+)
+MONOS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
+         if i + j + k <= 3]
+
+
+@st.composite
+def fast_path_cases(draw):
+    values, scalars = draw(st.sampled_from(DOMAINS))
+    pairs = lambda: draw(st.lists(st.tuples(st.sampled_from(MONOS),
+                                            st.sampled_from(values)), max_size=5))
+    p, r = Poly(XYZ, pairs()), Poly(XYZ, pairs())
+    minus_p = Poly(XYZ, [(m, -c) for m, c in p.terms.items()])
+    # q is r, or cancels p partly or wholly
+    q = draw(st.sampled_from([r, r + minus_p, minus_p]))
+    return p, q, draw(st.sampled_from(scalars)), draw(st.integers(0, 4))
+
+
+def _check_canonical(r, want_pairs):
+    """r is canonical and holds the terms that the validating constructor
+    makes of ``want_pairs``."""
+    assert type(r.vars) is tuple
+    assert all(type(m) is tuple and len(m) == len(r.vars) for m in r.terms)
+    assert all(r.terms.values())
+    assert r == Poly(r.vars, r.terms)
+    assert r.terms == Poly(r.vars, want_pairs).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(fast_path_cases())
+def test_fast_path_results_equal_validated_terms(case):
+    p, q, c, d = case
+    P, Q = list(p.terms.items()), list(q.terms.items())
+    prod = [(tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+            for m1, c1 in P for m2, c2 in Q]
+    _check_canonical(p + q, P + Q)
+    _check_canonical(p - q, P + [(m, -a) for m, a in Q])
+    _check_canonical(-p, [(m, -a) for m, a in P])
+    _check_canonical(p * q, prod)
+    _check_canonical(p.mul_truncated(q, d), [(m, a) for m, a in prod if sum(m) <= d])
+    _check_canonical(p.scale(c), [(m, a * c) for m, a in P])
+    _check_canonical(p.partial("y"), [((m[0], m[1] - 1, m[2]), a * m[1])
+                                      for m, a in P if m[1]])
+    _check_canonical(p.truncate(d), [(m, a) for m, a in P if sum(m) <= d])
+    _check_canonical(p.homogeneous_part(d), [(m, a) for m, a in P if sum(m) == d])
+    images = {"x": q, "z": Y - X}
+    # each term's image, summed by the validating constructor
+    parts = [(images["x"] ** m[0] * Y ** m[1] * images["z"] ** m[2]
+              * Poly.const(a)).terms.items() for m, a in P]
+    for top in (None, d):
+        _check_canonical(p.substitute(images, max_degree=top),
+                         [(m, a) for t in parts for m, a in t
+                          if top is None or sum(m) <= top])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fast_path_cases())
+def test_truncation_that_drops_nothing_builds_nothing(case):
+    p = case[0]
+    top = max(p.total_degree(), 0)
+    assert p.truncate(top) is p
+    assert Jet(p, top).poly is p
+    assert Jet(p, top + 1).poly is p

@@ -7,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 from affine_homog import catalog as cat
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
+from affine_homog.linalg import solve_rows
 from affine_homog.poly import Poly
+from affine_homog.scalars import RationalFunc, Tower
 from affine_homog.symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES,
                                    AffineVectorField, CompletionError,
                                    bracket, closure_constraints,
                                    complete_series, full_algebra,
                                    linear_equations, normalize_gauge,
-                                   pqr_families, solve_tangency,
-                                   tangency_columns, tangency_residual)
+                                   pqr_families, reduce_against_span,
+                                   solve_tangency, tangency_columns,
+                                   tangency_residual)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -212,3 +215,109 @@ def test_completion_error_on_inconsistent_matrices():
     bad = tuple(tuple(F(1) for _ in range(4)) for _ in range(4))
     with pytest.raises(CompletionError):
         complete_series(QUADRIC.truncate(3), bad, bad, bad, 5)
+
+
+# -- the sparse bracket against the dense formula ----------------------------------
+
+def dense_bracket(v1, v2):
+    """The bracket as one dot product per entry over the columns of the
+    augmented matrices, each sum starting at Fraction(0)."""
+    a1, a2 = v1.A, v2.A
+    c1, c2 = (*zip(*a1), v1.v), (*zip(*a2), v2.v)
+
+    def dot(row, col):
+        return sum((a * b for a, b in zip(row, col) if a and b), F(0))
+
+    rows = [[dot(a2[i], c1[j]) - dot(a1[i], c2[j]) for j in range(5)]
+            for i in range(4)]
+    return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
+
+
+_B = RationalFunc.gen()
+_TOWER = Tower(("s",), (F(2),))
+_S = _TOWER.generator(0)
+_PQ = ("p", "q")
+_P, _Q = Poly.var("p", _PQ), Poly.var("q", _PQ)
+# per domain, the nonzero values a field entry takes besides rationals (the
+# Poly-valued fields are those of closure_constraints)
+BRACKET_DOMAINS = ((F(2), F(-1, 3)),
+                   (_B, _B + 1, -_B, 1 / (_B - 1), RationalFunc.const(3)),
+                   (_S, 1 - _S, _TOWER.const(2)),
+                   (_P, _Q - 1, _P.scale(F(-1, 2)) + _Q))
+
+
+def _field(c):
+    return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), c[16:])
+
+
+@st.composite
+def bracket_pairs(draw):
+    values = ((F(0),) * 3 + (F(1), F(-2), F(3, 4))
+              + draw(st.sampled_from(BRACKET_DOMAINS)))
+    entries = st.lists(st.sampled_from(values), min_size=20, max_size=20)
+    return _field(draw(entries)), _field(draw(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_pairs())
+def test_sparse_bracket_matches_dense_formula(pair):
+    got, want = bracket(*pair).coords(), dense_bracket(*pair).coords()
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g == w
+        if isinstance(w, Poly):
+            assert list(g.terms) == list(w.terms)
+
+
+def test_v3_bracket_leaves_the_span_at_order_4_only():
+    # the one known bracket outside its span: the order-4 algebra of v3 is
+    # tangent but not closed, and the algebras at orders 5 and 6 close
+    text, bp = cat.VARIANTS["v3"]
+    Fj = expand_graph(parse_surface(text, tuple(F(c) for c in bp)), 6)
+    alg = full_algebra(Fj, 4)
+    assert alg.tangency_ok is True and alg.closed is False
+    assert full_algebra(Fj, 5).closed is True
+    assert full_algebra(Fj, 6).closed is True
+
+
+# -- span membership in free coordinates against elimination -------------------------
+
+@st.composite
+def span_cases(draw):
+    """A sparse system over Q or Q(b) in the twenty field coordinates (at
+    most three nonzero entries a row, which keeps Q(b) elimination cheap),
+    its RREF nullspace basis, and targets inside the span and perturbed
+    out of it."""
+    values = (F(1), F(-2), F(3, 4)) + draw(st.sampled_from(
+        ((), (_B, _B + 1, -_B, 1 / (_B - 1)))))
+    value = st.sampled_from(values)
+    rows = []
+    for _ in range(draw(st.integers(1, 19))):
+        row = [F(0)] * 20
+        for c, x in draw(st.lists(st.tuples(st.integers(0, 19), value),
+                                  min_size=1, max_size=3)):
+            row[c] = x
+        rows.append(row)
+    _, basis, free, _ = solve_rows(rows, [F(0)] * len(rows), 20)
+    targets = []
+    for _ in range(3):
+        ws = draw(st.lists(st.sampled_from((F(0),) + values),
+                           min_size=len(basis), max_size=len(basis)))
+        t = [sum((w * b[c] for w, b in zip(ws, basis)), F(0)) for c in range(20)]
+        targets.append(t)
+        t = list(t)
+        t[draw(st.integers(0, 19))] += draw(value)
+        targets.append(t)
+    return basis, free, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_cases())
+def test_membership_in_free_coordinates_agrees_with_elimination(case):
+    basis, free, targets = case
+    for k, b in enumerate(basis):
+        assert [b[i] for i in free] == [int(k == l) for l in range(len(free))]
+    fields = [_field(b) for b in basis]
+    columns = [[b[c] for b in basis] for c in range(20)]
+    for t in targets:
+        in_span = solve_rows(columns, t, len(basis)) is not None
+        assert reduce_against_span(fields, _field(t), free) is in_span
