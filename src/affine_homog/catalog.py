@@ -359,7 +359,6 @@ class DiscoveryComponent:
     normal_form: Optional[str] = None
     parameter: Optional[object] = None
     duplicate_of: Optional[int] = None
-    degeneracies: List[object] = field(default_factory=list)
     note: str = ""
 
     def to_json(self):
@@ -373,7 +372,8 @@ class DiscoveryComponent:
                 "parameter": scalar_str(self.parameter)
                 if self.parameter is not None else None,
                 "duplicate_of": self.duplicate_of,
-                "degeneracies": [str(d) for d in self.degeneracies],
+                # always empty: completion divides only by integer exponents
+                "degeneracies": [],
                 "note": self.note}
 
 
@@ -476,13 +476,12 @@ def discover(case: str) -> List[DiscoveryComponent]:
         R = famR.field(values).A
         comp = DiscoveryComponent(kind, dict(values))
         try:
-            jet, degs = complete_series(f, P, Q, R, det)
+            jet = complete_series(f, P, Q, R, det)
         except CompletionError as exc:
             comp.note = f"completion failed: {exc}"
             comps.append(comp)
             return
         comp.jet = jet
-        comp.degeneracies = degs
         comp.normal_form, comp.parameter, comp.note = match_component(case, jet)
         if not _structural_ok(case, jet):
             comp.note = (comp.note + "; " if comp.note else "") + \
@@ -553,7 +552,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     gauge_cuts = all(g.dimension == model_dim - gauge_len for g in gauged)
     P, Q, R = (g.field().A for g in gauged)
     try:
-        completed, degs = complete_series(jet0, P, Q, R, order)
+        completed = complete_series(jet0, P, Q, R, order)
     except CompletionError as exc:
         details["error"] = str(exc)
         return Report(f"isotropy:{nf_id}", False, details)
@@ -566,7 +565,8 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
         "translation_rank": alg.translation_rank,
         "unique_mod_isotropy": unique_mod_iso,
         "gauge_fixes_solution": gauge_cuts,
-        "degeneracies": degs,
+        # always empty: completion divides only by integer exponents
+        "degeneracies": [],
     })
     passed = (homogeneous(alg) and alg.isotropy_dim == expected
               and unique_mod_iso and gauge_cuts)

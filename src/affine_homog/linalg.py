@@ -10,10 +10,10 @@ the scalar types alone select:
   output entry;
 - any other system (``RationalFunc``, ``TowerElement`` or mixed) is
   eliminated over its field with the smallest-``_pivot_size`` pivot.
-  That branch keeps its pivot rule because the non-constant parametric
-  pivots it picks are reported as ``degeneracies``, which appear in the
-  output. It does no arithmetic on zero entries, but gives each skipped
-  entry the type the arithmetic would have given it (``_like``):
+  The non-constant parametric pivots it picks are reported as
+  ``degeneracies`` (no output prints them). It does no arithmetic on
+  zero entries, but gives each skipped entry the type the arithmetic
+  would have given it (``_like``):
   ``_pivot_size`` weighs a ``Fraction`` and a constant ``RationalFunc``
   differently, so the types, not only the values, decide the pivots.
   ``RationalFunc`` itself pays for a gcd only where a result can share a

@@ -329,42 +329,31 @@ def degree_unknowns(m: int) -> List[Tuple[str, Tuple[int, int, int]]]:
     return out
 
 
-def _derivative_along(mono: Tuple[int, int, int], e, M: int) -> Jet:
-    """e . grad(x^mono) for a degree-(M+1) monomial."""
-    p = Poly.monomial(mono, vars=XYZ)
-    return Jet(sum((p.partial(n).scale(t) for n, t in zip(XYZ, e) if t),
-                   Poly.zero(XYZ)), M)
-
-
-def complete_series(f: Jet, P, Q, R, M: int):
+def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
     """Extend f order by order so that the three translated fields stay
-    tangent. Each order must be pinned down uniquely; failures carry the
-    offending order. Returns (jet, parametric degeneracy conditions).
+    tangent; a failure carries the offending order.
 
-    f is a graph offset (zero constant term), so a degree-m term reaches
-    the (m-1)-truncated residual of A.p + e only through F_i . e_i: the
-    column of its coefficient is the derivative of its monomial along e."""
+    f is a graph offset (zero constant term), so a degree-m term c reaches
+    the (m-1)-truncated residual of A.p + e only as e . grad(c): the
+    residuals r_x, r_y, r_z of the three fields fix the gradient of c, and
+    c is its integral, with no elimination. Each coefficient of x^i y^j z^k
+    is read from the first variable with a nonzero exponent, and the order
+    is consistent exactly when every r_e + d_e c vanishes."""
     cur = f.poly
-    base = f.order
-    degeneracies: List[object] = []
-    for m in range(base + 1, M + 1):
-        names = degree_unknowns(m)
-        mono_of = dict(names)
-        unknowns = sorted(mono_of)
-        eqs: List[LinearEquation] = []
-        for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z)):
-            columns = [_derivative_along(mono_of[u], e, m - 1) for u in unknowns]
-            res = tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1)
-            eqs.extend(linear_equations(columns, res, unknowns))
-        fam = linear_solve(eqs, unknowns)
-        if fam is None:
+    for m in range(f.order + 1, M + 1):
+        res = [tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1).poly
+               for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z))]
+        terms = {}
+        for _, mono in degree_unknowns(m):
+            i = next(i for i, n in enumerate(mono) if n)
+            r = res[i].terms.get(mono[:i] + (mono[i] - 1,) + mono[i + 1:])
+            if r:
+                terms[mono] = -r / mono[i]
+        c = Poly._canonical(XYZ, terms)
+        if any(r + c.partial(n) for r, n in zip(res, XYZ)):
             raise CompletionError("inconsistent completion system", m)
-        if not fam.is_unique():
-            raise CompletionError("underdetermined completion system", m)
-        degeneracies.extend(fam.degeneracies)
-        add = Poly(XYZ, {mono: fam.particular[n] for n, mono in names})
-        cur = cur + add
-    return Jet(cur, M), degeneracies
+        cur = cur + c
+    return Jet(cur, M)
 
 
 # -- full algebra ------------------------------------------------------------------

@@ -218,6 +218,34 @@ def test_bracket_closure_runs_no_elimination(capsys, monkeypatch):
     assert len(calls) <= 23
 
 
+@pytest.mark.parametrize("argv", (("verify", "--entry=I0.1", "--order=6"),
+                                  ("discover", "--case=I1")))
+def test_completion_runs_no_elimination(capsys, monkeypatch, argv):
+    # complete_series integrates the gradient its residuals fix, so no
+    # elimination runs inside it (it used to run one per completed order)
+    inside, calls, completions = [], [], []
+    solve_rows, complete = linalg.solve_rows, catalog.complete_series
+
+    def completing(*a):
+        inside.append(1)
+        try:
+            return complete(*a)
+        finally:
+            inside.pop()
+            completions.append(1)
+
+    def counted(*a):
+        if inside:
+            calls.append(1)
+        return solve_rows(*a)
+
+    monkeypatch.setattr(catalog, "complete_series", completing)
+    monkeypatch.setattr(linalg, "solve_rows", counted)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out
+    assert completions and calls == []
+
+
 def test_discover_computes_each_pair_lcm_once(capsys, monkeypatch):
     # buchberger computes each S-pair's lcm once, when the pair is queued,
     # not in a sort key on every selection

@@ -1,12 +1,13 @@
 """Byte-identity of `expand`, `normalize` and `symmetry` output for the
-catalog entries, for three definite quadrics normalized over the reals, and
-of the catalog-wide `catalog --verify-all` and `real` reports.
+catalog entries, for three definite quadrics normalized over the reals, of
+the completed normal forms of `verify --entry=NF` (over symbolic b and at
+b = 3/2), and of the catalog-wide `catalog --verify-all` and `real` reports.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
 tests replay them, so a change to jet expansion, normalization or the
-tangency solves that alters any printed coefficient or basis field fails
-here.
+tangency solves, or to the series completion, that alters any printed
+coefficient or basis field fails here.
 
 Regenerate the file (only when an output change is intended) with
 
@@ -51,6 +52,11 @@ def argvs():
         out.append(["normalize", "--order=5", "--real=elliptic",
                     "--surface=" + surface, "--basepoint=0,0,0,0",
                     "--format=json"])
+    for nf in cat.NORMAL_FORM_IDS:
+        out.append(["verify", "--entry=" + nf, "--order=8", "--format=json"])
+        if nf in cat.PARAMETRIC:
+            out.append(["verify", "--entry=" + nf, "--order=8", "--b=3/2",
+                        "--format=json"])
     out.append(["catalog", "--verify-all", "--format=json"])
     out.append(["real", "--format=json"])
     return out
@@ -66,7 +72,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()]
-    assert len(keys) == 105
+    assert len(keys) == 120
     assert set(keys) == set(RECORDED)
 
 

@@ -1,20 +1,23 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from affine_homog import catalog as cat
+from affine_homog.cli import CASES
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
-from affine_homog.linalg import solve_rows
-from affine_homog.poly import Poly
+from affine_homog.linalg import linear_solve, solve_rows
+from affine_homog.poly import XYZ, Poly
 from affine_homog.scalars import RationalFunc, Tower
 from affine_homog.symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES,
                                    AffineVectorField, CompletionError,
                                    bracket, closure_constraints,
-                                   complete_series, full_algebra,
-                                   linear_equations, normalize_gauge,
+                                   complete_series, degree_unknowns,
+                                   full_algebra, linear_equations,
+                                   normalize_gauge,
                                    pqr_families, reduce_against_span,
                                    solve_tangency, tangency_columns,
                                    tangency_residual)
@@ -196,9 +199,8 @@ def test_complete_series_quadric_stays_quadratic():
         return tuple(tuple(r) for r in rows)
 
     P, Q, R = w_row(1), w_row(0), w_row(2)
-    comp, degs = complete_series(QUADRIC.truncate(3), P, Q, R, 6)
+    comp = complete_series(QUADRIC.truncate(3), P, Q, R, 6)
     assert comp.poly == QUADRIC.poly
-    assert degs == []
 
 
 def test_complete_series_truncation_coherence():
@@ -206,8 +208,8 @@ def test_complete_series_truncation_coherence():
     f = base_jet("I1.1")
     fams = pqr_families(f, case="I1")
     P, Q, R = (g.field().A for g in fams)
-    full, _ = complete_series(f, P, Q, R, 7)
-    part, _ = complete_series(f, P, Q, R, 5)
+    full = complete_series(f, P, Q, R, 7)
+    part = complete_series(f, P, Q, R, 5)
     assert full.truncate(5) == part
 
 
@@ -321,3 +323,103 @@ def test_membership_in_free_coordinates_agrees_with_elimination(case):
     for t in targets:
         in_span = solve_rows(columns, t, len(basis)) is not None
         assert reduce_against_span(fields, _field(t), free) is in_span
+
+
+# -- the integrated completion against elimination ----------------------------------
+
+def eliminated_series(f, P, Q, R, M):
+    """The completion as one elimination per order, in which the column of
+    each degree-m coefficient is the derivative of its monomial along the
+    translation e. Returns the jet and the pivot conditions it assumed."""
+    cur, degeneracies = f.poly, []
+    for m in range(f.order + 1, M + 1):
+        names = degree_unknowns(m)
+        mono_of = dict(names)
+        unknowns = sorted(mono_of)
+        eqs = []
+        for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z)):
+            columns = []
+            for u in unknowns:
+                p = Poly.monomial(mono_of[u], vars=XYZ)
+                columns.append(Jet(sum((p.partial(n).scale(t)
+                                        for n, t in zip(XYZ, e) if t),
+                                       Poly.zero(XYZ)), m - 1))
+            res = tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1)
+            eqs.extend(linear_equations(columns, res, unknowns))
+        fam = linear_solve(eqs, unknowns)
+        if fam is None:
+            raise CompletionError("inconsistent completion system", m)
+        if not fam.is_unique():
+            raise CompletionError("underdetermined completion system", m)
+        degeneracies.extend(fam.degeneracies)
+        cur = cur + Poly(XYZ, {mono: fam.particular[n] for n, mono in names})
+    return Jet(cur, M), degeneracies
+
+
+@lru_cache(maxsize=None)
+def reached_completions():
+    """Every (f, P, Q, R, M) that discover reaches for the six cases, and
+    that confirm_isotropy reaches for the ten normal forms at orders 6 and
+    8, over symbolic b and at b = 6 and 3/2 for the parametric forms."""
+    seen, complete = [], cat.complete_series
+
+    def record(*args):
+        seen.append(args)
+        return complete(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "complete_series", record)
+        for case in CASES:
+            cat.discover(case)
+        for nf in cat.NORMAL_FORM_IDS:
+            for b in (None, F(6), F(3, 2)) if nf in cat.PARAMETRIC else (None,):
+                for order in (6, 8):
+                    cat.confirm_isotropy(nf, b, order)
+    return tuple(seen)
+
+
+def assert_same_completion(f, P, Q, R, M):
+    """Both paths raise the same CompletionError, or give the same jet in
+    the same term order and with the same coefficient types (an oracle
+    constant RationalFunc may be the equal Fraction); the oracle never
+    assumes a pivot condition. Returns the jet, or None on failure."""
+    try:
+        want, degeneracies = eliminated_series(f, P, Q, R, M)
+    except CompletionError as exc:
+        with pytest.raises(CompletionError) as got:
+            complete_series(f, P, Q, R, M)
+        assert (str(got.value), got.value.order) == (str(exc), exc.order)
+        return None
+    got = complete_series(f, P, Q, R, M)
+    assert degeneracies == []
+    assert got == want and list(got.poly.terms) == list(want.poly.terms)
+    for m, w in want.poly.terms.items():
+        g = got.poly.terms[m]
+        assert type(g) is type(w) or (
+            type(w) is RationalFunc and w.is_constant() and type(g) is F), m
+    return got
+
+
+def test_integrated_completion_matches_elimination_where_reached():
+    cases = reached_completions()
+    # 40 normal-form completions and 8 discovered components
+    assert len(cases) == 48
+    for f, P, Q, R, M in cases:
+        jet = assert_same_completion(f, P, Q, R, M)
+        if jet is not None:
+            # the certificate: every translated field is tangent to order M-1
+            for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z)):
+                assert tangency_residual(jet, AffineVectorField(mat, e),
+                                         M - 1).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 2), st.integers(0, 3), st.integers(0, 3),
+       st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 4)))
+def test_integrated_completion_matches_elimination_when_perturbed(
+        data, which, i, j, delta):
+    f, *mats, M = data.draw(st.sampled_from(reached_completions()))
+    rows = [list(r) for r in mats[which]]
+    rows[i][j] = rows[i][j] + F(*delta)
+    mats[which] = tuple(tuple(r) for r in rows)
+    assert_same_completion(f, *mats, M)
