@@ -34,9 +34,9 @@ from .normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
 from .poly import Poly
 from .scalars import (InputError, RationalFunc, Tower, parse_rational,
                       scalar_str)
-from .symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES, AffineVectorField,
-                       CompletionError, complete_series, closure_constraints,
-                       degree_unknowns, full_algebra, linear_equations,
+from .symmetry import (E_X, E_Y, E_Z, AffineVectorField, CompletionError,
+                       complete_series, closure_constraints, degree_unknowns,
+                       full_algebra, linear_equations, normalize_gauge,
                        pqr_families, reduce_against_span, solve_tangency,
                        tangency_columns, tangency_residual)
 
@@ -547,7 +547,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     # at the determining order the translated families see the isotropy of
     # the truncated model, which for Sp coincides with the quadric's
     model_dim = {"no-cubic": 4, "I3": 2}.get(case, 1)
-    gauge_len = len(GAUGE_ENTRIES.get(case, ("22",)))
+    gauge_len = len(normalize_gauge(case))
     unique_mod_iso = all(g.dimension == model_dim for g in ungauged)
     gauge_cuts = all(g.dimension == model_dim - gauge_len for g in gauged)
     P, Q, R = (g.field().A for g in gauged)
@@ -750,9 +750,9 @@ def quadric_rigidity(max_order: int = 8) -> Report:
                                  dil, max_order) for u in unknowns]
     quadric = Jet(_poly(QUADRIC_TERMS), max_order)
     base = tangency_residual(quadric, dil, max_order)
-    fam = linear_solve(linear_equations(columns, base, unknowns), unknowns)
+    fam = linear_solve(linear_equations(columns, base), unknowns)
     forced_zero = (fam is not None and fam.is_unique()
-                   and not any(fam.particular.values()))
+                   and not any(fam.particular))
     iso = solve_tangency(quadric, translation="zero")
     iso_dim = iso.dimension if iso is not None else 0
     return Report("quadric-rigidity",

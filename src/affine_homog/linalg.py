@@ -10,24 +10,22 @@ the scalar types alone select:
   output entry;
 - any other system (``RationalFunc``, ``TowerElement`` or mixed) is
   eliminated over its field with the smallest-``_pivot_size`` pivot.
-  The non-constant parametric pivots it picks are reported as
-  ``degeneracies`` (no output prints them). It does no arithmetic on
-  zero entries, but gives each skipped entry the type the arithmetic
-  would have given it (``_like``):
+  It does no arithmetic on zero entries, but gives each skipped entry the
+  type the arithmetic would have given it (``_like``):
   ``_pivot_size`` weighs a ``Fraction`` and a constant ``RationalFunc``
   differently, so the types, not only the values, decide the pivots.
   ``RationalFunc`` itself pays for a gcd only where a result can share a
   factor with its denominator (see its docstring), so a parametric system
   whose pivots are constants runs without one.
 
-``linear_solve`` (named unknowns), ``nullspace`` and ``matrix_rank`` are
-thin front ends to it. Inconsistency is a returned value, not an
-exception.
+``linear_solve`` (equations keyed by column index, with named columns),
+``nullspace`` and ``matrix_rank`` are thin front ends to it. Inconsistency
+is a returned value, not an exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence
@@ -39,19 +37,25 @@ _RATIONAL = (int, Fraction)
 
 @dataclass
 class LinearEquation:
-    """sum(coeffs[u] * u) = rhs"""
-    coeffs: Dict[str, object]
+    """sum(coeffs[k] * x[k]) = rhs, keyed by column index"""
+    coeffs: Dict[int, object]
     rhs: object = Fraction(0)
 
 
 @dataclass
 class SolutionFamily:
-    """Affine solution space: particular + span(basis), keyed by unknown."""
+    """Affine solution space: particular + span(basis), as vectors over the
+    columns; basis vector k is 1 at column ``free_cols[k]`` and 0 at the
+    other free columns. ``unknowns`` names the columns."""
     unknowns: List[str]
-    particular: Dict[str, object]
-    basis: List[Dict[str, object]]
-    free: List[str]
-    degeneracies: List[object] = field(default_factory=list)
+    particular: List[object]
+    basis: List[List[object]]
+    free_cols: List[int]
+
+    @property
+    def free(self) -> List[str]:
+        """The names of the free columns."""
+        return [self.unknowns[c] for c in self.free_cols]
 
     @property
     def dimension(self) -> int:
@@ -60,19 +64,18 @@ class SolutionFamily:
     def is_unique(self) -> bool:
         return not self.basis
 
-    def member(self, free_values: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-        """The solution at the given values of the free unknowns, which may
-        be scalars or polynomials; unlisted ones are zero."""
+    def member(self, free_values: Optional[Dict[str, object]] = None) -> List[object]:
+        """The solution, in column order, at the given values of the free
+        unknowns (keyed by name), which may be scalars or polynomials;
+        unlisted ones are zero."""
         free_values = free_values or {}
-        out = dict(self.particular)
-        for i, f in enumerate(self.free):
+        out = list(self.particular)
+        for f, vec in zip(self.free, self.basis):
             t = free_values.get(f)
             if t is None or not t:
                 continue
-            vec = self.basis[i]
-            for u in self.unknowns:
-                c = vec[u]
-                out[u] = out[u] + t * c if c else _like(out[u], t, c)
+            for k, c in enumerate(vec):
+                out[k] = out[k] + t * c if c else _like(out[k], t, c)
         return out
 
 
@@ -102,10 +105,8 @@ def _pivot_size(c) -> int:
 def _field_rref(rows, rhs, ncols):
     """Gauss-Jordan over any scalar field, picking the smallest pivot by
     ``_pivot_size``. Returns None when inconsistent, else the pivot rows
-    as ``{col: (row, rhs)}`` scaled to pivot 1, and the non-constant
-    ``RationalFunc`` pivots."""
+    as ``{col: (row, rhs)}`` scaled to pivot 1."""
     rows = list(zip(rows, rhs))
-    degeneracies: List[object] = []
     pivots = {}
     r = 0
     for col in range(ncols):
@@ -125,8 +126,6 @@ def _field_rref(rows, rhs, ncols):
         p = prow[col]
         if isinstance(p, int):
             p = Fraction(p)
-        elif isinstance(p, RationalFunc) and not p.is_constant():
-            degeneracies.append(p)
         inv_row = [c / p if c else _like(c, p) for c in prow]
         inv_rhs = prhs / p if prhs else _like(prhs, p)
         rows[r] = (inv_row, inv_rhs)
@@ -147,7 +146,7 @@ def _field_rref(rows, rhs, ncols):
     # consistency: zero rows must have zero rhs
     if any(rows[j][1] for j in range(r, len(rows))):
         return None
-    return {col: rows[ri] for col, ri in pivots.items()}, degeneracies
+    return {col: rows[ri] for col, ri in pivots.items()}
 
 
 def _integer_rref(rows, rhs, ncols):
@@ -156,8 +155,7 @@ def _integer_rref(rows, rhs, ncols):
     is eliminated by ``(p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``
     and then divided by its content, so no ``Fraction`` is normalised per
     scalar operation. Returns None when inconsistent, else the pivot rows as
-    ``{col: (row, rhs)}`` with pivot 1 and ``Fraction`` entries, and no
-    degeneracies."""
+    ``{col: (row, rhs)}`` with pivot 1 and ``Fraction`` entries."""
     work = []
     for row, b in zip(rows, rhs):
         ints = primitive_integers((*row, b))
@@ -198,7 +196,7 @@ def _integer_rref(rows, rhs, ncols):
         p = row[col]
         out[col] = ([Fraction(a, p) if a else zero for a in row[:ncols]],
                     Fraction(row[ncols], p))
-    return out, []
+    return out
 
 
 def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
@@ -206,11 +204,9 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
     """Exact RREF solve of ``rows . x = rhs`` over ``ncols`` columns.
 
     Returns None when inconsistent, otherwise ``(particular, basis,
-    free_cols, degeneracies)``: a particular solution, one nullspace vector
-    per free column (1 there, 0 at the other free columns), the free column
-    indices, and the non-constant parametric pivots. Over a parametric
-    field, pivots that vanish for special parameter values are recorded
-    in ``degeneracies`` rather than silently assumed non-zero.
+    free_cols)``: a particular solution, one nullspace vector per free
+    column (1 there, 0 at the other free columns), and the free column
+    indices.
 
     The scalar types pick the elimination: an all-``int``/``Fraction``
     system runs fraction-free over Z (``_integer_rref``), anything else
@@ -219,10 +215,9 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
     """
     rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
         isinstance(c, _RATIONAL) for row in rows for c in row)
-    solved = (_integer_rref if rational else _field_rref)(rows, rhs, ncols)
-    if solved is None:
+    pivot_rows = (_integer_rref if rational else _field_rref)(rows, rhs, ncols)
+    if pivot_rows is None:
         return None
-    pivot_rows, degeneracies = solved
 
     free_cols = [c for c in range(ncols) if c not in pivot_rows]
     zero = Fraction(0)
@@ -238,7 +233,7 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
             if c:
                 vec[col] = -c
         basis.append(vec)
-    return particular, basis, free_cols, degeneracies
+    return particular, basis, free_cols
 
 
 def nullspace(rows: Sequence[Sequence[object]], ncols: int) -> List[List[object]]:
@@ -257,28 +252,16 @@ def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
 
 def linear_solve(equations: Sequence[LinearEquation],
                  unknowns: Sequence[str]) -> Optional[SolutionFamily]:
-    """``solve_rows`` on named unknowns, in the order given. Returns None
-    when inconsistent."""
+    """``solve_rows`` on equations keyed by column index, one column per
+    name in ``unknowns``. Returns None when inconsistent."""
     unknowns = list(unknowns)
-    n = len(unknowns)
-    idx = {u: i for i, u in enumerate(unknowns)}
     rows = []
     for eq in equations:
-        row = [Fraction(0)] * n
-        for u, c in eq.coeffs.items():
-            if u not in idx:
-                if c:
-                    raise KeyError(f"unknown {u!r} not declared")
-                continue
-            row[idx[u]] = row[idx[u]] + c
+        # Fraction(0) + c makes an int a Fraction: the types pick the pivots
+        row = [Fraction(0)] * len(unknowns)
+        for k, c in eq.coeffs.items():
+            row[k] = row[k] + c
         rows.append(row)
-    solved = solve_rows(rows, [eq.rhs for eq in equations], n)
-    if solved is None:
-        return None
-    particular, basis, free_cols, degeneracies = solved
-    return SolutionFamily(unknowns=unknowns,
-                          particular=dict(zip(unknowns, particular)),
-                          basis=[dict(zip(unknowns, vec)) for vec in basis],
-                          free=[unknowns[c] for c in free_cols],
-                          degeneracies=degeneracies)
+    solved = solve_rows(rows, [eq.rhs for eq in equations], len(unknowns))
+    return None if solved is None else SolutionFamily(unknowns, *solved)
 

@@ -62,10 +62,6 @@ class AffineVectorField:
         self.A = tuple(tuple(r) for r in self.A)
         self.v = tuple(self.v)
 
-    @classmethod
-    def zero(cls) -> "AffineVectorField":
-        return cls(((Fraction(0),) * 4,) * 4, ZERO4)
-
     def is_zero(self) -> bool:
         return not (any(any(r) for r in self.A) or any(self.v))
 
@@ -159,20 +155,20 @@ def tangency_residual(F: Jet, V: AffineVectorField, M: int,
     return _combine(cols, [coords[k] for k in ks], M)
 
 
-def linear_equations(columns: Sequence[Jet], base: Jet,
-                     unknowns: Sequence[str]) -> List[LinearEquation]:
-    """The rows of ``base + sum(u_k * columns[k]) = 0``, one per monomial
-    with a nonzero row, in ascending grevlex order."""
+def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
+    """The rows of ``base + sum(x_k * columns[k]) = 0``, keyed by column
+    index, one per monomial with a nonzero row, in ascending grevlex
+    order."""
     monos = set(base.poly.terms)
     for col in columns:
         monos.update(col.poly.terms)
     eqs = []
     for m in sorted(monos, key=GREVLEX.key):
         coeffs = {}
-        for u, col in zip(unknowns, columns):
+        for k, col in enumerate(columns):
             c = col.poly.terms.get(m)
             if c:
-                coeffs[u] = c
+                coeffs[k] = c
         b = base.poly.terms.get(m)
         if coeffs or b:
             eqs.append(LinearEquation(coeffs, -b if b else Fraction(0)))
@@ -181,45 +177,40 @@ def linear_equations(columns: Sequence[Jet], base: Jet,
 
 # -- linear tangency solves -----------------------------------------------------
 
-def matrix_unknowns(prefix: str) -> List[str]:
-    return [f"{prefix}{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+# the coordinate names of a field in coords() order: A[i-1][j-1] is "ij",
+# v[i-1] is "ti"; a solve prefixes them with its family's letter
+COORDINATE_NAMES = ([f"{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+                    + [f"t{i}" for i in range(1, 5)])
 
-
-def translation_unknowns(prefix: str) -> List[str]:
-    return [f"{prefix}t{i}" for i in range(1, 5)]
-
-
-# entry positions whose vanishing slices away the case's isotropy shifts
-# (adding an isotropy generator to a solution matrix is a residual freedom;
-# one pinned entry per independent isotropy direction)
+# coordinate indices of the entries whose vanishing slices away the case's
+# isotropy shifts (adding an isotropy generator to a solution matrix is a
+# residual freedom; one pinned entry per independent isotropy direction):
+# A13 is 2, A22 is 5, A23 is 6, A31 is 8 and A44 is 15
 GAUGE_ENTRIES = {
-    "no-cubic": ("13", "22", "31", "44"),
-    "I3": ("22", "31"),
-    "Inr": ("23",),
+    "no-cubic": (2, 5, 8, 15),
+    "I3": (5, 8),
+    "Inr": (6,),
 }
 
 
-def normalize_gauge(case: str, prefixes: Sequence[str] = ("p", "q", "r")):
-    """Gauge constraints that pin down the known isotropy generators."""
-    entries = GAUGE_ENTRIES.get(case, ("22",))
-    return [LinearEquation({f"{pre}{entry}": Fraction(1)}, Fraction(0))
-            for pre in prefixes for entry in entries]
+def normalize_gauge(case: str) -> List[LinearEquation]:
+    """Gauge constraints on one family's coordinates that pin down the
+    known isotropy generators (A22 unless the case names others)."""
+    return [LinearEquation({k: Fraction(1)}, Fraction(0))
+            for k in GAUGE_ENTRIES.get(case, (5,))]
 
 
 @dataclass
 class TangencyFamily:
-    prefix: str
     family: SolutionFamily
     translation: object  # fixed 4-tuple, or the string "free"
-    order: int
 
     @property
     def dimension(self) -> int:
         return self.family.dimension
 
-    def _field(self, values: Dict[str, object], fixed_v) -> AffineVectorField:
-        # the unknowns are the field's coordinates in coords() order
-        c = [values[u] for u in self.family.unknowns]
+    def _field(self, c: Sequence[object], fixed_v) -> AffineVectorField:
+        # the family's vectors are the field's coordinates in coords() order
         v = c[16:] if self.translation == "free" else fixed_v
         return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), v)
 
@@ -230,7 +221,7 @@ class TangencyFamily:
     def free_coords(self) -> List[int]:
         """The coordinate index of each free unknown, in ``coords()`` order:
         basis field k is 1 at ``free_coords[k]`` and 0 at the others."""
-        return [self.family.unknowns.index(u) for u in self.family.free]
+        return self.family.free_cols
 
     def basis_fields(self) -> List[AffineVectorField]:
         """Fields from the homogeneous basis vectors (zero fixed translation)."""
@@ -248,27 +239,27 @@ def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
     (the jet of the graph determines residuals only that far).
     ``columns``, when given, are F's twenty columns (the sixteen matrix
     columns suffice for a zero translation) at an order at least the
-    truncation order. Returns None when no such field exists.
+    truncation order. ``extra_constraints`` are keyed by coordinate index
+    (``normalize_gauge``); the family names its coordinates by
+    ``prefix``. Returns None when no such field exists.
     """
     N = F.order
     if translation == "zero":
         translation = ZERO4
-    unknowns = matrix_unknowns(prefix)
     if translation == "free":
-        unknowns += translation_unknowns(prefix)
+        ncols = 20
     else:
-        translation = tuple(translation)
+        ncols, translation = 16, tuple(translation)
     if order is None:
         order = N if (translation != "free" and not any(translation)) else N - 1
     columns = (tangency_columns(F, order, range(20)) if columns is None
                else _at(columns, order))
     base = _combine(columns[16:], ZERO4 if translation == "free" else translation,
                     order)
-    eqs = linear_equations(columns[:len(unknowns)], base, unknowns)
-    fam = linear_solve(eqs + list(extra_constraints), unknowns)
-    if fam is None:
-        return None
-    return TangencyFamily(prefix, fam, translation, order)
+    eqs = linear_equations(columns[:ncols], base)
+    fam = linear_solve(eqs + list(extra_constraints),
+                       [prefix + name for name in COORDINATE_NAMES[:ncols]])
+    return None if fam is None else TangencyFamily(fam, translation)
 
 
 def pqr_families(F: Jet, case: Optional[str] = None,
@@ -282,7 +273,7 @@ def pqr_families(F: Jet, case: Optional[str] = None,
         columns = tangency_columns(F, order, range(20))
     out = []
     for prefix, e in (("p", E_X), ("q", E_Y), ("r", E_Z)):
-        extra = normalize_gauge(case, (prefix,)) if case else ()
+        extra = normalize_gauge(case) if case else ()
         fam = solve_tangency(F, translation=e, prefix=prefix,
                              extra_constraints=extra, order=order,
                              columns=columns)

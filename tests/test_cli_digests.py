@@ -1,21 +1,28 @@
 """Byte-identity of `expand`, `normalize` and `symmetry` output for the
 catalog entries, for three definite quadrics normalized over the reals, of
 the completed normal forms of `verify --entry=NF` (over symbolic b and at
-b = 3/2), and of the catalog-wide `catalog --verify-all` and `real` reports.
+b = 3/2), of `symmetry --jet -` on each normal form's completed jet (at
+b = 3/2 for the parametric ones), and of the catalog-wide `catalog
+--verify-all` and `real` reports.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
 tests replay them, so a change to jet expansion, normalization or the
 tangency solves, or to the series completion, that alters any printed
-coefficient or basis field fails here.
+coefficient or basis field fails here. A `symmetry --jet -` run reads its
+jet on stdin; its key is the argv followed by `<` and the `verify` argv
+whose completed jet it reads.
 
 Regenerate the file (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +69,36 @@ def argvs():
     return out
 
 
+SYMMETRY_STDIN = ["symmetry", "--jet", "-", "--format=json"]
+
+
+def jet_sources():
+    """The `verify` argv whose completed jet each `symmetry --jet -` run
+    reads: one per normal form, at b = 3/2 for the parametric ones."""
+    return [["verify", "--entry=" + nf, "--order=8"]
+            + (["--b=3/2"] if nf in cat.PARAMETRIC else []) + ["--format=json"]
+            for nf in cat.NORMAL_FORM_IDS]
+
+
+def stdin_key(source):
+    return " ".join(SYMMETRY_STDIN + ["<"] + source)
+
+
+def completed_jet(source) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(list(source)) == 0
+    return json.dumps(json.loads(buf.getvalue())["details"]["completed_jet"])
+
+
+def run_on_stdin(argv, text):
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        return run(list(argv))
+    finally:
+        sys.stdin = stdin
+
+
 def _entry(code, out):
     return {"exit": code,
             "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
@@ -71,8 +108,8 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 
 def test_every_argv_is_recorded():
-    keys = [" ".join(a) for a in argvs()]
-    assert len(keys) == 120
+    keys = [" ".join(a) for a in argvs()] + [stdin_key(s) for s in jet_sources()]
+    assert len(keys) == 130
     assert set(keys) == set(RECORDED)
 
 
@@ -82,14 +119,24 @@ def test_output_matches_recorded_digest(argv, capsys):
     assert _entry(code, capsys.readouterr().out) == RECORDED[" ".join(argv)]
 
 
-if __name__ == "__main__":
-    import contextlib
-    import io
+@pytest.mark.parametrize("source", jet_sources(), ids=stdin_key)
+def test_symmetry_of_completed_jet_matches_recorded_digest(source, capsys):
+    jet = completed_jet(source)
+    code = run_on_stdin(SYMMETRY_STDIN, jet)
+    assert _entry(code, capsys.readouterr().out) == RECORDED[stdin_key(source)]
 
+
+if __name__ == "__main__":
     table = {}
     for argv in argvs():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run(list(argv))
         table[" ".join(argv)] = _entry(code, buf.getvalue())
+    for source in jet_sources():
+        jet = completed_jet(source)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run_on_stdin(SYMMETRY_STDIN, jet)
+        table[stdin_key(source)] = _entry(code, buf.getvalue())
     DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -5,8 +5,8 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
-from affine_homog.linalg import (LinearEquation, _pivot_size, linear_solve,
-                                 matrix_rank, nullspace, solve_rows)
+from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
+                                 nullspace, solve_rows)
 from affine_homog.scalars import RationalFunc
 from test_scalars import ratfuncs
 
@@ -16,30 +16,31 @@ def eq(coeffs, rhs=0):
 
 
 def test_unique_solution():
-    fam = linear_solve([eq({"x": 2, "y": 1}, 5), eq({"x": 1, "y": -1}, 1)],
+    fam = linear_solve([eq({0: 2, 1: 1}, 5), eq({0: 1, 1: -1}, 1)],
                        ("x", "y"))
     assert fam.is_unique()
-    assert fam.particular == {"x": F(2), "y": F(1)}
+    assert fam.particular == [F(2), F(1)]
 
 
 def test_inconsistent_returns_none():
-    fam = linear_solve([eq({"x": 1}, 1), eq({"x": 1}, 2)], ("x",))
+    fam = linear_solve([eq({0: 1}, 1), eq({0: 1}, 2)], ("x",))
     assert fam is None
 
 
 def test_underdetermined_family():
-    fam = linear_solve([eq({"x": 1, "y": 1, "z": 1}, 3)], ("x", "y", "z"))
+    fam = linear_solve([eq({0: 1, 1: 1, 2: 1}, 3)], ("x", "y", "z"))
     assert fam.dimension == 2
+    assert fam.free == ["y", "z"] and fam.free_cols == [1, 2]
     m = fam.member({v: F(0) for v in fam.free})
-    assert sum(m.values()) == 3
+    assert sum(m) == 3
     m2 = fam.member({v: F(1) for v in fam.free})
-    assert sum(m2.values()) == 3
+    assert sum(m2) == 3
 
 
 def test_member_ignores_extra_keys():
-    fam = linear_solve([eq({"x": 1, "y": 1}, 1)], ("x", "y"))
+    fam = linear_solve([eq({0: 1, 1: 1}, 1)], ("x", "y"))
     m = fam.member({"y": F(2), "unused": F(9)})
-    assert m["x"] + m["y"] == 1
+    assert m == [F(-1), F(2)]
 
 
 def test_matrix_rank():
@@ -53,17 +54,17 @@ def test_big_random_consistency():
     import random
     rng = random.Random(7)
     names = tuple(f"u{k}" for k in range(6))
-    sol = {n: F(rng.randint(-5, 5), rng.randint(1, 4)) for n in names}
+    sol = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in names]
     eqs = []
     for _ in range(10):
-        row = {n: F(rng.randint(-3, 3)) for n in names}
-        rhs = sum(row[n] * sol[n] for n in names)
+        row = {k: F(rng.randint(-3, 3)) for k in range(len(names))}
+        rhs = sum(c * sol[k] for k, c in row.items())
         eqs.append(LinearEquation(row, rhs))
     fam = linear_solve(eqs, names)
     assert fam is not None
-    m = fam.member({v: sol[v] for v in fam.free})
+    m = fam.member({names[k]: sol[k] for k in fam.free_cols})
     for e in eqs:
-        assert sum(c * m[n] for n, c in e.coeffs.items()) == e.rhs
+        assert sum(c * m[k] for k, c in e.coeffs.items()) == e.rhs
 
 
 # -- the elimination kernel against the sympy oracle --------------------------
@@ -129,20 +130,18 @@ def test_solve_rows_consistency_matches_sympy():
                 assert got is None
                 inconsistent += 1
                 continue
-            particular, basis, free_cols, degeneracies = got
+            particular, basis, free_cols = got
             assert _apply(rows, particular) == rhs
             assert len(basis) == len(free_cols) == ncols - _oracle(rows).rank()
-            assert degeneracies == []
     assert inconsistent > 10  # the seeded cases exercise both branches
 
 
-def test_solve_rows_records_parametric_pivot():
+def test_solve_rows_divides_by_a_parametric_pivot():
     b = RationalFunc.gen()
     one, zero = RationalFunc.const(1), RationalFunc.const(0)
     got = solve_rows([[b, one], [zero, one]], [one, 2 * one], 2)
     assert got is not None
-    particular, basis, free_cols, degeneracies = got
-    assert degeneracies == [b]
+    particular, basis, free_cols = got
     assert particular == [-1 / b, 2 * one]
     assert basis == [] and free_cols == []
 
@@ -156,19 +155,22 @@ def test_int_pivot_gives_exact_solution():
 
 def test_skipped_zero_products_keep_their_type():
     # b*0 turns the 3 below into a constant RationalFunc, which _pivot_size
-    # ranks behind 1/2; left a Fraction it would tie with 1/2 and win, and
-    # the last pivot, a printed degeneracy, would be b - 1/6 instead
+    # ranks behind 1/2 (left a Fraction it would tie with 1/2 and win); each
+    # entry an elimination step skipped has the type the step would have
+    # given it, so the zero solution is parametric where b reached it
     b = RationalFunc.gen()
     rows = [[F(1), F(0), F(0)], [b, F(3), F(1)], [F(0), F(1, 2), b]]
-    assert solve_rows(rows, [F(0)] * 3, 3)[3] == [1 - 6 * b]
+    particular, basis, free_cols = solve_rows(rows, [F(0)] * 3, 3)
+    assert particular == [0, 0, 0] and basis == [] and free_cols == []
+    assert [type(c) for c in particular] == [F, RationalFunc, RationalFunc]
 
 
 def test_member_at_a_parameter_is_parametric():
-    fam = linear_solve([eq({"x": 1, "y": 1}, 1)], ("x", "y", "z"))
+    fam = linear_solve([eq({0: 1, 1: 1}, 1)], ("x", "y", "z"))
     b = RationalFunc.gen()
     m = fam.member({"y": b})
-    assert m == {"x": 1 - b, "y": b, "z": 0}
-    assert all(type(v) is RationalFunc for v in m.values())
+    assert m == [1 - b, b, 0]
+    assert all(type(v) is RationalFunc for v in m)
 
 
 # -- the fraction-free integer branch against sympy's rref --------------------
@@ -241,9 +243,8 @@ def test_integer_branch_matches_sympy_rref(system):
     if want is None:
         assert got is None
         return
-    particular, basis, free_cols, degeneracies = got
+    particular, basis, free_cols = got
     assert (particular, basis, free_cols) == want
-    assert degeneracies == []
     assert all(type(c) is F for vec in (particular, *basis) for c in vec)
 
 
@@ -267,28 +268,6 @@ def _from_field(e):
             out[k] = F(int(q.numerator), int(q.denominator))
         return out
     return RationalFunc(coeffs(e.numer), coeffs(e.denom))
-
-
-def _sympy_pivots(rows, ncols):
-    """The pivots of a Gauss-Jordan run in sympy's QQ(b) with
-    ``solve_rows``'s rule: the first candidate of smallest ``_pivot_size``."""
-    work = [[_to_field(c) for c in r] for r in rows]
-    pivots = []
-    for col in range(ncols):
-        cands = [i for i in range(len(pivots), len(work)) if work[i][col]]
-        if not cands:
-            continue
-        i = min(cands, key=lambda i: _pivot_size(_from_field(work[i][col])))
-        r = len(pivots)
-        work[r], work[i] = work[i], work[r]
-        p = work[r][col]
-        pivots.append(_from_field(p))
-        work[r] = [c / p for c in work[r]]
-        for j in range(len(work)):
-            f = work[j][col]
-            if j != r and f:
-                work[j] = [a - f * c for a, c in zip(work[j], work[r])]
-    return pivots
 
 
 @st.composite
@@ -319,7 +298,5 @@ def test_field_branch_matches_sympy_rref(system):
     if want is None:
         assert got is None
         return
-    particular, basis, free_cols, degeneracies = got
+    particular, basis, free_cols = got
     assert (particular, basis, free_cols) == want
-    assert degeneracies == [p for p in _sympy_pivots(rows, ncols)
-                            if not p.is_constant()]

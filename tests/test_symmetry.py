@@ -9,7 +9,7 @@ from affine_homog import catalog as cat
 from affine_homog.cli import CASES
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
-from affine_homog.linalg import linear_solve, solve_rows
+from affine_homog.linalg import LinearEquation, linear_solve, solve_rows
 from affine_homog.poly import XYZ, Poly
 from affine_homog.scalars import RationalFunc, Tower
 from affine_homog.symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES,
@@ -124,14 +124,14 @@ def test_expanded_graphs_have_no_constant_term():
 
 
 def test_linear_equations_rows_in_grevlex_order():
-    # base + u*(x + z^2) + w*(2y) = 0, rows ascending in grevlex;
+    # base + x0*(x + z^2) + x1*(2y) = 0, rows ascending in grevlex;
     # the monomial y*z appears nowhere and gets no row
     base = Jet(Poly.const(F(3)) - Z * Z, 2)
     cols = [Jet(X + Z * Z, 2), Jet(Y.scale(2), 2)]
-    eqs = linear_equations(cols, base, ["u", "w"])
+    eqs = linear_equations(cols, base)
     assert [(e.coeffs, e.rhs) for e in eqs] == [
-        ({}, F(-3)), ({"w": F(2)}, F(0)), ({"u": F(1)}, F(0)),
-        ({"u": F(1)}, F(1))]
+        ({}, F(-3)), ({1: F(2)}, F(0)), ({0: F(1)}, F(0)),
+        ({0: F(1)}, F(1))]
 
 
 def test_bracket_oracle():
@@ -185,11 +185,12 @@ def test_closure_constraint_count_i1():
 
 
 def test_gauge_entries_per_case():
-    assert GAUGE_ENTRIES["no-cubic"] == ("13", "22", "31", "44")
-    assert GAUGE_ENTRIES["I3"] == ("22", "31")
-    assert GAUGE_ENTRIES["Inr"] == ("23",)
-    eqs = normalize_gauge("I1")
-    assert len(eqs) == 3  # one pinned entry for each of p, q, r
+    # coordinate indices of A13, A22, A31, A44 and A23 in coords() order
+    assert GAUGE_ENTRIES["no-cubic"] == (2, 5, 8, 15)
+    assert GAUGE_ENTRIES["I3"] == (5, 8)
+    assert GAUGE_ENTRIES["Inr"] == (6,)
+    # one pinned entry, A22, on each family's coordinates
+    assert normalize_gauge("I1") == [LinearEquation({5: F(1)}, F(0))]
 
 
 def test_complete_series_quadric_stays_quadratic():
@@ -299,7 +300,7 @@ def span_cases(draw):
                                   min_size=1, max_size=3)):
             row[c] = x
         rows.append(row)
-    _, basis, free, _ = solve_rows(rows, [F(0)] * len(rows), 20)
+    _, basis, free = solve_rows(rows, [F(0)] * len(rows), 20)
     targets = []
     for _ in range(3):
         ws = draw(st.lists(st.sampled_from((F(0),) + values),
@@ -330,8 +331,8 @@ def test_membership_in_free_coordinates_agrees_with_elimination(case):
 def eliminated_series(f, P, Q, R, M):
     """The completion as one elimination per order, in which the column of
     each degree-m coefficient is the derivative of its monomial along the
-    translation e. Returns the jet and the pivot conditions it assumed."""
-    cur, degeneracies = f.poly, []
+    translation e."""
+    cur = f.poly
     for m in range(f.order + 1, M + 1):
         names = degree_unknowns(m)
         mono_of = dict(names)
@@ -345,15 +346,15 @@ def eliminated_series(f, P, Q, R, M):
                                         for n, t in zip(XYZ, e) if t),
                                        Poly.zero(XYZ)), m - 1))
             res = tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1)
-            eqs.extend(linear_equations(columns, res, unknowns))
+            eqs.extend(linear_equations(columns, res))
         fam = linear_solve(eqs, unknowns)
         if fam is None:
             raise CompletionError("inconsistent completion system", m)
         if not fam.is_unique():
             raise CompletionError("underdetermined completion system", m)
-        degeneracies.extend(fam.degeneracies)
-        cur = cur + Poly(XYZ, {mono: fam.particular[n] for n, mono in names})
-    return Jet(cur, M), degeneracies
+        sol = dict(zip(unknowns, fam.particular))
+        cur = cur + Poly(XYZ, {mono: sol[n] for n, mono in names})
+    return Jet(cur, M)
 
 
 @lru_cache(maxsize=None)
@@ -381,17 +382,16 @@ def reached_completions():
 def assert_same_completion(f, P, Q, R, M):
     """Both paths raise the same CompletionError, or give the same jet in
     the same term order and with the same coefficient types (an oracle
-    constant RationalFunc may be the equal Fraction); the oracle never
-    assumes a pivot condition. Returns the jet, or None on failure."""
+    constant RationalFunc may be the equal Fraction). Returns the jet, or
+    None on failure."""
     try:
-        want, degeneracies = eliminated_series(f, P, Q, R, M)
+        want = eliminated_series(f, P, Q, R, M)
     except CompletionError as exc:
         with pytest.raises(CompletionError) as got:
             complete_series(f, P, Q, R, M)
         assert (str(got.value), got.value.order) == (str(exc), exc.order)
         return None
     got = complete_series(f, P, Q, R, M)
-    assert degeneracies == []
     assert got == want and list(got.poly.terms) == list(want.poly.terms)
     for m, w in want.poly.terms.items():
         g = got.poly.terms[m]
