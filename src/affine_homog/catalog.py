@@ -37,7 +37,7 @@ from .scalars import (InputError, RationalFunc, Tower, parse_rational,
 from .symmetry import (E_X, E_Y, E_Z, AffineVectorField, CompletionError,
                        complete_series, closure_constraints, degree_unknowns,
                        full_algebra, linear_equations, normalize_gauge,
-                       pqr_families, reduce_against_span, solve_tangency,
+                       pqr_families, reduce_against_span,
                        tangency_columns, tangency_residual)
 
 XYZ = ("x", "y", "z")
@@ -535,7 +535,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     details: Dict[str, object] = {"normal_form": nf_id, "order": order}
     if b is not None:
         details["b"] = b
-    # the six translated solves share one column set
+    # the gauged and ungauged solves share one column set
     columns = tangency_columns(jet0, jet0.order - 1, range(20))
     gauged = pqr_families(jet0, case=case, columns=columns)
     ungauged = pqr_families(jet0, case=None, columns=columns)
@@ -556,9 +556,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     except CompletionError as exc:
         details["error"] = str(exc)
         return Report(f"isotropy:{nf_id}", False, details)
-    # as do every solve and re-check on the completed jet
-    columns = tangency_columns(completed, completed.order, range(20))
-    alg = full_algebra(completed, columns=columns)
+    alg = full_algebra(completed)
     details.update({
         "closed": alg.closed, "isotropy_dim": alg.isotropy_dim,
         "expected_isotropy": expected, "full_dim": alg.full_dim,
@@ -572,10 +570,9 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
               and unique_mod_iso and gauge_cuts)
 
     if nf_id in ("I1.1", "I1.2"):
-        iso = solve_tangency(completed, translation="zero", columns=columns)
         gen_ok = False
-        if iso is not None and iso.dimension == 1:
-            g = iso.basis_fields()[0].A
+        if alg.isotropy_dim == 1:
+            g = alg.isotropy[0].A
             s = g[3][3]
             if s:
                 scaled = tuple(tuple(2 * a / s for a in row) for row in g)
@@ -585,13 +582,10 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
         passed = passed and gen_ok
 
     if nf_id == "I0.1" and b == 6:
-        found = []
-        for target, e in _I01_B6_TRIPLE:
-            fam = solve_tangency(completed, translation=e, columns=columns)
-            # some member of the family has the target matrix
-            found.append(fam is not None and reduce_against_span(
-                fam.basis_fields(), AffineVectorField(target, e) - fam.field(),
-                fam.free_coords))
+        # some field of the algebra has the target matrix and translation
+        found = [reduce_against_span(alg.basis, AffineVectorField(target, e),
+                                     alg.free)
+                 for target, e in _I01_B6_TRIPLE]
         details["displayed_triple_in_algebra"] = found
         passed = passed and all(found)
 
@@ -753,8 +747,7 @@ def quadric_rigidity(max_order: int = 8) -> Report:
     fam = linear_solve(linear_equations(columns, base), unknowns)
     forced_zero = (fam is not None and fam.is_unique()
                    and not any(fam.particular))
-    iso = solve_tangency(quadric, translation="zero")
-    iso_dim = iso.dimension if iso is not None else 0
+    iso_dim = full_algebra(quadric).isotropy_dim
     return Report("quadric-rigidity",
                   forced_zero and iso_dim == 4,
                   {"max_order": max_order, "forced_zero": forced_zero,

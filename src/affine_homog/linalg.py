@@ -253,13 +253,17 @@ def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
 def linear_solve(equations: Sequence[LinearEquation],
                  unknowns: Sequence[str]) -> Optional[SolutionFamily]:
     """``solve_rows`` on equations keyed by column index, one column per
-    name in ``unknowns``. Returns None when inconsistent."""
+    name in ``unknowns``. Returns None when inconsistent; raises
+    ``ValueError`` on a column index outside the unknowns."""
     unknowns = list(unknowns)
     rows = []
     for eq in equations:
         # Fraction(0) + c makes an int a Fraction: the types pick the pivots
         row = [Fraction(0)] * len(unknowns)
         for k, c in eq.coeffs.items():
+            if not 0 <= k < len(row):
+                raise ValueError(f"column index {k} outside the "
+                                 f"{len(row)} unknowns")
             row[k] = row[k] + c
         rows.append(row)
     solved = solve_rows(rows, [eq.rhs for eq in equations], len(unknowns))

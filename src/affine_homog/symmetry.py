@@ -11,6 +11,16 @@ columns, ``tangency_columns``), so every tangency system is assembled from
 those columns and solved exactly. Bracket closure of the resulting span is
 a polynomial condition on the remaining free entries.
 
+There is one tangency solve, ``solve_tangency``: the RREF nullspace of all
+twenty columns, the translation columns last, at order N-1. Every other
+family is read off it. The basis field of a free matrix column has no
+translation, so those fields span the isotropy at N-1, and the isotropy at
+N is the kernel of their order-N residuals (``full_algebra``). The basis
+field of a free translation column is 1 at that column and 0 at the other
+free ones, so with the translation-free fields it gives the family of a
+fixed unit translation (``pqr_families``); by RREF uniqueness that is the
+solve with the translation fixed, entry for entry.
+
 A solved span is closed when every bracket of two basis fields lies in it.
 The basis is the RREF nullspace basis of the solve, so each field is 1 at
 its own free coordinate and 0 at the others: a bracket is reduced in those
@@ -18,7 +28,7 @@ free coordinates (it is in the span exactly when it equals the basis
 weighted by its own free coordinates), with no elimination.
 
 The columns are built once per jet, at the highest order any solve or
-re-check on it needs, and every solve and re-check reads their truncations
+residual on it needs, and every solve and residual reads their truncations
 to its own order. A jet F with no constant term (``expand_graph`` gives
 one) may share the columns built at order N+1 from F with the solves on
 F.truncate(N): the matrix columns (k < 16) agree at every order M <= N,
@@ -35,7 +45,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
-from .linalg import LinearEquation, SolutionFamily, linear_solve, matrix_rank
+from .linalg import LinearEquation, SolutionFamily, linear_solve
 from .poly import GREVLEX, Poly
 
 XYZ = ("x", "y", "z")
@@ -61,9 +71,6 @@ class AffineVectorField:
     def __post_init__(self):
         self.A = tuple(tuple(r) for r in self.A)
         self.v = tuple(self.v)
-
-    def is_zero(self) -> bool:
-        return not (any(any(r) for r in self.A) or any(self.v))
 
     def scale(self, c) -> "AffineVectorField":
         return AffineVectorField(
@@ -178,7 +185,7 @@ def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
 # -- linear tangency solves -----------------------------------------------------
 
 # the coordinate names of a field in coords() order: A[i-1][j-1] is "ij",
-# v[i-1] is "ti"; a solve prefixes them with its family's letter
+# v[i-1] is "ti"; the views of pqr_families prefix them with their letter
 COORDINATE_NAMES = ([f"{i}{j}" for i in range(1, 5) for j in range(1, 5)]
                     + [f"t{i}" for i in range(1, 5)])
 
@@ -200,22 +207,22 @@ def normalize_gauge(case: str) -> List[LinearEquation]:
             for k in GAUGE_ENTRIES.get(case, (5,))]
 
 
+def _field(c: Sequence[object]) -> AffineVectorField:
+    """The field with coordinates c, in ``coords()`` order."""
+    return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), c[16:])
+
+
 @dataclass
 class TangencyFamily:
+    """Tangent fields: a solution family over the twenty coordinates."""
     family: SolutionFamily
-    translation: object  # fixed 4-tuple, or the string "free"
 
     @property
     def dimension(self) -> int:
         return self.family.dimension
 
-    def _field(self, c: Sequence[object], fixed_v) -> AffineVectorField:
-        # the family's vectors are the field's coordinates in coords() order
-        v = c[16:] if self.translation == "free" else fixed_v
-        return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), v)
-
     def field(self, free_values: Optional[Dict[str, object]] = None) -> AffineVectorField:
-        return self._field(self.family.member(free_values), self.translation)
+        return _field(self.family.member(free_values))
 
     @property
     def free_coords(self) -> List[int]:
@@ -224,63 +231,50 @@ class TangencyFamily:
         return self.family.free_cols
 
     def basis_fields(self) -> List[AffineVectorField]:
-        """Fields from the homogeneous basis vectors (zero fixed translation)."""
-        return [self._field(vec, ZERO4) for vec in self.family.basis]
+        """Fields from the homogeneous basis vectors."""
+        return [_field(vec) for vec in self.family.basis]
 
 
-def solve_tangency(F: Jet, translation="zero", prefix: str = "p",
-                   extra_constraints: Sequence[LinearEquation] = (),
+def solve_tangency(F: Jet, extra_constraints: Sequence[LinearEquation] = (),
                    order: Optional[int] = None,
-                   columns: Optional[Sequence[Jet]] = None
-                   ) -> Optional[TangencyFamily]:
-    """Family of fields tangent to F with the given translation part.
+                   columns: Optional[Sequence[Jet]] = None) -> TangencyFamily:
+    """Every affine field tangent to F to the given order: the RREF
+    nullspace of the twenty columns, in ``coords()`` order.
 
-    Truncation defaults to N for a zero translation and N-1 otherwise
-    (the jet of the graph determines residuals only that far).
-    ``columns``, when given, are F's twenty columns (the sixteen matrix
-    columns suffice for a zero translation) at an order at least the
-    truncation order. ``extra_constraints`` are keyed by coordinate index
-    (``normalize_gauge``); the family names its coordinates by
-    ``prefix``. Returns None when no such field exists.
+    The order defaults to N-1 (the jet of the graph determines residuals
+    only that far). ``columns``, when given, are F's twenty columns at an
+    order at least that. ``extra_constraints`` are homogeneous rows keyed
+    by coordinate index (``normalize_gauge``). The basis field of a free
+    matrix column has no translation; that of a free translation column is
+    1 there and 0 at the other free columns.
     """
-    N = F.order
-    if translation == "zero":
-        translation = ZERO4
-    if translation == "free":
-        ncols = 20
-    else:
-        ncols, translation = 16, tuple(translation)
-    if order is None:
-        order = N if (translation != "free" and not any(translation)) else N - 1
+    order = F.order - 1 if order is None else order
     columns = (tangency_columns(F, order, range(20)) if columns is None
                else _at(columns, order))
-    base = _combine(columns[16:], ZERO4 if translation == "free" else translation,
-                    order)
-    eqs = linear_equations(columns[:ncols], base)
-    fam = linear_solve(eqs + list(extra_constraints),
-                       [prefix + name for name in COORDINATE_NAMES[:ncols]])
-    return None if fam is None else TangencyFamily(fam, translation)
+    eqs = linear_equations(columns, Jet.zero(order))
+    return TangencyFamily(linear_solve(eqs + list(extra_constraints),
+                                       COORDINATE_NAMES))
 
 
 def pqr_families(F: Jet, case: Optional[str] = None,
-                 order: Optional[int] = None,
                  columns: Optional[Sequence[Jet]] = None):
     """The three tangency families with unit translation parts along x, y
-    and z, gauge-fixed for the given cubic case when one is named. The
-    three solves share one column set (``columns`` when given)."""
-    order = F.order - 1 if order is None else order
-    if columns is None:
-        columns = tangency_columns(F, order, range(20))
-    out = []
-    for prefix, e in (("p", E_X), ("q", E_Y), ("r", E_Z)):
-        extra = normalize_gauge(case) if case else ()
-        fam = solve_tangency(F, translation=e, prefix=prefix,
-                             extra_constraints=extra, order=order,
-                             columns=columns)
-        if fam is None:
-            return None
-        out.append(fam)
-    return tuple(out)
+    and z, gauge-fixed for the given cubic case when one is named, or None
+    when one of them does not exist (when translation column 16, 17 or 18
+    is a pivot of the free solve).
+
+    They are views of one free solve (on ``columns`` when given): each
+    takes the basis vector of its translation column as its particular
+    solution, shares the translation-free basis vectors, and names its
+    coordinates with the family's letter."""
+    fam = solve_tangency(F, normalize_gauge(case) if case else (),
+                         columns=columns).family
+    k = sum(c < 16 for c in fam.free_cols)
+    if fam.free_cols[k:k + 3] != [16, 17, 18]:
+        return None
+    return tuple(TangencyFamily(SolutionFamily(
+        [prefix + name for name in COORDINATE_NAMES], fam.basis[k + i],
+        fam.basis[:k], fam.free_cols[:k])) for i, prefix in enumerate("pqr"))
 
 
 # -- closure ---------------------------------------------------------------------
@@ -352,12 +346,20 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
 @dataclass
 class SymmetryAlgebra:
     basis: List[AffineVectorField]
+    free: List[int]  # basis field k is 1 at coordinate free[k], 0 at the others
+    isotropy: List[AffineVectorField]  # a basis of the isotropy at the order
     order: int
     closed: bool
-    isotropy_dim: int
-    full_dim: int
     translation_rank: int
     tangency_ok: bool = True
+
+    @property
+    def isotropy_dim(self) -> int:
+        return len(self.isotropy)
+
+    @property
+    def full_dim(self) -> int:
+        return len(self.basis)
 
     def to_json(self):
         return {"basis": [b.to_json() for b in self.basis],
@@ -389,42 +391,36 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
 
 def full_algebra(F: Jet, order: Optional[int] = None,
                  columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
-    """Candidate symmetry algebra of the graph w = F at the given order:
-    all affine fields tangent to order N-1, with an exact bracket-closure
-    check and a tangency re-check of the pure-linear part at order N.
+    """Candidate symmetry algebra of the graph w = F at the given order N:
+    all affine fields tangent to order N-1, their isotropy at order N, and
+    an exact bracket-closure check.
 
-    Every solve and re-check reads one column set: ``columns`` when given
+    The fields come from the one free solve at N-1. Its k basis fields
+    without a translation span the isotropy at N-1, and the isotropy at N
+    is the kernel of their order-N residuals (a k-column solve). A field
+    with a translation is tangent at N-1 by construction, so the algebra
+    is tangent (``tangency_ok``) when no isotropy is lost at N. The
+    translation rank counts the basis fields with an x, y or z translation
+    (those of free translation columns, which are independent there).
+
+    Every solve and residual reads one column set: ``columns`` when given
     (built from F at an order >= N, shared under the rule of the module
     docstring), else the columns of F.truncate(N) at order N."""
     N = order if order is not None else F.order
     Ft = F.truncate(N)
     if columns is None:
         columns = tangency_columns(Ft, N, range(20))
-    # shared translation columns may differ from F.truncate(N)'s at order
-    # N, where only the matrix columns are read
-    low, top = _at(columns, N - 1), _at(columns[:16], N)
-    fam = solve_tangency(Ft, translation="free", prefix="a", order=N - 1,
-                         columns=low)
-    basis = fam.basis_fields() if fam is not None else []
-    free = fam.free_coords if fam is not None else []
-    full_dim = len(basis)
-    trans_rank = matrix_rank([list(b.v[:3]) for b in basis]) if basis else 0
-    iso = solve_tangency(Ft, translation="zero", prefix="a", order=N,
-                         columns=top)
-    iso_dim = iso.dimension if iso is not None else 0
-    # tangency re-check at the tightest order each element allows
-    tangency_ok = True
-    for b in basis:
-        M, cols = (N - 1, low) if any(b.v) else (N, top)
-        if not tangency_residual(Ft, b, M, cols).is_zero():
-            tangency_ok = False
-    closed = tangency_ok
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not reduce_against_span(basis, bracket(basis[i], basis[j]), free):
-                closed = False
-                break
-        if not closed:
-            break
-    return SymmetryAlgebra(basis, N, closed, iso_dim, full_dim, trans_rank,
-                           tangency_ok)
+    fam = solve_tangency(Ft, order=N - 1, columns=columns)
+    basis, free = fam.basis_fields(), fam.free_coords
+    k = sum(c < 16 for c in free)
+    # the residuals read only the matrix columns, which shared columns
+    # agree on at order N
+    residuals = [tangency_residual(Ft, b, N, columns) for b in basis[:k]]
+    names = fam.family.free[:k]
+    kept = linear_solve(linear_equations(residuals, Jet.zero(N)), names)
+    isotropy = [fam.field(dict(zip(names, c))) for c in kept.basis]
+    tangency_ok = len(isotropy) == k
+    closed = all(reduce_against_span(basis, bracket(a, b), free)
+                 for i, a in enumerate(basis) for b in basis[i + 1:])
+    return SymmetryAlgebra(basis, free, isotropy, N, closed and tangency_ok,
+                           sum(1 for b in basis if any(b.v[:3])), tangency_ok)

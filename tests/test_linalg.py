@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,13 @@ def test_unique_solution():
 def test_inconsistent_returns_none():
     fam = linear_solve([eq({0: 1}, 1), eq({0: 1}, 2)], ("x",))
     assert fam is None
+
+
+@pytest.mark.parametrize("k", (-1, 2))
+def test_column_index_outside_the_unknowns_raises(k):
+    # -1 would otherwise wrap to y, and 2 index past the row
+    with pytest.raises(ValueError, match=f"column index {k} "):
+        linear_solve([eq({k: 1}, 1)], ("x", "y"))
 
 
 def test_underdetermined_family():

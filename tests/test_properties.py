@@ -105,7 +105,7 @@ def test_bracket_jacobi(A1, A2, A3):
             tuple(tuple(p + q for p, q in zip(r1, r2))
                   for r1, r2 in zip(total.A, t.A)),
             tuple(p + q for p, q in zip(total.v, t.v)))
-    assert total.is_zero()
+    assert not any(total.coords())
 
 
 # -- tangency residual is linear in the field ----------------------------------------

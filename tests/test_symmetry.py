@@ -9,18 +9,18 @@ from affine_homog import catalog as cat
 from affine_homog.cli import CASES
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
-from affine_homog.linalg import LinearEquation, linear_solve, solve_rows
+from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
+                                 solve_rows)
 from affine_homog.poly import XYZ, Poly
 from affine_homog.scalars import RationalFunc, Tower
-from affine_homog.symmetry import (E_X, E_Y, E_Z, GAUGE_ENTRIES,
-                                   AffineVectorField, CompletionError,
-                                   bracket, closure_constraints,
-                                   complete_series, degree_unknowns,
-                                   full_algebra, linear_equations,
-                                   normalize_gauge,
+from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z,
+                                   GAUGE_ENTRIES, ZERO4, AffineVectorField,
+                                   CompletionError, _combine, bracket,
+                                   closure_constraints, complete_series,
+                                   degree_unknowns, full_algebra,
+                                   linear_equations, normalize_gauge,
                                    pqr_families, reduce_against_span,
-                                   solve_tangency, tangency_columns,
-                                   tangency_residual)
+                                   tangency_columns, tangency_residual)
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -90,6 +90,7 @@ def test_columns_match_sympy_residual_of_unit_fields():
         assert col.poly.terms == truncated(grad[i] * coords[j]), k
 
 
+@lru_cache(maxsize=None)
 def _expanded(order):
     """Every catalog entry (at its sweep alpha), near-miss variant and the
     replacement surface, expanded to the given order."""
@@ -150,11 +151,6 @@ def test_bracket_with_translations():
     c = bracket(a, t)
     assert c.A == tuple((F(0),) * 4 for _ in range(4))
     assert c.v in (((F(1), F(0), F(0), F(0))), ((F(-1), F(0), F(0), F(0))))
-
-
-def test_quadric_isotropy_dimension():
-    fam = solve_tangency(QUADRIC, translation="zero")
-    assert fam.dimension == 4
 
 
 def test_quadric_full_algebra():
@@ -423,3 +419,139 @@ def test_integrated_completion_matches_elimination_when_perturbed(
     rows[i][j] = rows[i][j] + F(*delta)
     mats[which] = tuple(tuple(r) for r in rows)
     assert_same_completion(f, *mats, M)
+
+
+# -- one free solve against separate solves per translation ---------------------------
+
+def fixed_translation_solve(F, translation, prefix="p", extra=(), order=None):
+    """The tangency family of one fixed translation part, solved on its
+    own: the sixteen matrix columns, with the translation's weighted
+    columns on the right, at order N for a zero translation and N-1 for
+    any other. None when no field has that translation."""
+    if order is None:
+        order = F.order - 1 if any(translation) else F.order
+    columns = tangency_columns(F, order, range(20))
+    base = _combine(columns[16:], translation, order)
+    return linear_solve(linear_equations(columns[:16], base) + list(extra),
+                        [prefix + name for name in COORDINATE_NAMES[:16]])
+
+
+def separate_solves(F, N):
+    """The algebra of F at order N as separate solves give it: the free
+    solve at N-1, the isotropy as a sixteen-column solve at N, the
+    translation rank as a matrix rank, and every basis field re-checked
+    at the tightest order it allows (N-1 with a translation, else N)."""
+    Ft = F.truncate(N)
+    columns = tangency_columns(Ft, N - 1, range(20))
+    fam = linear_solve(linear_equations(columns, Jet.zero(N - 1)),
+                       COORDINATE_NAMES)
+    basis = [_field(vec) for vec in fam.basis]
+    iso = fixed_translation_solve(Ft, ZERO4, order=N)
+    rank = matrix_rank([list(b.v[:3]) for b in basis]) if basis else 0
+    tangency_ok = all(tangency_residual(Ft, b, N - 1 if any(b.v) else N).is_zero()
+                      for b in basis)
+    closed = tangency_ok and all(
+        reduce_against_span(basis, bracket(a, b), fam.free_cols)
+        for i, a in enumerate(basis) for b in basis[i + 1:])
+    return basis, [_field(vec + list(ZERO4)) for vec in iso.basis], rank, \
+        tangency_ok, closed
+
+
+def assert_same_algebra(F, N, columns=None):
+    """full_algebra equals the separate solves: the same basis, isotropy
+    fields of equal values, translation rank and verdicts. Returns
+    tangency_ok."""
+    alg = full_algebra(F, N, columns)
+    basis, iso, rank, tangency_ok, closed = separate_solves(F, N)
+    assert [b.coords() for b in alg.basis] == [b.coords() for b in basis]
+    assert [b.coords() for b in alg.isotropy] == [b.coords() for b in iso]
+    assert alg.isotropy_dim == len(iso) and alg.full_dim == len(basis)
+    assert (alg.translation_rank, alg.tangency_ok, alg.closed) == (
+        rank, tangency_ok, closed)
+    return alg.tangency_ok
+
+
+def test_full_algebra_matches_separate_solves_on_the_catalog():
+    # the orders and the shared column set of verify_entry at order 6
+    for Fj in _expanded(7)[:len(cat.catalog())]:
+        columns = tangency_columns(Fj, 7, range(20))
+        for N in (6, 7):
+            assert assert_same_algebra(Fj, N, columns)
+
+
+def test_full_algebra_matches_separate_solves_on_the_variants():
+    # the shared column set of reject_variant at order 7
+    n = len(cat.catalog())
+    verdicts = []
+    for Fj in _expanded(7)[n:n + len(cat.VARIANTS)]:
+        columns = tangency_columns(Fj, 7, range(20))
+        verdicts += [assert_same_algebra(Fj, N, columns) for N in range(3, 8)]
+    assert len(verdicts) == 30 and verdicts.count(False) == 10
+
+
+def test_full_algebra_matches_separate_solves_on_completed_normal_forms():
+    for nf in cat.NORMAL_FORM_IDS:
+        jet = cat.confirm_isotropy(nf).details["completed_jet"]
+        assert assert_same_algebra(jet, jet.order)
+
+
+def test_full_algebra_matches_separate_solves_off_the_graph_origin():
+    # a linear part in x frees the w-translation column in place of the x
+    # one; a constant term (a jet read on stdin may have one) frees all
+    # four translation columns, while the x, y, z translations keep rank 3
+    const = Poly.const(F(1), XYZ)
+    for poly, free in ((QUADRIC.poly + X, [17, 18, 19]),
+                       (QUADRIC.poly + const, [16, 17, 18, 19]),
+                       (const, [16, 17, 18, 19])):
+        assert_same_algebra(Jet(poly, 4), 4)
+        alg = full_algebra(Jet(poly, 4))
+        assert [c for c in alg.free if c >= 16] == free
+        assert alg.translation_rank == 3
+
+
+def assert_same_entries(got, want):
+    assert [type(c) for c in got] == [type(c) for c in want]
+    assert list(got) == list(want)
+
+
+def assert_views_match_fixed_solves(jet, case):
+    """pqr_families gives, entry for entry and type for type, the three
+    fixed-translation solves, or None when one of them has no solution."""
+    extra = normalize_gauge(case) if case else ()
+    want = [fixed_translation_solve(jet, e, prefix, extra)
+            for prefix, e in zip("pqr", (E_X, E_Y, E_Z))]
+    got = pqr_families(jet, case)
+    if None in want:
+        assert got is None
+        return
+    for view, fam, e in zip(got, want, (E_X, E_Y, E_Z)):
+        assert_same_entries(view.family.particular, fam.particular + list(e))
+        assert len(view.family.basis) == len(fam.basis)
+        for vec, w in zip(view.family.basis, fam.basis):
+            assert_same_entries(vec, w + list(ZERO4))
+        assert view.family.free == fam.free
+        assert view.free_coords == fam.free_cols
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_pqr_views_match_fixed_solves_on_case_jets(case):
+    for gauge in (case, None):
+        assert_views_match_fixed_solves(cat.case_jet(case), gauge)
+
+
+@pytest.mark.parametrize("nf", cat.NORMAL_FORM_IDS)
+def test_pqr_views_match_fixed_solves_on_base_jets(nf):
+    for gauge in (cat.CASE_OF[nf], None):
+        assert_views_match_fixed_solves(cat.base_jet(nf), gauge)
+
+
+def test_pqr_families_none_when_a_translation_is_out_of_reach():
+    # the quartic x^4 leaves no field with translation e_x at order 3, while
+    # fields with e_y and e_z remain; on w = x + y^2 + z^2, where the
+    # tangent plane forces the w-translation to equal the x one, so do
+    # fields of three translation columns (y, z and w)
+    for jet in (Jet(QUADRIC.poly + X * X * X * X, 4), Jet(X + Y * Y + Z * Z, 3)):
+        assert fixed_translation_solve(jet, E_X) is None
+        assert fixed_translation_solve(jet, E_Y) is not None
+        assert fixed_translation_solve(jet, E_Z) is not None
+        assert_views_match_fixed_solves(jet, None)

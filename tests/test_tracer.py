@@ -1,17 +1,35 @@
 """The perfbench tracer wraps each layer's entry point from outside the
-package; a renamed function or parameter would silently blind ``--trace 1``."""
+package; a renamed function or parameter would silently blind ``--trace 1``,
+and a layer that a benchmark workload stops calling makes its traced run
+report ``"correct": false``."""
 
+import contextlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 from affine_homog.cli import run
 
-_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", _path)
-tracer = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 # between them these three ops reach every layer
 OPS = (["verify", "--entry=N1"], ["discover", "--case=I3"],
@@ -19,30 +37,45 @@ OPS = (["verify", "--entry=N1"], ["discover", "--case=I3"],
 
 # the size of the systems these ops send to the kernel: a change to how the
 # tangency systems are assembled should leave every one of them as it was
-SOLVE_COUNTS = {"linalg.linear_solve.calls": 15, "linalg.linear_solve.rows": 257,
-                "linalg.linear_solve.cols": 252, "linalg.linear_solve.rank": 207,
+SOLVE_COUNTS = {"linalg.linear_solve.calls": 9, "linalg.linear_solve.rows": 109,
+                "linalg.linear_solve.cols": 129, "linalg.linear_solve.rank": 87,
                 "linalg.linear_solve.max_bits": 4,
-                "linalg.linear_solve.parametric_calls": 4,
+                "linalg.linear_solve.parametric_calls": 3,
                 "linalg.linear_solve.inconsistent": 0,
-                "symmetry.solve_tangency.calls": 15}
+                "symmetry.solve_tangency.calls": 6}
 
 
-def test_every_layer_is_called_and_counted(capsys):
+def traced_pass(argvs):
+    """The per-layer totals of one traced pass over the argvs, each of
+    which must exit 0."""
     tr = tracer.Tracer()
     tr.install()
     try:
         tr.begin_pass()
-        for argv in OPS:
+        for argv in argvs:
             tr.begin_op()
             start = perf_counter()
-            assert run(argv) == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(list(argv)) == 0, argv
             tr.end_op(start, perf_counter())
-        totals = tr.end_pass()
+        return tr.end_pass()
     finally:
         tr.uninstall()
-    capsys.readouterr()
+
+
+def test_every_layer_is_called_and_counted():
+    totals = traced_pass(OPS)
     for layer in tracer.LAYERS:
         assert totals[f"{layer.name}.calls"] > 0, layer.name
         if layer.counts:
             assert any(totals[f"{layer.name}.{c}"] for c in layer.counts), layer.name
     assert {k: totals[k] for k in SOLVE_COUNTS} == SOLVE_COUNTS
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_every_layer_a_workload_serves_is_called(workload):
+    # the check of a traced benchmark run, on one pass of the workload
+    totals = traced_pass(op.argv for op in workloads.build(workload, 1))
+    for layer in tracer.LAYERS:
+        if workload in layer.serves:
+            assert totals[f"{layer.name}.calls"] > 0, layer.name
