@@ -304,7 +304,10 @@ REPLACEMENT_SURFACE = (
 def reject_variant(vid: str, order: int = 6) -> Report:
     """A variant is rejected when the homogeneity test fails at some order
     up to the given one. Records where the failure first appears and
-    whether an order-4-closed algebra loses tangency one order higher."""
+    whether an order-4-closed algebra loses tangency one order higher, so
+    the order must be at least 5."""
+    if order < 5:
+        raise InputError(f"order {order} is below 5, the order of the re-check")
     text, bp = VARIANTS[vid]
     spec = parse_surface(text, tuple(parse_rational(c) for c in bp))
     Fj = expand_graph(spec, order)

@@ -109,6 +109,9 @@ def _load_jet(args) -> Jet:
         if F.vars != XYZ:
             raise InputError(f"malformed jet JSON (vars {list(F.vars)} "
                              f"are not {list(XYZ)})")
+        if F.order < 2:
+            raise InputError(f"malformed jet JSON (order {F.order} is below 2)")
+        _check_order(F.order)
         return F
     spec = parse_surface(args.surface, _parse_basepoint(args.basepoint),
                          alpha=args.alpha)
@@ -121,11 +124,11 @@ def _require(parser, args, *names):
             parser.error(f"--{n.replace('_', '-')} is required here")
 
 
-def _check_order(args):
-    if getattr(args, "order", 0) < 2:
+def _check_order(order: int):
+    if order < 2:
         raise InputError("order must be at least 2")
-    if getattr(args, "order", 0) > ORDER_WARNING:
-        print(f"warning: order {args.order} may be slow "
+    if order > ORDER_WARNING:
+        print(f"warning: order {order} may be slow "
               "(exact coefficients grow quickly)", file=sys.stderr)
 
 
@@ -275,7 +278,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "order"):
-            _check_order(args)
+            _check_order(args.order)
         if getattr(args, "alpha", None) is not None:
             parse_rational(args.alpha)
         if getattr(args, "basepoint", None) is not None:

@@ -1,15 +1,20 @@
 """Exact polynomial system solving for the closure constraints.
 
-Buchberger's algorithm plus a zero-dimensional solver. The S-pairs wait
-in a heap keyed by (degree of the lcm, term-order key of the lcm, i, j),
-with the lcm computed once when the pair is queued; popping the minimum
-is the normal selection strategy. Pairs are skipped by Buchberger's
-coprime criterion and a chain check. Division works in place on one dict
-of remaining terms and one of remainder terms, subtracting each multiple
-of a basis element term by term. The output is reduced and monic, and
-every S-pair of it is re-checked to reduce to zero, which certifies that
-the skipped pairs lost nothing. The solver does linear elimination first,
-then lexicographic elimination with rational root extraction and
+Buchberger's algorithm plus a zero-dimensional solver. The generators
+enter in reduced row-echelon form over their monomials: invertible row
+operations, so the ideal is unchanged, and the leading terms are
+distinct. The S-pairs wait in a heap keyed by (degree of the lcm,
+term-order key of the lcm, i, j), with the lcm computed once when the
+pair is queued; popping the minimum is the normal selection strategy.
+Pairs are skipped by Buchberger's coprime criterion and a chain check.
+Division works in place on one dict of remaining terms and one of
+remainder terms: the leading term, which a divisor cancels exactly, is
+popped, and the divisor's tail (split off once per call) is subtracted
+term by term. The output is reduced and monic, and every S-pair of it is
+re-checked to reduce to zero, which certifies that the skipped pairs lost
+nothing. The solver does linear elimination first, substituting each
+pivot only into the polynomials that contain its variable; then
+lexicographic elimination with rational root extraction and
 back-substitution. After a free parameter has been designated,
 quadratics over its function field are split whenever the discriminant
 is a perfect square. Irrational roots are reported as residual
@@ -58,24 +63,31 @@ def reduce(p: Poly, basis: Sequence[Poly], order: TermOrder = GREVLEX) -> Poly:
         return p
     for g in basis:
         p._check(g)
-    key = order.key
-    divisors = [(*g.leading_term(order), g.terms) for g in basis]
+    # lex compares exponent tuples as they are
+    key = None if order is LEX else order.key
+    # (leading monomial, leading coefficient, tail terms) of each divisor
+    divisors = []
+    for g in basis:
+        gm, gc = g.leading_term(order)
+        divisors.append((gm, gc, [(tm, tc) for tm, tc in g.terms.items()
+                                  if tm != gm]))
     work = dict(p.terms)
     rem = {}
     while work:
         m = max(work, key=key)
-        c = work[m]
-        for gm, gc, gterms in divisors:
+        c = work.pop(m)
+        for gm, gc, tail in divisors:
             if _divides(gm, m):
+                # the leading term cancels exactly, so it is popped, not
+                # subtracted
                 f = c / gc
                 q = _msub(m, gm)
                 _add_terms(work, {tuple(a + b for a, b in zip(q, tm)): -(f * tc)
-                                  for tm, tc in gterms.items()})
+                                  for tm, tc in tail})
                 break
         else:
             rem[m] = c
-            del work[m]
-    return Poly(p.vars, rem)
+    return Poly._canonical(p.vars, rem)
 
 
 def s_poly(f: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
@@ -86,14 +98,43 @@ def s_poly(f: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
             - Poly.monomial(_msub(l, mg), 1 / cg, g.vars) * g)
 
 
+def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
+    """The reduced row-echelon form of the generators over their monomials:
+    monic rows with distinct leading terms, none of which occurs in another
+    row, in the order of the generators that gave them. Invertible row
+    operations leave the ideal as it was."""
+    key = None if order is LEX else order.key
+    rows: List[Tuple[Mono, Dict[Mono, object]]] = []
+    for g in gens:
+        gens[0]._check(g)
+        t = dict(g.terms)
+        for lm, r in rows:
+            c = t.get(lm)
+            if c:
+                _add_terms(t, {m: -(c * rc) for m, rc in r.items()})
+        if not t:
+            continue
+        lm = max(t, key=key)
+        c = t[lm]
+        if isinstance(c, int):
+            c = Fraction(c)
+        if c != 1:
+            t = {m: a / c for m, a in t.items()}
+        # back-substitution: clear the new pivot from the earlier rows
+        for _, r in rows:
+            c = r.get(lm)
+            if c:
+                _add_terms(r, {m: -(c * a) for m, a in t.items()})
+        rows.append((lm, t))
+    return [Poly._canonical(gens[0].vars, r) for _, r in rows]
+
+
 def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
     """Reduced monic Groebner basis of the ideal generated by gens."""
-    G: List[Poly] = []
-    for g in gens:
-        if g:
-            G.append(g.monic(order))
-    if not G:
+    gens = [g for g in gens if g]
+    if not gens:
         return []
+    G = _echelon(gens, order)
     lt = [g.leading_term(order)[0] for g in G]
 
     # heap of (degree, order key, i, j, lcm); (i, j) is unique, so the
@@ -190,30 +231,37 @@ class SolutionSet:
 def _restrict(p: Poly, vars: Tuple[str, ...]) -> Poly:
     """Re-express p in a sub-ring containing all variables it uses."""
     pos = [p.vars.index(v) for v in vars]
+    lost = [i for i, v in enumerate(p.vars) if v not in vars]
     terms = {}
     for m, c in p.terms.items():
-        for i, e in enumerate(m):
-            if e and p.vars[i] not in vars:
-                raise GroebnerError("variable lost in restriction")
+        if any(m[i] for i in lost):
+            raise GroebnerError("variable lost in restriction")
         terms[tuple(m[i] for i in pos)] = c
-    return Poly(vars, terms)
+    # the kept slots hold every nonzero exponent, so monomials stay distinct
+    return Poly._canonical(tuple(vars), terms)
 
 
 def _linear_coefficient(p: Poly, v: str):
-    """(c, rest) with p = c*v + rest, when p is linear in v with scalar c."""
+    """(c, rest) with p = c*v + rest, for p linear in v with scalar c."""
     i = p.vars.index(v)
-    c = None
-    rest_terms = {}
-    for m, co in p.terms.items():
-        if m[i] == 0:
-            rest_terms[m] = co
-        elif m[i] == 1 and sum(m) == 1:
-            c = co
+    rest = dict(p.terms)
+    c = rest.pop(tuple(int(j == i) for j in range(len(p.vars))))
+    return c, Poly._canonical(p.vars, rest)
+
+
+def _pivot_candidate(p: Poly, ring: Tuple[str, ...]):
+    """((term count, degree), v) for the first variable v of the ring in
+    which p is linear with a scalar coefficient, or None."""
+    linear, other = set(), set()
+    for m in p.terms:
+        if sum(m) == 1:
+            linear.add(m.index(1))
         else:
-            return None
-    if c is None or not c:
+            other.update(i for i, e in enumerate(m) if e)
+    free = linear - other
+    if not free:
         return None
-    return c, Poly(p.vars, rest_terms)
+    return (len(p.terms), p.total_degree()), ring[min(free)]
 
 
 def _univariate_in(p: Poly) -> Optional[str]:
@@ -366,30 +414,45 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
                params: List[str], out: SolutionSet):
     # linear elimination with scalar pivots: eliminate through the pivot
     # polynomial with the fewest terms, then the lowest degree, then the
-    # first in text order
+    # first in text order. A pivot is substituted only into the polynomials
+    # that contain its variable; the others lose its slot and keep their
+    # pivot candidate.
+    system = [p for p in system if p]
+    if any(p.is_constant() for p in system):
+        return  # inconsistent branch
+    cands = [_pivot_candidate(p, ring) for p in system]
     while True:
-        system = [p for p in system if p]
-        if any(p.is_constant() for p in system):
-            return  # inconsistent branch
-        pivots = []
-        for p in system:
-            for v in ring:
-                lin = _linear_coefficient(p, v)
-                if lin is not None:
-                    pivots.append(((len(p.terms), p.total_degree()), p, v, lin))
-                    break
+        pivots = [(c, k) for k, c in enumerate(cands) if c is not None]
         if not pivots:
             break
-        low = min(t[0] for t in pivots)
-        pivots = [t for t in pivots if t[0] == low]
+        low = min(c[0] for c, _ in pivots)
+        pivots = [(c, k) for c, k in pivots if c[0] == low]
         if len(pivots) > 1:
-            pivots.sort(key=lambda t: str(t[1]))
-        _, p, v, (c, rest) = pivots[0]
+            pivots.sort(key=lambda t: str(system[t[1]]))
+        (_, v), at = pivots[0]
+        c, rest = _linear_coefficient(system[at], v)
         i = ring.index(v)
         ring = ring[:i] + ring[i + 1:]
         expr = _restrict(rest.map_coefficients(lambda a: -a / c), ring)
         stack.append((v, expr))
-        system = [q.substitute({v: expr}) for q in system if q is not p]
+        kept, kept_cands = [], []
+        for k, q in enumerate(system):
+            if k == at:
+                continue
+            if any(m[i] for m in q.terms):
+                q = q.substitute({v: expr})
+                if not q:
+                    continue
+                if q.is_constant():
+                    return  # inconsistent branch
+                cand = _pivot_candidate(q, ring)
+            else:
+                q = Poly._canonical(ring, {m[:i] + m[i + 1:]: a
+                                           for m, a in q.terms.items()})
+                cand = cands[k]
+            kept.append(q)
+            kept_cands.append(cand)
+        system, cands = kept, kept_cands
 
     if not system:
         free_vars = list(ring)

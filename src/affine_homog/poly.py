@@ -320,13 +320,18 @@ class Poly:
         return Poly._canonical(tgt_vars, out)
 
     def eval(self, values: Mapping[str, object]):
-        """Full evaluation at scalar values (all variables bound)."""
+        """Full evaluation at scalar values (every variable that occurs is
+        bound); each power of a value is computed once."""
+        powers = {}
         acc = None
         for m, c in self.terms.items():
             t = c
             for v, e in zip(self.vars, m):
                 if e:
-                    t = t * values[v] ** e
+                    pw = powers.get((v, e))
+                    if pw is None:
+                        pw = powers[v, e] = values[v] ** e
+                    t = t * pw
             acc = t if acc is None else acc + t
         return acc if acc is not None else Fraction(0)
 

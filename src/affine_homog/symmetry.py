@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .jets import Jet
 from .linalg import LinearEquation, SolutionFamily, linear_solve
 from .poly import GREVLEX, Poly
+from .scalars import InputError
 
 XYZ = ("x", "y", "z")
 
@@ -405,8 +406,11 @@ def full_algebra(F: Jet, order: Optional[int] = None,
 
     Every solve and residual reads one column set: ``columns`` when given
     (built from F at an order >= N, shared under the rule of the module
-    docstring), else the columns of F.truncate(N) at order N."""
+    docstring), else the columns of F.truncate(N) at order N. An order
+    above F's own raises InputError: F carries no terms there to check."""
     N = order if order is not None else F.order
+    if N > F.order:
+        raise InputError(f"order {N} is above the jet's order {F.order}")
     Ft = F.truncate(N)
     if columns is None:
         columns = tangency_columns(Ft, N, range(20))

@@ -5,7 +5,7 @@ import pytest
 from affine_homog import catalog as cat
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.normalize import cubic_basis, cubic_coordinates, normalize_jet
-from affine_homog.scalars import RationalFunc
+from affine_homog.scalars import InputError, RationalFunc
 
 
 def test_catalog_loads_twenty_entries():
@@ -101,6 +101,15 @@ def test_reject_variant_v1_closes_then_fails():
     rep = cat.reject_variant("v1")
     assert rep.passed
     assert rep.details["closed_at_4"] is True
+    assert rep.details["first_failing_order"] == 5
+
+
+def test_reject_variant_needs_the_order_of_its_recheck():
+    # the order-4 algebra is re-checked at order 5, which a lower jet lacks
+    with pytest.raises(InputError):
+        cat.reject_variant("v1", order=4)
+    rep = cat.reject_variant("v1", order=5)
+    assert rep.details["order_4_algebra_fails_at_5"] is True
     assert rep.details["first_failing_order"] == 5
 
 

@@ -109,7 +109,10 @@ def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
                 '{"order": 3, "vars": ["a", "b", "c"], '
                 '"terms": [{"m": [1, 1, 0], "c": "1"}]}',
                 '{"order": 2, "terms": [{"m": [2, 0, 0], "c": '
-                '{"basis": ["1", "s1"], "coords": ["1", "2"]}}]}'):
+                '{"basis": ["1", "s1"], "coords": ["1", "2"]}}]}',
+                # below the order of the quadric part, and negative
+                *(f'{{"order": {k}, "terms": [{{"m": [2, 0, 0], "c": "1"}}]}}'
+                  for k in (1, 0, -1))):
         monkeypatch.setattr("sys.stdin", io.StringIO(raw))
         with pytest.raises(SystemExit) as exc:
             run(["symmetry", "--jet", "-"])
@@ -125,10 +128,17 @@ def test_math_errors_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
-def test_order_warning_on_stderr(capsys):
+def test_order_warning_on_stderr(capsys, monkeypatch):
     code, _, err = invoke(capsys, "expand", *SPHERE, "--order", "11")
     assert code == 0
     assert "warning" in err and "11" in err
+    # a --jet input carries its own order
+    code, out, _ = invoke(capsys, "expand", *SPHERE, "--order", "11",
+                          "--format", "json")
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, _, err = invoke(capsys, "normalize", "--jet", "-")
+    assert code == 0
+    assert "warning: order 11" in err
 
 
 def test_catalog_listing_and_verify_all(capsys):

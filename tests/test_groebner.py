@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from affine_homog.groebner import (GroebnerError, _rational_roots, buchberger,
-                                   reduce, solve_zero_dim, s_poly)
+from affine_homog import catalog as cat
+from affine_homog.cli import CASES
+from affine_homog.groebner import (GroebnerError, _echelon, _rational_roots,
+                                   buchberger, reduce, solve_zero_dim, s_poly)
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
 from affine_homog.scalars import RationalFunc
+from affine_homog.symmetry import closure_constraints, pqr_families
 
 UV = ("u", "v")
 UVW = ("u", "v", "w")
@@ -106,6 +110,55 @@ def test_reduce_is_the_normal_form(case_and_p):
         expect = sp.reduced(to_sympy(p, syms), [to_sympy(g, syms) for g in gb],
                             *syms, order=name, domain=sp.QQ)[1]
         assert r == from_sympy(expect, syms, vars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems.flatmap(lambda case: st.tuples(
+    st.just(case), polys(case[0], 1), st.integers(0, 2))))
+def test_echelon_is_the_reduced_row_echelon_form(case):
+    # Buchberger's input: the rows span the generators' linear span, and
+    # each is monic with a leading term that no other row contains
+    (vars, gens), h, i = case
+    gens = gens + [gens[0] - gens[-1], h * gens[i % len(gens)]]
+    monos = sorted({m for g in gens for m in g.terms})
+    rank = sp.Matrix([[g.coefficient(m) for m in monos] for g in gens]).rank()
+    for order, _ in ORDERS:
+        rows = _echelon(gens, order)
+        assert len(rows) == rank
+        leads = [r.leading_term(order) for r in rows]
+        assert all(c == 1 for _, c in leads)
+        for k, (m, _) in enumerate(leads):
+            assert all(m not in r.terms for r in rows[:k] + rows[k + 1:])
+        for g in gens:
+            for (m, _), r in zip(leads, rows):
+                g = g - r.scale(g.coefficient(m))
+            assert not g
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems.flatmap(lambda case: st.tuples(
+    st.just(case), polys(case[0], 1), st.integers(0, 2), st.integers(0, 2))))
+def test_buchberger_ignores_how_the_ideal_is_generated(case):
+    # the reduced basis depends on the ideal alone: shuffled, duplicated or
+    # extended by a member h*g_i + g_j, the generators give the same one
+    (vars, gens), h, i, j = case
+    i, j = i % len(gens), j % len(gens)
+    shuffled = list(gens)
+    random.Random(0).shuffle(shuffled)
+    for order, _ in ORDERS:
+        gb = buchberger(gens, order)
+        assert buchberger(shuffled, order) == gb
+        assert buchberger(gens + gens, order) == gb
+        assert buchberger(gens + [h * gens[i] + gens[j]], order) == gb
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_discover_systems_solve_the_same_when_doubled(case):
+    f = cat.case_jet(case)
+    famP, famQ, famR = pqr_families(f, case=case)
+    cons = closure_constraints(f, famP, famQ, famR)
+    ring = sorted(set(famP.family.free + famQ.family.free + famR.family.free))
+    assert solve_zero_dim(cons + cons, ring) == solve_zero_dim(cons, ring)
 
 
 def test_reduce_ideal_membership():

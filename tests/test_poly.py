@@ -252,3 +252,45 @@ def test_truncation_that_drops_nothing_builds_nothing(case):
     assert p.truncate(top) is p
     assert Jet(p, top).poly is p
     assert Jet(p, top + 1).poly is p
+
+
+# -- evaluation ---------------------------------------------------------------------
+
+class _Recording(dict):
+    """A value mapping that records each variable read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return super().__getitem__(v)
+
+
+@st.composite
+def evaluations(draw):
+    """(p, values): a polynomial in x, y, z, w with repeated powers, and
+    Fraction or RationalFunc values for all four variables."""
+    p = Poly(SOURCE, draw(_terms(4, 4, 6)))
+    pool = draw(st.sampled_from((
+        (F(0), F(1), F(-1), F(2), F(-3, 2), F(1, 3)),
+        (RationalFunc.const(0), RationalFunc.const(2), _B, _B + 1, -_B,
+         1 / (_B - 1), _B * _B - F(1, 2)))))
+    return p, {v: draw(st.sampled_from(pool)) for v in SOURCE}
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluations())
+def test_eval_matches_term_by_term_oracle(case):
+    p, values = case
+    want = F(0)
+    for m, c in p.terms.items():
+        t = c
+        for v, e in zip(p.vars, m):
+            t = t * values[v] ** e
+        want = want + t
+    values = _Recording(values)
+    assert p.eval(values) == want
+    # only the variables that occur are read
+    assert values.read == {v for m in p.terms for v, e in zip(p.vars, m) if e}

@@ -12,7 +12,7 @@ from affine_homog.jets import Jet
 from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
                                  solve_rows)
 from affine_homog.poly import XYZ, Poly
-from affine_homog.scalars import RationalFunc, Tower
+from affine_homog.scalars import InputError, RationalFunc, Tower
 from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z,
                                    GAUGE_ENTRIES, ZERO4, AffineVectorField,
                                    CompletionError, _combine, bracket,
@@ -276,6 +276,15 @@ def test_v3_bracket_leaves_the_span_at_order_4_only():
     assert alg.tangency_ok is True and alg.closed is False
     assert full_algebra(Fj, 5).closed is True
     assert full_algebra(Fj, 6).closed is True
+
+
+def test_full_algebra_refuses_an_order_above_the_jet():
+    # the 4-jet's terms of order 5 are unknown, not zero
+    text, bp = cat.VARIANTS["v1"]
+    Fj = expand_graph(parse_surface(text, tuple(F(c) for c in bp)), 4)
+    assert full_algebra(Fj, 4).order == 4
+    with pytest.raises(InputError):
+        full_algebra(Fj, 5)
 
 
 # -- span membership in free coordinates against elimination -------------------------

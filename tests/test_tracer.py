@@ -44,6 +44,15 @@ SOLVE_COUNTS = {"linalg.linear_solve.calls": 9, "linalg.linear_solve.rows": 109,
                 "linalg.linear_solve.inconsistent": 0,
                 "symmetry.solve_tangency.calls": 6}
 
+# what enters and leaves the closure solver on these ops: a faster solver
+# must take the same constraints and return the same bases and solutions
+CLOSURE_COUNTS = {"symmetry.closure_constraints.constraints_out": 41,
+                  "groebner.buchberger.gens_in": 19,
+                  "groebner.buchberger.basis_out": 7,
+                  "groebner.solve_zero_dim.points": 0,
+                  "groebner.solve_zero_dim.families": 1,
+                  "groebner.solve_zero_dim.residual": 0}
+
 
 def traced_pass(argvs):
     """The per-layer totals of one traced pass over the argvs, each of
@@ -70,6 +79,7 @@ def test_every_layer_is_called_and_counted():
         if layer.counts:
             assert any(totals[f"{layer.name}.{c}"] for c in layer.counts), layer.name
     assert {k: totals[k] for k in SOLVE_COUNTS} == SOLVE_COUNTS
+    assert {k: totals[k] for k in CLOSURE_COUNTS} == CLOSURE_COUNTS
 
 
 @pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
