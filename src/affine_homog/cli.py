@@ -41,8 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, jet_input=False):
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help=f"truncation order (default {DEFAULT_ORDER})")
+        # None lets _load_jet keep the order of a --jet
+        p.add_argument("--order", type=int,
+                       default=None if jet_input else DEFAULT_ORDER,
+                       help=f"truncation order (default {DEFAULT_ORDER}"
+                            f"{', or that of --jet' if jet_input else ''})")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--surface", help="defining equation in W,X,Y,Z")
         p.add_argument("--basepoint", help="basepoint as W,X,Y,Z rationals")
@@ -111,11 +114,17 @@ def _load_jet(args) -> Jet:
                              f"are not {list(XYZ)})")
         if F.order < 2:
             raise InputError(f"malformed jet JSON (order {F.order} is below 2)")
-        _check_order(F.order)
-        return F
+        if args.order is None:
+            _check_order(F.order)
+            return F
+        if args.order > F.order:
+            raise InputError(f"--order {args.order} is above the jet's "
+                             f"order {F.order}")
+        return F.truncate(args.order)
     spec = parse_surface(args.surface, _parse_basepoint(args.basepoint),
                          alpha=args.alpha)
-    return expand_graph(spec, args.order)
+    return expand_graph(spec, DEFAULT_ORDER if args.order is None
+                        else args.order)
 
 
 def _require(parser, args, *names):
@@ -277,7 +286,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "order"):
+        if getattr(args, "order", None) is not None:
             _check_order(args.order)
         if getattr(args, "alpha", None) is not None:
             parse_rational(args.alpha)

@@ -89,6 +89,12 @@ class Log(Node):
 
 # -- tokenizer / recursive descent -------------------------------------------
 
+# The deepest bracket nesting, and the deepest syntax tree, an equation may
+# have. Parsing recurses a few frames per bracket and evaluation one frame
+# per tree level, so both stay far inside Python's recursion limit; a flat
+# sum of n terms is a tree n levels deep.
+MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(alpha|exp|log)|([WXYZ])|([-+*^()=]))")
 
 
@@ -109,6 +115,7 @@ class _Parser:
             self.tokens.append((kind, m.group(m.lastindex), m.start(m.lastindex)))
             pos = m.end()
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -121,6 +128,17 @@ class _Parser:
         self.i += 1
         return kind, tok, pos
 
+    def open(self):
+        """Take a '(' that nests at most MAX_DEPTH brackets deep."""
+        pos = self.take("(")[2]
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"brackets nest deeper than {MAX_DEPTH}", pos)
+
+    def close(self):
+        self.take(")")
+        self.nesting -= 1
+
     def parse_equation(self) -> Tuple[Node, Node]:
         lhs = self.parse_expr()
         self.take("=")
@@ -128,6 +146,10 @@ class _Parser:
         kind, tok, pos = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok!r}", pos)
+        # the residual lhs - rhs is the tree that is evaluated
+        if _tree_depth(Sub(lhs, rhs)) > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels",
+                             0)
         return lhs, rhs
 
     def parse_expr(self) -> Node:
@@ -173,9 +195,9 @@ class _Parser:
     def parse_exponent(self) -> Node:
         kind, tok, pos = self.peek()
         if tok == "(":
-            self.take()
+            self.open()
             e = self.parse_exponent()
-            self.take(")")
+            self.close()
             return e
         neg = False
         if tok == "-":
@@ -210,17 +232,32 @@ class _Parser:
             return Param()
         if tok in ("exp", "log"):
             self.take()
-            self.take("(")
+            self.open()
             arg = self.parse_expr()
-            self.take(")")
+            self.close()
             return Exp(arg) if tok == "exp" else Log(arg)
         if tok == "(":
-            self.take()
+            self.open()
             node = self.parse_expr()
-            self.take(")")
+            self.close()
             return node
         raise ParseError(f"unexpected token {tok!r}" if tok else "unexpected end",
                          pos)
+
+
+def _tree_depth(node: Node) -> int:
+    """Levels of the syntax tree, counted without recursion."""
+    depth, todo = 0, [(node, 1)]
+    while todo:
+        n, d = todo.pop()
+        depth = max(depth, d)
+        todo.extend((c, d + 1) for c in _children(n))
+    return depth
+
+
+def _children(node: Node):
+    return [v for v in (getattr(node, f) for f in node.__dataclass_fields__)
+            if isinstance(v, Node)]
 
 
 # -- SurfaceSpec --------------------------------------------------------------
@@ -258,13 +295,7 @@ def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:
 
 
 def _uses_param(node: Node) -> bool:
-    if isinstance(node, Param):
-        return True
-    for f in getattr(node, "__dataclass_fields__", {}):
-        v = getattr(node, f)
-        if isinstance(v, Node) and _uses_param(v):
-            return True
-    return False
+    return isinstance(node, Param) or any(map(_uses_param, _children(node)))
 
 
 # -- Taylor primitives ----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact polynomial system solving for the closure constraints.
 
 Buchberger's algorithm plus a zero-dimensional solver. The generators
-enter in reduced row-echelon form over their monomials: invertible row
-operations, so the ideal is unchanged, and the leading terms are
-distinct. The S-pairs wait in a heap keyed by (degree of the lcm,
-term-order key of the lcm, i, j), with the lcm computed once when the
-pair is queued; popping the minimum is the normal selection strategy.
-Pairs are skipped by Buchberger's coprime criterion and a chain check.
+enter in reduced row-echelon form over their monomials, which
+``linalg.rref`` computes: invertible row operations, so the ideal is
+unchanged, and the leading terms are distinct. The S-pairs wait in a
+heap keyed by (degree of the lcm, term-order key of the lcm, i, j), with
+the lcm computed once when the pair is queued; popping the minimum is
+the normal selection strategy. Pairs are skipped by Buchberger's coprime
+criterion and a chain check.
 Division works in place on one dict of remaining terms and one of
 remainder terms: the leading term, which a divisor cancels exactly, is
 popped, and the divisor's tail (split off once per call) is subtracted
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .linalg import rref
 from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _add_terms
 from .scalars import (RationalFunc, _udivmod, _ueval, primitive_integers,
                       ratfunc_sqrt)
@@ -99,34 +101,20 @@ def s_poly(f: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
 
 
 def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
-    """The reduced row-echelon form of the generators over their monomials:
-    monic rows with distinct leading terms, none of which occurs in another
-    row, in the order of the generators that gave them. Invertible row
-    operations leave the ideal as it was."""
-    key = None if order is LEX else order.key
-    rows: List[Tuple[Mono, Dict[Mono, object]]] = []
+    """The reduced row-echelon form of the generators over their monomials,
+    from ``linalg.rref`` with the monomials as columns in descending term
+    order: monic rows with distinct leading terms, none of which occurs in
+    another row, by descending leading term. Invertible row operations
+    leave the ideal as it was."""
     for g in gens:
         gens[0]._check(g)
-        t = dict(g.terms)
-        for lm, r in rows:
-            c = t.get(lm)
-            if c:
-                _add_terms(t, {m: -(c * rc) for m, rc in r.items()})
-        if not t:
-            continue
-        lm = max(t, key=key)
-        c = t[lm]
-        if isinstance(c, int):
-            c = Fraction(c)
-        if c != 1:
-            t = {m: a / c for m, a in t.items()}
-        # back-substitution: clear the new pivot from the earlier rows
-        for _, r in rows:
-            c = r.get(lm)
-            if c:
-                _add_terms(r, {m: -(c * a) for m, a in t.items()})
-        rows.append((lm, t))
-    return [Poly._canonical(gens[0].vars, r) for _, r in rows]
+    monos = sorted({m for g in gens for m in g.terms}, key=order.key,
+                   reverse=True)
+    rows = [[g.terms.get(m, 0) for m in monos] for g in gens]
+    pivot_rows = rref(rows, [0] * len(rows), len(monos))
+    return [Poly._canonical(gens[0].vars,
+                            {m: c for m, c in zip(monos, row) if c})
+            for row, _ in pivot_rows.values()]
 
 
 def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:

@@ -5,7 +5,7 @@ operands."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .poly import GREVLEX, Poly, XYZ
 from .scalars import InputError, parse_rational, scalar_str
@@ -109,23 +109,11 @@ class Jet:
         r0 = Jet.const(Fraction(1), 0, self.vars)
         return solve_series(lambda r: r * r - self, Fraction(2), r0, self.order)
 
-    def partial(self, name: str) -> "Jet":
-        return Jet(self.poly.partial(name), max(self.order - 1, 0))
-
     def truncate(self, order: int) -> "Jet":
         return Jet(self.poly, min(self.order, order))
 
     def homogeneous_part(self, degree: int) -> Poly:
         return self.poly.homogeneous_part(degree)
-
-    def substitute(self, images: Mapping[str, Poly], order=None) -> "Jet":
-        """Compose with polynomial images of the variables.
-
-        Images with zero constant term keep truncation exact; the result
-        order defaults to this jet's order.
-        """
-        n = self.order if order is None else order
-        return Jet(self.poly.substitute(images, max_degree=n), n)
 
     # -- serialization (order, grevlex-sorted terms, exact strings)
 

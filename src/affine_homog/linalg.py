@@ -1,26 +1,27 @@
 """Exact linear algebra over the scalar domains.
 
-All elimination goes through one positional routine, ``solve_rows``,
-which reduces to the unique RREF by one of two Gauss-Jordan branches that
-the scalar types alone select:
+All row elimination goes through ``rref``, which reduces a system to its
+unique RREF by one of two Gauss-Jordan branches. ``rref`` is the one
+place where the scalar types choose the branch:
 
 - a system of ``int`` and ``Fraction`` entries is scaled to integer rows
   and eliminated fraction-free (cross-multiplication, then division by
   the row content), so ``Fraction`` normalisation is paid only once per
   output entry;
 - any other system (``RationalFunc``, ``TowerElement`` or mixed) is
-  eliminated over its field with the smallest-``_pivot_size`` pivot.
-  It does no arithmetic on zero entries, but gives each skipped entry the
-  type the arithmetic would have given it (``_like``):
-  ``_pivot_size`` weighs a ``Fraction`` and a constant ``RationalFunc``
-  differently, so the types, not only the values, decide the pivots.
-  ``RationalFunc`` itself pays for a gcd only where a result can share a
-  factor with its denominator (see its docstring), so a parametric system
-  whose pivots are constants runs without one.
+  eliminated over its field with the smallest-``_pivot_size`` pivot,
+  and does no arithmetic on zero entries. ``RationalFunc`` itself pays
+  for a gcd only where a result can share a factor with its denominator
+  (see its docstring), so a parametric system whose pivots are constants
+  runs without one.
 
-``linear_solve`` (equations keyed by column index, with named columns),
-``nullspace`` and ``matrix_rank`` are thin front ends to it. Inconsistency
-is a returned value, not an exception.
+The types choose the branch and the pivot order, which change the cost
+of a solve only: the RREF is unique, so no value depends on them.
+``solve_rows`` reads the particular solution and the nullspace off the
+RREF; ``linear_solve`` (equations keyed by column index, with named
+columns), ``nullspace`` and ``matrix_rank`` are thin front ends to it,
+and Buchberger's echelon step in ``groebner`` calls ``rref`` directly.
+Inconsistency is a returned value, not an exception.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence
 
-from .scalars import RationalFunc, TowerElement, primitive, primitive_integers
+from .scalars import RationalFunc, primitive, primitive_integers
 
 _RATIONAL = (int, Fraction)
 
@@ -75,23 +76,9 @@ class SolutionFamily:
             if t is None or not t:
                 continue
             for k, c in enumerate(vec):
-                out[k] = out[k] + t * c if c else _like(out[k], t, c)
+                if c:
+                    out[k] = out[k] + t * c
         return out
-
-
-def _like(a, *others):
-    """``a`` in the type that arithmetic with ``others`` would give it, for
-    an operation skipped because its other operand is zero: a rational
-    meeting a ``RationalFunc`` or ``TowerElement`` becomes one, an ``int``
-    meeting a ``Fraction`` becomes one, and anything else is kept."""
-    for o in others:
-        if isinstance(o, RationalFunc):
-            return a if type(a) is RationalFunc else RationalFunc.const(a, o.var)
-        if isinstance(o, TowerElement):
-            return a if type(a) is TowerElement else o.tower.const(a)
-    if type(a) is int and any(type(o) is Fraction for o in others):
-        return Fraction(a)
-    return a
 
 
 def _pivot_size(c) -> int:
@@ -126,8 +113,8 @@ def _field_rref(rows, rhs, ncols):
         p = prow[col]
         if isinstance(p, int):
             p = Fraction(p)
-        inv_row = [c / p if c else _like(c, p) for c in prow]
-        inv_rhs = prhs / p if prhs else _like(prhs, p)
+        inv_row = [c / p if c else c for c in prow]
+        inv_rhs = prhs / p if prhs else prhs
         rows[r] = (inv_row, inv_rhs)
         for j in range(len(rows)):
             if j == r:
@@ -135,9 +122,8 @@ def _field_rref(rows, rhs, ncols):
             f = rows[j][0][col]
             if f:
                 row, b = rows[j]
-                rows[j] = ([x - f * y if y else _like(x, f, y)
-                            for x, y in zip(row, inv_row)],
-                           b - f * inv_rhs if inv_rhs else _like(b, f, inv_rhs))
+                rows[j] = ([x - f * y if y else x for x, y in zip(row, inv_row)],
+                           b - f * inv_rhs if inv_rhs else b)
         pivots[col] = r
         r += 1
         if r == len(rows):
@@ -199,6 +185,20 @@ def _integer_rref(rows, rhs, ncols):
     return out
 
 
+def rref(rows: Sequence[Sequence[object]], rhs: Sequence[object], ncols: int):
+    """The reduced row-echelon form of ``rows . x = rhs`` over ``ncols``
+    columns. Returns None when inconsistent, else the pivot rows as
+    ``{col: (row, rhs)}`` with pivot 1, in ascending pivot column.
+
+    The scalar types choose the branch: an all-``int``/``Fraction``
+    system runs fraction-free over Z (``_integer_rref``), anything else
+    over its field (``_field_rref``). That choice and the pivot order
+    change the cost only; the RREF is unique, so never a value."""
+    rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
+        isinstance(c, _RATIONAL) for row in rows for c in row)
+    return (_integer_rref if rational else _field_rref)(rows, rhs, ncols)
+
+
 def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
                ncols: int):
     """Exact RREF solve of ``rows . x = rhs`` over ``ncols`` columns.
@@ -207,15 +207,8 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
     free_cols)``: a particular solution, one nullspace vector per free
     column (1 there, 0 at the other free columns), and the free column
     indices.
-
-    The scalar types pick the elimination: an all-``int``/``Fraction``
-    system runs fraction-free over Z (``_integer_rref``), anything else
-    runs over its field (``_field_rref``). The RREF is unique, so both give
-    the same values on a rational system.
     """
-    rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
-        isinstance(c, _RATIONAL) for row in rows for c in row)
-    pivot_rows = (_integer_rref if rational else _field_rref)(rows, rhs, ncols)
+    pivot_rows = rref(rows, rhs, ncols)
     if pivot_rows is None:
         return None
 
@@ -258,7 +251,8 @@ def linear_solve(equations: Sequence[LinearEquation],
     unknowns = list(unknowns)
     rows = []
     for eq in equations:
-        # Fraction(0) + c makes an int a Fraction: the types pick the pivots
+        # Fraction(0) + c makes an int a Fraction, which _pivot_size
+        # ranks by its size
         row = [Fraction(0)] * len(unknowns)
         for k, c in eq.coeffs.items():
             if not 0 <= k < len(row):

@@ -14,7 +14,7 @@ from math import factorial
 from typing import List, Optional, Tuple
 
 from .jets import Jet, solve_series
-from .linalg import _like, matrix_rank, solve_rows
+from .linalg import matrix_rank, solve_rows
 from .poly import Poly
 from .scalars import Tower, rational_sqrt
 
@@ -51,10 +51,9 @@ class AffineMap:
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner in substitution order: old = self(inner(new)).
-        Products with a zero factor are skipped; each entry keeps the type
-        the full sum would have."""
+        Products with a zero factor are skipped."""
         def dot(row, col):
-            return _like(sum(a * b for a, b in zip(row, col) if a and b), *row, *col)
+            return sum((a * b for a, b in zip(row, col) if a and b), Fraction(0))
 
         cols = tuple(zip(*inner.linear))
         lin = tuple(tuple(dot(r, c) for c in cols) for r in self.linear)
@@ -151,11 +150,9 @@ def gram_matrix(F: Jet):
 
 
 def _ip(H, u, v):
-    """u^T H v, skipping products with a zero factor; the sum keeps the
-    type the full sum would have."""
-    s = sum(u[i] * H[i][j] * v[j] for i in range(3) if u[i]
-            for j in range(3) if H[i][j] and v[j])
-    return _like(s, *u, *H[0], *H[1], *H[2], *v)
+    """u^T H v, skipping products with a zero factor."""
+    return sum((u[i] * H[i][j] * v[j] for i in range(3) if u[i]
+                for j in range(3) if H[i][j] and v[j]), Fraction(0))
 
 
 def _diagonalize(H):

@@ -495,19 +495,6 @@ class TowerElement:
             return NotImplemented
         return o / self
 
-    def __pow__(self, k: int):
-        out = self.tower.const(1)
-        base = self
-        if k < 0:
-            base = self.tower.const(1) / self
-            k = -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

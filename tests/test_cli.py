@@ -57,6 +57,35 @@ def test_symmetry_round_trip_through_stdin(capsys, monkeypatch):
     assert via_jet == one_shot
 
 
+def test_order_truncates_a_jet_and_defaults_to_its_order(capsys, monkeypatch):
+    surface = ["--surface", "W = X*Y + Z^2 + X^3", "--basepoint", "0,0,0,0"]
+    _, jet5, _ = invoke(capsys, "expand", *surface, "--order", "5",
+                        "--format", "json")
+
+    def symmetry(*argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(jet5))
+        return invoke(capsys, "symmetry", "--jet", "-", *argv,
+                      "--format", "json")
+
+    # no --order: the jet's own order with --jet, 6 without
+    code, out, _ = symmetry()
+    assert code == 0 and json.loads(out)["order"] == 5
+    code, out, _ = invoke(capsys, "symmetry", *surface, "--format", "json")
+    assert code == 0 and json.loads(out)["order"] == 6
+    # at or below the jet's order: the truncated jet, as if expanded to it
+    for k in ("4", "5"):
+        code, via_jet, _ = symmetry("--order", k)
+        assert code == 0 and json.loads(via_jet)["order"] == int(k)
+        assert via_jet == invoke(capsys, "symmetry", *surface, "--order", k,
+                                 "--format", "json")[1]
+    # above it: a usage error
+    with pytest.raises(SystemExit) as exc:
+        symmetry("--order", "9")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "affine-homog: error: --order 9 is above the jet's order 5")
+
+
 def test_output_is_deterministic(capsys):
     runs = [invoke(capsys, "discover", "--case", "I1", "--format", "json")
             for _ in range(2)]
@@ -95,6 +124,12 @@ def test_usage_errors_exit_two(capsys):
                  # basepoint off the surface
                  ["expand", "--surface", "W=X*Y+1", "--basepoint", "0,0,0,0"],
                  ["symmetry", "--jet", "/nonexistent/jet.json"],
+                 # deeper than the parser's bound: nested brackets, and a
+                 # flat sum, which parses to a left-deep tree
+                 ["expand", "--surface", "W = " + "(" * 5000 + "X" + ")" * 5000,
+                  "--basepoint", "0,0,0,0"],
+                 ["expand", "--surface", "W = " + "+".join(["X"] * 5000),
+                  "--basepoint", "0,0,0,0"],
                  ["real", "--order", "5"]):                 # takes no order
         with pytest.raises(SystemExit) as exc:
             run(argv)

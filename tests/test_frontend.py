@@ -4,9 +4,9 @@ import pytest
 import sympy as sp
 
 from affine_homog.cli import run
-from affine_homog.frontend import (DomainError, ParseError, expand_graph,
-                                   graph_residual, parse_surface,
-                                   taylor_primitive)
+from affine_homog.frontend import (MAX_DEPTH, DomainError, ParseError,
+                                   expand_graph, graph_residual,
+                                   parse_surface, taylor_primitive)
 from affine_homog.jets import Jet
 from affine_homog.poly import Poly
 
@@ -119,6 +119,20 @@ def test_parse_errors():
         parse_surface("W = X*Y +", ("0", "0", "0", "0"))
     with pytest.raises(ParseError):
         parse_surface("W ** 2 = X", ("0", "0", "0", "0"))
+
+
+def test_depth_bound():
+    # brackets nest at most MAX_DEPTH deep, and the tree W - rhs, one level
+    # above the n levels of a flat n-term sum, is at most MAX_DEPTH deep
+    origin = ("0", "0", "0", "0")
+    bracketed = lambda n: "W = " + "(" * n + "X" + ")" * n
+    flat = lambda n: "W = " + "+".join(["X"] * n)
+    parse_surface(bracketed(MAX_DEPTH), origin)
+    parse_surface(flat(MAX_DEPTH - 1), origin)
+    with pytest.raises(ParseError, match="brackets nest deeper"):
+        parse_surface(bracketed(MAX_DEPTH + 1), origin)
+    with pytest.raises(ParseError, match="tree deeper"):
+        parse_surface(flat(MAX_DEPTH), origin)
 
 
 def test_log_domain_error():

@@ -116,8 +116,9 @@ def test_reduce_is_the_normal_form(case_and_p):
 @given(small_systems.flatmap(lambda case: st.tuples(
     st.just(case), polys(case[0], 1), st.integers(0, 2))))
 def test_echelon_is_the_reduced_row_echelon_form(case):
-    # Buchberger's input: the rows span the generators' linear span, and
-    # each is monic with a leading term that no other row contains
+    # Buchberger's input: the rows span the generators' linear span, come
+    # by descending leading term, and each is monic with a leading term
+    # that no other row contains
     (vars, gens), h, i = case
     gens = gens + [gens[0] - gens[-1], h * gens[i % len(gens)]]
     monos = sorted({m for g in gens for m in g.terms})
@@ -127,6 +128,8 @@ def test_echelon_is_the_reduced_row_echelon_form(case):
         assert len(rows) == rank
         leads = [r.leading_term(order) for r in rows]
         assert all(c == 1 for _, c in leads)
+        keys = [order.key(m) for m, _ in leads]
+        assert keys == sorted(keys, reverse=True)
         for k, (m, _) in enumerate(leads):
             assert all(m not in r.terms for r in rows[:k] + rows[k + 1:])
         for g in gens:

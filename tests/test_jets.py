@@ -54,12 +54,6 @@ def test_sqrt_binomial_series():
     assert (s * s).poly == (Poly.const(F(1)) + X)
 
 
-def test_substitute_chain_rule_consistency():
-    f = jet(X * X + Y.scale(3), 4)
-    g = f.substitute({"x": Y + Z, "y": X * X, "z": Poly.zero()})
-    assert g.poly == (Y + Z) * (Y + Z) + (X * X).scale(3)
-
-
 def test_homogeneous_part_and_truncate():
     f = jet((X + Y) * (X + Y) + Z, 3)
     assert f.homogeneous_part(1) == Z
