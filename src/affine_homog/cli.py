@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import catalog as cat
@@ -292,7 +293,16 @@ def run(argv=None) -> int:
             parse_rational(args.alpha)
         if getattr(args, "basepoint", None) is not None:
             _parse_basepoint(args.basepoint)
-        return DISPATCH[args.command](parser, args)
+        code = DISPATCH[args.command](parser, args)
+        # a reader that went away shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered for the closed pipe goes to the null
+        # device, so that the flush at exit does not raise again
+        sys.stdout = open(os.devnull, "w")
+        print("error: stdout was closed", file=sys.stderr)
+        return 2
     except (InputError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:

@@ -283,7 +283,7 @@ def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:
         raise InputError("basepoint must have four components (W,X,Y,Z)")
     if alpha is not None and not isinstance(alpha, (Fraction, RationalFunc)):
         alpha = parse_rational(str(alpha))
-    if _uses_param(lhs) or _uses_param(rhs):
+    if _uses(lhs, Param()) or _uses(rhs, Param()):
         if alpha is None:
             raise InputError("equation uses alpha but no binding was given")
     spec = SurfaceSpec(lhs, rhs, bp, alpha, text)
@@ -294,8 +294,9 @@ def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:
     return spec
 
 
-def _uses_param(node: Node) -> bool:
-    return isinstance(node, Param) or any(map(_uses_param, _children(node)))
+def _uses(node: Node, leaf: Node) -> bool:
+    """Does ``leaf`` occur in the tree of ``node``?"""
+    return node == leaf or any(_uses(c, leaf) for c in _children(node))
 
 
 # -- Taylor primitives ----------------------------------------------------------
@@ -384,17 +385,50 @@ def expand_graph(spec: SurfaceSpec, order: int) -> Jet:
     Returns the jet w(x,y,z) of the graph offset, zero constant term,
     where (x,y,z) are offsets of (X,Y,Z) and w the offset of W. The
     w-slope of the equation at the basepoint, read off its 1-jet in
-    (x, y, z, w), drives a chord iteration on jets.
+    (x, y, z, w), drives a chord iteration on jets. Each maximal subtree
+    of the equation without W is evaluated once, at ``order``; a chord
+    step to order k reads it truncated to k and evaluates only the nodes
+    that depend on W. Truncation commutes with every jet operation, so
+    this is the jet that evaluating the whole equation at each step gives.
     """
     w1 = Jet(Poly.var("w", GRAPH_VARS + ("w",)), 1)
-    lin = eval_jet(spec.residual_node(), _ambient_images(spec.basepoint, w1),
-                   1, spec.alpha)
+    node = spec.residual_node()
+    lin = eval_jet(node, _ambient_images(spec.basepoint, w1), 1, spec.alpha)
     slope = lin.poly.coefficient((0, 0, 0, 1))
     if slope == 0:
         raise DomainError("cannot solve for W at the basepoint "
                           "(implicit function condition fails)")
-    return solve_series(lambda w: graph_residual(spec, w), slope,
-                        Jet.zero(0, GRAPH_VARS), order)
+    xyz = _ambient_images(spec.basepoint, Jet.zero(order, GRAPH_VARS))
+    w_side = _hoist_w_free(node, xyz, order, spec.alpha)
+    w0 = Poly.const(spec.basepoint[0], GRAPH_VARS)
+
+    def residual(w: Jet) -> Jet:
+        return eval_jet(w_side, {"W": Jet(w.poly + w0, w.order)}, w.order,
+                        spec.alpha)
+
+    return solve_series(residual, slope, Jet.zero(0, GRAPH_VARS), order)
+
+
+@dataclass(frozen=True, eq=False)
+class _Known(Node):
+    """A subtree without W, held as its jet at some order; it evaluates to
+    that jet truncated to the order of the evaluation."""
+    jet: Jet
+
+
+def _hoist_w_free(node: Node, images: Dict[str, Jet], order: int,
+                  alpha) -> Node:
+    """``node`` with each maximal subtree free of W replaced by its jet at
+    ``order`` on ``images``."""
+    if not _uses(node, Var("W")):
+        return _Known(eval_jet(node, images, order, alpha))
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, Pow):  # the exponent is a Const or Param node
+        return Pow(_hoist_w_free(node.base, images, order, alpha),
+                   node.exponent)
+    return type(node)(*(_hoist_w_free(c, images, order, alpha)
+                        for c in _children(node)))
 
 
 def eval_jet(node: Node, images: Dict[str, Jet], order: int,
@@ -407,6 +441,8 @@ def eval_jet(node: Node, images: Dict[str, Jet], order: int,
     def ev(n: Node) -> Jet:
         if isinstance(n, Var):
             return images[n.name]
+        if isinstance(n, _Known):
+            return Jet(n.jet.poly, order)
         if isinstance(n, Const):
             return Jet.const(n.value, order, vars)
         if isinstance(n, Param):

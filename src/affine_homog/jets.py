@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .poly import GREVLEX, Poly, XYZ
-from .scalars import InputError, parse_rational, scalar_str
+from .scalars import InputError, parse_rational, positive_power, scalar_str
 
 
 class Jet:
@@ -70,14 +70,9 @@ class Jet:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Jet.const(Fraction(1), self.order, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if not k:
+            return Jet.const(Fraction(1), self.order, self.vars)
+        return positive_power(self, k)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):

@@ -4,14 +4,25 @@ Exponent vectors are tuples aligned with an explicit ambient variable
 list. Stored terms never carry zero coefficients; canonical iteration is
 graded reverse lexicographic. Coefficients may be Fractions, rational
 functions, tower elements, or (for constraint bookkeeping) other Polys.
+
+Every product goes through ``_mul_terms``. When both operands have at
+least two terms and every coefficient is exactly a Fraction, it works
+fraction-free: each operand is scaled to integer numerators over the lcm
+of its denominators, the integer products are summed per monomial, and
+each nonzero sum becomes one Fraction over the product of the two
+denominators, so a gcd is paid once per output term instead of once per
+pair. Any other operand takes the term-by-term loop. The value decides
+the branch, and both give the same terms of the same types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .scalars import RationalFunc, TowerElement
+from .scalars import (RationalFunc, TowerElement, over_common_denominator,
+                      positive_power)
 
 Mono = Tuple[int, ...]
 
@@ -60,10 +71,33 @@ def _add_terms(d: Dict[Mono, object], terms: Mapping[Mono, object]):
             d[m] = c
 
 
+def _integer_terms(t: Mapping[Mono, Fraction]):
+    """The terms of ``t`` over their common denominator: the (exponents,
+    degree, numerator) triples and that denominator."""
+    nums, den = over_common_denominator(t.values())
+    return [(m, sum(m), n) for m, n in zip(t, nums)], den
+
+
 def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
                max_degree) -> Dict[Mono, object]:
     """Product of two term dicts, without the terms above ``max_degree``
-    (None keeps all); each coefficient is ``ca * cb``."""
+    (None keeps all); each coefficient is ``ca * cb``. Two Fraction
+    operands of several terms are multiplied fraction-free (see the module
+    docstring)."""
+    if (len(a) > 1 and len(b) > 1
+            and all(type(c) is Fraction for c in a.values())
+            and all(type(c) is Fraction for c in b.values())):
+        ia, da = _integer_terms(a)
+        ib, db = _integer_terms(b)
+        sums: Dict[Mono, int] = {}
+        for m1, d1, n1 in ia:
+            for m2, d2, n2 in ib:
+                if max_degree is not None and d1 + d2 > max_degree:
+                    continue
+                m = tuple(map(add, m1, m2))
+                sums[m] = sums.get(m, 0) + n1 * n2
+        den = da * db
+        return {m: Fraction(n, den) for m, n in sums.items() if n}
     d: Dict[Mono, object] = {}
     for m1, c1 in a.items():
         d1 = sum(m1)
@@ -244,14 +278,9 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(Fraction(1), self.vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if not k:
+            return Poly.const(Fraction(1), self.vars)
+        return positive_power(self, k)
 
     def __eq__(self, other):
         if isinstance(other, Poly):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import Collection, List, Optional, Sequence, Tuple
 
 
 class ScalarError(ArithmeticError):
@@ -40,6 +40,20 @@ def parse_rational(text: str) -> Fraction:
 def scalar_str(x) -> str:
     """Canonical exact string form ("-3/4", "(b+1)/(b-2)", ...)."""
     return str(x)
+
+
+def positive_power(x, k: int):
+    """``x`` to the power ``k`` >= 1 by repeated squaring from the lowest
+    set bit: ``k.bit_length() - 1`` squarings and one product for each
+    further set bit."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +294,9 @@ class RationalFunc:
     def __pow__(self, k: int):
         if k < 0:
             return (RationalFunc.const(1, var=self.var) / self) ** (-k)
-        out = RationalFunc.const(1, var=self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if not k:
+            return RationalFunc.const(1, var=self.var)
+        return positive_power(self, k)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -537,11 +546,17 @@ def primitive(ints: List[int]) -> List[int]:
     return [a // g for a in ints] if g > 1 else ints
 
 
+def over_common_denominator(vec: Collection[Fraction]) -> Tuple[List[int], int]:
+    """(numerators, den): a vector of rationals as integers over the lcm
+    of its denominators."""
+    den = lcm(*(c.denominator for c in vec))
+    return [c.numerator * (den // c.denominator) for c in vec], den
+
+
 def primitive_integers(vec: Sequence[Fraction]) -> List[int]:
     """The primitive integer vector that is a positive multiple of a
     vector of rationals."""
-    den = lcm(*(c.denominator for c in vec))
-    return primitive([c.numerator * (den // c.denominator) for c in vec])
+    return primitive(over_common_denominator(vec)[0])
 
 
 def _iroot_exact(m: int, n: int) -> Optional[int]:

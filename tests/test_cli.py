@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -161,6 +163,25 @@ def test_math_errors_exit_one(capsys):
     # excluded alpha value for N7 is a mathematical rejection, not usage
     code, _, err = invoke(capsys, "verify", "--entry", "N7", "--alpha", "2")
     assert code == 1 and "error" in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_a_mathematical_failure(capsys, monkeypatch):
+    closed = _ClosedPipe()
+    monkeypatch.setattr("sys.stdout", closed)
+    code = run(["expand", *SPHERE, "--format", "json"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: stdout was closed\n"
+    # stdout now points at the null device, so a later flush cannot raise
+    assert sys.stdout is not closed and sys.stdout.name == os.devnull
+    print("more", flush=True)
+    sys.stdout.close()
 
 
 def test_order_warning_on_stderr(capsys, monkeypatch):

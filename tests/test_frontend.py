@@ -1,14 +1,19 @@
+import importlib.util
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
+from affine_homog import catalog, frontend
 from affine_homog.cli import run
 from affine_homog.frontend import (MAX_DEPTH, DomainError, ParseError,
                                    expand_graph, graph_residual,
                                    parse_surface, taylor_primitive)
-from affine_homog.jets import Jet
+from affine_homog.jets import Jet, solve_series
 from affine_homog.poly import Poly
+from affine_homog.scalars import parse_rational
 
 Y = Poly.var("y")
 
@@ -167,3 +172,58 @@ def test_expansion_solves_for_w_with_rational_slope():
     assert j.order == 6 and graph_residual(spec, j).is_zero()
     x, y, z = sp.symbols("x y z")
     assert jet_terms(j) == sympy_graph_jet(1 - sp.sqrt(1 - x * y - z ** 2), 6)
+
+
+# -- the W-free side, evaluated once ----------------------------------------------
+
+def _alpha_pool():
+    """The benchmark's alpha values per parametric catalog entry."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ALPHA_POOL
+
+
+def chord_oracle(spec, order):
+    """The graph jet by the chord iteration that evaluates the whole
+    equation at every step."""
+    w1 = Jet(Poly.var("w", ("x", "y", "z", "w")), 1)
+    slope = graph_residual(spec, w1).poly.coefficient((0, 0, 0, 1))
+    return solve_series(lambda w: graph_residual(spec, w), slope,
+                        Jet.zero(0), order)
+
+
+ORACLE_SURFACES = (
+    [(e.surface, e.basepoint, parse_rational(a) if a else None)
+     for eid, e in catalog.catalog().items()
+     for a in _alpha_pool().get(eid, (None,))]
+    + [(text, tuple(map(parse_rational, bp)), None)
+       for text, bp in catalog.VARIANTS.values()]
+    # W under a negative power, and under a power on both sides
+    + [("W*(1 + W)^(-1) = X*Y + Z^2", (F(0),) * 4, None),
+       ("(2 + W)^2 = 4 + X*Y + (1 + W)^3*Z^2 + W", (F(0),) * 4, None)])
+
+
+@pytest.mark.parametrize("text, basepoint, alpha", ORACLE_SURFACES)
+def test_expansion_equals_the_whole_equation_chord_oracle(text, basepoint,
+                                                          alpha):
+    spec = parse_surface(text, basepoint, alpha)
+    got, want = expand_graph(spec, 7), chord_oracle(spec, 7)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("eid", ["N8", "N10"])
+@pytest.mark.parametrize("order", [4, 8])
+def test_primitives_are_composed_once_per_expansion(eid, order, monkeypatch):
+    """The slope's 1-jet and the W-free side at the full order compose
+    the primitive; no chord step composes it again."""
+    e = catalog.catalog()[eid]
+    spec = parse_surface(e.surface, e.basepoint)
+    calls = []
+    compose = frontend._compose_primitive
+    monkeypatch.setattr(frontend, "_compose_primitive",
+                        lambda *a, **k: calls.append(1) or compose(*a, **k))
+    expand_graph(spec, order)
+    assert len(calls) <= 2

@@ -5,7 +5,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from affine_homog.jets import Jet
-from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
+from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _mul_terms
 from affine_homog.scalars import RationalFunc, Tower
 
 XYZ = ("x", "y", "z")
@@ -294,3 +294,87 @@ def test_eval_matches_term_by_term_oracle(case):
     assert p.eval(values) == want
     # only the variables that occur are read
     assert values.read == {v for m in p.terms for v, e in zip(p.vars, m) if e}
+
+
+# -- the product kernel -------------------------------------------------------------
+
+MUL_VALUES = (F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 4), F(-5, 6))
+
+
+def _reference_product(a, b, max_degree):
+    """Term by term: every pair's product, summed per monomial."""
+    d = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if max_degree is None or sum(m) <= max_degree:
+                d[m] = d[m] + c1 * c2 if m in d else c1 * c2
+    return {m: c for m, c in d.items() if c}
+
+
+@st.composite
+def products(draw):
+    """(a, b, max_degree): operands of one or several terms; b may negate
+    one term of a, so that cross terms cancel; one or both operands may
+    hold int coefficients, or one a RationalFunc coefficient."""
+    term_dict = st.dictionaries(st.sampled_from(MONOS),
+                                st.sampled_from(MUL_VALUES),
+                                min_size=1, max_size=5)
+    a = draw(term_dict)
+    if draw(st.booleans()):
+        first = next(iter(a))
+        b = {m: -c if m == first else c for m, c in a.items()}
+    else:
+        b = draw(term_dict)
+    kind = draw(st.sampled_from(("fraction", "int", "ints", "rationalfunc")))
+    if kind in ("int", "ints"):
+        a = {m: c.numerator for m, c in a.items()}
+    if kind == "ints":
+        b = {m: c.numerator for m, c in b.items()}
+    elif kind == "rationalfunc":
+        m = draw(st.sampled_from(sorted(b)))
+        b[m] = draw(st.sampled_from((_B, _B + 1, 1 / (_B - 1))))
+    top = draw(st.none() | st.just(0) | st.integers(1, 6))
+    return a, b, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_mul_terms_equals_term_by_term_product(case):
+    a, b, top = case
+    got = _mul_terms(a, b, top)
+    want = _reference_product(a, b, top)
+    assert got == want
+    assert {m: type(c) for m, c in got.items()} == \
+        {m: type(c) for m, c in want.items()}
+    assert all(got.values())
+
+
+# -- powers ---------------------------------------------------------------------------
+
+POWER_BASES = (  # (x, x to the power 0)
+    (Poly(XYZ, {(1, 0, 0): F(1, 2), (0, 1, 1): F(-3), (0, 0, 0): F(2)}),
+     Poly.const(1)),
+    (Jet(Poly(XYZ, {(0, 0, 0): F(1), (1, 0, 0): F(-2, 3), (0, 1, 0): F(1)}), 6),
+     Jet.const(1, 6)),
+    ((_B + F(1, 3)) / (_B - 2), RationalFunc.const(1)),
+)
+
+
+@pytest.mark.parametrize("x, one", POWER_BASES,
+                         ids=lambda x: type(x).__name__)
+def test_power_is_repeated_product_with_fewest_products(x, one, monkeypatch):
+    folds = [one]
+    for _ in range(9):
+        folds.append(folds[-1] * x)
+    calls = []
+    cls, mul = type(x), type(x).__mul__
+    monkeypatch.setattr(cls, "__mul__",
+                        lambda s, o: calls.append(1) or mul(s, o))
+    for k, want in enumerate(folds):
+        calls.clear()
+        assert x ** k == want
+        # one squaring per bit below the top one, one product per further
+        # set bit: x ** 2 is a single product
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2
+                              if k else 0)
