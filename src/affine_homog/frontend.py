@@ -95,6 +95,17 @@ class Log(Node):
 # sum of n terms is a tree n levels deep.
 MAX_DEPTH = 100
 
+# The cost budget of constants. A number literal has at most MAX_DIGITS
+# digits. A constant exponent p/q has |p| <= MAX_EXPONENT and
+# q <= MAX_EXPONENT, and the numerators along a chain of nested powers,
+# as in (X^p1)^p2, multiply to at most MAX_EXPONENT in absolute value
+# (an exponent 0 counts as 1). So each power of a literal has at most
+# MAX_DIGITS * MAX_EXPONENT = 4,000 digits, inside Python's 4,300-digit
+# limit on integer string conversion, and an input past the budget is
+# refused before anything is evaluated.
+MAX_DIGITS = 40
+MAX_EXPONENT = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(alpha|exp|log)|([WXYZ])|([-+*^()=]))")
 
 
@@ -112,6 +123,10 @@ class _Parser:
                 break
             kind = ("num" if m.group(1) else "word" if m.group(2)
                     else "var" if m.group(3) else "op")
+            if (kind == "num"
+                    and len(m.group(1).replace("/", "")) > MAX_DIGITS):
+                raise ParseError(f"number literal longer than {MAX_DIGITS} "
+                                 f"digits", m.start(1))
             self.tokens.append((kind, m.group(m.lastindex), m.start(m.lastindex)))
             pos = m.end()
         self.i = 0
@@ -147,9 +162,13 @@ class _Parser:
         if tok is not None:
             raise ParseError(f"trailing input {tok!r}", pos)
         # the residual lhs - rhs is the tree that is evaluated
-        if _tree_depth(Sub(lhs, rhs)) > MAX_DEPTH:
+        depth, power = _tree_measures(Sub(lhs, rhs))
+        if depth > MAX_DEPTH:
             raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels",
                              0)
+        if power > MAX_EXPONENT:
+            raise ParseError(f"nested powers multiply their exponents past "
+                             f"{MAX_EXPONENT}", 0)
         return lhs, rhs
 
     def parse_expr(self) -> Node:
@@ -210,6 +229,10 @@ class _Parser:
             kind2, tok2, _ = self.peek()
             if tok2 == "/":
                 raise ParseError("malformed rational exponent", pos)
+            if max(num.numerator, num.denominator) > MAX_EXPONENT:
+                raise ParseError(f"exponent {num} past the budget: numerator"
+                                 f" and denominator at most {MAX_EXPONENT}",
+                                 pos)
             return Const(-num if neg else num)
         if tok == "alpha":
             self.take()
@@ -245,14 +268,18 @@ class _Parser:
                          pos)
 
 
-def _tree_depth(node: Node) -> int:
-    """Levels of the syntax tree, counted without recursion."""
-    depth, todo = 0, [(node, 1)]
+def _tree_measures(node: Node) -> Tuple[int, int]:
+    """(levels of the syntax tree, the largest product of |numerators| of
+    the constant exponents along a chain of nested powers, where an
+    exponent 0 counts as 1), counted without recursion."""
+    depth, power, todo = 0, 1, [(node, 1, 1)]
     while todo:
-        n, d = todo.pop()
-        depth = max(depth, d)
-        todo.extend((c, d + 1) for c in _children(n))
-    return depth
+        n, d, k = todo.pop()
+        if isinstance(n, Pow) and isinstance(n.exponent, Const):
+            k *= abs(n.exponent.value.numerator) or 1
+        depth, power = max(depth, d), max(power, k)
+        todo.extend((c, d + 1, k) for c in _children(n))
+    return depth, power
 
 
 def _children(node: Node):

@@ -8,18 +8,36 @@ heap keyed by (degree of the lcm, term-order key of the lcm, i, j), with
 the lcm computed once when the pair is queued; popping the minimum is
 the normal selection strategy. Pairs are skipped by Buchberger's coprime
 criterion and a chain check.
+
+All division goes through one loop, ``_divide``, and the coefficient
+values choose how it divides, as in ``linalg.rref``:
+
+- a system of ``int`` and ``Fraction`` coefficients runs over Z: each
+  polynomial is a primitive integer term dict with a positive leading
+  coefficient. A division step by a divisor with leading coefficient
+  ``lc`` scales what is left and the remainder by ``lc/g`` and subtracts
+  ``(c/g) x^q tail``, where ``g = gcd(lc, c)``; the S-polynomial
+  cross-multiplies by the leading coefficients; each new remainder is
+  divided by its content. No ``Fraction`` is normalised until each
+  element of the reduced basis is made monic, once, at the end;
+- any other system (``RationalFunc`` coefficients) runs through the same
+  loop with monic divisors, whose scale factor is 1, so it takes no gcd.
+
 Division works in place on one dict of remaining terms and one of
 remainder terms: the leading term, which a divisor cancels exactly, is
-popped, and the divisor's tail (split off once per call) is subtracted
-term by term. The output is reduced and monic, and every S-pair of it is
-re-checked to reduce to zero, which certifies that the skipped pairs lost
-nothing. The solver does linear elimination first, substituting each
-pivot only into the polynomials that contain its variable; then
-lexicographic elimination with rational root extraction and
-back-substitution. After a free parameter has been designated,
-quadratics over its function field are split whenever the discriminant
-is a perfect square. Irrational roots are reported as residual
-components with their defining polynomials, never approximated.
+popped, and the divisor's tail (split off once per divisor) is
+subtracted term by term. The output is reduced and monic. Every S-pair
+of it is re-checked to reduce to zero, which certifies that the skipped
+pairs lost nothing, and so is every generator, which certifies that it
+spans the generators' ideal and not a smaller one.
+
+The solver does linear elimination first, substituting each pivot only
+into the polynomials that contain its variable; then lexicographic
+elimination with rational root extraction and back-substitution. After
+a free parameter has been designated, quadratics over its function
+field are split whenever the discriminant is a perfect square.
+Irrational roots are reported as residual components with their
+defining polynomials, never approximated.
 
 Deterministic throughout: variables are ordered lexically by name and
 all tie-breaking is by fixed term-order keys.
@@ -30,12 +48,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import rref
-from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _add_terms
-from .scalars import (RationalFunc, _udivmod, _ueval, primitive_integers,
-                      ratfunc_sqrt)
+from .linalg import _RATIONAL, rref
+from .poly import GREVLEX, LEX, Mono, Poly, TermOrder
+from .scalars import (RationalFunc, _udivmod, _ueval, over_common_denominator,
+                      primitive_integers, ratfunc_sqrt)
+
+# (leading monomial, leading coefficient, tail terms) of a divisor; the
+# leading coefficient of a monic divisor is the int 1
+Divisor = Tuple[Mono, object, List[Tuple[Mono, object]]]
 
 
 class GroebnerError(ValueError):
@@ -43,61 +67,173 @@ class GroebnerError(ValueError):
 
 
 def _divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _msub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
-def reduce(p: Poly, basis: Sequence[Poly], order: TermOrder = GREVLEX) -> Poly:
-    """Normal form of p modulo the basis (full multivariate division).
+def _is_rational(polys: Sequence[Poly]) -> bool:
+    """Whether every coefficient is an ``int`` or a ``Fraction``, which
+    selects division over Z."""
+    return all(isinstance(c, _RATIONAL)
+               for p in polys for c in p.terms.values())
 
-    The leading term of what is left is divided by the first basis element
-    whose leading term divides it, and moved to the remainder when none
-    does.
-    """
-    if not basis:
-        return p
-    for g in basis:
-        p._check(g)
-    # lex compares exponent tuples as they are
-    key = None if order is LEX else order.key
-    # (leading monomial, leading coefficient, tail terms) of each divisor
-    divisors = []
-    for g in basis:
-        gm, gc = g.leading_term(order)
-        divisors.append((gm, gc, [(tm, tc) for tm, tc in g.terms.items()
-                                  if tm != gm]))
-    work = dict(p.terms)
+
+def _term_dict(p: Poly, integral: bool):
+    """(terms, den): over Z, p's integer numerators over the lcm ``den``
+    of its denominators; otherwise p's own terms and 1."""
+    if not integral:
+        return dict(p.terms), 1
+    nums, den = over_common_denominator(p.terms.values())
+    return dict(zip(p.terms, nums)), den
+
+
+def _normalised(terms: Dict[Mono, object], key, integral: bool):
+    """A nonzero term dict divided by its content with a positive leading
+    coefficient (over Z), or by its leading coefficient (otherwise)."""
+    lc = terms[max(terms, key=key)]
+    if integral:
+        g = gcd(*terms.values())
+        if lc < 0:
+            g = -g
+        return terms if g == 1 else {m: c // g for m, c in terms.items()}
+    return terms if lc == 1 else {m: c / lc for m, c in terms.items()}
+
+
+def _divisor(terms: Dict[Mono, object], key, integral: bool) -> Divisor:
+    """The divisor of a term dict that ``_normalised`` returned."""
+    m = max(terms, key=key)
+    return m, terms[m] if integral else 1, [(t, c) for t, c in terms.items()
+                                           if t != m]
+
+
+def _poly_divisor(p: Poly, key, integral: bool) -> Divisor:
+    """The divisor of a nonzero polynomial."""
+    return _divisor(_normalised(_term_dict(p, integral)[0], key, integral),
+                    key, integral)
+
+
+def _sub_multiple(d: Dict[Mono, object], q: Mono, c, tail):
+    """d -= c * x^q * tail, in place, dropping cancelled terms."""
+    for tm, tc in tail:
+        m = tuple(map(add, q, tm))
+        v = d.get(m)
+        if v is None:
+            d[m] = -(c * tc)
+        else:
+            v -= c * tc
+            if v:
+                d[m] = v
+            else:
+                del d[m]
+
+
+def _divide(work: Dict[Mono, object], divisors: Sequence[Divisor], key):
+    """(remainder, s) of full multivariate division of the term dict
+    ``work``, which is consumed: s * work reduces to the remainder.
+
+    The leading term of what is left is divided by the first divisor whose
+    leading monomial divides it, and moved to the remainder when none does.
+    A divisor with leading coefficient ``lc`` other than 1 cancels a
+    coefficient c after what is left and the remainder are scaled by
+    ``lc/g``, ``g = gcd(lc, c)``, which then multiplies s; a monic
+    divisor needs no scaling and no gcd."""
     rem = {}
+    scale = 1
     while work:
         m = max(work, key=key)
         c = work.pop(m)
         for gm, gc, tail in divisors:
             if _divides(gm, m):
-                # the leading term cancels exactly, so it is popped, not
-                # subtracted
-                f = c / gc
-                q = _msub(m, gm)
-                _add_terms(work, {tuple(a + b for a, b in zip(q, tm)): -(f * tc)
-                                  for tm, tc in tail})
+                if gc != 1:
+                    g = gcd(gc, c)
+                    if g != gc:
+                        a = gc // g
+                        for t in work:
+                            work[t] *= a
+                        for t in rem:
+                            rem[t] *= a
+                        scale *= a
+                    c //= g
+                _sub_multiple(work, _msub(m, gm), c, tail)
                 break
         else:
             rem[m] = c
+    return rem, scale
+
+
+def _s_terms(f: Divisor, g: Divisor) -> Dict[Mono, object]:
+    """The S-polynomial of two divisors cross-multiplied by their leading
+    coefficients: (cg/h) x^(l-mf) f - (cf/h) x^(l-mg) g with l the lcm of
+    the leading monomials and h = gcd(cf, cg). The leading terms cancel,
+    so only the tails enter."""
+    mf, cf, tf = f
+    mg, cg, tg = g
+    l = _lcm(mf, mg)
+    h = gcd(cf, cg)
+    s = {}
+    _sub_multiple(s, _msub(l, mf), -(cg // h), tf)
+    _sub_multiple(s, _msub(l, mg), cf // h, tg)
+    return s
+
+
+def _certify(R: Sequence[Divisor], gens: Sequence[Dict[Mono, object]], key):
+    """Raise ``GroebnerError`` unless the divisors R, which lie in the
+    ideal of the term dicts ``gens``, are a Groebner basis of that ideal:
+    every S-pair of R reduces to zero, which certifies that the skipped
+    pairs lost nothing, and so does every generator, which certifies
+    that minimalisation dropped no element of a larger ideal."""
+    for i in range(len(R)):
+        for j in range(i + 1, len(R)):
+            if _divide(_s_terms(R[i], R[j]), R, key)[0]:
+                raise GroebnerError("basis failed the S-polynomial criterion")
+    for t in gens:
+        if _divide(dict(t), R, key)[0]:
+            raise GroebnerError("basis does not contain the generators")
+
+
+def _order_key(order: TermOrder):
+    # lex compares exponent tuples as they are
+    return None if order is LEX else order.key
+
+
+def reduce(p: Poly, basis: Sequence[Poly], order: TermOrder = GREVLEX) -> Poly:
+    """Normal form of p modulo the basis (full multivariate division by
+    ``_divide``, with the scale it applied divided back out)."""
+    if not basis:
+        return p
+    for g in basis:
+        p._check(g)
+    key = _order_key(order)
+    integral = _is_rational([p, *basis])
+    divisors = [_poly_divisor(g, key, integral) for g in basis]
+    work, den = _term_dict(p, integral)
+    rem, scale = _divide(work, divisors, key)
+    if integral:
+        den *= scale
+        rem = {m: Fraction(c, den) for m, c in rem.items()}
     return Poly._canonical(p.vars, rem)
 
 
 def s_poly(f: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    l = _lcm(mf, mg)
-    return (Poly.monomial(_msub(l, mf), 1 / cf, f.vars) * f
-            - Poly.monomial(_msub(l, mg), 1 / cg, g.vars) * g)
+    """x^(l-mf) f/cf - x^(l-mg) g/cg, with l the lcm of the leading
+    monomials mf, mg and cf, cg the leading coefficients."""
+    f._check(g)
+    key = _order_key(order)
+    integral = _is_rational((f, g))
+    df, dg = _poly_divisor(f, key, integral), _poly_divisor(g, key, integral)
+    s = _s_terms(df, dg)
+    if integral:
+        # the cross-multiplied S-polynomial is lcm(cf, cg) times this one
+        den = df[1] * dg[1] // gcd(df[1], dg[1])
+        s = {m: Fraction(c, den) for m, c in s.items()}
+    return Poly._canonical(f.vars, s)
 
 
 def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
@@ -122,8 +258,15 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
     gens = [g for g in gens if g]
     if not gens:
         return []
-    G = _echelon(gens, order)
-    lt = [g.leading_term(order)[0] for g in G]
+    echelon = _echelon(gens, order)
+    vars = echelon[0].vars
+    key = _order_key(order)
+    integral = _is_rational(echelon)
+    # T[k] holds the normalised terms of the k-th element, G[k] its divisor
+    T = [_normalised(_term_dict(g, integral)[0], key, integral)
+         for g in echelon]
+    G = [_divisor(t, key, integral) for t in T]
+    lt = [d[0] for d in G]
 
     # heap of (degree, order key, i, j, lcm); (i, j) is unique, so the
     # first four entries order the pairs totally and the lcm is never compared
@@ -137,7 +280,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
 
     def useless(i: int, j: int, l: Mono) -> bool:
         # Buchberger's first criterion: coprime leading terms
-        if l == tuple(a + b for a, b in zip(lt[i], lt[j])):
+        if l == tuple(map(add, lt[i], lt[j])):
             return True
         # chain criterion
         for k in range(len(G)):
@@ -159,12 +302,13 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
         pair_set.discard((i, j))
         if useless(i, j, l):
             continue
-        r = reduce(s_poly(G[i], G[j], order), G, order)
+        r = _divide(_s_terms(G[i], G[j]), G, key)[0]
         if r:
-            r = r.monic(order)
+            r = _normalised(r, key, integral)
             k = len(G)
-            G.append(r)
-            lt.append(r.leading_term(order)[0])
+            T.append(r)
+            G.append(_divisor(r, key, integral))
+            lt.append(G[k][0])
             for a in range(k):
                 push(a, k)
 
@@ -177,21 +321,20 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
                 dominated = True
                 break
         if not dominated:
-            minimal.append(G[i])
-    # inter-reduce tails
+            minimal.append(i)
+    # inter-reduce tails; keep each element's terms with its divisor
     reduced = []
-    for i, g in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        r = reduce(g, others, order)
+    for i in minimal:
+        r = _divide(dict(T[i]), [G[j] for j in minimal if j != i], key)[0]
         if r:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    # safety: the pair-elimination criteria must not have lost anything
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            if reduce(s_poly(reduced[i], reduced[j], order), reduced, order):
-                raise GroebnerError("basis failed the S-polynomial criterion")
-    return reduced
+            r = _normalised(r, key, integral)
+            reduced.append((_divisor(r, key, integral), r))
+    reduced.sort(key=lambda t: order.key(t[0][0]))
+    _certify([d for d, _ in reduced], T[:len(echelon)], key)
+    if not integral:
+        return [Poly._canonical(vars, r) for _, r in reduced]
+    return [Poly._canonical(vars, {m: Fraction(c, lc) for m, c in r.items()})
+            for (_, lc, _), r in reduced]
 
 
 # -- solution extraction ----------------------------------------------------------

@@ -251,14 +251,13 @@ def linear_solve(equations: Sequence[LinearEquation],
     unknowns = list(unknowns)
     rows = []
     for eq in equations:
-        # Fraction(0) + c makes an int a Fraction, which _pivot_size
-        # ranks by its size
+        # an int becomes a Fraction, which _pivot_size ranks by its size
         row = [Fraction(0)] * len(unknowns)
         for k, c in eq.coeffs.items():
             if not 0 <= k < len(row):
                 raise ValueError(f"column index {k} outside the "
                                  f"{len(row)} unknowns")
-            row[k] = row[k] + c
+            row[k] = Fraction(c) if isinstance(c, int) else c
         rows.append(row)
     solved = solve_rows(rows, [eq.rhs for eq in equations], len(unknowns))
     return None if solved is None else SolutionFamily(unknowns, *solved)

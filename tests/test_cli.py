@@ -132,6 +132,12 @@ def test_usage_errors_exit_two(capsys):
                   "--basepoint", "0,0,0,0"],
                  ["expand", "--surface", "W = " + "+".join(["X"] * 5000),
                   "--basepoint", "0,0,0,0"],
+                 # past the constant budget: the first once overran Python's
+                 # 4,300-digit conversion limit, the second ran for minutes
+                 ["expand", "--surface", "W = X*Y + Z^2 + 3^1000000",
+                  "--basepoint", "0,0,0,0"],
+                 ["expand", "--surface", "W = X*Y + Z^2 + 3^100000000",
+                  "--basepoint", "0,0,0,0"],
                  ["real", "--order", "5"]):                 # takes no order
         with pytest.raises(SystemExit) as exc:
             run(argv)

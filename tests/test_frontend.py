@@ -8,9 +8,10 @@ import sympy as sp
 
 from affine_homog import catalog, frontend
 from affine_homog.cli import run
-from affine_homog.frontend import (MAX_DEPTH, DomainError, ParseError,
-                                   expand_graph, graph_residual,
-                                   parse_surface, taylor_primitive)
+from affine_homog.frontend import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
+                                   DomainError, ParseError, expand_graph,
+                                   graph_residual, parse_surface,
+                                   taylor_primitive)
 from affine_homog.jets import Jet, solve_series
 from affine_homog.poly import Poly
 from affine_homog.scalars import parse_rational
@@ -138,6 +139,32 @@ def test_depth_bound():
         parse_surface(bracketed(MAX_DEPTH + 1), origin)
     with pytest.raises(ParseError, match="tree deeper"):
         parse_surface(flat(MAX_DEPTH), origin)
+
+
+def test_constant_budget():
+    # literals of MAX_DIGITS digits and exponents of MAX_EXPONENT parse, and
+    # so do nested powers whose numerators multiply to MAX_EXPONENT; one
+    # more digit, one more in an exponent, or a larger product is refused
+    origin = ("0", "0", "0", "0")
+    digits = lambda n: "W = X + 0*" + "1" * (n // 2) + "/" + "1" * (n - n // 2)
+    parse_surface(digits(MAX_DIGITS), origin)
+    with pytest.raises(ParseError, match="literal longer"):
+        parse_surface(digits(MAX_DIGITS + 1), origin)
+    for e in (f"{MAX_EXPONENT}", f"(-{MAX_EXPONENT})", f"(1/{MAX_EXPONENT})"):
+        parse_surface(f"W = X + 0*(1+Y)^{e}", origin)
+    for e in (f"{MAX_EXPONENT + 1}", f"(-{MAX_EXPONENT + 1})",
+              f"(1/{MAX_EXPONENT + 1})"):
+        with pytest.raises(ParseError, match="past the budget"):
+            parse_surface(f"W = X + 0*(1+Y)^{e}", origin)
+    half = MAX_EXPONENT // 2
+    parse_surface(f"W = X + 0*((1+Y)^{half})^2", origin)
+    parse_surface(f"W = X + 0*((1+Y)^{half})^0", origin)
+    for nested in (f"((1+Y)^{half})^3", f"((1+Y)^{half}*Z^2)^(-3/2)",
+                   f"exp((1+Y)^{half})^3"):
+        with pytest.raises(ParseError, match="nested powers"):
+            parse_surface(f"W = X + 0*{nested}", origin)
+    # the two sides are one residual: siblings do not multiply
+    parse_surface(f"W + 0*Y^{MAX_EXPONENT} = X + 0*Z^{MAX_EXPONENT}", origin)
 
 
 def test_log_domain_error():

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction as F
 
@@ -5,11 +6,12 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from affine_homog import catalog as cat
+from affine_homog import catalog as cat, groebner
 from affine_homog.cli import CASES
-from affine_homog.groebner import (GroebnerError, _echelon, _rational_roots,
+from affine_homog.groebner import (GroebnerError, _certify, _echelon,
+                                   _poly_divisor, _rational_roots, _term_dict,
                                    buchberger, reduce, solve_zero_dim, s_poly)
-from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch
+from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _add_terms
 from affine_homog.scalars import RationalFunc
 from affine_homog.symmetry import closure_constraints, pqr_families
 
@@ -285,3 +287,239 @@ def test_rational_roots_match_sympy(roots, tail, lead):
     scale = sp.cancel(expr / (rest * sp.prod([(u - r) ** m
                                               for r, m in expected.items()])))
     assert scale.is_Rational and scale != 0
+
+
+# -- the field-arithmetic Buchberger, kept as a reference -----------------
+#
+# Division over the coefficient field: one Fraction (or RationalFunc)
+# operation per coefficient, the S-polynomial scaled by 1/lc, every new
+# element made monic at once. It takes the same pairs in the same order as
+# ``buchberger``, and the reduced basis is unique, so the two must agree.
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _msub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def field_reduce(p, basis, order=GREVLEX):
+    if not basis:
+        return p
+    key = None if order is LEX else order.key
+    divisors = []
+    for g in basis:
+        gm, gc = g.leading_term(order)
+        divisors.append((gm, gc, [(tm, tc) for tm, tc in g.terms.items()
+                                  if tm != gm]))
+    work = dict(p.terms)
+    rem = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for gm, gc, tail in divisors:
+            if _divides(gm, m):
+                f = c / gc
+                q = _msub(m, gm)
+                _add_terms(work, {tuple(a + b for a, b in zip(q, tm)):
+                                  -(f * tc) for tm, tc in tail})
+                break
+        else:
+            rem[m] = c
+    return Poly._canonical(p.vars, rem)
+
+
+def field_s_poly(f, g, order=GREVLEX):
+    mf, cf = f.leading_term(order)
+    mg, cg = g.leading_term(order)
+    l = _lcm(mf, mg)
+    return (Poly.monomial(_msub(l, mf), 1 / cf, f.vars) * f
+            - Poly.monomial(_msub(l, mg), 1 / cg, g.vars) * g)
+
+
+def field_buchberger(gens, order=GREVLEX):
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    G = _echelon(gens, order)
+    lt = [g.leading_term(order)[0] for g in G]
+    pairs, pair_set = [], set()
+
+    def push(i, j):
+        l = _lcm(lt[i], lt[j])
+        heapq.heappush(pairs, (sum(l), order.key(l), i, j, l))
+        pair_set.add((i, j))
+
+    def useless(i, j, l):
+        if l == tuple(a + b for a, b in zip(lt[i], lt[j])):
+            return True
+        for k in range(len(G)):
+            if k not in (i, j) and _divides(lt[k], l):
+                if ((min(i, k), max(i, k)) not in pair_set
+                        and (min(j, k), max(j, k)) not in pair_set):
+                    return True
+        return False
+
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            push(i, j)
+    while pairs:
+        _, _, i, j, l = heapq.heappop(pairs)
+        pair_set.discard((i, j))
+        if useless(i, j, l):
+            continue
+        r = field_reduce(field_s_poly(G[i], G[j], order), G, order)
+        if r:
+            r = r.monic(order)
+            G.append(r)
+            lt.append(r.leading_term(order)[0])
+            for a in range(len(G) - 1):
+                push(a, len(G) - 1)
+    minimal = [G[i] for i in range(len(G))
+               if not any(j != i and _divides(lt[j], lt[i])
+                          and (lt[j] != lt[i] or j < i)
+                          for j in range(len(G)))]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = field_reduce(g, minimal[:i] + minimal[i + 1:], order)
+        if r:
+            reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    return reduced
+
+
+def assert_same_basis(ours, oracle):
+    # the same list, element by element, with the same coefficient type at
+    # each monomial
+    assert ours == oracle
+    for p, q in zip(ours, oracle):
+        assert ({m: type(c) for m, c in p.terms.items()}
+                == {m: type(c) for m, c in q.terms.items()})
+
+
+@pytest.fixture(scope="module")
+def discover_inputs():
+    """The (generators, order) of every Buchberger call that solving the
+    closure constraints of the six discover cases makes."""
+    seen = []
+    real = groebner.buchberger
+
+    def record(gens, order=GREVLEX):
+        seen.append((list(gens), order))
+        return real(gens, order)
+
+    groebner.buchberger = record
+    try:
+        for case in CASES:
+            f = cat.case_jet(case)
+            famP, famQ, famR = pqr_families(f, case=case)
+            ring = sorted(set(famP.family.free + famQ.family.free
+                              + famR.family.free))
+            solve_zero_dim(closure_constraints(f, famP, famQ, famR), ring)
+    finally:
+        groebner.buchberger = real
+    return seen
+
+
+def _parametric(gens):
+    return any(isinstance(c, RationalFunc)
+               for g in gens for c in g.terms.values())
+
+
+def test_discover_bases_equal_the_field_oracle(discover_inputs):
+    assert len(discover_inputs) == 11
+    assert sum(_parametric(gens) for gens, _ in discover_inputs) == 1
+    for gens, order in discover_inputs:
+        ours = buchberger(gens, order)
+        assert_same_basis(ours, field_buchberger(gens, order))
+        if not _parametric(gens):
+            assert all(type(c) is F for g in ours for c in g.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems)
+def test_buchberger_equals_the_field_oracle(case):
+    vars, gens = case
+    for order, _ in ORDERS:
+        ours = buchberger(gens, order)
+        assert_same_basis(ours, field_buchberger(gens, order))
+        assert all(type(c) is F for g in ours for c in g.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems.flatmap(
+    lambda case: st.tuples(st.just(case), polys(case[0], 3))))
+def test_division_equals_the_field_oracle(case_and_p):
+    # the generators are no Groebner basis, so the remainder depends on
+    # each divisor chosen: scaling what is left never changes that choice
+    (vars, gens), p = case_and_p
+    for order, _ in ORDERS:
+        assert reduce(p, gens, order) == field_reduce(p, gens, order)
+        f, g = gens[:2]
+        assert s_poly(f, g, order) == field_s_poly(f, g, order)
+
+
+B = RationalFunc.gen("b")
+ONE = RationalFunc.const(1, var="b")
+
+
+def PB(terms, vars=UV):
+    """A polynomial over Q(b); a coefficient is built from the generator b."""
+    return Poly(vars, {m: c if isinstance(c, RationalFunc) else c * ONE
+                       for m, c in terms.items()})
+
+
+PARAMETRIC_SYSTEMS = [
+    # u^2 - b, u*v - 1
+    [PB({(2, 0): 1, (0, 0): -B}), PB({(1, 1): 1, (0, 0): -1})],
+    # b*u + v - 1, u^2 + (b + 1)*v
+    [PB({(1, 0): B, (0, 1): 1, (0, 0): -1}), PB({(2, 0): 1, (0, 1): B + 1})],
+    # (b^2 - 1)*u*v + u, v^2 - b*u + 1/(b + 1), with Fraction coefficients
+    # mixed in
+    [Poly(UV, {(1, 1): B * B - 1, (1, 0): F(1)}),
+     Poly(UV, {(0, 2): F(1), (1, 0): -B, (0, 0): 1 / (B + 1)})],
+    # three unknowns: u - b*w, v^2 - w, u*v - (b/2)*w^2
+    [PB({(1, 0, 0): 1, (0, 0, 1): -B}, UVW),
+     PB({(0, 2, 0): 1, (0, 0, 1): -1}, UVW),
+     PB({(1, 1, 0): 1, (0, 0, 2): -B / 2}, UVW)],
+]
+
+
+@pytest.mark.parametrize("gens", PARAMETRIC_SYSTEMS)
+def test_parametric_bases_equal_the_field_oracle(gens):
+    for order, _ in ORDERS:
+        gb = buchberger(gens, order)
+        assert_same_basis(gb, field_buchberger(gens, order))
+        assert all(g.leading_term(order)[1] == 1 for g in gb)
+        for g in gens:
+            assert not reduce(g, gb, order)
+        vars = gens[0].vars
+        p = gens[0] * gens[-1] + PB({(1,) * len(vars): B}, vars)
+        assert reduce(p, gens, order) == field_reduce(p, gens, order)
+
+
+def _lex_divisors(polys):
+    """The divisors of polynomials with Fraction coefficients under lex,
+    as ``buchberger`` holds its basis (lex takes no sort key)."""
+    return [_poly_divisor(p, None, True) for p in polys]
+
+
+def test_certificate_rejects_what_is_no_basis_of_the_ideal():
+    # under lex, u^2 - v and u*v - 1 have the reduced basis u - v^2, v^3 - 1
+    gens = [P({(2, 0): 1, (0, 1): -1}), P({(1, 1): 1, (0, 0): -1})]
+    terms = [_term_dict(g, True)[0] for g in gens]
+    gb = buchberger(gens, LEX)
+    assert gb == [P({(0, 3): 1, (0, 0): -1}), P({(1, 0): 1, (0, 2): -1})]
+    _certify(_lex_divisors(gb), terms, None)
+    # the generators themselves: their S-pair leaves u - v^2
+    with pytest.raises(GroebnerError, match="S-polynomial"):
+        _certify(_lex_divisors(gens), terms, None)
+    # u - v^2 alone is a Groebner basis, of a smaller ideal: what a pair
+    # skipped by mistake can leave after minimalisation
+    with pytest.raises(GroebnerError, match="generators"):
+        _certify(_lex_divisors(gb[1:]), terms, None)
