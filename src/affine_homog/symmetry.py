@@ -102,7 +102,8 @@ def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
     and of the augmented rows [A1 | v1] (or [A2 | v2]) only; every entry
     of either product starts at Fraction(0) and sums its terms in
     ascending inner index. The two are subtracted only where either is
-    nonzero; elsewhere the entry stays the zero of the first product."""
+    nonzero or their types differ; elsewhere the entry stays the zero of
+    the first product."""
     def product(a, aug):
         out = [[Fraction(0)] * 5 for _ in range(4)]
         for row, acc in zip(a, out):
@@ -115,7 +116,8 @@ def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
 
     p = product(v2.A, [(*r, t) for r, t in zip(v1.A, v1.v)])
     q = product(v1.A, [(*r, t) for r, t in zip(v2.A, v2.v)])
-    rows = [[x - y if x or y else x for x, y in zip(pr, qr)]
+    rows = [[x - y if x or y or type(x) is not type(y) else x
+             for x, y in zip(pr, qr)]
             for pr, qr in zip(p, q)]
     return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
 
