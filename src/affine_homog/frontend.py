@@ -106,6 +106,15 @@ MAX_DEPTH = 100
 MAX_DIGITS = 40
 MAX_EXPONENT = 100
 
+# The budget of a power whose base or exponent comes from outside the
+# equation (a basepoint coordinate, an --alpha exponent), which the parser
+# cannot see: every exact constant power c^p is checked when it is
+# evaluated, and refused before it is computed when its numerator or
+# denominator would have more than the MAX_DIGITS * MAX_EXPONENT digits a
+# power of a literal can reach.
+MAX_POWER_DIGITS = MAX_DIGITS * MAX_EXPONENT
+_POWER_LIMIT = 10 ** MAX_POWER_DIGITS
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(alpha|exp|log)|([WXYZ])|([-+*^()=]))")
 
 
@@ -328,17 +337,35 @@ def _uses(node: Node, leaf: Node) -> bool:
 
 # -- Taylor primitives ----------------------------------------------------------
 
+def _check_power(c, p: int):
+    """Raise InputError when the rational c to the integer power p would
+    have a numerator or denominator of more than MAX_POWER_DIGITS digits.
+    n^|p| >= 2^(|p|(bits(n) - 1)), so past that bound it is refused
+    unseen, and below it n^|p| has fewer than twice the budget's bits and
+    is compared exactly."""
+    if not isinstance(c, (int, Fraction)):
+        return
+    p = abs(p)
+    for n in (abs(c.numerator), c.denominator):
+        if (p * (n.bit_length() - 1) >= _POWER_LIMIT.bit_length()
+                or n ** p >= _POWER_LIMIT):
+            raise InputError(f"a constant power would have more than "
+                             f"{MAX_POWER_DIGITS} digits")
+
+
 def _rational_pow(base: Fraction, e: Fraction) -> Fraction:
     if e.denominator == 1:
         k = e.numerator
         if k < 0 and base == 0:
             raise DomainError("zero to a negative power")
+        _check_power(base, k)
         return base ** k
     if base <= 0:
         raise DomainError(f"non-integer power of non-positive base {base}")
     root = rational_nth_root(base, e.denominator)
     if root is None:
         raise DomainError(f"{base}^(1/{e.denominator}) is irrational")
+    _check_power(root, e.numerator)
     return root ** e.numerator
 
 
@@ -487,8 +514,10 @@ def eval_jet(node: Node, images: Dict[str, Jet], order: int,
             if e is None:
                 raise ValueError("unbound parameter alpha")
             base = ev(n.base)
+            center = base.poly.constant_term()
             # a negative power at a zero center is refused by the primitive
-            if e.denominator == 1 and (e >= 0 or base.poly.constant_term()):
+            if e.denominator == 1 and (e >= 0 or center):
+                _check_power(center, e.numerator)
                 return base ** e.numerator
             return _compose_primitive("pow", base, order, e)
         if isinstance(n, Exp):

@@ -31,13 +31,20 @@ of it is re-checked to reduce to zero, which certifies that the skipped
 pairs lost nothing, and so is every generator, which certifies that it
 spans the generators' ideal and not a smaller one.
 
-The solver does linear elimination first, substituting each pivot only
-into the polynomials that contain its variable; then lexicographic
-elimination with rational root extraction and back-substitution. After
-a free parameter has been designated, quadratics over its function
-field are split whenever the discriminant is a perfect square.
-Irrational roots are reported as residual components with their
-defining polynomials, never approximated.
+The solver does linear elimination first, in the ring the system came
+in: each pivot is eliminated only from the polynomials that contain its
+variable (``_eliminate``), its slot stays at exponent 0, and the system
+is restricted to the remaining variables once, at the end. Then comes
+lexicographic elimination with rational root extraction and
+back-substitution. After a free parameter has been designated,
+quadratics over its function field are split whenever the discriminant
+is a perfect square. Irrational roots are reported as residual
+components with their defining polynomials, never approximated.
+
+Every point and family is certified exactly on every generator. Each
+distinct monomial of a ring is evaluated once per solution and shared by
+the generators of that ring, and a monomial with a zero-valued variable
+counts as 0 without a product.
 
 Deterministic throughout: variables are ordered lexically by name and
 all tie-breaking is by fixed term-order keys.
@@ -48,12 +55,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import _RATIONAL, rref
-from .poly import GREVLEX, LEX, Mono, Poly, TermOrder
+from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _add_terms, _mul_terms
 from .scalars import (RationalFunc, _udivmod, _ueval, over_common_denominator,
                       primitive_integers, ratfunc_sqrt)
 
@@ -388,7 +396,7 @@ def _pivot_candidate(p: Poly, ring: Tuple[str, ...]):
         if sum(m) == 1:
             linear.add(m.index(1))
         else:
-            other.update(i for i, e in enumerate(m) if e)
+            other.update(compress(range(len(m)), m))
     free = linear - other
     if not free:
         return None
@@ -495,11 +503,14 @@ def solve_zero_dim(gens: Sequence[Poly],
     """All solutions of a polynomial system over the rationals.
 
     Strategy: eliminate unknowns that occur linearly with scalar
-    coefficients; run a lexicographic Groebner basis on what remains;
-    branch over rational roots of univariate basis elements; designate a
-    free parameter for positive-dimensional components. Components that
-    resist this shape (irrational roots, more than one free unknown)
-    are reported as residual with their bases.
+    coefficients, in one ring (``_eliminate_linear``); run a
+    lexicographic Groebner basis on what remains; branch over rational
+    roots of univariate basis elements; designate a free parameter for
+    positive-dimensional components. Components that resist this shape
+    (irrational roots, more than one free unknown) are reported as
+    residual with their bases. Every point and family is checked on every
+    generator (``_verify_solutions``), which raises ``GroebnerError`` on a
+    spurious one.
     """
     if unknowns is None:
         names = set()
@@ -540,50 +551,94 @@ def _dedupe(out: SolutionSet):
     out.families = families
 
 
-def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
-               fixed: Dict[str, object], stack: List[Tuple[str, Poly]],
-               params: List[str], out: SolutionSet):
-    # linear elimination with scalar pivots: eliminate through the pivot
-    # polynomial with the fewest terms, then the lowest degree, then the
-    # first in text order. A pivot is substituted only into the polynomials
-    # that contain its variable; the others lose its slot and keep their
-    # pivot candidate.
+def _eliminate(p: Poly, i: int, expr: Poly) -> Poly:
+    """p with the variable of slot i replaced by expr, which does not
+    contain it: ``p.substitute`` with the image kept in p's ring, where the
+    slot stays at exponent 0. An empty expr drops the terms that contain
+    the variable, a one-term expr shifts their monomials and scales them
+    by a power of its coefficient, a longer one multiplies them by its
+    powers, each built once by ``_mul_terms``."""
+    powers = [None, expr.terms]
+    new = []
+    for m, c in p.terms.items():
+        if isinstance(c, int):
+            c = Fraction(c)
+        e = m[i]
+        if not e:
+            new.append((m, c))
+            continue
+        while len(powers) <= e:
+            powers.append(_mul_terms(powers[-1], powers[1], None))
+        base = m[:i] + (0,) + m[i + 1:]
+        new.extend((tuple(map(add, base, me)), c * ce)
+                   for me, ce in powers[e].items())
+    out: Dict[Mono, object] = {}
+    _add_terms(out, new)
+    return Poly._canonical(p.vars, out)
+
+
+def _eliminate_linear(system: List[Poly], ring: Tuple[str, ...],
+                      stack: List[Tuple[str, Poly]]):
+    """(system, ring) after linear elimination with scalar pivots, or None
+    for an inconsistent branch; each pivot ``v := expr`` goes on the stack.
+
+    The pivot is the polynomial with the fewest terms, then the lowest
+    degree, then the first in text order. It is eliminated only from the
+    polynomials that contain its variable. The system stays in the ring it
+    came in, with each eliminated slot at exponent 0, which changes
+    neither a polynomial's text nor its grevlex order, and is restricted to
+    the remaining variables once, at the end."""
     system = [p for p in system if p]
     if any(p.is_constant() for p in system):
-        return  # inconsistent branch
-    cands = [_pivot_candidate(p, ring) for p in system]
+        return None
+    full = ring
+    # [polynomial, pivot candidate, text once a tie has needed it]
+    rows = [[p, _pivot_candidate(p, full), None] for p in system]
     while True:
-        pivots = [(c, k) for k, c in enumerate(cands) if c is not None]
+        pivots = [row for row in rows if row[1] is not None]
         if not pivots:
             break
-        low = min(c[0] for c, _ in pivots)
-        pivots = [(c, k) for c, k in pivots if c[0] == low]
+        low = min(row[1][0] for row in pivots)
+        pivots = [row for row in pivots if row[1][0] == low]
         if len(pivots) > 1:
-            pivots.sort(key=lambda t: str(system[t[1]]))
-        (_, v), at = pivots[0]
-        c, rest = _linear_coefficient(system[at], v)
-        i = ring.index(v)
-        ring = ring[:i] + ring[i + 1:]
-        expr = _restrict(rest.map_coefficients(lambda a: -a / c), ring)
+            for row in pivots:
+                if row[2] is None:
+                    row[2] = str(row[0])
+            pivots.sort(key=lambda row: row[2])
+        pivot = pivots[0]
+        v = pivot[1][1]
+        c, rest = _linear_coefficient(pivot[0], v)
+        i = full.index(v)
+        ring = tuple(u for u in ring if u != v)
+        expr = rest.map_coefficients(lambda a: -a / c)
         stack.append((v, expr))
-        kept, kept_cands = [], []
-        for k, q in enumerate(system):
-            if k == at:
+        kept = []
+        for row in rows:
+            if row is pivot:
                 continue
+            q = row[0]
             if any(m[i] for m in q.terms):
-                q = q.substitute({v: expr})
+                q = _eliminate(q, i, expr)
                 if not q:
                     continue
                 if q.is_constant():
-                    return  # inconsistent branch
-                cand = _pivot_candidate(q, ring)
-            else:
-                q = Poly._canonical(ring, {m[:i] + m[i + 1:]: a
-                                           for m, a in q.terms.items()})
-                cand = cands[k]
-            kept.append(q)
-            kept_cands.append(cand)
-        system, cands = kept, kept_cands
+                    return None
+                row = [q, _pivot_candidate(q, full), None]
+            kept.append(row)
+        rows = kept
+    system = [row[0] for row in rows]
+    if ring != full:
+        system = [_restrict(p, ring) for p in system]
+    return system, ring
+
+
+def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
+               fixed: Dict[str, object], stack: List[Tuple[str, Poly]],
+               params: List[str], out: SolutionSet):
+    linear = _eliminate_linear(system, ring, stack)
+    if linear is None:
+        return  # inconsistent branch
+    system, ring = linear
 
     if not system:
         free_vars = list(ring)
@@ -673,12 +728,53 @@ def _emit(fixed, stack, tail, params, out: SolutionSet):
 
 
 def _verify_solutions(gens: Sequence[Poly], sols: SolutionSet):
+    """Raise ``GroebnerError`` unless every generator vanishes exactly at
+    every point and on every family."""
+    rings: Dict[Tuple[str, ...], List[Poly]] = {}
+    for g in gens:
+        rings.setdefault(g.vars, []).append(g)
     for pt in sols.points:
-        for g in gens:
-            if g.eval(pt):
-                raise GroebnerError(f"spurious point {pt}")
+        if not _vanishes(rings, pt):
+            raise GroebnerError(f"spurious point {pt}")
     for fam in sols.families:
+        if not _vanishes(rings, fam.assignments):
+            raise GroebnerError(f"spurious family over {fam.free}")
+
+
+def _vanishes(rings: Dict[Tuple[str, ...], List[Poly]],
+              values: Dict[str, object]) -> bool:
+    """Whether every generator, grouped by ring, is zero at the values.
+    Each distinct monomial of a ring is evaluated once and its value shared
+    by the generators of that ring; a monomial with a zero-valued variable
+    is 0, and its terms are skipped."""
+    powers: Dict[Tuple[str, int], object] = {}
+    for vars, gens in rings.items():
+        monos: Dict[Mono, object] = {}
         for g in gens:
-            val = g.eval(fam.assignments)
-            if val:
-                raise GroebnerError(f"spurious family over {fam.free}")
+            total = 0
+            for m, c in g.terms.items():
+                if m in monos:
+                    t = monos[m]
+                else:
+                    t = monos[m] = _monomial_value(vars, m, values, powers)
+                if t is not None:
+                    total = total + c * t
+            if total:
+                return False
+    return True
+
+
+def _monomial_value(vars: Tuple[str, ...], m: Mono, values, powers):
+    """The value of the monomial m, or None when one of its variables is
+    0; ``powers`` caches each variable's powers."""
+    t = 1
+    for v, e in zip(vars, m):
+        if e:
+            x = values[v]
+            if not x:
+                return None
+            pw = powers.get((v, e))
+            if pw is None:
+                pw = powers[v, e] = x ** e
+            t = t * pw
+    return t

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .scalars import (RationalFunc, TowerElement, over_common_denominator,
                       positive_power)
@@ -58,9 +58,10 @@ GREVLEX = TermOrder("grevlex", grevlex_key)
 LEX = TermOrder("lex", lex_key)
 
 
-def _add_terms(d: Dict[Mono, object], terms: Mapping[Mono, object]):
-    """Add ``terms`` into ``d`` in place, dropping cancelled entries."""
-    for m, c in terms.items():
+def _add_terms(d: Dict[Mono, object], terms: Iterable[Tuple[Mono, object]]):
+    """Add the (monomial, coefficient) pairs ``terms`` into ``d`` in place,
+    in their order, dropping cancelled entries."""
+    for m, c in terms:
         if m in d:
             s = d[m] + c
             if s:
@@ -231,7 +232,7 @@ class Poly:
 
     def __add__(self, other):
         d = dict(self.terms)
-        _add_terms(d, self._coerce(other).terms)
+        _add_terms(d, self._coerce(other).terms.items())
         return Poly._canonical(self.vars, d)
 
     __radd__ = __add__
@@ -345,7 +346,7 @@ class Poly:
                     acc = _mul_terms(acc, pw[e], max_degree)
                     if not acc:
                         break
-            _add_terms(out, acc)
+            _add_terms(out, acc.items())
         return Poly._canonical(tgt_vars, out)
 
     def eval(self, values: Mapping[str, object]):

@@ -73,20 +73,6 @@ class AffineVectorField:
         self.A = tuple(tuple(r) for r in self.A)
         self.v = tuple(self.v)
 
-    def scale(self, c) -> "AffineVectorField":
-        return AffineVectorField(
-            tuple(tuple(c * a for a in r) for r in self.A),
-            tuple(c * t for t in self.v))
-
-    def __add__(self, other: "AffineVectorField") -> "AffineVectorField":
-        return AffineVectorField(
-            tuple(tuple(a + b for a, b in zip(r1, r2))
-                  for r1, r2 in zip(self.A, other.A)),
-            tuple(a + b for a, b in zip(self.v, other.v)))
-
-    def __sub__(self, other: "AffineVectorField") -> "AffineVectorField":
-        return self + other.scale(Fraction(-1))
-
     def coords(self) -> List[object]:
         return [a for r in self.A for a in r] + list(self.v)
 
@@ -288,18 +274,29 @@ def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
                         famR: TangencyFamily) -> List[Poly]:
     """Coefficient-wise polynomial closure constraints on the free
     entries of the three gauge-fixed families (quadratic in the
-    unknowns, monic-normalized), one per nonzero residual coefficient."""
+    unknowns, monic-normalized), one per nonzero residual coefficient.
+
+    The residuals read only the sixteen matrix columns, built once at
+    F's order, and each product c*x of a translation coordinate c of the
+    bracket and a matrix entry x of a field is subtracted only where both
+    are nonzero."""
     ring = tuple(sorted(famP.family.free + famQ.family.free + famR.family.free))
     fields = [fam.field({u: Poly.var(u, ring) for u in fam.family.free})
               for fam in (famP, famQ, famR)]
+    columns = tangency_columns(F, F.order, range(16))
     constraints: List[Poly] = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
         # the bracket minus the span's translation part: its linear part
         # must be tangent for the span to close
         B = bracket(fields[a], fields[b])
+        A = [list(r) for r in B.A]
         for c, V in zip(B.v, fields):
-            B = B - V.scale(c)
-        res = tangency_residual(F, AffineVectorField(B.A, ZERO4), F.order)
+            if c:
+                for row, vrow in zip(A, V.A):
+                    for j, x in enumerate(vrow):
+                        if x:
+                            row[j] = row[j] - c * x
+        res = tangency_residual(F, AffineVectorField(A, ZERO4), F.order, columns)
         for m in sorted(res.poly.terms, key=GREVLEX.key):
             c = res.poly.terms[m]
             c = c if isinstance(c, Poly) else Poly.const(c, ring)

@@ -138,6 +138,13 @@ def test_usage_errors_exit_two(capsys):
                   "--basepoint", "0,0,0,0"],
                  ["expand", "--surface", "W = X*Y + Z^2 + 3^100000000",
                   "--basepoint", "0,0,0,0"],
+                 # powers past the same budget through --alpha and through
+                 # a 4,000-digit basepoint coordinate
+                 ["expand", "--surface",
+                  "W = X*Y + (Z+1)^alpha - (Z+1)^alpha",
+                  "--basepoint", "0,0,0,1", "--alpha=100000000"],
+                 ["expand", "--surface", "W = X*Y + Z^100 - Z^100",
+                  "--basepoint", "0,0,0," + "9" * 4000],
                  ["real", "--order", "5"]):                 # takes no order
         with pytest.raises(SystemExit) as exc:
             run(argv)

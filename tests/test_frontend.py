@@ -14,7 +14,7 @@ from affine_homog.frontend import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
                                    taylor_primitive)
 from affine_homog.jets import Jet, solve_series
 from affine_homog.poly import Poly
-from affine_homog.scalars import parse_rational
+from affine_homog.scalars import InputError, parse_rational
 
 Y = Poly.var("y")
 
@@ -165,6 +165,31 @@ def test_constant_budget():
             parse_surface(f"W = X + 0*{nested}", origin)
     # the two sides are one residual: siblings do not multiply
     parse_surface(f"W + 0*Y^{MAX_EXPONENT} = X + 0*Z^{MAX_EXPONENT}", origin)
+
+
+def test_power_budget():
+    # an exact constant power is computed while its numerator and
+    # denominator stay within MAX_POWER_DIGITS digits, and refused past that
+    # before it is computed, whatever the size of the exponent
+    limit = 10 ** frontend.MAX_POWER_DIGITS
+    k = limit.bit_length() - 1  # 2^k < limit < 2^(k+1)
+    for c, p in ((F(2), k), (F(1, 2), -k), (F(-1, 2), k),
+                 (F(10 ** MAX_DIGITS - 1), MAX_EXPONENT),
+                 (F(1), 10 ** 100), (F(-1), -10 ** 100), (F(0), 10 ** 100)):
+        frontend._check_power(c, p)
+    for c, p in ((F(2), k + 1), (F(1, 2), -k - 1), (F(3, 2), k + 1),
+                 (F(10 ** MAX_DIGITS), MAX_EXPONENT), (F(2), 10 ** 100)):
+        with pytest.raises(InputError, match="constant power"):
+            frontend._check_power(c, p)
+    # the same edge reached through an alpha exponent and a basepoint
+    surface = "W = X*Y + Z^alpha - Z^alpha"
+    parse_surface(surface, ("0", "0", "0", "2"), alpha=F(k))
+    with pytest.raises(InputError, match="constant power"):
+        parse_surface(surface, ("0", "0", "0", "2"), alpha=F(k + 1))
+    big = "9" * frontend.MAX_POWER_DIGITS
+    parse_surface("W = X*Y + Z - Z", ("0", "0", "0", big))
+    with pytest.raises(InputError, match="constant power"):
+        parse_surface("W = X*Y + Z^2 - Z^2", ("0", "0", "0", big))
 
 
 def test_log_domain_error():

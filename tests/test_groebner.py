@@ -326,8 +326,8 @@ def field_reduce(p, basis, order=GREVLEX):
             if _divides(gm, m):
                 f = c / gc
                 q = _msub(m, gm)
-                _add_terms(work, {tuple(a + b for a, b in zip(q, tm)):
-                                  -(f * tc) for tm, tc in tail})
+                _add_terms(work, ((tuple(a + b for a, b in zip(q, tm)),
+                                   -(f * tc)) for tm, tc in tail))
                 break
         else:
             rem[m] = c
@@ -523,3 +523,122 @@ def test_certificate_rejects_what_is_no_basis_of_the_ideal():
     # skipped by mistake can leave after minimalisation
     with pytest.raises(GroebnerError, match="generators"):
         _certify(_lex_divisors(gb[1:]), terms, None)
+
+
+# -- linear elimination and the solution certificate ----------------------
+
+UVWX = ("u", "v", "w", "x")
+
+
+@st.composite
+def elimination_cases(draw):
+    """(p, i, expr): p in four variables with exponents up to 3 and int
+    coefficients, expr of 0, 1 or several terms without the variable of
+    slot i, and sometimes one RationalFunc coefficient in p or in expr."""
+    i = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * 4)
+    p = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                             min_size=1, max_size=6))
+    size = draw(st.sampled_from([0, 1, 1, 2, 4]))
+    expr = draw(st.dictionaries(
+        exps.map(lambda m: m[:i] + (0,) + m[i + 1:]),
+        st.integers(-3, 3).filter(bool) | fractions.filter(bool),
+        min_size=size, max_size=size))
+    where = draw(st.sampled_from(["none", "none", "p", "expr"]))
+    terms = p if where == "p" else expr
+    if where != "none" and terms:
+        m = draw(st.sampled_from(sorted(terms)))
+        terms[m] = B + draw(st.integers(-2, 2))
+    return Poly(UVWX, p), i, Poly(UVWX, expr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_cases())
+def test_eliminate_equals_substitute(case):
+    # the substitution into the ring without the variable, re-embedded
+    p, i, expr = case
+    ring = UVWX[:i] + UVWX[i + 1:]
+    sub = p.substitute({UVWX[i]: groebner._restrict(expr, ring)})
+    expect = {m[:i] + (0,) + m[i:]: c for m, c in sub.terms.items()}
+    ours = groebner._eliminate(p, i, expr)
+    assert ours.vars == UVWX
+    assert ours.terms == expect
+    assert ({m: type(c) for m, c in ours.terms.items()}
+            == {m: type(c) for m, c in expect.items()})
+
+
+def test_certificate_rejects_spurious_solutions():
+    # u*v + w and u*v + v in (u, v, w), v - w in (v, w) and u in (u, w).
+    # Each spurious solution below leaves one nonzero term over all the
+    # generators, beside terms with a zero-valued variable, so a
+    # certificate that skips any nonzero term accepts one of them
+    uvw = P({(1, 1, 0): 1, (0, 0, 1): 1}, UVW)
+    uvv = P({(1, 1, 0): 1, (0, 1, 0): 1}, UVW)
+    vw = P({(1, 0): 1, (0, 1): -1}, ("v", "w"))
+    uw = P({(1, 0): 1}, ("u", "w"))
+    t = RationalFunc.gen("t")
+    zero, one = t * 0, t * 0 + 1
+
+    def check(gens, points=(), families=()):
+        groebner._verify_solutions(gens, groebner.SolutionSet(
+            list(UVW), list(points),
+            [groebner.ParametricFamily("t", f) for f in families]))
+
+    check([uvw, uvv, vw, uw], [{"u": F(0), "v": F(0), "w": F(0)}])
+    check([uvw, uvv, vw], families=[{"u": t, "v": zero, "w": zero}])
+    for gens, pt in (([uvw], {"u": F(0), "v": F(1), "w": F(1)}),
+                     ([uvw, uvv], {"u": F(0), "v": F(1), "w": F(0)}),
+                     ([uvw, vw], {"u": F(0), "v": F(1), "w": F(0)}),
+                     ([vw, uw], {"u": F(1), "v": F(0), "w": F(0)})):
+        with pytest.raises(GroebnerError, match="spurious point"):
+            check(gens, [pt])
+    for gens, values in (([uvw], {"u": zero, "v": t, "w": one}),
+                         ([uvw, uvv], {"u": zero, "v": t, "w": zero}),
+                         ([uvw, vw], {"u": zero, "v": t, "w": zero}),
+                         ([vw, uw], {"u": t, "v": zero, "w": zero})):
+        with pytest.raises(GroebnerError, match="spurious family"):
+            check(gens, families=[values])
+
+
+# the linear phases that solving each discover case's closure system goes
+# through, in call order: (the variables eliminated, in order; the ring
+# left), recorded when the pivots were substituted one by one
+PIVOTS = {
+    "no-cubic": [(("p24", "p34", "r24", "q14", "q34", "r14", "p14", "q24"),
+                  ("r34",))],
+    "I3": [(("q14", "q34", "r14", "p14", "p24", "q44", "p32", "p34", "q32",
+             "r24", "q24", "r34"), ("p44", "r32", "r44")),
+           ((), ("p44", "r32")), ((), ("p44",))],
+    "I2": [(("q14", "q34", "r14", "p14", "p34", "p44", "q24", "q32", "q44",
+             "r24", "p24", "p32", "r34"), ("p31", "q31", "r31", "r32", "r44")),
+           (("r32",), ("p31", "q31", "r31")), ((), ("p31", "q31")),
+           ((), ("p31",))],
+    "I1": [(("p31", "q14", "r14", "q32", "q34", "p14", "p24", "p44", "p32",
+             "q31", "p34", "r24", "q24", "q44", "r34"), ("r31", "r32", "r44")),
+           (("r32",), ("r31",)), ((), ()), ((), ())],
+    "I0": [(("p24", "p31", "p34", "r24", "p44", "q14", "q32", "q34", "r14",
+             "q44", "p14", "p32", "q24"), ("q31", "r31", "r32", "r34", "r44")),
+           ((), ("q31", "r31", "r34", "r44")), ((), ("q31", "r34", "r44")),
+           (("q31",), ("r34",)), ((), ()), ((), ())],
+    "Inr": [(("q44", "r44"), ("p44",))],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_pivot_sequence_of_the_discover_systems(case, monkeypatch):
+    real = groebner._eliminate_linear
+    seen = []
+
+    def record(system, ring, stack):
+        n = len(stack)
+        linear = real(system, ring, stack)
+        seen.append((tuple(v for v, _ in stack[n:]),
+                     linear[1] if linear else None))
+        return linear
+
+    monkeypatch.setattr(groebner, "_eliminate_linear", record)
+    f = cat.case_jet(case)
+    famP, famQ, famR = pqr_families(f, case=case)
+    ring = sorted(set(famP.family.free + famQ.family.free + famR.family.free))
+    solve_zero_dim(closure_constraints(f, famP, famQ, famR), ring)
+    assert seen == PIVOTS[case]
