@@ -37,8 +37,8 @@ from .scalars import (InputError, RationalFunc, Tower, parse_rational,
 from .symmetry import (E_X, E_Y, E_Z, AffineVectorField, CompletionError,
                        complete_series, closure_constraints, degree_unknowns,
                        full_algebra, linear_equations, normalize_gauge,
-                       pqr_families, reduce_against_span,
-                       tangency_columns, tangency_residual)
+                       pqr_families, raise_order, reduce_against_span,
+                       solve_tangency, tangency_columns, tangency_residual)
 
 XYZ = ("x", "y", "z")
 F = Fraction
@@ -262,7 +262,7 @@ def verify_entry(entry, alpha=None, order: int = 6) -> Report:
     # one column set for both orders (the sharing rule of symmetry.py)
     columns = tangency_columns(Fj, order + 1, range(20))
     alg = full_algebra(Fj, order, columns)
-    alg1 = full_algebra(Fj, order + 1, columns)
+    alg1 = raise_order(alg, Fj, columns)
     stable = (alg.isotropy_dim == alg1.isotropy_dim
               and alg.full_dim == alg1.full_dim)
     # the class and the Pick invariant are read off the 3-jet
@@ -316,17 +316,16 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     # built at least to order 5 for the re-check below
     columns = tangency_columns(Fj, max(order, 5), range(20))
     alg4 = full_algebra(Fj, 4, columns)
+    alg5 = raise_order(alg4, Fj, columns)
     details["closed_at_4"] = homogeneous(alg4)
     # do the order-4 symmetries stay tangent one order up?
-    drops = False
-    for b in alg4.basis:
-        m = 4 if any(b.v) else 5
-        if not tangency_residual(Fj.truncate(5), b, m, columns).is_zero():
-            drops = True
-    details["order_4_algebra_fails_at_5"] = drops
-    first_failure = None
+    details["order_4_algebra_fails_at_5"] = not (alg5.tangency_ok
+                                                 and alg5.full_dim == alg4.full_dim)
+    alg, first_failure = alg4, None
     for k in range(4, order + 1):
-        if not homogeneous(alg4 if k == 4 else full_algebra(Fj, k, columns)):
+        if k > 4:
+            alg = alg5 if k == 5 else raise_order(alg, Fj, columns)
+        if not homogeneous(alg):
             first_failure = k
             break
     details["first_failing_order"] = first_failure
@@ -464,19 +463,18 @@ def discover(case: str) -> List[DiscoveryComponent]:
     equations and complete each solution to its determining order."""
     f = case_jet(case)
     det = 5 if case == "Inr" else 4
-    fams = pqr_families(f, case=case)
+    fams = pqr_families(solve_tangency(f), case)
     if fams is None:
         raise CatalogError(f"case {case}: no translated tangency solutions")
     famP, famQ, famR = fams
     cons = closure_constraints(f, famP, famQ, famR)
-    ring = sorted(set(famP.family.free + famQ.family.free + famR.family.free))
+    ring = sorted(set(famP.free + famQ.free + famR.free))
     sols = solve_zero_dim(cons, unknowns=ring)
     comps: List[DiscoveryComponent] = []
 
     def build(values, kind):
-        P = famP.field(values).A
-        Q = famQ.field(values).A
-        R = famR.field(values).A
+        P, Q, R = (AffineVectorField.from_coords(g.member(values)).A
+                   for g in (famP, famQ, famR))
         comp = DiscoveryComponent(kind, dict(values))
         try:
             jet = complete_series(f, P, Q, R, det)
@@ -538,10 +536,9 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     details: Dict[str, object] = {"normal_form": nf_id, "order": order}
     if b is not None:
         details["b"] = b
-    # the gauged and ungauged solves share one column set
-    columns = tangency_columns(jet0, jet0.order - 1, range(20))
-    gauged = pqr_families(jet0, case=case, columns=columns)
-    ungauged = pqr_families(jet0, case=None, columns=columns)
+    # the gauged and ungauged families are views of one free solve
+    fam = solve_tangency(jet0)
+    gauged, ungauged = pqr_families(fam, case), pqr_families(fam)
     if gauged is None or ungauged is None:
         details["error"] = "no translated tangency solutions"
         return Report(f"isotropy:{nf_id}", False, details)
@@ -553,7 +550,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     gauge_len = len(normalize_gauge(case))
     unique_mod_iso = all(g.dimension == model_dim for g in ungauged)
     gauge_cuts = all(g.dimension == model_dim - gauge_len for g in gauged)
-    P, Q, R = (g.field().A for g in gauged)
+    P, Q, R = (AffineVectorField.from_coords(g.particular).A for g in gauged)
     try:
         completed = complete_series(jet0, P, Q, R, order)
     except CompletionError as exc:

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import catalog as cat
-from .frontend import expand_graph, parse_surface
+from .frontend import MAX_DIGITS, expand_graph, parse_surface
 from .jets import Jet
 from .normalize import normalize_jet
 from .poly import XYZ
@@ -290,7 +290,10 @@ def run(argv=None) -> int:
         if getattr(args, "order", None) is not None:
             _check_order(args.order)
         if getattr(args, "alpha", None) is not None:
-            parse_rational(args.alpha)
+            a = parse_rational(args.alpha)  # a long one passes the power budget at base 1
+            if max(abs(a.numerator), a.denominator) >= 10 ** MAX_DIGITS:
+                raise InputError(f"--alpha has more than {MAX_DIGITS} digits "
+                                 "in its numerator or denominator")
         if getattr(args, "basepoint", None) is not None:
             _parse_basepoint(args.basepoint)
         code = DISPATCH[args.command](parser, args)

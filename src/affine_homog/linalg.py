@@ -80,6 +80,17 @@ class SolutionFamily:
                     out[k] = out[k] + t * c
         return out
 
+    def restrict(self, equations: Sequence[LinearEquation]) -> "SolutionFamily":
+        """The members of this homogeneous family on which the equations,
+        keyed by basis vector, vanish: by RREF uniqueness, the solve with
+        the equations' rows appended (a cancelled entry is ``Fraction(0)``,
+        as ``solve_rows`` writes it)."""
+        kernel = linear_solve(equations, self.free)
+        basis = [[c if c else Fraction(0) for c in self.member(dict(zip(self.free, v)))]
+                 for v in kernel.basis]
+        return SolutionFamily(self.unknowns, self.particular, basis,
+                              [self.free_cols[c] for c in kernel.free_cols])
+
 
 def _pivot_size(c) -> int:
     if isinstance(c, Fraction):

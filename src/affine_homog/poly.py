@@ -213,7 +213,9 @@ class Poly:
         c = self.leading_term(order)[1]
         if isinstance(c, int):
             c = Fraction(c)
-        return self if c == 1 else self.map_coefficients(lambda a: a / c)
+        # a nonzero coefficient over a unit stays nonzero: no zero check
+        return self if c == 1 else Poly._canonical(
+            self.vars, {m: a / c for m, a in self.terms.items()})
 
     # -- arithmetic
 

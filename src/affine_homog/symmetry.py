@@ -11,15 +11,16 @@ columns, ``tangency_columns``), so every tangency system is assembled from
 those columns and solved exactly. Bracket closure of the resulting span is
 a polynomial condition on the remaining free entries.
 
-There is one tangency solve, ``solve_tangency``: the RREF nullspace of all
-twenty columns, the translation columns last, at order N-1. Every other
-family is read off it. The basis field of a free matrix column has no
-translation, so those fields span the isotropy at N-1, and the isotropy at
-N is the kernel of their order-N residuals (``full_algebra``). The basis
-field of a free translation column is 1 at that column and 0 at the other
-free ones, so with the translation-free fields it gives the family of a
-fixed unit translation (``pqr_families``); by RREF uniqueness that is the
-solve with the translation fixed, entry for entry.
+There is one tangency solve per jet, ``solve_tangency``: the RREF
+nullspace of all twenty columns, the translation columns last, at order
+N-1. Every narrower family is its restriction by a few more rows
+(``SolutionFamily.restrict``), by RREF uniqueness the solve with those
+rows appended, entry for entry: the isotropy at N (the translation-free
+fields with vanishing order-N residuals, ``full_algebra``), the algebra
+at N+1 (all fields with vanishing order-N residuals, ``raise_order``) and
+the gauge-fixed families (``pqr_families``), whose views take the basis
+field of a free translation column, 1 there and 0 at the other free
+columns, as the field of a fixed unit translation.
 
 A solved span is closed when every bracket of two basis fields lies in it.
 The basis is the RREF nullspace basis of the solve, so each field is 1 at
@@ -75,6 +76,11 @@ class AffineVectorField:
 
     def coords(self) -> List[object]:
         return [a for r in self.A for a in r] + list(self.v)
+
+    @classmethod
+    def from_coords(cls, c: Sequence[object]) -> "AffineVectorField":
+        """The field with coordinates c, the inverse of ``coords()``."""
+        return cls(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), c[16:])
 
     def to_json(self):
         from .scalars import scalar_str
@@ -191,87 +197,54 @@ GAUGE_ENTRIES = {
 }
 
 
-def normalize_gauge(case: str) -> List[LinearEquation]:
-    """Gauge constraints on one family's coordinates that pin down the
+def normalize_gauge(case: str) -> Tuple[int, ...]:
+    """The coordinate indices of the entries that pin down the case's
     known isotropy generators (A22 unless the case names others)."""
-    return [LinearEquation({k: Fraction(1)}, Fraction(0))
-            for k in GAUGE_ENTRIES.get(case, (5,))]
+    return GAUGE_ENTRIES.get(case, (5,))
 
 
-def _field(c: Sequence[object]) -> AffineVectorField:
-    """The field with coordinates c, in ``coords()`` order."""
-    return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), c[16:])
-
-
-@dataclass
-class TangencyFamily:
-    """Tangent fields: a solution family over the twenty coordinates."""
-    family: SolutionFamily
-
-    @property
-    def dimension(self) -> int:
-        return self.family.dimension
-
-    def field(self, free_values: Optional[Dict[str, object]] = None) -> AffineVectorField:
-        return _field(self.family.member(free_values))
-
-    @property
-    def free_coords(self) -> List[int]:
-        """The coordinate index of each free unknown, in ``coords()`` order:
-        basis field k is 1 at ``free_coords[k]`` and 0 at the others."""
-        return self.family.free_cols
-
-    def basis_fields(self) -> List[AffineVectorField]:
-        """Fields from the homogeneous basis vectors."""
-        return [_field(vec) for vec in self.family.basis]
-
-
-def solve_tangency(F: Jet, extra_constraints: Sequence[LinearEquation] = (),
-                   order: Optional[int] = None,
-                   columns: Optional[Sequence[Jet]] = None) -> TangencyFamily:
+def solve_tangency(F: Jet, order: Optional[int] = None,
+                   columns: Optional[Sequence[Jet]] = None) -> SolutionFamily:
     """Every affine field tangent to F to the given order: the RREF
     nullspace of the twenty columns, in ``coords()`` order.
 
     The order defaults to N-1 (the jet of the graph determines residuals
     only that far). ``columns``, when given, are F's twenty columns at an
-    order at least that. ``extra_constraints`` are homogeneous rows keyed
-    by coordinate index (``normalize_gauge``). The basis field of a free
-    matrix column has no translation; that of a free translation column is
-    1 there and 0 at the other free columns.
+    order at least that. The basis field of a free matrix column has no
+    translation; that of a free translation column is 1 there and 0 at the
+    other free columns.
     """
     order = F.order - 1 if order is None else order
     columns = (tangency_columns(F, order, range(20)) if columns is None
                else _at(columns, order))
-    eqs = linear_equations(columns, Jet.zero(order))
-    return TangencyFamily(linear_solve(eqs + list(extra_constraints),
-                                       COORDINATE_NAMES))
+    return linear_solve(linear_equations(columns, Jet.zero(order)), COORDINATE_NAMES)
 
 
-def pqr_families(F: Jet, case: Optional[str] = None,
-                 columns: Optional[Sequence[Jet]] = None):
+def pqr_families(fam: SolutionFamily, case: Optional[str] = None):
     """The three tangency families with unit translation parts along x, y
     and z, gauge-fixed for the given cubic case when one is named, or None
     when one of them does not exist (when translation column 16, 17 or 18
     is a pivot of the free solve).
 
-    They are views of one free solve (on ``columns`` when given): each
-    takes the basis vector of its translation column as its particular
+    They are views of the free family ``fam``, restricted by the gauge:
+    each takes the basis vector of its translation column as its particular
     solution, shares the translation-free basis vectors, and names its
     coordinates with the family's letter."""
-    fam = solve_tangency(F, normalize_gauge(case) if case else (),
-                         columns=columns).family
+    if case:
+        fam = fam.restrict([LinearEquation({i: b[g] for i, b in enumerate(fam.basis) if b[g]})
+                            for g in normalize_gauge(case)])
     k = sum(c < 16 for c in fam.free_cols)
     if fam.free_cols[k:k + 3] != [16, 17, 18]:
         return None
-    return tuple(TangencyFamily(SolutionFamily(
-        [prefix + name for name in COORDINATE_NAMES], fam.basis[k + i],
-        fam.basis[:k], fam.free_cols[:k])) for i, prefix in enumerate("pqr"))
+    return tuple(SolutionFamily([prefix + name for name in COORDINATE_NAMES],
+                                fam.basis[k + i], fam.basis[:k], fam.free_cols[:k])
+                 for i, prefix in enumerate("pqr"))
 
 
 # -- closure ---------------------------------------------------------------------
 
-def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
-                        famR: TangencyFamily) -> List[Poly]:
+def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
+                        famR: SolutionFamily) -> List[Poly]:
     """Coefficient-wise polynomial closure constraints on the free
     entries of the three gauge-fixed families (quadratic in the
     unknowns, monic-normalized), one per nonzero residual coefficient.
@@ -280,8 +253,8 @@ def closure_constraints(F: Jet, famP: TangencyFamily, famQ: TangencyFamily,
     F's order, and each product c*x of a translation coordinate c of the
     bracket and a matrix entry x of a field is subtracted only where both
     are nonzero."""
-    ring = tuple(sorted(famP.family.free + famQ.family.free + famR.family.free))
-    fields = [fam.field({u: Poly.var(u, ring) for u in fam.family.free})
+    ring = tuple(sorted(famP.free + famQ.free + famR.free))
+    fields = [AffineVectorField.from_coords(fam.member({u: Poly.var(u, ring) for u in fam.free}))
               for fam in (famP, famQ, famR)]
     columns = tangency_columns(F, F.order, range(16))
     constraints: List[Poly] = []
@@ -375,11 +348,11 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
                         target: AffineVectorField, free: Sequence[int]) -> bool:
     """True when target lies in the exact linear span of the fields.
 
-    The fields are an RREF nullspace basis (``basis_fields``): field k is 1
-    at coordinate ``free[k]`` and 0 at every other free coordinate. A
-    member of the span is then the combination of the fields weighted by
-    its own free coordinates, so target is in the span exactly when it
-    equals that combination; no elimination is needed."""
+    The fields are an RREF nullspace basis (``SymmetryAlgebra.basis``):
+    field k is 1 at coordinate ``free[k]`` and 0 at every other free
+    coordinate. A member of the span is then the combination of the fields
+    weighted by its own free coordinates, so target is in the span exactly
+    when it equals that combination; no elimination is needed."""
     t = target.coords()
     rest = list(t)
     for i, f in zip(free, fields):
@@ -394,38 +367,52 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
 def full_algebra(F: Jet, order: Optional[int] = None,
                  columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
     """Candidate symmetry algebra of the graph w = F at the given order N:
-    all affine fields tangent to order N-1, their isotropy at order N, and
-    an exact bracket-closure check.
+    all affine fields tangent to order N-1 (the one free solve), their
+    isotropy at order N, and an exact bracket-closure check. Every solve
+    and residual reads ``columns`` when given (built from F at an order >=
+    N, shared under the rule of the module docstring), else the columns of
+    F.truncate(N) at order N. An order above F's own raises InputError."""
+    return _algebra(F, F.order if order is None else order, columns)
 
-    The fields come from the one free solve at N-1. Its k basis fields
-    without a translation span the isotropy at N-1, and the isotropy at N
-    is the kernel of their order-N residuals (a k-column solve). A field
-    with a translation is tangent at N-1 by construction, so the algebra
-    is tangent (``tangency_ok``) when no isotropy is lost at N. The
-    translation rank counts the basis fields with an x, y or z translation
-    (those of free translation columns, which are independent there).
 
-    Every solve and residual reads one column set: ``columns`` when given
-    (built from F at an order >= N, shared under the rule of the module
-    docstring), else the columns of F.truncate(N) at order N. An order
-    above F's own raises InputError: F carries no terms there to check."""
-    N = order if order is not None else F.order
+def raise_order(alg: SymmetryAlgebra, F: Jet,
+                columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
+    """``full_algebra(F, alg.order + 1, columns)`` with no free solve: the
+    restriction of alg's fields to those whose residuals at its order vanish."""
+    return _algebra(F, alg.order + 1, columns, alg)
+
+
+def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
+             below: Optional[SymmetryAlgebra] = None) -> SymmetryAlgebra:
+    """The algebra at order N of the free family at N-1: solved, or
+    restricted from the algebra ``below`` at N-1. Its k fields without a
+    translation span the isotropy at N-1, and the isotropy at N is their
+    restriction to vanishing order-N residuals; a field with a translation
+    is tangent at N-1 by construction, so the algebra is tangent when no
+    isotropy is lost at N. The translation rank counts the fields with an
+    x, y or z translation (of free translation columns, independent there)."""
     if N > F.order:
         raise InputError(f"order {N} is above the jet's order {F.order}")
     Ft = F.truncate(N)
     if columns is None:
         columns = tangency_columns(Ft, N, range(20))
-    fam = solve_tangency(Ft, order=N - 1, columns=columns)
-    basis, free = fam.basis_fields(), fam.free_coords
-    k = sum(c < 16 for c in free)
+    if below is None:
+        fam = solve_tangency(Ft, N - 1, columns)
+    else:
+        fam = SolutionFamily(COORDINATE_NAMES, [Fraction(0)] * 20,
+                             [b.coords() for b in below.basis], below.free)
+        residuals = [tangency_residual(Ft, b, N - 1, columns) for b in below.basis]
+        fam = fam.restrict(linear_equations(residuals, Jet.zero(N - 1)))
+    basis = [AffineVectorField.from_coords(vec) for vec in fam.basis]
+    k = sum(c < 16 for c in fam.free_cols)
     # the residuals read only the matrix columns, which shared columns
     # agree on at order N
     residuals = [tangency_residual(Ft, b, N, columns) for b in basis[:k]]
-    names = fam.family.free[:k]
-    kept = linear_solve(linear_equations(residuals, Jet.zero(N)), names)
-    isotropy = [fam.field(dict(zip(names, c))) for c in kept.basis]
+    matrix_part = SolutionFamily(fam.unknowns, fam.particular, fam.basis[:k], fam.free_cols[:k])
+    isotropy = [AffineVectorField.from_coords(vec) for vec in
+                matrix_part.restrict(linear_equations(residuals, Jet.zero(N))).basis]
     tangency_ok = len(isotropy) == k
-    closed = all(reduce_against_span(basis, bracket(a, b), free)
+    closed = all(reduce_against_span(basis, bracket(a, b), fam.free_cols)
                  for i, a in enumerate(basis) for b in basis[i + 1:])
-    return SymmetryAlgebra(basis, free, isotropy, N, closed and tangency_ok,
+    return SymmetryAlgebra(basis, fam.free_cols, isotropy, N, closed and tangency_ok,
                            sum(1 for b in basis if any(b.v[:3])), tangency_ok)

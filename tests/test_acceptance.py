@@ -11,8 +11,8 @@ from affine_homog.normalize import (HYPERBOLIC_GRAM, QuadraticForm,
                                     cubic_basis, cubic_type,
                                     partials_span_dimension, pick_invariant)
 from affine_homog.poly import Poly
-from affine_homog.symmetry import (closure_constraints, full_algebra,
-                                   pqr_families)
+from affine_homog.symmetry import (AffineVectorField, closure_constraints,
+                                   full_algebra, pqr_families, solve_tangency)
 
 XYZ = ("x", "y", "z")
 HYP = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic")
@@ -38,8 +38,8 @@ def test_criterion_01_sphere_series():
 def test_criterion_02_two_point_discovery():
     t0 = time.perf_counter()
     f = cat.case_jet("I1")
-    fams = pqr_families(f, case="I1")
-    free = sum(len(g.family.free) for g in fams)
+    fams = pqr_families(solve_tangency(f), "I1")
+    free = sum(len(g.free) for g in fams)
     cons = closure_constraints(f, *fams)
     comps = cat.discover("I1")
     ok = free == 18 and len(cons) == 41
@@ -60,7 +60,8 @@ def test_criterion_02_two_point_discovery():
                   (F(5, 2), 0, 0, 0), (0, 0, 2, 0))),
     }
     for comp in comps:
-        got = tuple(g.field(comp.assignments).A for g in fams)
+        got = tuple(AffineVectorField.from_coords(g.member(comp.assignments)).A
+                    for g in fams)
         want = tuple(tuple(tuple(F(c) for c in row) for row in m)
                      for m in expected[comp.normal_form])
         ok = ok and got == want

@@ -145,6 +145,12 @@ def test_usage_errors_exit_two(capsys):
                   "--basepoint", "0,0,0,1", "--alpha=100000000"],
                  ["expand", "--surface", "W = X*Y + Z^100 - Z^100",
                   "--basepoint", "0,0,0," + "9" * 4000],
+                 # an alpha past the digit budget of a number literal, at
+                 # a base of 1, where the power budget passes it
+                 ["expand", "--surface",
+                  "W = X*Y + (Z+1)^alpha - (Z+1)^alpha",
+                  "--basepoint", "0,0,0,0", "--alpha=1" + "0" * 40],
+                 ["verify", "--entry=N7", "--alpha=1/1" + "0" * 40],
                  ["real", "--order", "5"]):                 # takes no order
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -13,7 +13,7 @@ from affine_homog.groebner import (GroebnerError, _certify, _echelon,
                                    buchberger, reduce, solve_zero_dim, s_poly)
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _add_terms
 from affine_homog.scalars import RationalFunc
-from affine_homog.symmetry import closure_constraints, pqr_families
+from affine_homog.symmetry import closure_constraints, pqr_families, solve_tangency
 
 UV = ("u", "v")
 UVW = ("u", "v", "w")
@@ -160,9 +160,9 @@ def test_buchberger_ignores_how_the_ideal_is_generated(case):
 @pytest.mark.parametrize("case", CASES)
 def test_discover_systems_solve_the_same_when_doubled(case):
     f = cat.case_jet(case)
-    famP, famQ, famR = pqr_families(f, case=case)
+    famP, famQ, famR = pqr_families(solve_tangency(f), case)
     cons = closure_constraints(f, famP, famQ, famR)
-    ring = sorted(set(famP.family.free + famQ.family.free + famR.family.free))
+    ring = sorted(set(famP.free + famQ.free + famR.free))
     assert solve_zero_dim(cons + cons, ring) == solve_zero_dim(cons, ring)
 
 
@@ -417,9 +417,8 @@ def discover_inputs():
     try:
         for case in CASES:
             f = cat.case_jet(case)
-            famP, famQ, famR = pqr_families(f, case=case)
-            ring = sorted(set(famP.family.free + famQ.family.free
-                              + famR.family.free))
+            famP, famQ, famR = pqr_families(solve_tangency(f), case)
+            ring = sorted(set(famP.free + famQ.free + famR.free))
             solve_zero_dim(closure_constraints(f, famP, famQ, famR), ring)
     finally:
         groebner.buchberger = real
@@ -638,7 +637,7 @@ def test_pivot_sequence_of_the_discover_systems(case, monkeypatch):
 
     monkeypatch.setattr(groebner, "_eliminate_linear", record)
     f = cat.case_jet(case)
-    famP, famQ, famR = pqr_families(f, case=case)
-    ring = sorted(set(famP.family.free + famQ.family.free + famR.family.free))
+    famP, famQ, famR = pqr_families(solve_tangency(f), case)
+    ring = sorted(set(famP.free + famQ.free + famR.free))
     solve_zero_dim(closure_constraints(f, famP, famQ, famR), ring)
     assert seen == PIVOTS[case]

@@ -342,3 +342,63 @@ def test_field_branch_matches_sympy_rref(system):
         return
     particular, basis, free_cols = got
     assert (particular, basis, free_cols) == want
+
+
+# -- restricting a homogeneous family against solving with the rows appended --
+
+_over_Q = st.one_of(st.just(F(0)), st.builds(F, _small, st.integers(1, 4)))
+# a nonzero entry over Q(b) is a RationalFunc, a zero the Fraction(0) that
+# linear_solve writes for an absent coefficient
+_over_Qb_only = st.one_of(st.just(F(0)), ratfuncs.filter(bool))
+
+
+@st.composite
+def _restrictions(draw):
+    """A homogeneous system over Q or over Q(b) and extra rows: none, rows
+    implied by the system (multiples of its rows, or zero), or arbitrary
+    ones, which may leave only the zero family."""
+    value = draw(st.sampled_from((_over_Q, _over_Qb_only)))
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(value, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=3))
+    kind = draw(st.sampled_from(("none", "implied", "arbitrary")))
+    if kind == "none":
+        extra = []
+    elif kind == "implied":
+        multiples = st.tuples(value.filter(bool),
+                              st.sampled_from(rows or [[F(0)] * ncols]))
+        extra = [[k * c for c in r]
+                 for k, r in draw(st.lists(multiples, min_size=1, max_size=2))]
+    else:
+        extra = draw(st.lists(row, min_size=1, max_size=3))
+    return rows, extra, ncols
+
+
+def _keyed(row):
+    return LinearEquation({k: c for k, c in enumerate(row) if c})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_restrictions())
+def test_restrict_equals_the_solve_with_the_rows_appended(system):
+    rows, extra, ncols = system
+    names = [f"u{k}" for k in range(ncols)]
+    fam = linear_solve([_keyed(r) for r in rows], names)
+    # each extra row, keyed by basis vector: its value on that vector
+    on_basis = [_keyed([sum((c * x for c, x in zip(r, vec) if c and x), F(0))
+                        for vec in fam.basis]) for r in extra]
+    got = fam.restrict(on_basis)
+    want = linear_solve([_keyed(r) for r in rows + extra], names)
+    assert got.free_cols == want.free_cols and got.unknowns == want.unknowns
+    for vec, w in zip((got.particular, *got.basis), (want.particular, *want.basis)):
+        assert [type(c) for c in vec] == [type(c) for c in w]
+        assert vec == w
+    assert len(got.basis) == len(want.basis)
+    if not extra:
+        assert got == fam
+
+
+def test_restrict_to_the_zero_family():
+    fam = linear_solve([eq({0: 1, 1: -1})], ("x", "y", "z"))
+    zero = fam.restrict([LinearEquation({0: F(1)}), LinearEquation({1: F(2)})])
+    assert zero.basis == [] and zero.free_cols == [] and zero.particular == [0, 0, 0]

@@ -11,7 +11,7 @@ from affine_homog.normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
                                     transform_graph)
 from affine_homog.poly import GREVLEX, LEX, Poly
 from affine_homog.symmetry import (AffineVectorField, bracket,
-                                   complete_series, pqr_families,
+                                   complete_series, pqr_families, solve_tangency,
                                    tangency_columns, tangency_residual)
 
 XYZ = ("x", "y", "z")
@@ -217,8 +217,8 @@ def _completion(nf, order):
     from affine_homog.catalog import base_jet
     f = base_jet(nf)
     case = "I1"
-    fams = pqr_families(f, case=case)
-    P, Q, R = (g.field().A for g in fams)
+    fams = pqr_families(solve_tangency(f), case)
+    P, Q, R = (AffineVectorField.from_coords(g.particular).A for g in fams)
     return complete_series(f, P, Q, R, order)
 
 

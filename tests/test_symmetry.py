@@ -19,7 +19,8 @@ from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z,
                                    closure_constraints, complete_series,
                                    degree_unknowns, full_algebra,
                                    linear_equations, normalize_gauge,
-                                   pqr_families, reduce_against_span,
+                                   pqr_families, raise_order,
+                                   reduce_against_span, solve_tangency,
                                    tangency_columns, tangency_residual)
 
 X = Poly.var("x")
@@ -32,6 +33,8 @@ def field(rows, v=(0, 0, 0, 0)):
     return AffineVectorField(tuple(tuple(F(c) for c in r) for r in rows),
                              tuple(F(c) for c in v))
 
+
+_field = AffineVectorField.from_coords
 
 DILATION = field([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
 
@@ -163,19 +166,18 @@ def test_quadric_full_algebra():
 
 def test_pqr_families_translations():
     f = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2), 3)
-    fams = pqr_families(f, case="I1")
+    fams = pqr_families(solve_tangency(f), "I1")
     assert fams is not None
     famP, famQ, famR = fams
     # at cubic order the gauged solve leaves 6 free unknowns per matrix
     assert [g.dimension for g in fams] == [6, 6, 6]
-    assert famP.field().v[:3] == E_X[:3]
-    assert famQ.field().v[:3] == E_Y[:3]
-    assert famR.field().v[:3] == E_Z[:3]
+    for fam, e in zip(fams, (E_X, E_Y, E_Z)):
+        assert _field(fam.particular).v[:3] == e[:3]
 
 
 def test_closure_constraint_count_i1():
     f = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2), 3)
-    fams = pqr_families(f, case="I1")
+    fams = pqr_families(solve_tangency(f), "I1")
     cons = closure_constraints(f, *fams)
     assert len(cons) == 41
 
@@ -186,7 +188,7 @@ def test_gauge_entries_per_case():
     assert GAUGE_ENTRIES["I3"] == (5, 8)
     assert GAUGE_ENTRIES["Inr"] == (6,)
     # one pinned entry, A22, on each family's coordinates
-    assert normalize_gauge("I1") == [LinearEquation({5: F(1)}, F(0))]
+    assert normalize_gauge("I1") == (5,)
 
 
 def test_complete_series_quadric_stays_quadratic():
@@ -203,8 +205,8 @@ def test_complete_series_quadric_stays_quadratic():
 def test_complete_series_truncation_coherence():
     from affine_homog.catalog import base_jet
     f = base_jet("I1.1")
-    fams = pqr_families(f, case="I1")
-    P, Q, R = (g.field().A for g in fams)
+    fams = pqr_families(solve_tangency(f), "I1")
+    P, Q, R = (_field(g.particular).A for g in fams)
     full = complete_series(f, P, Q, R, 7)
     part = complete_series(f, P, Q, R, 5)
     assert full.truncate(5) == part
@@ -243,10 +245,6 @@ BRACKET_DOMAINS = ((F(2), F(-1, 3)),
                    (_B, _B + 1, -_B, 1 / (_B - 1), RationalFunc.const(3)),
                    (_S, 1 - _S, _TOWER.const(2)),
                    (_P, _Q - 1, _P.scale(F(-1, 2)) + _Q))
-
-
-def _field(c):
-    return AffineVectorField(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), c[16:])
 
 
 @st.composite
@@ -466,11 +464,11 @@ def separate_solves(F, N):
         tangency_ok, closed
 
 
-def assert_same_algebra(F, N, columns=None):
-    """full_algebra equals the separate solves: the same basis, isotropy
-    fields of equal values, translation rank and verdicts. Returns
-    tangency_ok."""
-    alg = full_algebra(F, N, columns)
+def assert_same_algebra(F, N, columns=None, alg=None):
+    """alg (by default full_algebra at N) equals the separate solves: the
+    same basis, isotropy fields of equal values, translation rank and
+    verdicts. Returns tangency_ok."""
+    alg = full_algebra(F, N, columns) if alg is None else alg
     basis, iso, rank, tangency_ok, closed = separate_solves(F, N)
     assert [b.coords() for b in alg.basis] == [b.coords() for b in basis]
     assert [b.coords() for b in alg.isotropy] == [b.coords() for b in iso]
@@ -486,6 +484,8 @@ def test_full_algebra_matches_separate_solves_on_the_catalog():
         columns = tangency_columns(Fj, 7, range(20))
         for N in (6, 7):
             assert assert_same_algebra(Fj, N, columns)
+            raised = raise_order(full_algebra(Fj, N - 1, columns), Fj, columns)
+            assert assert_same_algebra(Fj, N, alg=raised)
 
 
 def test_full_algebra_matches_separate_solves_on_the_variants():
@@ -494,7 +494,10 @@ def test_full_algebra_matches_separate_solves_on_the_variants():
     verdicts = []
     for Fj in _expanded(7)[n:n + len(cat.VARIANTS)]:
         columns = tangency_columns(Fj, 7, range(20))
-        verdicts += [assert_same_algebra(Fj, N, columns) for N in range(3, 8)]
+        for N in range(3, 8):
+            verdicts.append(assert_same_algebra(Fj, N, columns))
+            raised = raise_order(full_algebra(Fj, N - 1, columns), Fj, columns)
+            assert assert_same_algebra(Fj, N, alg=raised) is verdicts[-1]
     assert len(verdicts) == 30 and verdicts.count(False) == 10
 
 
@@ -526,20 +529,20 @@ def assert_same_entries(got, want):
 def assert_views_match_fixed_solves(jet, case):
     """pqr_families gives, entry for entry and type for type, the three
     fixed-translation solves, or None when one of them has no solution."""
-    extra = normalize_gauge(case) if case else ()
+    extra = [LinearEquation({g: F(1)}) for g in normalize_gauge(case)] if case else ()
     want = [fixed_translation_solve(jet, e, prefix, extra)
             for prefix, e in zip("pqr", (E_X, E_Y, E_Z))]
-    got = pqr_families(jet, case)
+    got = pqr_families(solve_tangency(jet), case)
     if None in want:
         assert got is None
         return
     for view, fam, e in zip(got, want, (E_X, E_Y, E_Z)):
-        assert_same_entries(view.family.particular, fam.particular + list(e))
-        assert len(view.family.basis) == len(fam.basis)
-        for vec, w in zip(view.family.basis, fam.basis):
+        assert_same_entries(view.particular, fam.particular + list(e))
+        assert len(view.basis) == len(fam.basis)
+        for vec, w in zip(view.basis, fam.basis):
             assert_same_entries(vec, w + list(ZERO4))
-        assert view.family.free == fam.free
-        assert view.free_coords == fam.free_cols
+        assert view.free == fam.free
+        assert view.free_cols == fam.free_cols
 
 
 @pytest.mark.parametrize("case", CASES)
