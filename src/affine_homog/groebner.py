@@ -121,12 +121,6 @@ def _divisor(terms: Dict[Mono, object], key, integral: bool) -> Divisor:
                                            if t != m]
 
 
-def _poly_divisor(p: Poly, key, integral: bool) -> Divisor:
-    """The divisor of a nonzero polynomial."""
-    return _divisor(_normalised(_term_dict(p, integral)[0], key, integral),
-                    key, integral)
-
-
 def _sub_multiple(d: Dict[Mono, object], q: Mono, c, tail):
     """d -= c * x^q * tail, in place, dropping cancelled terms."""
     for tm, tc in tail:
@@ -209,39 +203,6 @@ def _certify(R: Sequence[Divisor], gens: Sequence[Dict[Mono, object]], key):
 def _order_key(order: TermOrder):
     # lex compares exponent tuples as they are
     return None if order is LEX else order.key
-
-
-def reduce(p: Poly, basis: Sequence[Poly], order: TermOrder = GREVLEX) -> Poly:
-    """Normal form of p modulo the basis (full multivariate division by
-    ``_divide``, with the scale it applied divided back out)."""
-    if not basis:
-        return p
-    for g in basis:
-        p._check(g)
-    key = _order_key(order)
-    integral = _is_rational([p, *basis])
-    divisors = [_poly_divisor(g, key, integral) for g in basis]
-    work, den = _term_dict(p, integral)
-    rem, scale = _divide(work, divisors, key)
-    if integral:
-        den *= scale
-        rem = {m: Fraction(c, den) for m, c in rem.items()}
-    return Poly._canonical(p.vars, rem)
-
-
-def s_poly(f: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
-    """x^(l-mf) f/cf - x^(l-mg) g/cg, with l the lcm of the leading
-    monomials mf, mg and cf, cg the leading coefficients."""
-    f._check(g)
-    key = _order_key(order)
-    integral = _is_rational((f, g))
-    df, dg = _poly_divisor(f, key, integral), _poly_divisor(g, key, integral)
-    s = _s_terms(df, dg)
-    if integral:
-        # the cross-multiplied S-polynomial is lcm(cf, cg) times this one
-        den = df[1] * dg[1] // gcd(df[1], dg[1])
-        s = {m: Fraction(c, den) for m, c in s.items()}
-    return Poly._canonical(f.vars, s)
 
 
 def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import List, Optional, Tuple
 
@@ -128,11 +129,20 @@ class QuadraticForm:
     signature: str  # "hyperbolic", "elliptic", or "complex"
 
     def inverse_gram(self):
-        """The inverse of the gram matrix, one solved column at a time."""
-        cols = [solve_rows(self.gram, e, 3) for e in IDENTITY3]
-        if any(col is None or col[1] for col in cols):
-            raise NormalizationError("singular quadratic form")
-        return tuple(zip(*(col[0] for col in cols)))
+        """The inverse of the gram matrix, one solved column at a time,
+        memoized for a matrix of Fractions (a tower element equal to a
+        Fraction would share its key, so other scalars are solved anew)."""
+        if all(type(c) is Fraction for row in self.gram for c in row):
+            return _inverse(self.gram)
+        return _inverse.__wrapped__(self.gram)
+
+
+@lru_cache(maxsize=16)
+def _inverse(gram):
+    cols = [solve_rows(gram, e, 3) for e in IDENTITY3]
+    if any(col is None or col[1] for col in cols):
+        raise NormalizationError("singular quadratic form")
+    return tuple(zip(*(col[0] for col in cols)))
 
 
 def gram_matrix(F: Jet):
@@ -443,16 +453,22 @@ def partials_span_dimension(c0: Poly) -> int:
 
 
 def cubic_type(c0: Poly, h: QuadraticForm) -> str:
+    return _classify(c0, h)[0]
+
+
+def _classify(c0: Poly, h: QuadraticForm):
+    """The class of a trace-free cubic and its Pick invariant."""
     if not is_trace_free(c0, h):
         raise NormalizationError("cubic is not trace-free")
+    pick = pick_invariant(c0, h)
     if c0.is_zero():
-        return CUBIC_ZERO
+        return CUBIC_ZERO, pick
     d = partials_span_dimension(c0)
     if d == 1:
-        return CUBIC_I3
+        return CUBIC_I3, pick
     if d == 2:
-        return CUBIC_I2
-    return CUBIC_I1 if not pick_invariant(c0, h) else CUBIC_I0
+        return CUBIC_I2, pick
+    return (CUBIC_I1 if not pick else CUBIC_I0), pick
 
 
 # -- full normalization pipeline ----------------------------------------------------
@@ -494,6 +510,5 @@ def normalize_jet(F: Jet, fld: str = "complex") -> NormalizationReport:
     change = phi1.compose(nq.change).compose(phi3)
     h = QuadraticForm(HYPERBOLIC_GRAM, nq.form.signature)
     c0 = F2.homogeneous_part(3)
-    kind = cubic_type(c0, h)
-    return NormalizationReport(F2, change, h, c0, kind,
-                               pick_invariant(c0, h), nq.tower)
+    kind, pick = _classify(c0, h)
+    return NormalizationReport(F2, change, h, c0, kind, pick, nq.tower)

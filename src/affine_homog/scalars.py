@@ -30,8 +30,11 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" with optional sign, exactly."""
+    """Parse "p/q" or "p" with optional sign, exactly. Exponent notation
+    is refused before ``Fraction`` would build its power of ten."""
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc

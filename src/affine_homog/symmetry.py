@@ -151,12 +151,23 @@ def tangency_residual(F: Jet, V: AffineVectorField, M: int,
                       columns: Optional[Sequence[Jet]] = None) -> Jet:
     """Tr^M residual of V: its coordinates weighting their unit columns.
     ``columns``, when given, are F's columns at an order >= M, indexed as
-    in ``tangency_columns`` and covering V's nonzero coordinates."""
+    in ``tangency_columns`` and covering V's nonzero coordinates; given
+    only their degree-M parts (``_degree_part``), it is the residual's
+    degree-M part."""
     coords = V.coords()
     ks = [k for k, c in enumerate(coords) if c]
     cols = (tangency_columns(F, M, ks) if columns is None
             else _at([columns[k] for k in ks], M))
     return _combine(cols, [coords[k] for k in ks], M)
+
+
+def _degree_part(columns: Sequence[Jet], fields: Sequence[AffineVectorField],
+                 M: int) -> List[Optional[Jet]]:
+    """The degree-M parts, as order-M jets, of the columns that the fields
+    read (None at the others)."""
+    read = {k for f in fields for k, c in enumerate(f.coords()) if c}
+    return [Jet(c.poly.homogeneous_part(M), M) if k in read else None
+            for k, c in enumerate(columns)]
 
 
 def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
@@ -378,7 +389,8 @@ def full_algebra(F: Jet, order: Optional[int] = None,
 def raise_order(alg: SymmetryAlgebra, F: Jet,
                 columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
     """``full_algebra(F, alg.order + 1, columns)`` with no free solve: the
-    restriction of alg's fields to those whose residuals at its order vanish."""
+    restriction of alg's fields to those whose residuals at its order
+    vanish, which keeps alg's closure verdict when it keeps every field."""
     return _algebra(F, alg.order + 1, columns, alg)
 
 
@@ -389,8 +401,13 @@ def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
     translation span the isotropy at N-1, and the isotropy at N is their
     restriction to vanishing order-N residuals; a field with a translation
     is tangent at N-1 by construction, so the algebra is tangent when no
-    isotropy is lost at N. The translation rank counts the fields with an
-    x, y or z translation (of free translation columns, independent there)."""
+    isotropy is lost at N. Each residual read is of a field tangent one
+    order lower (below's fields at N-2, the isotropy candidates at N-1),
+    so only its top degree is combined. A restriction that keeps every
+    field of below is below's basis, and below is then tangent, so its
+    closure verdict is the bracket check's. The translation rank counts
+    the fields with an x, y or z translation (of free translation columns,
+    independent there)."""
     if N > F.order:
         raise InputError(f"order {N} is above the jet's order {F.order}")
     Ft = F.truncate(N)
@@ -401,18 +418,23 @@ def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
     else:
         fam = SolutionFamily(COORDINATE_NAMES, [Fraction(0)] * 20,
                              [b.coords() for b in below.basis], below.free)
-        residuals = [tangency_residual(Ft, b, N - 1, columns) for b in below.basis]
+        top = _degree_part(columns, below.basis, N - 1)
+        residuals = [tangency_residual(Ft, b, N - 1, top) for b in below.basis]
         fam = fam.restrict(linear_equations(residuals, Jet.zero(N - 1)))
     basis = [AffineVectorField.from_coords(vec) for vec in fam.basis]
     k = sum(c < 16 for c in fam.free_cols)
     # the residuals read only the matrix columns, which shared columns
     # agree on at order N
-    residuals = [tangency_residual(Ft, b, N, columns) for b in basis[:k]]
+    top = _degree_part(columns, basis[:k], N)
+    residuals = [tangency_residual(Ft, b, N, top) for b in basis[:k]]
     matrix_part = SolutionFamily(fam.unknowns, fam.particular, fam.basis[:k], fam.free_cols[:k])
     isotropy = [AffineVectorField.from_coords(vec) for vec in
                 matrix_part.restrict(linear_equations(residuals, Jet.zero(N))).basis]
     tangency_ok = len(isotropy) == k
-    closed = all(reduce_against_span(basis, bracket(a, b), fam.free_cols)
-                 for i, a in enumerate(basis) for b in basis[i + 1:])
+    if below is not None and len(basis) == below.full_dim:
+        closed = below.closed
+    else:
+        closed = all(reduce_against_span(basis, bracket(a, b), fam.free_cols)
+                     for i, a in enumerate(basis) for b in basis[i + 1:])
     return SymmetryAlgebra(basis, fam.free_cols, isotropy, N, closed and tangency_ok,
                            sum(1 for b in basis if any(b.v[:3])), tangency_ok)

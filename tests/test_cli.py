@@ -3,6 +3,7 @@ import json
 import os
 import sys
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
@@ -151,9 +152,15 @@ def test_usage_errors_exit_two(capsys):
                   "W = X*Y + (Z+1)^alpha - (Z+1)^alpha",
                   "--basepoint", "0,0,0,0", "--alpha=1" + "0" * 40],
                  ["verify", "--entry=N7", "--alpha=1/1" + "0" * 40],
+                 # exponent notation, which once built 10^10000000
+                 ["verify", "--entry=N7", "--alpha=1e10000000"],
+                 ["verify", "--entry=I0.1", "--b=1e10000000"],
+                 ["expand", *SPHERE[:2], "--basepoint", "0,0,0,1e10000000"],
                  ["real", "--order", "5"]):                 # takes no order
+        start = perf_counter()
         with pytest.raises(SystemExit) as exc:
             run(argv)
+        assert perf_counter() - start < 2, argv
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err

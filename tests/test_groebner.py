@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -8,9 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affine_homog import catalog as cat, groebner
 from affine_homog.cli import CASES
-from affine_homog.groebner import (GroebnerError, _certify, _echelon,
-                                   _poly_divisor, _rational_roots, _term_dict,
-                                   buchberger, reduce, solve_zero_dim, s_poly)
+from affine_homog.groebner import (GroebnerError, _certify, _divide, _divisor,
+                                   _echelon, _is_rational, _normalised,
+                                   _rational_roots, _s_terms, _term_dict,
+                                   buchberger, solve_zero_dim)
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _add_terms
 from affine_homog.scalars import RationalFunc
 from affine_homog.symmetry import closure_constraints, pqr_families, solve_tangency
@@ -306,6 +308,53 @@ def _lcm(a, b):
 
 def _msub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+# -- division and S-polynomials through buchberger's own loop ----------------
+#
+# ``_divide`` and ``_s_terms`` on Poly operands, with the scale they apply
+# divided back out: the oracles that the field versions below must match.
+
+def _order_key(order):
+    return None if order is LEX else order.key
+
+
+def _poly_divisor(p, key, integral):
+    """The divisor of a nonzero polynomial."""
+    return _divisor(_normalised(_term_dict(p, integral)[0], key, integral),
+                    key, integral)
+
+
+def reduce(p, basis, order=GREVLEX):
+    """Normal form of p modulo the basis."""
+    if not basis:
+        return p
+    for g in basis:
+        p._check(g)
+    key = _order_key(order)
+    integral = _is_rational([p, *basis])
+    divisors = [_poly_divisor(g, key, integral) for g in basis]
+    work, den = _term_dict(p, integral)
+    rem, scale = _divide(work, divisors, key)
+    if integral:
+        den *= scale
+        rem = {m: F(c, den) for m, c in rem.items()}
+    return Poly._canonical(p.vars, rem)
+
+
+def s_poly(f, g, order=GREVLEX):
+    """x^(l-mf) f/cf - x^(l-mg) g/cg, with l the lcm of the leading
+    monomials mf, mg and cf, cg the leading coefficients."""
+    f._check(g)
+    key = _order_key(order)
+    integral = _is_rational((f, g))
+    df, dg = _poly_divisor(f, key, integral), _poly_divisor(g, key, integral)
+    s = _s_terms(df, dg)
+    if integral:
+        # the cross-multiplied S-polynomial is lcm(cf, cg) times this one
+        den = df[1] * dg[1] // gcd(df[1], dg[1])
+        s = {m: F(c, den) for m, c in s.items()}
+    return Poly._canonical(f.vars, s)
 
 
 def field_reduce(p, basis, order=GREVLEX):

@@ -15,7 +15,7 @@ from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, AffineMap,
                                     quadratic_poly, remove_linear,
                                     trace_decompose, transform_graph)
 from affine_homog.poly import Poly
-from affine_homog.scalars import Tower
+from affine_homog.scalars import RationalFunc, Tower
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -223,6 +223,18 @@ _TOWER = Tower(("s",), (F(2),))
 _S = _TOWER.generator(0)
 mixed_scalars = st.sampled_from([0, 1, F(0), F(1), F(-3, 2), _TOWER.const(0),
                                  _S, 1 + _S, _TOWER.const(F(2, 3))])
+
+
+def test_inverse_gram_is_memoized_for_fraction_grams_only():
+    # every form the pipeline builds shares one inverse; a tower gram (even
+    # one that equals a Fraction gram) and one over Q(b), which does not
+    # hash, are solved each time, in their own scalars
+    assert HYP.inverse_gram() is QuadraticForm(HYPERBOLIC_GRAM, "complex").inverse_gram()
+    swap = ((F(0), F(0), F(1)), (F(0), F(1), F(0)))
+    for a in (F(2), _TOWER.const(F(2)), 1 + _S, RationalFunc.gen("b")):
+        inv = QuadraticForm(((a, F(0), F(0)),) + swap, "complex").inverse_gram()
+        assert type(inv[0][0]) is type(a) and inv[0][0] == 1 / a
+        assert inv[1:] == swap and inv[0][1:] == (0, 0)
 
 
 def _exact_equal(got, want):

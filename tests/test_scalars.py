@@ -13,8 +13,9 @@ def test_parse_rational():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-2") == F(-2)
     assert parse_rational(" 7 ") == F(7)
-    with pytest.raises(ValueError):
-        parse_rational("x")
+    for text in ("x", "1e10000000", "3/4E2", "1.5e-9"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_rational_roots():

@@ -1,11 +1,14 @@
+import importlib.util
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from affine_homog import catalog as cat
+from affine_homog import catalog as cat, symmetry
 from affine_homog.cli import CASES
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
@@ -567,3 +570,68 @@ def test_pqr_families_none_when_a_translation_is_out_of_reach():
         assert fixed_translation_solve(jet, E_Y) is not None
         assert fixed_translation_solve(jet, E_Z) is not None
         assert_views_match_fixed_solves(jet, None)
+
+
+# -- what _algebra reads of a residual, and when it reuses a closure verdict -------
+
+def _sweep_alpha_pool():
+    """The alphas the catalog-sweep benchmark binds, per parametric entry."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("sweep_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ALPHA_POOL
+
+
+def _chain(Fj, low, top):
+    """The algebras from order low to top, on one column set, as
+    verify_entry and reject_variant climb them."""
+    columns = tangency_columns(Fj, top, range(20))
+    algs = [full_algebra(Fj, low, columns)]
+    while algs[-1].order < top:
+        algs.append(raise_order(algs[-1], Fj, columns))
+    return algs
+
+
+def test_checked_residuals_have_only_the_new_degree(monkeypatch):
+    # every field whose residual _algebra checks at order M is tangent
+    # through M-1, so its full residual has no term below M and the
+    # degree-M part it combines is all of it
+    checked = set()
+
+    def full_residual(jet, V, M, columns=None):
+        got = tangency_residual(jet, V, M, columns)
+        full = tangency_residual(jet, V, M)
+        assert all(sum(m) == M for m in full.poly.terms), (M, V)
+        assert got == full, (M, V)
+        checked.add(M)
+        return got
+
+    monkeypatch.setattr(symmetry, "tangency_residual", full_residual)
+    pool = _sweep_alpha_pool()
+    for eid in cat.catalog():
+        for alpha in pool.get(eid, (None,)):
+            assert cat.verify_entry(eid, alpha, 6).passed, (eid, alpha)
+    n = len(cat.catalog())
+    for Fj in _expanded(6)[n:n + len(cat.VARIANTS)]:
+        _chain(Fj, 4, 6)
+    assert checked == {4, 5, 6, 7}
+
+
+def test_raised_closure_verdict_matches_a_fresh_bracket_check():
+    # a restriction that keeps every field reuses the verdict below
+    reused = fresh = 0
+    n = len(cat.catalog())
+    chains = [_chain(Fj, 6, 7) for Fj in _expanded(7)[:n]]
+    chains += [_chain(Fj, 4, 7) for Fj in _expanded(7)[n:n + len(cat.VARIANTS)]]
+    for chain in chains:
+        for below, alg in zip(chain, chain[1:]):
+            closed = alg.tangency_ok and all(
+                reduce_against_span(alg.basis, bracket(a, b), alg.free)
+                for i, a in enumerate(alg.basis) for b in alg.basis[i + 1:])
+            assert alg.closed == closed, alg.order
+            if alg.full_dim == below.full_dim:
+                reused += 1
+            else:
+                fresh += 1
+    assert reused and fresh
