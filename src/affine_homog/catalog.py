@@ -524,7 +524,12 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     """Complete a normal form to the given order with its translated
     symmetries and confirm the full algebra closes with the expected
     isotropy dimension; the translated solutions must be unique modulo
-    the isotropy directions."""
+    the isotropy directions.
+
+    Tangency is solved once, on the base jet: the gauged and ungauged
+    families are views of that solve, and the completed jet, which adds
+    only terms above the base jet's order, restricts it to its own free
+    family (``full_algebra``'s ``below``)."""
     if order < DETERMINING_ORDER[nf_id]:
         raise InputError(f"order {order} is below the determining order "
                          f"{DETERMINING_ORDER[nf_id]} of {nf_id}")
@@ -556,7 +561,7 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     except CompletionError as exc:
         details["error"] = str(exc)
         return Report(f"isotropy:{nf_id}", False, details)
-    alg = full_algebra(completed)
+    alg = full_algebra(completed, below=(fam, jet0.order))
     details.update({
         "closed": alg.closed, "isotropy_dim": alg.isotropy_dim,
         "expected_isotropy": expected, "full_dim": alg.full_dim,

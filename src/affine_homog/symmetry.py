@@ -22,6 +22,13 @@ the gauge-fixed families (``pqr_families``), whose views take the basis
 field of a free translation column, 1 there and 0 at the other free
 columns, as the field of a fixed unit translation.
 
+A normal form is solved once too. Its series completion (``complete_series``)
+adds to the base jet only terms of degree above the base jet's order n, so
+the completed jet's columns at order n-1 are the base jet's, and the base
+jet's free solve is the completed jet's free family at n-1. The completed
+jet's solve at N-1 is that family restricted by the residual rows of
+degrees n..N-1 (``full_algebra(..., below=(family, n))``).
+
 A solved span is closed when every bracket of two basis fields lies in it.
 The basis is the RREF nullspace basis of the solve, so each field is 1 at
 its own free coordinate and 0 at the others: a bracket is reduced in those
@@ -152,8 +159,8 @@ def tangency_residual(F: Jet, V: AffineVectorField, M: int,
     """Tr^M residual of V: its coordinates weighting their unit columns.
     ``columns``, when given, are F's columns at an order >= M, indexed as
     in ``tangency_columns`` and covering V's nonzero coordinates; given
-    only their degree-M parts (``_degree_part``), it is the residual's
-    degree-M part."""
+    only their parts of degrees lo..M (``_degree_part``), it is the
+    residual's part of those degrees."""
     coords = V.coords()
     ks = [k for k, c in enumerate(coords) if c]
     cols = (tangency_columns(F, M, ks) if columns is None
@@ -161,12 +168,13 @@ def tangency_residual(F: Jet, V: AffineVectorField, M: int,
     return _combine(cols, [coords[k] for k in ks], M)
 
 
-def _degree_part(columns: Sequence[Jet], fields: Sequence[AffineVectorField],
-                 M: int) -> List[Optional[Jet]]:
-    """The degree-M parts, as order-M jets, of the columns that the fields
-    read (None at the others)."""
+def _degree_part(columns: Sequence[Optional[Jet]], fields: Sequence[AffineVectorField],
+                 lo: int, M: int) -> List[Optional[Jet]]:
+    """The parts of degrees lo..M, as order-M jets, of the columns that the
+    fields read (None at the others)."""
     read = {k for f in fields for k, c in enumerate(f.coords()) if c}
-    return [Jet(c.poly.homogeneous_part(M), M) if k in read else None
+    return [Jet(Poly._canonical(XYZ, {m: a for m, a in c.poly.terms.items()
+                                      if lo <= sum(m)}), M) if k in read else None
             for k, c in enumerate(columns)]
 
 
@@ -304,16 +312,32 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
     """Extend f order by order so that the three translated fields stay
     tangent; a failure carries the offending order.
 
-    f is a graph offset (zero constant term), so a degree-m term c reaches
-    the (m-1)-truncated residual of A.p + e only as e . grad(c): the
-    residuals r_x, r_y, r_z of the three fields fix the gradient of c, and
-    c is its integral, with no elimination. Each coefficient of x^i y^j z^k
-    is read from the first variable with a nonzero exponent, and the order
-    is consistent exactly when every r_e + d_e c vanishes."""
+    f must be a graph offset (zero constant term; any other f raises
+    InputError), so a degree-m term c reaches the (m-1)-truncated residual
+    of A.p + e only as e . grad(c): the residuals r_x, r_y, r_z of the
+    three fields fix the gradient of c, and c is its integral, with no
+    elimination. Each coefficient of x^i y^j z^k is read from the first
+    variable with a nonzero exponent, and the order is consistent exactly
+    when every r_e + d_e c vanishes.
+
+    Each order builds one column set, for the coordinates any of the three
+    fields reads. The first completed order checks the residuals in every
+    degree, which is what fails a base jet the fields are not tangent to.
+    From the second on, a residual below degree m-1 is the r_e + d_e c of
+    the order below, checked zero there, so only degree m-1 is combined."""
+    if f.poly.constant_term():
+        raise InputError("series completion needs a jet with no constant term")
+    fields = [AffineVectorField(mat, e) for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z))]
+    ks = sorted({k for V in fields for k, c in enumerate(V.coords()) if c})
     cur = f.poly
     for m in range(f.order + 1, M + 1):
-        res = [tangency_residual(Jet(cur, m), AffineVectorField(mat, e), m - 1).poly
-               for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z))]
+        F = Jet(cur, m)
+        columns: List[Optional[Jet]] = [None] * 20
+        for k, col in zip(ks, tangency_columns(F, m - 1, ks)):
+            columns[k] = col
+        if m > f.order + 1:
+            columns = _degree_part(columns, fields, m - 1, m - 1)
+        res = [tangency_residual(F, V, m - 1, columns).poly for V in fields]
         terms = {}
         for _, mono in degree_unknowns(m):
             i = next(i for i, n in enumerate(mono) if n)
@@ -376,14 +400,21 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
 
 
 def full_algebra(F: Jet, order: Optional[int] = None,
-                 columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
+                 columns: Optional[Sequence[Jet]] = None,
+                 below: Optional[Tuple[SolutionFamily, int]] = None) -> SymmetryAlgebra:
     """Candidate symmetry algebra of the graph w = F at the given order N:
     all affine fields tangent to order N-1 (the one free solve), their
     isotropy at order N, and an exact bracket-closure check. Every solve
     and residual reads ``columns`` when given (built from F at an order >=
     N, shared under the rule of the module docstring), else the columns of
-    F.truncate(N) at order N. An order above F's own raises InputError."""
-    return _algebra(F, F.order if order is None else order, columns)
+    F.truncate(N) at order N. An order above F's own raises InputError.
+
+    ``below``, when given, is a pair (family, n) with n <= N: F's free
+    family at order n-1 (the free solve of a jet whose columns agree with
+    F's at that order, such as the base jet of F's series completion). The
+    free solve at N-1 is then its restriction by the residual rows of
+    degrees n..N-1, with no solve of its own."""
+    return _algebra(F, F.order if order is None else order, columns, below)
 
 
 def raise_order(alg: SymmetryAlgebra, F: Jet,
@@ -391,23 +422,28 @@ def raise_order(alg: SymmetryAlgebra, F: Jet,
     """``full_algebra(F, alg.order + 1, columns)`` with no free solve: the
     restriction of alg's fields to those whose residuals at its order
     vanish, which keeps alg's closure verdict when it keeps every field."""
-    return _algebra(F, alg.order + 1, columns, alg)
+    fam = SolutionFamily(COORDINATE_NAMES, [Fraction(0)] * 20,
+                         [b.coords() for b in alg.basis], alg.free)
+    return _algebra(F, alg.order + 1, columns, (fam, alg.order), alg.closed)
 
 
 def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
-             below: Optional[SymmetryAlgebra] = None) -> SymmetryAlgebra:
+             below: Optional[Tuple[SolutionFamily, int]] = None,
+             closed: Optional[bool] = None) -> SymmetryAlgebra:
     """The algebra at order N of the free family at N-1: solved, or
-    restricted from the algebra ``below`` at N-1. Its k fields without a
-    translation span the isotropy at N-1, and the isotropy at N is their
-    restriction to vanishing order-N residuals; a field with a translation
-    is tangent at N-1 by construction, so the algebra is tangent when no
-    isotropy is lost at N. Each residual read is of a field tangent one
-    order lower (below's fields at N-2, the isotropy candidates at N-1),
-    so only its top degree is combined. A restriction that keeps every
-    field of below is below's basis, and below is then tangent, so its
-    closure verdict is the bracket check's. The translation rank counts
-    the fields with an x, y or z translation (of free translation columns,
-    independent there)."""
+    restricted from the family at n-1 that ``below`` = (family, n) gives.
+    Its k fields without a translation span the isotropy at N-1, and the
+    isotropy at N is their restriction to vanishing order-N residuals; a
+    field with a translation is tangent at N-1 by construction, so the
+    algebra is tangent when no isotropy is lost at N. Each residual read is
+    of a field tangent below a known degree (below's fields through n-1,
+    the isotropy candidates through N-1), so only the degrees from there
+    up are combined. ``closed``, when given, is the closure verdict of the
+    algebra at n whose basis is below's family (``raise_order``): a
+    restriction that keeps every field keeps that basis, which is then
+    tangent at n, so the verdict is the bracket check's. The translation
+    rank counts the fields with an x, y or z translation (of free
+    translation columns, independent there)."""
     if N > F.order:
         raise InputError(f"order {N} is above the jet's order {F.order}")
     Ft = F.truncate(N)
@@ -416,24 +452,22 @@ def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
     if below is None:
         fam = solve_tangency(Ft, N - 1, columns)
     else:
-        fam = SolutionFamily(COORDINATE_NAMES, [Fraction(0)] * 20,
-                             [b.coords() for b in below.basis], below.free)
-        top = _degree_part(columns, below.basis, N - 1)
-        residuals = [tangency_residual(Ft, b, N - 1, top) for b in below.basis]
+        fam, n = below
+        fields = [AffineVectorField.from_coords(vec) for vec in fam.basis]
+        part = _degree_part(columns, fields, n, N - 1)
+        residuals = [tangency_residual(Ft, b, N - 1, part) for b in fields]
         fam = fam.restrict(linear_equations(residuals, Jet.zero(N - 1)))
     basis = [AffineVectorField.from_coords(vec) for vec in fam.basis]
     k = sum(c < 16 for c in fam.free_cols)
     # the residuals read only the matrix columns, which shared columns
     # agree on at order N
-    top = _degree_part(columns, basis[:k], N)
+    top = _degree_part(columns, basis[:k], N, N)
     residuals = [tangency_residual(Ft, b, N, top) for b in basis[:k]]
     matrix_part = SolutionFamily(fam.unknowns, fam.particular, fam.basis[:k], fam.free_cols[:k])
     isotropy = [AffineVectorField.from_coords(vec) for vec in
                 matrix_part.restrict(linear_equations(residuals, Jet.zero(N))).basis]
     tangency_ok = len(isotropy) == k
-    if below is not None and len(basis) == below.full_dim:
-        closed = below.closed
-    else:
+    if closed is None or len(basis) != len(below[0].basis):
         closed = all(reduce_against_span(basis, bracket(a, b), fam.free_cols)
                      for i, a in enumerate(basis) for b in basis[i + 1:])
     return SymmetryAlgebra(basis, fam.free_cols, isotropy, N, closed and tangency_ok,

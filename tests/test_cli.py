@@ -279,9 +279,10 @@ def test_parametric_verify_runs_few_polynomial_gcds(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, builds", [
     (["verify", "--entry=N6", "--order=6"], 1),
     (["symmetry", *SPHERE], 1),
-    # one set for the translated families, one for the completed jet, and
-    # one per field and order of the series completion (orders 5 and 6)
-    (["verify", "--entry=I1.1"], 8),
+    # one set for the base jet's free solve, one per order of the series
+    # completion (orders 5 and 6, shared by its three fields), and one for
+    # the completed jet, which restricts the base jet's solve
+    (["verify", "--entry=I1.1"], 4),
 ])
 def test_tangency_columns_are_built_once_per_jet(capsys, monkeypatch, argv, builds):
     # every solve and re-check on one jet reads truncations of one column set
@@ -293,6 +294,19 @@ def test_tangency_columns_are_built_once_per_jet(capsys, monkeypatch, argv, buil
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and out
     assert len(calls) == builds
+
+
+def test_normal_form_verify_solves_tangency_once(capsys, monkeypatch):
+    # the base jet's free solve gives the gauged and ungauged families, and
+    # the completed jet's algebra restricts it instead of solving afresh
+    calls = []
+    solve = symmetry.solve_tangency
+    counted = lambda *a, **k: calls.append(1) or solve(*a, **k)
+    monkeypatch.setattr(symmetry, "solve_tangency", counted)
+    monkeypatch.setattr(catalog, "solve_tangency", counted)
+    code, out, _ = invoke(capsys, "verify", "--entry=I0.2", "--order=6")
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 def test_bracket_closure_runs_no_elimination(capsys, monkeypatch):

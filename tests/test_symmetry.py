@@ -221,6 +221,19 @@ def test_completion_error_on_inconsistent_matrices():
         complete_series(QUADRIC.truncate(3), bad, bad, bad, 5)
 
 
+def test_complete_series_refuses_a_constant_term():
+    # a degree-m term times the jet's constant term reaches the residual
+    # below degree m-1, so the order-by-order integration would return a jet
+    # its fields are not tangent to (completing Sp + 1 with its own
+    # translated families to order 6 left three residual terms per field
+    # at order 5)
+    f = cat.base_jet("Sp") + 1
+    fams = pqr_families(solve_tangency(f), cat.CASE_OF["Sp"])
+    P, Q, R = (_field(g.particular).A for g in fams)
+    with pytest.raises(InputError):
+        complete_series(f, P, Q, R, 6)
+
+
 # -- the sparse bracket against the dense formula ----------------------------------
 
 def dense_bracket(v1, v2):
@@ -508,6 +521,35 @@ def test_full_algebra_matches_separate_solves_on_completed_normal_forms():
     for nf in cat.NORMAL_FORM_IDS:
         jet = cat.confirm_isotropy(nf).details["completed_jet"]
         assert assert_same_algebra(jet, jet.order)
+
+
+def test_normal_form_algebra_restricted_from_the_base_jet_matches_a_fresh_solve():
+    # confirm_isotropy restricts the base jet's free solve by the completed
+    # jet's residual rows of degrees d..N-1; full_algebra on the completed
+    # jet alone solves all twenty columns afresh
+    built = []
+    algebra = cat.full_algebra
+
+    def recorded(jet, *args, **kwargs):
+        alg = algebra(jet, *args, **kwargs)
+        built.append((jet, kwargs, alg))
+        return alg
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "full_algebra", recorded)
+        for nf in cat.NORMAL_FORM_IDS:
+            for b in (None, F(6), F(3, 2)) if nf in cat.PARAMETRIC else (None,):
+                for order in (cat.DETERMINING_ORDER[nf], 6, 8):
+                    cat.confirm_isotropy(nf, b, order)
+    assert len(built) == 60
+    for jet, kwargs, alg in built:
+        assert "below" in kwargs
+        fresh = full_algebra(jet)
+        assert [v.coords() for v in alg.basis] == [v.coords() for v in fresh.basis]
+        assert alg.free == fresh.free
+        assert [v.coords() for v in alg.isotropy] == [v.coords() for v in fresh.isotropy]
+        assert (alg.order, alg.closed, alg.tangency_ok, alg.translation_rank) == (
+            fresh.order, fresh.closed, fresh.tangency_ok, fresh.translation_rank)
 
 
 def test_full_algebra_matches_separate_solves_off_the_graph_origin():

@@ -38,15 +38,15 @@ OPS = (["verify", "--entry=N1"], ["discover", "--case=I3"],
 # the size of the systems these ops send to the kernel: a change to how the
 # tangency systems are assembled should leave every one of them as it was.
 # One free solve per jet: N1 solves once (its order-7 algebra restricts
-# the order-6 one), discover I3 once, and the normal form I2 once on its
-# base jet (gauged and ungauged families are restrictions of it) and once
-# on its completed jet; every restriction is one small linear_solve.
-SOLVE_COUNTS = {"linalg.linear_solve.calls": 10, "linalg.linear_solve.rows": 75,
-                "linalg.linear_solve.cols": 110, "linalg.linear_solve.rank": 58,
-                "linalg.linear_solve.max_bits": 4,
-                "linalg.linear_solve.parametric_calls": 2,
+# the order-6 one), discover I3 once, and the normal form I2 once, on its
+# base jet (gauged and ungauged families and the completed jet's family are
+# restrictions of it); every restriction is one small linear_solve.
+SOLVE_COUNTS = {"linalg.linear_solve.calls": 10, "linalg.linear_solve.rows": 47,
+                "linalg.linear_solve.cols": 94, "linalg.linear_solve.rank": 42,
+                "linalg.linear_solve.max_bits": 3,
+                "linalg.linear_solve.parametric_calls": 1,
                 "linalg.linear_solve.inconsistent": 0,
-                "symmetry.solve_tangency.calls": 4}
+                "symmetry.solve_tangency.calls": 3}
 
 # what enters and leaves the closure solver on these ops: a faster solver
 # must take the same constraints and return the same bases and solutions
