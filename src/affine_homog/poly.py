@@ -80,11 +80,11 @@ def _integer_terms(t: Mapping[Mono, Fraction]):
 
 
 def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
-               max_degree) -> Dict[Mono, object]:
-    """Product of two term dicts, without the terms above ``max_degree``
-    (None keeps all); each coefficient is ``ca * cb``. Two Fraction
-    operands of several terms are multiplied fraction-free (see the module
-    docstring)."""
+               max_degree, min_degree: int = 0) -> Dict[Mono, object]:
+    """Product of two term dicts, with only the terms of degrees
+    ``min_degree..max_degree`` (a ``max_degree`` of None keeps all); each
+    coefficient is ``ca * cb``. Two Fraction operands of several terms are
+    multiplied fraction-free (see the module docstring)."""
     if (len(a) > 1 and len(b) > 1
             and all(type(c) is Fraction for c in a.values())
             and all(type(c) is Fraction for c in b.values())):
@@ -93,7 +93,7 @@ def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
         sums: Dict[Mono, int] = {}
         for m1, d1, n1 in ia:
             for m2, d2, n2 in ib:
-                if max_degree is not None and d1 + d2 > max_degree:
+                if max_degree is not None and not min_degree <= d1 + d2 <= max_degree:
                     continue
                 m = tuple(map(add, m1, m2))
                 sums[m] = sums.get(m, 0) + n1 * n2
@@ -103,7 +103,7 @@ def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
     for m1, c1 in a.items():
         d1 = sum(m1)
         for m2, c2 in b.items():
-            if max_degree is not None and d1 + sum(m2) > max_degree:
+            if max_degree is not None and not min_degree <= d1 + sum(m2) <= max_degree:
                 continue
             m = tuple(x + y for x, y in zip(m1, m2))
             c = c1 * c2
@@ -260,10 +260,12 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
+    def mul_truncated(self, other: "Poly", max_degree: int,
+                      min_degree: int = 0) -> "Poly":
+        """The terms of degrees min_degree..max_degree of the product."""
         self._check(other)
-        return Poly._canonical(self.vars,
-                               _mul_terms(self.terms, other.terms, max_degree))
+        return Poly._canonical(self.vars, _mul_terms(self.terms, other.terms,
+                                                     max_degree, min_degree))
 
     def scale(self, c) -> "Poly":
         if not isinstance(c, _SCALARS):

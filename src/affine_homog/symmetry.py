@@ -35,6 +35,15 @@ its own free coordinate and 0 at the others: a bracket is reduced in those
 free coordinates (it is in the span exactly when it equals the basis
 weighted by its own free coordinates), with no elimination.
 
+A column is the truncated product of a gradient entry (F_x, F_y, F_z or
+-1) and a coordinate (x, y, z, F or 1). Only the three columns F_i . F
+are products of polynomials; by x, y or z a column is an exponent shift
+and by 1 a truncation, with no coefficient arithmetic. A caller that
+reads only the degrees lo..M of the columns builds only those
+(``tangency_columns``' lo): ``complete_series`` the new degree of each
+order, and the restricted algebra of a completed jet the degrees above
+its base jet's order.
+
 The columns are built once per jet, at the highest order any solve or
 residual on it needs, and every solve and residual reads their truncations
 to its own order. A jet F with no constant term (``expand_graph`` gives
@@ -121,21 +130,40 @@ def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
     return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
 
 
-def tangency_columns(F: Jet, M: int, ks: Sequence[int]) -> List[Jet]:
+def tangency_columns(F: Jet, M: int, ks: Sequence[int], lo: int = 0) -> List[Jet]:
     """Truncated residuals of the unit fields with coordinate indices ks,
-    in ``AffineVectorField.coords()`` order (A row-major, then v). The
-    column of A[i][j] is Tr^M(F_i . coord_j) for i < 3 and -coord_j for
-    i = 3, with coords (x, y, z, F); the column of v[i] is Tr^M(F_i) for
-    i < 3 and -1 for i = 3."""
+    in ``AffineVectorField.coords()`` order (A row-major, then v), with
+    only their terms of degrees lo..M. The column of A[i][j] is
+    Tr^M(grad_i . coord_j), with grad = (F_x, F_y, F_z, -1) and coords
+    (x, y, z, F); the column of v[i] is Tr^M(grad_i).
+
+    Only the three columns F_i . F are products; the others shift or keep
+    the exponents of grad_i (or of -F, for A[3][3]) and give each term the
+    product's coefficient type: an int coefficient of F_i becomes the
+    Fraction a product by the Fraction 1 of a coordinate makes of it."""
     fp = F.poly
-    partials = [fp.partial(n) for n in XYZ]
-    coords = [Poly.var(n, XYZ) for n in XYZ] + [fp, Poly.const(1, XYZ)]
+    grad = [fp.partial(n) for n in XYZ] + [Poly.const(-1, XYZ)]
     cols = []
     for k in ks:
         i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
-        col = partials[i].mul_truncated(coords[j], M) if i < 3 else -coords[j]
+        if j != 3:
+            col = _shifted(grad[i].terms, j, lo, M)
+        elif i < 3:
+            col = grad[i].mul_truncated(fp, M, lo)
+        else:
+            col = Poly._canonical(XYZ, {m: -c for m, c in fp.terms.items()
+                                        if lo <= sum(m) <= M})
         cols.append(Jet(col, M))
     return cols
+
+
+def _shifted(terms: Dict[Tuple[int, ...], object], j: int, lo: int, M: int) -> Poly:
+    """The terms of degrees lo..M of a polynomial times x, y or z (j < 3)
+    or times 1 (j = 4): an exponent shift, with ints made Fractions."""
+    d = int(j < 3)
+    return Poly._canonical(XYZ, {
+        (m[:j] + (m[j] + 1,) + m[j + 1:] if d else m): Fraction(c) if type(c) is int else c
+        for m, c in terms.items() if lo <= sum(m) + d <= M})
 
 
 def _at(columns: Sequence[Jet], M: int) -> List[Jet]:
@@ -150,7 +178,8 @@ def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
         if not c:
             continue
         for m, a in col.poly.terms.items():
-            acc[m] = acc.get(m, 0) + a * c
+            t = a * c
+            acc[m] = acc[m] + t if m in acc else t
     return Jet(Poly(XYZ, acc), M)
 
 
@@ -159,8 +188,9 @@ def tangency_residual(F: Jet, V: AffineVectorField, M: int,
     """Tr^M residual of V: its coordinates weighting their unit columns.
     ``columns``, when given, are F's columns at an order >= M, indexed as
     in ``tangency_columns`` and covering V's nonzero coordinates; given
-    only their parts of degrees lo..M (``_degree_part``), it is the
-    residual's part of those degrees."""
+    only their parts of degrees lo..M (built with ``tangency_columns``'
+    lo, or cut by ``_degree_part``), it is the residual's part of those
+    degrees."""
     coords = V.coords()
     ks = [k for k, c in enumerate(coords) if c]
     cols = (tangency_columns(F, M, ks) if columns is None
@@ -324,7 +354,8 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
     fields reads. The first completed order checks the residuals in every
     degree, which is what fails a base jet the fields are not tangent to.
     From the second on, a residual below degree m-1 is the r_e + d_e c of
-    the order below, checked zero there, so only degree m-1 is combined."""
+    the order below, checked zero there, so the columns are built in degree
+    m-1 alone and only that degree is combined."""
     if f.poly.constant_term():
         raise InputError("series completion needs a jet with no constant term")
     fields = [AffineVectorField(mat, e) for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z))]
@@ -333,10 +364,9 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
     for m in range(f.order + 1, M + 1):
         F = Jet(cur, m)
         columns: List[Optional[Jet]] = [None] * 20
-        for k, col in zip(ks, tangency_columns(F, m - 1, ks)):
+        lo = 0 if m == f.order + 1 else m - 1
+        for k, col in zip(ks, tangency_columns(F, m - 1, ks, lo)):
             columns[k] = col
-        if m > f.order + 1:
-            columns = _degree_part(columns, fields, m - 1, m - 1)
         res = [tangency_residual(F, V, m - 1, columns).poly for V in fields]
         terms = {}
         for _, mono in degree_unknowns(m):
@@ -448,7 +478,7 @@ def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
         raise InputError(f"order {N} is above the jet's order {F.order}")
     Ft = F.truncate(N)
     if columns is None:
-        columns = tangency_columns(Ft, N, range(20))
+        columns = tangency_columns(Ft, N, range(20), 0 if below is None else below[1])
     if below is None:
         fam = solve_tangency(Ft, N - 1, columns)
     else:

@@ -32,6 +32,14 @@ def test_mul_truncated_matches_truncated_product():
     p = (X + Y) * (X + Z) * (Y + Z)
     q = X * Y + Z * Z
     assert p.mul_truncated(q, 4) == (p * q).truncate(4)
+    # Fraction operands take the fraction-free branch, a RationalFunc
+    # coefficient the term-by-term one
+    for q in (q, q + Z.scale(RationalFunc.gen())):
+        full = p * q
+        for hi in range(7):
+            for lo in range(hi + 2):
+                want = {m: c for m, c in full.terms.items() if lo <= sum(m) <= hi}
+                assert p.mul_truncated(q, hi, lo).terms == want, (hi, lo)
 
 
 def test_leading_terms():
@@ -229,6 +237,9 @@ def test_fast_path_results_equal_validated_terms(case):
     _check_canonical(-p, [(m, -a) for m, a in P])
     _check_canonical(p * q, prod)
     _check_canonical(p.mul_truncated(q, d), [(m, a) for m, a in prod if sum(m) <= d])
+    for lo in range(1, d + 2):
+        _check_canonical(p.mul_truncated(q, d, lo),
+                         [(m, a) for m, a in prod if lo <= sum(m) <= d])
     _check_canonical(p.scale(c), [(m, a * c) for m, a in P])
     _check_canonical(p.partial("y"), [((m[0], m[1] - 1, m[2]), a * m[1])
                                       for m, a in P if m[1]])
@@ -301,22 +312,23 @@ def test_eval_matches_term_by_term_oracle(case):
 MUL_VALUES = (F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3, 4), F(-5, 6))
 
 
-def _reference_product(a, b, max_degree):
+def _reference_product(a, b, max_degree, min_degree=0):
     """Term by term: every pair's product, summed per monomial."""
     d = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = tuple(x + y for x, y in zip(m1, m2))
-            if max_degree is None or sum(m) <= max_degree:
+            if max_degree is None or min_degree <= sum(m) <= max_degree:
                 d[m] = d[m] + c1 * c2 if m in d else c1 * c2
     return {m: c for m, c in d.items() if c}
 
 
 @st.composite
 def products(draw):
-    """(a, b, max_degree): operands of one or several terms; b may negate
-    one term of a, so that cross terms cancel; one or both operands may
-    hold int coefficients, or one a RationalFunc coefficient."""
+    """(a, b, max_degree, min_degree): operands of one or several terms; b
+    may negate one term of a, so that cross terms cancel; one or both
+    operands may hold int coefficients, or one a RationalFunc coefficient.
+    The lower bound may exceed the upper one."""
     term_dict = st.dictionaries(st.sampled_from(MONOS),
                                 st.sampled_from(MUL_VALUES),
                                 min_size=1, max_size=5)
@@ -335,15 +347,15 @@ def products(draw):
         m = draw(st.sampled_from(sorted(b)))
         b[m] = draw(st.sampled_from((_B, _B + 1, 1 / (_B - 1))))
     top = draw(st.none() | st.just(0) | st.integers(1, 6))
-    return a, b, top
+    return a, b, top, 0 if top is None else draw(st.integers(0, top + 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(products())
 def test_mul_terms_equals_term_by_term_product(case):
-    a, b, top = case
-    got = _mul_terms(a, b, top)
-    want = _reference_product(a, b, top)
+    a, b, top, lo = case
+    got = _mul_terms(a, b, top, lo)
+    want = _reference_product(a, b, top, lo)
     assert got == want
     assert {m: type(c) for m, c in got.items()} == \
         {m: type(c) for m, c in want.items()}

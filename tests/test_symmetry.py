@@ -76,24 +76,100 @@ def test_bracket_matches_sympy_matrices(v1, v2):
         assert got.v[i] == frac(want_v[i])
 
 
+_b = sp.Symbol("b")
+_QB = RationalFunc.gen()
+# (monomial, coefficient) of a quartic jet over Q and one over Q(b)
+ORACLE_TERMS = {
+    "Q": [((1, 1, 0), F(2)), ((0, 0, 2), F(1)), ((2, 1, 0), F(1)),
+          ((1, 0, 2), F(-2)), ((0, 4, 0), F(3, 4))],
+    "Q(b)": [((1, 1, 0), F(2)), ((0, 0, 2), F(1)), ((2, 1, 0), _QB),
+             ((1, 0, 2), 1 / (_QB - 1)), ((0, 4, 0), _QB * _QB + F(3, 4)),
+             ((0, 1, 3), -_QB)],
+}
+
+
+def _sympy_scalar(c):
+    if isinstance(c, RationalFunc):
+        poly = lambda cs: sum(_sympy_scalar(a) * _b ** i for i, a in enumerate(cs))
+        return poly(c.num) / poly(c.den)
+    return sp.Rational(c.numerator, c.denominator)
+
+
 def test_columns_match_sympy_residual_of_unit_fields():
     x, y, z = sp.symbols("x y z")
-    f_expr = 2 * x * y + z**2 + x**2 * y - 2 * x * z**2 + sp.Rational(3, 4) * y**4
-    fj = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2)
-             + (Y * Y * Y * Y).scale(F(3, 4)), 4)
     M = 3
-    grad = [sp.diff(f_expr, s) for s in (x, y, z)] + [sp.Integer(-1)]
-    coords = [x, y, z, f_expr, sp.Integer(1)]
 
     def truncated(expr):
         terms = sp.Poly(sp.expand(expr), x, y, z).terms()
-        return {m: F(int(c.p), int(c.q)) for m, c in terms if sum(m) <= M}
+        return {m: c for m, c in terms if sum(m) <= M}
 
-    cols = tangency_columns(fj, M, range(20))
-    for k, col in enumerate(cols):
+    for field, terms in ORACLE_TERMS.items():
+        f_expr = sum(_sympy_scalar(c) * x ** i * y ** j * z ** k
+                     for (i, j, k), c in terms)
+        grad = [sp.diff(f_expr, s) for s in (x, y, z)] + [sp.Integer(-1)]
+        coords = [x, y, z, f_expr, sp.Integer(1)]
+        cols = tangency_columns(Jet(Poly(XYZ, terms), 4), M, range(20))
+        for k, col in enumerate(cols):
+            i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
+            # unit field: component i of A.(x,y,z,F)^T + v is coords[j]
+            want = truncated(grad[i] * coords[j])
+            assert col.poly.terms.keys() == want.keys(), (field, k)
+            assert all(sp.cancel(_sympy_scalar(c) - want[m]) == 0
+                       for m, c in col.poly.terms.items()), (field, k)
+
+
+def product_columns(F: Jet, M: int, ks):
+    """The columns built as products: Tr^M(F_i . coord_j) with coords
+    (x, y, z, F, 1) for i < 3, and -coord_j for i = 3. The reference that
+    the exponent-shift build of ``tangency_columns`` must equal."""
+    fp = F.poly
+    partials = [fp.partial(n) for n in XYZ]
+    coords = [Poly.var(n, XYZ) for n in XYZ] + [fp, Poly.const(1, XYZ)]
+    cols = []
+    for k in ks:
         i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
-        # unit field: component i of A.(x,y,z,F)^T + v is coords[j]
-        assert col.poly.terms == truncated(grad[i] * coords[j]), k
+        col = partials[i].mul_truncated(coords[j], M) if i < 3 else -coords[j]
+        cols.append(Jet(col, M))
+    return cols
+
+
+def assert_columns_match_products(jet):
+    """At every order M <= the jet's and every lower degree lo <= M, each
+    of the twenty columns holds the product build's terms of degrees
+    lo..M, in the same order and of the same coefficient types."""
+    for M in range(jet.order + 1):
+        want = product_columns(jet, M, range(20))
+        for lo in range(M + 1):
+            got = tangency_columns(jet, M, range(20), lo)
+            for k, (g, w) in enumerate(zip(got, want)):
+                terms = [(m, c) for m, c in w.poly.terms.items() if sum(m) >= lo]
+                assert g.order == M
+                assert list(g.poly.terms.items()) == terms, (M, lo, k)
+                assert [type(c) for c in g.poly.terms.values()] == \
+                    [type(c) for _, c in terms], (M, lo, k)
+
+
+def test_columns_match_products_on_expanded_graphs():
+    for jet in _expanded(7):
+        assert_columns_match_products(jet)
+
+
+def test_columns_match_products_on_normal_forms_over_symbolic_b():
+    for nf in cat.NORMAL_FORM_IDS:
+        assert_columns_match_products(cat.confirm_isotropy(nf).details["completed_jet"])
+
+
+def test_columns_match_products_off_the_rationals_and_the_graph_origin():
+    tower = Tower(("s",), (F(2),))
+    s = tower.generator(0)
+    tower_jet = Jet(Poly(XYZ, [((1, 1, 0), tower.const(2)), ((0, 0, 2), tower.const(1)),
+                               ((2, 1, 0), s), ((0, 3, 1), 1 - s), ((1, 1, 2), -s)]), 5)
+    # int coefficients, which a product by the Fraction 1 turns into
+    # Fractions, and a constant term
+    int_jet = Jet(Poly(XYZ, [((0, 0, 0), 3), ((1, 1, 0), 2), ((0, 0, 2), 1),
+                             ((2, 1, 0), -1), ((0, 2, 2), 5)]), 5)
+    for jet in (tower_jet, int_jet, Jet(QUADRIC.poly + Poly.const(F(1), XYZ), 4)):
+        assert_columns_match_products(jet)
 
 
 @lru_cache(maxsize=None)
@@ -213,6 +289,26 @@ def test_complete_series_truncation_coherence():
     full = complete_series(f, P, Q, R, 7)
     part = complete_series(f, P, Q, R, 5)
     assert full.truncate(5) == part
+
+
+def test_complete_series_builds_only_the_new_degree_after_its_first_order():
+    # order m reads degree m-1 of the residuals alone once order m-1 is
+    # complete; the first order checks every degree
+    f = cat.base_jet("I0.1")
+    fams = pqr_families(solve_tangency(f), "I0")
+    P, Q, R = (_field(g.particular).A for g in fams)
+    built, columns = [], symmetry.tangency_columns
+
+    def recorded(*args):
+        cols = columns(*args)
+        built.append({sum(m) for c in cols for m in c.poly.terms})
+        return cols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "tangency_columns", recorded)
+        complete_series(f, P, Q, R, 8)
+    assert built[0] == set(range(1, f.order + 1))
+    assert built[1:] == [{m - 1} for m in range(f.order + 2, 9)]
 
 
 def test_completion_error_on_inconsistent_matrices():
