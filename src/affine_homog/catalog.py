@@ -38,7 +38,7 @@ from .symmetry import (E_X, E_Y, E_Z, AffineVectorField, CompletionError,
                        complete_series, closure_constraints, degree_unknowns,
                        full_algebra, linear_equations, normalize_gauge,
                        pqr_families, raise_order, reduce_against_span,
-                       solve_tangency, tangency_columns, tangency_residual)
+                       solve_tangency, tangency_residual)
 
 XYZ = ("x", "y", "z")
 F = Fraction
@@ -259,10 +259,8 @@ def verify_entry(entry, alpha=None, order: int = 6) -> Report:
     except (DomainError, ValueError) as exc:
         details["error"] = str(exc)
         return Report(f"verify:{entry.id}", False, details)
-    # one column set for both orders (the sharing rule of symmetry.py)
-    columns = tangency_columns(Fj, order + 1, range(20))
-    alg = full_algebra(Fj, order, columns)
-    alg1 = raise_order(alg, Fj, columns)
+    alg = full_algebra(Fj, order)
+    alg1 = raise_order(alg, Fj)
     stable = (alg.isotropy_dim == alg1.isotropy_dim
               and alg.full_dim == alg1.full_dim)
     # the class and the Pick invariant are read off the 3-jet
@@ -312,11 +310,8 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     spec = parse_surface(text, tuple(parse_rational(c) for c in bp))
     Fj = expand_graph(spec, order)
     details: Dict[str, object] = {"variant": vid, "surface": text}
-    # one column set for every order (the sharing rule of symmetry.py),
-    # built at least to order 5 for the re-check below
-    columns = tangency_columns(Fj, max(order, 5), range(20))
-    alg4 = full_algebra(Fj, 4, columns)
-    alg5 = raise_order(alg4, Fj, columns)
+    alg4 = full_algebra(Fj, 4)
+    alg5 = raise_order(alg4, Fj)
     details["closed_at_4"] = homogeneous(alg4)
     # do the order-4 symmetries stay tangent one order up?
     details["order_4_algebra_fails_at_5"] = not (alg5.tangency_ok
@@ -324,7 +319,7 @@ def reject_variant(vid: str, order: int = 6) -> Report:
     alg, first_failure = alg4, None
     for k in range(4, order + 1):
         if k > 4:
-            alg = alg5 if k == 5 else raise_order(alg, Fj, columns)
+            alg = alg5 if k == 5 else raise_order(alg, Fj)
         if not homogeneous(alg):
             first_failure = k
             break
@@ -535,6 +530,8 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
                          f"{DETERMINING_ORDER[nf_id]} of {nf_id}")
     if nf_id in PARAMETRIC and b is None:
         b = RationalFunc.gen("b")
+    elif nf_id not in PARAMETRIC and b is not None:
+        raise InputError(f"{nf_id} takes no b")
     jet0 = base_jet(nf_id, b)
     case = CASE_OF[nf_id]
     expected = ISOTROPY_DIMS[nf_id]

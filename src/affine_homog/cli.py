@@ -211,15 +211,21 @@ def _cmd_symmetry(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     if args.entry in ENTRY_IDS:
+        if args.b is not None:
+            raise InputError(f"{args.entry} takes no b")
         alpha = parse_rational(args.alpha) if args.alpha else None
         rep = cat.verify_entry(args.entry, alpha=alpha, order=args.order)
     elif args.entry in cat.NORMAL_FORM_IDS:
+        if args.alpha is not None:
+            raise InputError(f"{args.entry} takes no alpha")
         b = parse_rational(args.b) if args.b else None
         rep = cat.confirm_isotropy(args.entry, b=b, order=args.order)
     elif args.entry is not None:
         parser.error(f"unknown entry {args.entry!r}")
     elif args.surface:
         _require(parser, args, "basepoint")
+        if args.b is not None:
+            raise InputError("--surface takes no b")
         F = _load_jet(args)
         alg = full_algebra(F)
         rep = cat.Report("verify:ad-hoc", cat.homogeneous(alg),

@@ -126,11 +126,16 @@ class Jet:
     @classmethod
     def from_json(cls, data) -> "Jet":
         """Inverse of ``to_json`` for rational coefficients; malformed data
+        (an order or an exponent that is not an int, or a negative one)
         raises InputError."""
         try:
             vars = tuple(data.get("vars", XYZ))
             terms = {tuple(t["m"]): parse_rational(t["c"]) for t in data["terms"]}
-            return cls(Poly(vars, terms), data["order"])
+            order = data["order"]
+            if type(order) is not int or any(type(e) is not int or e < 0 for m in terms for e in m):
+                raise ValueError("the order and the exponents must be integers, "
+                                 "the exponents non-negative")
+            return cls(Poly(vars, terms), order)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed jet JSON ({type(exc).__name__}: {exc})") from exc
 

@@ -12,7 +12,8 @@ of its denominators, the integer products are summed per monomial, and
 each nonzero sum becomes one Fraction over the product of the two
 denominators, so a gcd is paid once per output term instead of once per
 pair. Any other operand takes the term-by-term loop. The value decides
-the branch, and both give the same terms of the same types.
+the branch, and both give the same terms of the same types. A product
+kept to degrees lo..hi visits only the pairs it keeps (``_windows``).
 """
 
 from __future__ import annotations
@@ -72,11 +73,21 @@ def _add_terms(d: Dict[Mono, object], terms: Iterable[Tuple[Mono, object]]):
             d[m] = c
 
 
-def _integer_terms(t: Mapping[Mono, Fraction]):
-    """The terms of ``t`` over their common denominator: the (exponents,
-    degree, numerator) triples and that denominator."""
-    nums, den = over_common_denominator(t.values())
-    return [(m, sum(m), n) for m, n in zip(t, nums)], den
+def _windows(b: Iterable[Tuple[Mono, object]], max_degree, min_degree: int):
+    """d1 -> the terms of b whose degree d2 has min_degree <= d1 + d2 <=
+    max_degree (all of b for a max_degree of None), in b's order. Each
+    degree's window is filtered once, so a product visits only the pairs
+    it keeps."""
+    if max_degree is None:
+        return lambda d1: b
+    b = [(m, sum(m), x) for m, x in b]
+    cache: Dict[int, list] = {}
+
+    def window(d1):
+        if d1 not in cache:
+            cache[d1] = [(m, x) for m, d2, x in b if min_degree <= d1 + d2 <= max_degree]
+        return cache[d1]
+    return window
 
 
 def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
@@ -88,23 +99,20 @@ def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object],
     if (len(a) > 1 and len(b) > 1
             and all(type(c) is Fraction for c in a.values())
             and all(type(c) is Fraction for c in b.values())):
-        ia, da = _integer_terms(a)
-        ib, db = _integer_terms(b)
+        na, da = over_common_denominator(a.values())
+        nb, db = over_common_denominator(b.values())
+        window = _windows(list(zip(b, nb)), max_degree, min_degree)
         sums: Dict[Mono, int] = {}
-        for m1, d1, n1 in ia:
-            for m2, d2, n2 in ib:
-                if max_degree is not None and not min_degree <= d1 + d2 <= max_degree:
-                    continue
+        for m1, n1 in zip(a, na):
+            for m2, n2 in window(sum(m1)):
                 m = tuple(map(add, m1, m2))
                 sums[m] = sums.get(m, 0) + n1 * n2
         den = da * db
         return {m: Fraction(n, den) for m, n in sums.items() if n}
+    window = _windows(b.items(), max_degree, min_degree)
     d: Dict[Mono, object] = {}
     for m1, c1 in a.items():
-        d1 = sum(m1)
-        for m2, c2 in b.items():
-            if max_degree is not None and not min_degree <= d1 + sum(m2) <= max_degree:
-                continue
+        for m2, c2 in window(sum(m1)):
             m = tuple(x + y for x, y in zip(m1, m2))
             c = c1 * c2
             if m in d:

@@ -38,21 +38,13 @@ weighted by its own free coordinates), with no elimination.
 A column is the truncated product of a gradient entry (F_x, F_y, F_z or
 -1) and a coordinate (x, y, z, F or 1). Only the three columns F_i . F
 are products of polynomials; by x, y or z a column is an exponent shift
-and by 1 a truncation, with no coefficient arithmetic. A caller that
-reads only the degrees lo..M of the columns builds only those
-(``tangency_columns``' lo): ``complete_series`` the new degree of each
-order, and the restricted algebra of a completed jet the degrees above
-its base jet's order.
-
-The columns are built once per jet, at the highest order any solve or
-residual on it needs, and every solve and residual reads their truncations
-to its own order. A jet F with no constant term (``expand_graph`` gives
-one) may share the columns built at order N+1 from F with the solves on
-F.truncate(N): the matrix columns (k < 16) agree at every order M <= N,
-the translation columns (k >= 16) only at M <= N-1, because F_i gains
-degree-N terms one order up. Any other jet (one read with ``symmetry
---jet -`` may have a constant term) shares its columns only at its own
-order, where truncation is always exact.
+and by 1 a truncation, with no coefficient arithmetic. Every solve and
+residual builds its own columns, from the jet it is given and at its own
+order, and a residual of fields tangent below degree lo builds only the
+columns they read, in degrees lo..M (``tangency_columns``' lo):
+``complete_series`` the new degree of each order, a restricted algebra
+the degrees above the order of the family it restricts, and the isotropy
+check of an algebra at N its degree N.
 """
 
 from __future__ import annotations
@@ -166,9 +158,17 @@ def _shifted(terms: Dict[Tuple[int, ...], object], j: int, lo: int, M: int) -> P
         for m, c in terms.items() if lo <= sum(m) + d <= M})
 
 
-def _at(columns: Sequence[Jet], M: int) -> List[Jet]:
-    """The columns truncated to order M."""
-    return [c if c.order == M else Jet(c.poly, M) for c in columns]
+def _read_columns(F: Jet, fields: Sequence[AffineVectorField], M: int,
+                  lo: int) -> List[Optional[Jet]]:
+    """The twenty columns of F at order M, indexed as in
+    ``tangency_columns``: those that the fields read (a nonzero
+    coordinate), with only their terms of degrees lo..M, and None at the
+    others."""
+    ks = sorted({k for V in fields for k, c in enumerate(V.coords()) if c})
+    columns: List[Optional[Jet]] = [None] * 20
+    for k, col in zip(ks, tangency_columns(F, M, ks, lo)):
+        columns[k] = col
+    return columns
 
 
 def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
@@ -186,26 +186,15 @@ def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
 def tangency_residual(F: Jet, V: AffineVectorField, M: int,
                       columns: Optional[Sequence[Jet]] = None) -> Jet:
     """Tr^M residual of V: its coordinates weighting their unit columns.
-    ``columns``, when given, are F's columns at an order >= M, indexed as
-    in ``tangency_columns`` and covering V's nonzero coordinates; given
-    only their parts of degrees lo..M (built with ``tangency_columns``'
-    lo, or cut by ``_degree_part``), it is the residual's part of those
-    degrees."""
+    ``columns``, when given, are F's columns at order M, indexed as in
+    ``tangency_columns`` and covering V's nonzero coordinates; given only
+    their parts of degrees lo..M (``_read_columns``), it is the residual's
+    part of those degrees."""
     coords = V.coords()
     ks = [k for k, c in enumerate(coords) if c]
     cols = (tangency_columns(F, M, ks) if columns is None
-            else _at([columns[k] for k in ks], M))
+            else [columns[k] for k in ks])
     return _combine(cols, [coords[k] for k in ks], M)
-
-
-def _degree_part(columns: Sequence[Optional[Jet]], fields: Sequence[AffineVectorField],
-                 lo: int, M: int) -> List[Optional[Jet]]:
-    """The parts of degrees lo..M, as order-M jets, of the columns that the
-    fields read (None at the others)."""
-    read = {k for f in fields for k, c in enumerate(f.coords()) if c}
-    return [Jet(Poly._canonical(XYZ, {m: a for m, a in c.poly.terms.items()
-                                      if lo <= sum(m)}), M) if k in read else None
-            for k, c in enumerate(columns)]
 
 
 def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
@@ -252,20 +241,17 @@ def normalize_gauge(case: str) -> Tuple[int, ...]:
     return GAUGE_ENTRIES.get(case, (5,))
 
 
-def solve_tangency(F: Jet, order: Optional[int] = None,
-                   columns: Optional[Sequence[Jet]] = None) -> SolutionFamily:
+def solve_tangency(F: Jet, order: Optional[int] = None) -> SolutionFamily:
     """Every affine field tangent to F to the given order: the RREF
-    nullspace of the twenty columns, in ``coords()`` order.
+    nullspace of F's twenty columns at that order, in ``coords()`` order.
 
     The order defaults to N-1 (the jet of the graph determines residuals
-    only that far). ``columns``, when given, are F's twenty columns at an
-    order at least that. The basis field of a free matrix column has no
+    only that far). The basis field of a free matrix column has no
     translation; that of a free translation column is 1 there and 0 at the
     other free columns.
     """
     order = F.order - 1 if order is None else order
-    columns = (tangency_columns(F, order, range(20)) if columns is None
-               else _at(columns, order))
+    columns = tangency_columns(F, order, range(20))
     return linear_solve(linear_equations(columns, Jet.zero(order)), COORDINATE_NAMES)
 
 
@@ -350,23 +336,19 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
     variable with a nonzero exponent, and the order is consistent exactly
     when every r_e + d_e c vanishes.
 
-    Each order builds one column set, for the coordinates any of the three
-    fields reads. The first completed order checks the residuals in every
-    degree, which is what fails a base jet the fields are not tangent to.
-    From the second on, a residual below degree m-1 is the r_e + d_e c of
-    the order below, checked zero there, so the columns are built in degree
-    m-1 alone and only that degree is combined."""
+    Each order builds one column set, of the columns any of the three
+    fields reads (``_read_columns``). The first completed order checks the
+    residuals in every degree, which is what fails a base jet the fields
+    are not tangent to. From the second on, a residual below degree m-1 is
+    the r_e + d_e c of the order below, checked zero there, so the columns
+    are built in degree m-1 alone and only that degree is combined."""
     if f.poly.constant_term():
         raise InputError("series completion needs a jet with no constant term")
     fields = [AffineVectorField(mat, e) for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z))]
-    ks = sorted({k for V in fields for k, c in enumerate(V.coords()) if c})
     cur = f.poly
     for m in range(f.order + 1, M + 1):
         F = Jet(cur, m)
-        columns: List[Optional[Jet]] = [None] * 20
-        lo = 0 if m == f.order + 1 else m - 1
-        for k, col in zip(ks, tangency_columns(F, m - 1, ks, lo)):
-            columns[k] = col
+        columns = _read_columns(F, fields, m - 1, 0 if m == f.order + 1 else m - 1)
         res = [tangency_residual(F, V, m - 1, columns).poly for V in fields]
         terms = {}
         for _, mono in degree_unknowns(m):
@@ -430,34 +412,30 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
 
 
 def full_algebra(F: Jet, order: Optional[int] = None,
-                 columns: Optional[Sequence[Jet]] = None,
                  below: Optional[Tuple[SolutionFamily, int]] = None) -> SymmetryAlgebra:
     """Candidate symmetry algebra of the graph w = F at the given order N:
     all affine fields tangent to order N-1 (the one free solve), their
-    isotropy at order N, and an exact bracket-closure check. Every solve
-    and residual reads ``columns`` when given (built from F at an order >=
-    N, shared under the rule of the module docstring), else the columns of
-    F.truncate(N) at order N. An order above F's own raises InputError.
+    isotropy at order N, and an exact bracket-closure check, each on the
+    columns of F.truncate(N). An order above F's own raises InputError.
 
     ``below``, when given, is a pair (family, n) with n <= N: F's free
     family at order n-1 (the free solve of a jet whose columns agree with
     F's at that order, such as the base jet of F's series completion). The
     free solve at N-1 is then its restriction by the residual rows of
     degrees n..N-1, with no solve of its own."""
-    return _algebra(F, F.order if order is None else order, columns, below)
+    return _algebra(F, F.order if order is None else order, below)
 
 
-def raise_order(alg: SymmetryAlgebra, F: Jet,
-                columns: Optional[Sequence[Jet]] = None) -> SymmetryAlgebra:
-    """``full_algebra(F, alg.order + 1, columns)`` with no free solve: the
+def raise_order(alg: SymmetryAlgebra, F: Jet) -> SymmetryAlgebra:
+    """``full_algebra(F, alg.order + 1)`` with no free solve: the
     restriction of alg's fields to those whose residuals at its order
     vanish, which keeps alg's closure verdict when it keeps every field."""
     fam = SolutionFamily(COORDINATE_NAMES, [Fraction(0)] * 20,
                          [b.coords() for b in alg.basis], alg.free)
-    return _algebra(F, alg.order + 1, columns, (fam, alg.order), alg.closed)
+    return _algebra(F, alg.order + 1, (fam, alg.order), alg.closed)
 
 
-def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
+def _algebra(F: Jet, N: int,
              below: Optional[Tuple[SolutionFamily, int]] = None,
              closed: Optional[bool] = None) -> SymmetryAlgebra:
     """The algebra at order N of the free family at N-1: solved, or
@@ -467,8 +445,10 @@ def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
     field with a translation is tangent at N-1 by construction, so the
     algebra is tangent when no isotropy is lost at N. Each residual read is
     of a field tangent below a known degree (below's fields through n-1,
-    the isotropy candidates through N-1), so only the degrees from there
-    up are combined. ``closed``, when given, is the closure verdict of the
+    the isotropy candidates through N-1), so only the columns those fields
+    read are built, in the degrees from there up. Every column set is built
+    from F.truncate(N), whose translation columns at N-1 hold F's degree-N
+    terms. ``closed``, when given, is the closure verdict of the
     algebra at n whose basis is below's family (``raise_order``): a
     restriction that keeps every field keeps that basis, which is then
     tangent at n, so the verdict is the bracket check's. The translation
@@ -477,21 +457,17 @@ def _algebra(F: Jet, N: int, columns: Optional[Sequence[Jet]],
     if N > F.order:
         raise InputError(f"order {N} is above the jet's order {F.order}")
     Ft = F.truncate(N)
-    if columns is None:
-        columns = tangency_columns(Ft, N, range(20), 0 if below is None else below[1])
     if below is None:
-        fam = solve_tangency(Ft, N - 1, columns)
+        fam = solve_tangency(Ft, N - 1)
     else:
         fam, n = below
         fields = [AffineVectorField.from_coords(vec) for vec in fam.basis]
-        part = _degree_part(columns, fields, n, N - 1)
+        part = _read_columns(Ft, fields, N - 1, n)
         residuals = [tangency_residual(Ft, b, N - 1, part) for b in fields]
         fam = fam.restrict(linear_equations(residuals, Jet.zero(N - 1)))
     basis = [AffineVectorField.from_coords(vec) for vec in fam.basis]
     k = sum(c < 16 for c in fam.free_cols)
-    # the residuals read only the matrix columns, which shared columns
-    # agree on at order N
-    top = _degree_part(columns, basis[:k], N, N)
+    top = _read_columns(Ft, basis[:k], N, N)
     residuals = [tangency_residual(Ft, b, N, top) for b in basis[:k]]
     matrix_part = SolutionFamily(fam.unknowns, fam.particular, fam.basis[:k], fam.free_cols[:k])
     isotropy = [AffineVectorField.from_coords(vec) for vec in

@@ -4,7 +4,8 @@ import pytest
 
 from affine_homog import catalog as cat
 from affine_homog.frontend import expand_graph, parse_surface
-from affine_homog.normalize import cubic_basis, cubic_coordinates, normalize_jet
+from affine_homog.normalize import (cubic_action_matrix, cubic_basis, cubic_coordinates,
+                                    normalize_jet)
 from affine_homog.scalars import InputError, RationalFunc
 
 
@@ -127,6 +128,19 @@ def test_cubic_eigen_analysis():
         -4: 0, -3: 1, -2: 1, -1: 1, 0: 1, 1: 1, 2: 1, 3: 1, 4: 0}
     assert rep.details["null_rotation_kernel_dims"] == {
         k: int(k == 0) for k in range(-4, 5)}
+
+
+def test_generators_are_singular_exactly_where_the_paper_says_at_every_t():
+    # over Q(t) both action matrices at weight 2t are upper triangular, so
+    # each determinant is its diagonal's product: (t-3)...(t+3) for the
+    # scaling generator, singular for t in {-3, ..., 3} alone, and t^7 for
+    # the null rotation, singular at t = 0 alone, at every rational t
+    t = RationalFunc.gen("t")
+    for matrix, diagonal in ((cat._scaling_matrix, [t + (i - 3) for i in range(7)]),
+                             (cat._null_rotation_matrix, [t] * 7)):
+        a = cubic_action_matrix(matrix(t), 2 * t)
+        assert all(a[i][j] == 0 for i in range(7) for j in range(i))
+        assert [a[i][i] for i in range(7)] == diagonal
 
 
 def test_cubic_coordinates_of_basis_are_unit_vectors():

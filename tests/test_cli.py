@@ -122,6 +122,14 @@ def test_usage_errors_exit_two(capsys):
                  ["discover", "--case", "bogus"],
                  ["verify", "--entry", "N7", "--order", "6"],  # no alpha
                  ["verify", "--entry", "N1", "--alpha", "2"],  # takes none
+                 # a parameter the entry does not take: b on a catalog entry,
+                 # an ad-hoc surface or a normal form without one, alpha on
+                 # any normal form
+                 ["verify", "--entry=N1", "--b=3"],
+                 ["verify", *SPHERE, "--b=3"],
+                 ["verify", "--entry=Qd", "--b=3"],
+                 ["verify", "--entry=I2", "--alpha=3"],
+                 ["verify", "--entry=Qd", "--alpha=3"],
                  ["verify", "--entry", "I0.1", "--order", "3"],
                  ["expand", "--surface", "W=X+", "--basepoint", "0,0,0,0"],
                  # basepoint off the surface
@@ -173,16 +181,22 @@ def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
                 '"terms": [{"m": [1, 1, 0], "c": "1"}]}',
                 '{"order": 2, "terms": [{"m": [2, 0, 0], "c": '
                 '{"basis": ["1", "s1"], "coords": ["1", "2"]}}]}',
-                # below the order of the quadric part, and negative
+                # below the order of the quadric part, and negative; not
+                # an int
                 *(f'{{"order": {k}, "terms": [{{"m": [2, 0, 0], "c": "1"}}]}}'
-                  for k in (1, 0, -1))):
-        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
-        with pytest.raises(SystemExit) as exc:
-            run(["symmetry", "--jet", "-"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("affine-homog: error: malformed jet")
+                  for k in (1, 0, -1, 6.5, "true", '"6"')),
+                # exponents that are not non-negative ints
+                *(f'{{"order": 4, "terms": [{{"m": {m}, "c": "1"}}, '
+                  f'{{"m": [2, 0, 0], "c": "1"}}]}}'
+                  for m in ("[-1, 0, 0]", "[1.5, 1, 0]", "[1, true, 0]"))):
+        for command in ("symmetry", "normalize"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--jet", "-"])
+            assert exc.value.code == 2, (command, raw)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines()[-1].startswith("affine-homog: error: malformed jet")
 
 
 def test_math_errors_exit_one(capsys):
@@ -277,23 +291,36 @@ def test_parametric_verify_runs_few_polynomial_gcds(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, builds", [
-    (["verify", "--entry=N6", "--order=6"], 1),
-    (["symmetry", *SPHERE], 1),
-    # one set for the base jet's free solve, one per order of the series
-    # completion (orders 5 and 6, shared by its three fields), and one for
-    # the completed jet, which restricts the base jet's solve
-    (["verify", "--entry=I1.1"], 4),
+    # the free solve at 5 (all twenty columns), the isotropy check at 6
+    # (degree 6 of the matrix columns its candidates read), then order 7:
+    # the restriction by degree 6 of the columns the order-6 basis reads,
+    # and the isotropy check in degree 7
+    (["verify", "--entry=N6", "--order=6"],
+     [(5, 0, 20), (6, 6, 8), (6, 6, 14), (7, 7, 8)]),
+    (["symmetry", *SPHERE], [(5, 0, 20), (6, 6, 6)]),
+    # the free solve of the base jet (order 4) at 3; the residuals of the
+    # series completion at 4 (every degree) and 5 (degree 5 alone), on the
+    # columns its three fields read; the completed jet's restriction of
+    # the base jet's solve by degrees 4..5, and its isotropy check in
+    # degree 6
+    (["verify", "--entry=I1.1"],
+     [(3, 0, 20), (4, 0, 12), (5, 5, 12), (5, 4, 13), (6, 6, 3)]),
 ])
-def test_tangency_columns_are_built_once_per_jet(capsys, monkeypatch, argv, builds):
-    # every solve and re-check on one jet reads truncations of one column set
+def test_each_build_has_its_own_order_and_degrees(capsys, monkeypatch, argv, builds):
+    # every solve and residual builds, from its own jet, only the columns
+    # its fields read, at its own order and in the degrees it reads:
+    # (order, lowest degree, number of columns) of each build
     calls = []
     columns = symmetry.tangency_columns
-    counted = lambda *a: calls.append(1) or columns(*a)
-    monkeypatch.setattr(symmetry, "tangency_columns", counted)
-    monkeypatch.setattr(catalog, "tangency_columns", counted)
+
+    def recorded(F, M, ks, lo=0):
+        calls.append((M, lo, len(ks)))
+        return columns(F, M, ks, lo)
+
+    monkeypatch.setattr(symmetry, "tangency_columns", recorded)
     code, out, _ = invoke(capsys, *argv)
     assert code == 0 and out
-    assert len(calls) == builds
+    assert calls == builds
 
 
 def test_normal_form_verify_solves_tangency_once(capsys, monkeypatch):

@@ -183,25 +183,9 @@ def _expanded(order):
     return [expand_graph(spec, order) for spec in specs]
 
 
-@pytest.mark.parametrize("N", (6, 7))
-def test_columns_built_one_order_up_truncate_where_the_rule_allows(N):
-    # shared columns: built at N+1 from F, read at M for F.truncate(N)
-    translation_differs = False
-    for Fj in _expanded(N + 1)[:len(cat.catalog())]:
-        top = tangency_columns(Fj, N + 1, range(20))
-        for M in range(N + 1):
-            own = tangency_columns(Fj.truncate(N), M, range(20))
-            for k, (shared, col) in enumerate(zip(top, own)):
-                if k < 16 or M <= N - 1:
-                    assert Jet(shared.poly, M) == col, (M, k)
-                else:
-                    translation_differs |= Jet(shared.poly, M) != col
-    # the translation columns at M = N are outside the rule
-    assert translation_differs
-
-
 def test_expanded_graphs_have_no_constant_term():
-    # the column-sharing rule needs F(0) = 0
+    # expand_graph's contract: the jet of the graph offset w, with zero
+    # constant term (the offset of W vanishes at the basepoint)
     for Fj in _expanded(7):
         assert not Fj.poly.constant_term()
 
@@ -576,11 +560,11 @@ def separate_solves(F, N):
         tangency_ok, closed
 
 
-def assert_same_algebra(F, N, columns=None, alg=None):
+def assert_same_algebra(F, N, alg=None):
     """alg (by default full_algebra at N) equals the separate solves: the
     same basis, isotropy fields of equal values, translation rank and
     verdicts. Returns tangency_ok."""
-    alg = full_algebra(F, N, columns) if alg is None else alg
+    alg = full_algebra(F, N) if alg is None else alg
     basis, iso, rank, tangency_ok, closed = separate_solves(F, N)
     assert [b.coords() for b in alg.basis] == [b.coords() for b in basis]
     assert [b.coords() for b in alg.isotropy] == [b.coords() for b in iso]
@@ -591,24 +575,22 @@ def assert_same_algebra(F, N, columns=None, alg=None):
 
 
 def test_full_algebra_matches_separate_solves_on_the_catalog():
-    # the orders and the shared column set of verify_entry at order 6
+    # the orders of verify_entry at order 6, on its order-7 jet
     for Fj in _expanded(7)[:len(cat.catalog())]:
-        columns = tangency_columns(Fj, 7, range(20))
         for N in (6, 7):
-            assert assert_same_algebra(Fj, N, columns)
-            raised = raise_order(full_algebra(Fj, N - 1, columns), Fj, columns)
+            assert assert_same_algebra(Fj, N)
+            raised = raise_order(full_algebra(Fj, N - 1), Fj)
             assert assert_same_algebra(Fj, N, alg=raised)
 
 
 def test_full_algebra_matches_separate_solves_on_the_variants():
-    # the shared column set of reject_variant at order 7
+    # the orders of reject_variant at order 7, on its order-7 jet
     n = len(cat.catalog())
     verdicts = []
     for Fj in _expanded(7)[n:n + len(cat.VARIANTS)]:
-        columns = tangency_columns(Fj, 7, range(20))
         for N in range(3, 8):
-            verdicts.append(assert_same_algebra(Fj, N, columns))
-            raised = raise_order(full_algebra(Fj, N - 1, columns), Fj, columns)
+            verdicts.append(assert_same_algebra(Fj, N))
+            raised = raise_order(full_algebra(Fj, N - 1), Fj)
             assert assert_same_algebra(Fj, N, alg=raised) is verdicts[-1]
     assert len(verdicts) == 30 and verdicts.count(False) == 10
 
@@ -722,12 +704,11 @@ def _sweep_alpha_pool():
 
 
 def _chain(Fj, low, top):
-    """The algebras from order low to top, on one column set, as
-    verify_entry and reject_variant climb them."""
-    columns = tangency_columns(Fj, top, range(20))
-    algs = [full_algebra(Fj, low, columns)]
+    """The algebras from order low to top, as verify_entry and
+    reject_variant climb them."""
+    algs = [full_algebra(Fj, low)]
     while algs[-1].order < top:
-        algs.append(raise_order(algs[-1], Fj, columns))
+        algs.append(raise_order(algs[-1], Fj))
     return algs
 
 
