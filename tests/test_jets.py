@@ -5,6 +5,7 @@ import pytest
 
 from affine_homog.jets import Jet
 from affine_homog.poly import Poly
+from affine_homog.scalars import InputError
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -65,6 +66,18 @@ def test_json_roundtrip():
     data = json.loads(json.dumps(f.to_json()))
     g = Jet.from_json(data)
     assert g == f and g.order == 5
+
+
+@pytest.mark.parametrize("order, m", [
+    (6.5, [2, 0, 0]), (True, [2, 0, 0]), ("6", [2, 0, 0]),
+    (4, [-1, 0, 0]), (4, [1.5, 1, 0]), (4, [1, True, 0]),
+])
+def test_from_json_refuses_an_order_or_exponent_that_is_not_a_natural_int(order, m):
+    # a float or bool would pass Python's own arithmetic and truncate the
+    # jet somewhere else than the data says
+    data = {"order": order, "terms": [{"m": m, "c": "1"}, {"m": [2, 0, 0], "c": "1"}]}
+    with pytest.raises(InputError, match="malformed jet JSON"):
+        Jet.from_json(data)
 
 
 def test_equality_includes_order():

@@ -1,9 +1,11 @@
+import builtins
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from affine_homog import poly as poly_module
 from affine_homog.jets import Jet
 from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _mul_terms
 from affine_homog.scalars import RationalFunc, Tower
@@ -360,6 +362,25 @@ def test_mul_terms_equals_term_by_term_product(case):
     assert {m: type(c) for m, c in got.items()} == \
         {m: type(c) for m, c in want.items()}
     assert all(got.values())
+
+
+@pytest.mark.parametrize("top, lo", [(None, 0), (0, 0), (3, 2), (5, 5)])
+@pytest.mark.parametrize("kind", ("fraction", "int"))
+def test_windowed_product_takes_each_term_degree_once(kind, top, lo, monkeypatch):
+    # a window is filtered once per degree of a, not tested per pair: each
+    # term's degree is summed once, b's only when there is a window
+    a = {m: F(k + 1, 2) for k, m in enumerate(MONOS)}
+    b = {m: F(-1, k + 2) for k, m in enumerate(MONOS)}
+    if kind == "int":
+        a = {m: k + 1 for k, m in enumerate(MONOS)}
+        b = {m: -k - 2 for k, m in enumerate(MONOS)}
+    degrees = []
+    monkeypatch.setattr(poly_module, "sum",
+                        lambda m: degrees.append(m) or builtins.sum(m), raising=False)
+    got = _mul_terms(a, b, top, lo)
+    monkeypatch.undo()
+    assert len(degrees) == len(a) + (0 if top is None else len(b))
+    assert got == _reference_product(a, b, top, lo)
 
 
 # -- powers ---------------------------------------------------------------------------
