@@ -1,9 +1,11 @@
 """Byte-identity of `expand`, `normalize` and `symmetry` output for the
-catalog entries, for three definite quadrics normalized over the reals, of
-the completed normal forms of `verify --entry=NF` (over symbolic b and at
-b = 3/2), of `symmetry --jet -` on each normal form's completed jet (at
-b = 3/2 for the parametric ones), and of the catalog-wide `catalog
---verify-all` and `real` reports.
+catalog entries, for three definite quadrics normalized over the reals, for
+an indefinite quadric whose normalization adjoins a square root (over the
+complex numbers and over the hyperbolic reals), of the completed normal
+forms of `verify --entry=NF` (over symbolic b and at b = 3/2), of
+`symmetry --jet -` on each normal form's completed jet (at b = 3/2 for the
+parametric ones), and of the catalog-wide `catalog --verify-all` and `real`
+reports.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
@@ -43,6 +45,10 @@ ELLIPTIC = ("W = X^2 + Y^2 + Z^2",
             "W = -X^2 - 7*Y^2 - Z^2 + Y^3",
             "W = X^2 + 2*Y^2 + 3*Z^2 + X^3")
 
+# an indefinite quadric with no rational isotropic vector: `normalize --order=6`
+# and `normalize --order=5 --real=hyperbolic` each adjoin s1
+TOWER = "W = X^2 + Y^2 - 3*Z^2"
+
 
 def argvs():
     out = []
@@ -59,6 +65,9 @@ def argvs():
         out.append(["normalize", "--order=5", "--real=elliptic",
                     "--surface=" + surface, "--basepoint=0,0,0,0",
                     "--format=json"])
+    for cmd in COMMANDS[1:3]:
+        out.append(cmd + ["--surface=" + TOWER, "--basepoint=0,0,0,0",
+                          "--format=json"])
     for nf in cat.NORMAL_FORM_IDS:
         out.append(["verify", "--entry=" + nf, "--order=8", "--format=json"])
         if nf in cat.PARAMETRIC:
@@ -109,7 +118,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()] + [stdin_key(s) for s in jet_sources()]
-    assert len(keys) == 130
+    assert len(keys) == 132
     assert set(keys) == set(RECORDED)
 
 
