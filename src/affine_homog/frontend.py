@@ -541,8 +541,3 @@ def _ambient_images(basepoint, w: Jet) -> Dict[str, Jet]:
         "Z": Jet(Poly.const(z0, vars) + Poly.var("z", vars), n),
     }
 
-
-def graph_residual(spec: SurfaceSpec, w: Jet) -> Jet:
-    """Substitute a graph jet back into the defining equation."""
-    return eval_jet(spec.residual_node(), _ambient_images(spec.basepoint, w),
-                    w.order, spec.alpha)

@@ -459,9 +459,9 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def solve_zero_dim(gens: Sequence[Poly],
-                   unknowns: Optional[Sequence[str]] = None) -> SolutionSet:
-    """All solutions of a polynomial system over the rationals.
+def solve_zero_dim(gens: Sequence[Poly], unknowns: Sequence[str]) -> SolutionSet:
+    """All solutions of a polynomial system over the rationals, in the
+    given unknowns.
 
     Strategy: eliminate unknowns that occur linearly with scalar
     coefficients, in one ring (``_eliminate_linear``); run a
@@ -473,14 +473,6 @@ def solve_zero_dim(gens: Sequence[Poly],
     generator (``_verify_solutions``), which raises ``GroebnerError`` on a
     spurious one.
     """
-    if unknowns is None:
-        names = set()
-        for g in gens:
-            for m, c in g.terms.items():
-                for v, e in zip(g.vars, m):
-                    if e:
-                        names.add(v)
-        unknowns = sorted(names)
     unknowns = tuple(sorted(unknowns))
     ring = unknowns
     sys0 = [_restrict(g, ring) if g.vars != ring else g for g in gens]

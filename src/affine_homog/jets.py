@@ -126,15 +126,19 @@ class Jet:
     @classmethod
     def from_json(cls, data) -> "Jet":
         """Inverse of ``to_json`` for rational coefficients; malformed data
-        (an order or an exponent that is not an int, or a negative one)
-        raises InputError."""
+        (an order or an exponent that is not an int, or a negative one, or
+        a monomial listed twice, which ``to_json`` never writes) raises
+        InputError."""
         try:
             vars = tuple(data.get("vars", XYZ))
-            terms = {tuple(t["m"]): parse_rational(t["c"]) for t in data["terms"]}
+            pairs = [(tuple(t["m"]), parse_rational(t["c"])) for t in data["terms"]]
+            terms = dict(pairs)
             order = data["order"]
             if type(order) is not int or any(type(e) is not int or e < 0 for m in terms for e in m):
                 raise ValueError("the order and the exponents must be integers, "
                                  "the exponents non-negative")
+            if len(terms) < len(pairs):
+                raise ValueError("a monomial is listed twice")
             return cls(Poly(vars, terms), order)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed jet JSON ({type(exc).__name__}: {exc})") from exc

@@ -4,13 +4,22 @@ Brings w = F(x,y,z) to the shape 2xy+z^2 + trace-free cubic + O(4),
 classifies the cubic by exact invariants taken from its derivatives (the
 trace from the h-Laplacian, the Pick invariant from the apolar pairing),
 and gives the action of a linear vector field on the trace-free cubic basis.
+
+The normalizing change is built before any jet. The quadratic map is read
+off the Gram matrix. It is a block map, old xyz = T new xyz and old w =
+s new w, so the graph after it is w = F(T x) / s with no series to solve,
+and its cubic is exactly c(T x) / s. The shear that makes that cubic
+trace-free, and the trace-free cubic it leaves, come from the trace
+decomposition c = c0 + q l. The normalized jet is the one series solve,
+transform_graph of F through the composed change; a report runs it only
+when its jet is read, so a classification alone runs none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import List, Optional, Tuple
 
@@ -159,50 +168,70 @@ def gram_matrix(F: Jet):
     return tuple(tuple(row) for row in H)
 
 
-def _ip(H, u, v):
-    """u^T H v, skipping products with a zero factor."""
-    return sum((u[i] * H[i][j] * v[j] for i in range(3) if u[i]
-                for j in range(3) if H[i][j] and v[j]), Fraction(0))
+def _dot(u, v):
+    """sum u_i v_i, skipping products with a zero factor."""
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
 
 
 def _diagonalize(H):
-    """Congruence diagonalization: basis vectors b with b_i^T H b_j diagonal."""
-    basis = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
+    """Congruence diagonalization: basis vectors b_k with b_k^T H b_l = 0
+    for k != l, and the values d_k = b_k^T H b_k.
+
+    Each b_k travels with its image H b_k, updated by the same steps, so an
+    inner product is one dot product and no vector is multiplied by H."""
+    basis = [list(e) for e in IDENTITY3]
+    image = [list(row) for row in H]  # H e_k is row k of the symmetric H
+
+    def ip(k, l):
+        return _dot(basis[k], image[l])
+
+    def add(k, f, l):  # b_k <- b_k + f b_l
+        basis[k] = [a + f * b for a, b in zip(basis[k], basis[l])]
+        image[k] = [a + f * b for a, b in zip(image[k], image[l])]
+
+    d = []
     for k in range(3):
-        if not _ip(H, basis[k], basis[k]):
-            hit = None
-            for l in range(k + 1, 3):
-                if _ip(H, basis[l], basis[l]):
-                    hit = l
-                    break
+        if not ip(k, k):
+            hit = next((l for l in range(k + 1, 3) if ip(l, l)), None)
             if hit is not None:
                 basis[k], basis[hit] = basis[hit], basis[k]
+                image[k], image[hit] = image[hit], image[k]
             else:
-                for l in range(k + 1, 3):
-                    if _ip(H, basis[k], basis[l]):
-                        basis[k] = [a + b for a, b in zip(basis[k], basis[l])]
-                        break
-        d = _ip(H, basis[k], basis[k])
-        if not d:
+                hit = next((l for l in range(k + 1, 3) if ip(k, l)), None)
+                if hit is not None:
+                    add(k, 1, hit)
+        d.append(ip(k, k))
+        if not d[k]:
             raise NormalizationError("degenerate quadratic part")
         for l in range(k + 1, 3):
-            f = _ip(H, basis[k], basis[l]) / d
+            f = ip(k, l) / d[k]
             if f:
-                basis[l] = [a - f * b for a, b in zip(basis[l], basis[k])]
-    return basis
+                add(l, -f, k)
+    return basis, d
 
 
 @dataclass
 class NormalizedQuadratic:
-    jet: Jet
+    """The block map old xyz = T . new xyz, old w = s * new w that brings
+    a quadratic part to its normal form."""
     change: AffineMap
     form: QuadraticForm
     tower: Optional[Tower] = None
 
+    def cubic(self, c: Poly) -> Poly:
+        """The cubic, after the change, of a graph w = q + c + O(4).
+
+        The graph s w = F(T x) of a block map is solved for w with no
+        series, w = F(T x) / s, so its cubic is exactly c(T x) / s."""
+        lin = self.change.linear
+        images = {v: Poly(XYZ, zip(UNITS, lin[i][:3])) for i, v in enumerate(XYZ)}
+        return c.substitute(images).scale(1 / lin[3][3])
+
 
 def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     """Linear change in (x,y,z) plus w-rescaling making the quadratic part
-    2xy+z^2 (complex or real-hyperbolic) or x^2+y^2+z^2 (real-elliptic).
+    2xy+z^2 (complex or real-hyperbolic) or x^2+y^2+z^2 (real-elliptic),
+    read off the Gram matrix with no jet transformed.
 
     At most two square roots are adjoined; most catalog inputs stay in Q.
     """
@@ -211,8 +240,7 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     H = gram_matrix(F)
     if matrix_rank(H) < 3:
         raise NormalizationError("degenerate quadratic part (non-degeneracy fails)")
-    basis = _diagonalize(H)
-    d = [_ip(H, b, b) for b in basis]
+    basis, d = _diagonalize(H)
 
     tower: Optional[Tower] = None
 
@@ -236,85 +264,44 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
         cols = [[basis[i][r] * scales[i] for r in range(3)] for i in range(3)]
         t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
         phi = AffineMap.xyz_linear(t3, w_scale=1 / _promote(mu, tower))
-        jet = transform_graph(F, phi)
-        form = QuadraticForm(IDENTITY3, "elliptic")
-        return NormalizedQuadratic(jet, phi, form, tower)
+        return NormalizedQuadratic(phi, QuadraticForm(IDENTITY3, "elliptic"), tower)
 
-    # hyperbolic / complex target 2xy+z^2: find an isotropic vector
-    iso = None
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            val = -d[i] / d[j]
-            s = rational_sqrt(val) if val > 0 else None
-            if s is not None:
-                iso = [a + s * b for a, b in zip(basis[i], basis[j])]
-                break
-        if iso:
-            break
-    if iso is None:
+    # hyperbolic / complex target 2xy+z^2: an isotropic vector b_i + s b_j,
+    # with s^2 = -d_i / d_j, rational for the first pair that allows it
+    pairs = [(i, j) for i in range(3) for j in range(3)
+             if i != j and -d[i] / d[j] > 0]
+    roots = [(i, j, rational_sqrt(-d[i] / d[j])) for i, j in pairs]
+    i, j, s = next((r for r in roots if r[2] is not None), (0, 1, None))
+    if s is None:
         if fld == "real":
-            found = False
-            for i in range(3):
-                for j in range(3):
-                    if i != j and -d[i] / d[j] > 0:
-                        val = -d[i] / d[j]
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                raise NormalizationError(
-                    "definite real form cannot be made hyperbolic")
-        else:
-            val = -d[0] / d[1]
-            i, j = 0, 1
-        tower = (tower or Tower()).extend("s1", val)
-        s = tower.generator(tower.depth - 1)
-        iso = [a + s * b for a, b in zip(basis[i], basis[j])]
+            # not empty: a definite real form took the elliptic branch
+            i, j = pairs[0]
+        tower = Tower().extend("s1", -d[i] / d[j])
+        s = tower.generator(0)
 
-    Ht = _promote_matrix(H, tower)
-    basis_t = [[_promote(c, tower) for c in b] for b in basis]
-    iso = [_promote(c, tower) for c in iso]
-
-    v0 = None
-    for b in basis_t:
-        if _ip(Ht, iso, b):
-            v0 = b
-            break
-    beta0 = _ip(Ht, iso, v0)
-    v = [a - (_ip(Ht, v0, v0) / (2 * beta0)) * b for a, b in zip(v0, iso)]
-    beta = _ip(Ht, iso, v)
-    e = None
-    for b in basis_t:
-        cand = [a - (_ip(Ht, b, v) / beta) * u_ - (_ip(Ht, b, iso) / beta) * v_
-                for a, u_, v_ in zip(b, iso, v)]
-        if any(cand) and _ip(Ht, cand, cand):
-            e = cand
-            break
-    if e is None:
-        raise NormalizationError("failed to complete a hyperbolic basis")
-    gamma = _ip(Ht, e, e)
-    mu = 1 / gamma
-    u_scaled = [(gamma / beta) * c for c in iso]
-    cols = [u_scaled, v, e]
+    # The basis is H-orthogonal, so each inner product the hyperbolic basis
+    # needs is read off d. The first b that pairs with iso is b_k, k =
+    # min(i, j), with beta = (iso, b_k); v = b_k - d_k / (2 beta) iso is
+    # isotropic with (iso, v) = beta; and b_m, m the third index, spans the
+    # orthogonal complement of span(iso, v) = span(b_i, b_j), with gamma = d_m.
+    d = [_promote(c, tower) for c in d]
+    basis = [[_promote(c, tower) for c in b] for b in basis]
+    iso = [a + s * b for a, b in zip(basis[i], basis[j])]
+    k, m = min(i, j), 3 - i - j
+    beta = d[i] if k == i else s * d[j]
+    v = [a - (d[k] / (2 * beta)) * b for a, b in zip(basis[k], iso)]
+    gamma = d[m]
+    cols = [[(gamma / beta) * c for c in iso], v, basis[m]]
     t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    phi = AffineMap.xyz_linear(t3, w_scale=1 / mu)
-    jet = transform_graph(F, phi)
+    phi = AffineMap.xyz_linear(t3, w_scale=gamma)
     sig = "complex" if fld == "complex" else "hyperbolic"
-    form = QuadraticForm(HYPERBOLIC_GRAM, sig)
-    return NormalizedQuadratic(jet, phi, form, tower)
+    return NormalizedQuadratic(phi, QuadraticForm(HYPERBOLIC_GRAM, sig), tower)
 
 
 def _promote(c, tower: Optional[Tower]):
     if tower is None or not isinstance(c, Fraction):
         return c
     return tower.const(c)
-
-
-def _promote_matrix(H, tower):
-    return tuple(tuple(_promote(c, tower) for c in row) for row in H)
 
 
 # -- trace decomposition and cubic classification --------------------------------
@@ -378,12 +365,10 @@ def _laplacian(c: Poly, h: QuadraticForm) -> Poly:
 
 
 def quadratic_poly(h: QuadraticForm) -> Poly:
-    p = Poly.zero(XYZ)
-    for i in range(3):
-        for j in range(3):
-            if h.gram[i][j]:
-                p = p + (Poly.var(XYZ[i]) * Poly.var(XYZ[j])).scale(h.gram[i][j])
-    return p
+    """x^T H x; the two entries of an off-diagonal pair name one monomial,
+    and the Poly constructor sums them."""
+    return Poly(XYZ, ((tuple(a + b for a, b in zip(UNITS[i], UNITS[j])),
+                       h.gram[i][j]) for i in range(3) for j in range(3)))
 
 
 def trace_decompose(c: Poly, h: QuadraticForm) -> Tuple[Poly, Poly]:
@@ -401,29 +386,27 @@ def is_trace_free(c: Poly, h: QuadraticForm) -> bool:
     return _laplacian(c, h).is_zero()
 
 
-def normal_shear(F: Jet) -> Tuple[Jet, AffineMap]:
-    """Shear x_i -> x_i + a_i w making the cubic trace-free.
+def normal_shear(c: Poly) -> Tuple[Poly, AffineMap]:
+    """The shear x_i -> x_i + a_i w that makes the cubic c of a graph
+    w = 2xy+z^2 + c + O(4) trace-free, and the trace-free cubic c0 it
+    leaves.
 
-    The quadratic part must already be 2xy+z^2; it is unchanged and the
-    jet changes only in degree three and higher.
+    With c = c0 + q l (``trace_decompose``) and w = q + O(3), the shear
+    sends q(x) to q(x + a w) = q + 2B(x, a) w + O(w^2) = q + 2B(x, a) q
+    + O(4), B the polar form of q, and c to c + O(4): a = -H^-1 l / 2
+    gives 2B(x, a) = -l, so the sheared graph's cubic is c - q l = c0 and
+    its quadratic part is q.
     """
     h = QuadraticForm(HYPERBOLIC_GRAM, "complex")
-    if gram_matrix(F) != HYPERBOLIC_GRAM:
-        raise NormalizationError("quadratic part must be 2xy+z^2 before shearing")
-    c = F.homogeneous_part(3)
-    if not c:
-        return F, AffineMap.identity()
-    _, l = trace_decompose(c, h)
+    c0, l = trace_decompose(c, h)
     if not l:
-        return F, AffineMap.identity()
+        return c0, AffineMap.identity()
     Hi = h.inverse_gram()
     lv = [l.coefficient(e) for e in UNITS]
     rows = [list(r) for r in AffineMap.identity().linear]
     for i in range(3):
         rows[i][3] = -sum(Hi[i][j] * lv[j] for j in range(3)) / 2
-    phi = AffineMap(tuple(tuple(r) for r in rows))
-    out = transform_graph(F, phi)
-    return out, phi
+    return c0, AffineMap(tuple(tuple(r) for r in rows))
 
 
 CUBIC_ZERO, CUBIC_I3, CUBIC_I2, CUBIC_I1, CUBIC_I0 = "Zero", "I3", "I2", "I1", "I0"
@@ -475,13 +458,23 @@ def _classify(c0: Poly, h: QuadraticForm):
 
 @dataclass
 class NormalizationReport:
-    jet: Jet
+    """The normalizing change of a graph jet ``source`` and what it reads
+    off: the form, the normalized cubic, its class and Pick invariant.
+
+    ``jet``, the graph in the new coordinates, is transform_graph(source,
+    change): it is solved the first time it is read, and only then, as
+    the cubic is built without it."""
+    source: Jet
     change: AffineMap
     form: QuadraticForm
     cubic: Poly
     cubic_class: str
     pick: object
     tower: Optional[Tower] = None
+
+    @cached_property
+    def jet(self) -> Jet:
+        return transform_graph(self.source, self.change)
 
     def to_json(self):
         from .scalars import scalar_str
@@ -496,19 +489,24 @@ class NormalizationReport:
 
 
 def normalize_jet(F: Jet, fld: str = "complex") -> NormalizationReport:
-    """remove linear terms, normalize the quadratic, shear the cubic
-    trace-free, classify."""
+    """Remove the linear terms, normalize the quadratic, shear the cubic
+    trace-free and classify it, building the change before any jet.
+
+    The quadratic map is a block map, so the cubic after it is read by
+    substitution (``NormalizedQuadratic.cubic``); the shear and the
+    trace-free cubic come from its trace decomposition (``normal_shear``).
+    The normalized jet is solved, once, only if the report's ``jet`` is
+    read."""
     F1, phi1 = remove_linear(F)
     nq = normalize_quadratic(F1, fld)
+    change = phi1.compose(nq.change)
+    c = nq.cubic(F1.homogeneous_part(3))
     if nq.form.signature == "elliptic":
-        change = phi1.compose(nq.change)
-        c = nq.jet.homogeneous_part(3)
-        return NormalizationReport(nq.jet, change, nq.form, c,
+        return NormalizationReport(F, change, nq.form, c,
                                    "unclassified-elliptic",
                                    pick_invariant(c, nq.form), nq.tower)
-    F2, phi3 = normal_shear(nq.jet)
-    change = phi1.compose(nq.change).compose(phi3)
+    c0, shear = normal_shear(c)
     h = QuadraticForm(HYPERBOLIC_GRAM, nq.form.signature)
-    c0 = F2.homogeneous_part(3)
     kind, pick = _classify(c0, h)
-    return NormalizationReport(F2, change, h, c0, kind, pick, nq.tower)
+    return NormalizationReport(F, change.compose(shear), h, c0, kind, pick,
+                               nq.tower)

@@ -188,7 +188,10 @@ def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
                 # exponents that are not non-negative ints
                 *(f'{{"order": 4, "terms": [{{"m": {m}, "c": "1"}}, '
                   f'{{"m": [2, 0, 0], "c": "1"}}]}}'
-                  for m in ("[-1, 0, 0]", "[1.5, 1, 0]", "[1, true, 0]"))):
+                  for m in ("[-1, 0, 0]", "[1.5, 1, 0]", "[1, true, 0]")),
+                # a monomial listed twice
+                '{"order": 3, "terms": [{"m": [1, 1, 0], "c": "2"}, '
+                '{"m": [0, 0, 2], "c": "1"}, {"m": [0, 0, 2], "c": "5"}]}'):
         for command in ("symmetry", "normalize"):
             monkeypatch.setattr("sys.stdin", io.StringIO(raw))
             with pytest.raises(SystemExit) as exc:
@@ -334,6 +337,26 @@ def test_normal_form_verify_solves_tangency_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "verify", "--entry=I0.2", "--order=6")
     assert code == 0 and out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (("verify", "--entry=N6", "--order=6"), 0),
+    (("normalize", "--surface=W = X*Y + Z^2 + X*Z^2", "--basepoint=0,0,0,0",
+      "--order=6"), 1),
+], ids=["verify", "normalize"])
+def test_normalization_solves_the_graph_only_to_print_its_jet(
+        capsys, monkeypatch, argv, solves):
+    # the class and the Pick invariant are read through the composed
+    # change with no series solve; `normalize` solves the jet it prints
+    # once, though this surface's cubic needs a shear
+    calls = []
+    transform = normalize.transform_graph
+    counted = lambda *a: calls.append(1) or transform(*a)
+    monkeypatch.setattr(normalize, "transform_graph", counted)
+    monkeypatch.setattr(catalog, "transform_graph", counted)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out
+    assert len(calls) == solves
 
 
 def test_bracket_closure_runs_no_elimination(capsys, monkeypatch):

@@ -9,8 +9,8 @@ import sympy as sp
 from affine_homog import catalog, frontend
 from affine_homog.cli import run
 from affine_homog.frontend import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
-                                   DomainError, ParseError, expand_graph,
-                                   graph_residual, parse_surface,
+                                   DomainError, ParseError, _ambient_images,
+                                   eval_jet, expand_graph, parse_surface,
                                    taylor_primitive)
 from affine_homog.jets import Jet, solve_series
 from affine_homog.poly import Poly
@@ -87,6 +87,12 @@ def test_negative_exponent_and_parenthesized():
     expect = sympy_graph_jet((4 * x * y + 2 * z ** 2 - 5 * x * z ** 2)
                              / (2 - x), 4)
     assert jet_terms(j) == expect
+
+
+def graph_residual(spec, w: Jet) -> Jet:
+    """Substitute a graph jet back into the defining equation."""
+    return eval_jet(spec.residual_node(), _ambient_images(spec.basepoint, w),
+                    w.order, spec.alpha)
 
 
 def test_graph_residual_vanishes():

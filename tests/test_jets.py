@@ -80,6 +80,18 @@ def test_from_json_refuses_an_order_or_exponent_that_is_not_a_natural_int(order,
         Jet.from_json(data)
 
 
+def test_from_json_refuses_a_repeated_monomial():
+    # to_json writes each monomial once; a repeat is not read as either
+    # coefficient, nor as their sum
+    data = {"order": 3, "terms": [{"m": [1, 1, 0], "c": "2"},
+                                  {"m": [0, 0, 2], "c": "1"},
+                                  {"m": [0, 0, 2], "c": "5"}]}
+    with pytest.raises(InputError, match="listed twice"):
+        Jet.from_json(data)
+    data["terms"].pop()
+    assert Jet.from_json(data) == jet((X * Y).scale(2) + Z * Z, 3)
+
+
 def test_equality_includes_order():
     assert jet(X, 3) != jet(X, 4)
     assert jet(X, 3) == jet(X, 3)

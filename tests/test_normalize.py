@@ -1,21 +1,28 @@
+import importlib.util
+import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from affine_homog import catalog as cat
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
-from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, AffineMap,
-                                    NormalizationError, QuadraticForm, _ip,
-                                    cubic_basis, cubic_type, is_trace_free,
+from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, UNITS,
+                                    AffineMap, NormalizationError,
+                                    QuadraticForm, _dot, cubic_basis,
+                                    cubic_type, gram_matrix, is_trace_free,
                                     normal_shear, normalize_jet,
                                     normalize_quadratic,
                                     partials_span_dimension, pick_invariant,
                                     quadratic_poly, remove_linear,
                                     trace_decompose, transform_graph)
 from affine_homog.poly import Poly
-from affine_homog.scalars import RationalFunc, Tower
+from affine_homog.scalars import RationalFunc, Tower, TowerElement, rational_sqrt
+from test_cli_digests import ELLIPTIC, TOWER
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -37,7 +44,7 @@ def test_remove_linear():
 def test_normalize_quadratic_complex_diagonal():
     f = jet(X * X + Y * Y + Z * Z)
     nq = normalize_quadratic(f)
-    assert nq.jet.homogeneous_part(2) == (X * Y).scale(2) + Z * Z
+    assert transform_graph(f, nq.change).homogeneous_part(2) == (X * Y).scale(2) + Z * Z
     assert nq.form.signature == "complex"
 
 
@@ -45,7 +52,7 @@ def test_normalize_quadratic_real_definite_is_elliptic():
     f = jet(X * X + (Y * Y).scale(4) + Z * Z)
     nq = normalize_quadratic(f, fld="real")
     assert nq.form.signature == "elliptic"
-    assert nq.jet.homogeneous_part(2) == X * X + Y * Y + Z * Z
+    assert transform_graph(f, nq.change).homogeneous_part(2) == X * X + Y * Y + Z * Z
 
 
 def test_degenerate_quadratic_rejected():
@@ -72,9 +79,11 @@ def test_trace_decompose_idempotent():
 
 def test_normal_shear_makes_cubic_trace_free():
     f = jet((X * Y).scale(2) + Z * Z + X * X * X + (X * Y * Y).scale(3))
-    g, phi = normal_shear(f)
+    c0, phi = normal_shear(f.homogeneous_part(3))
+    g = transform_graph(f, phi)
     assert is_trace_free(g.homogeneous_part(3), HYP)
-    assert transform_graph(f, phi) == g
+    assert g.homogeneous_part(3) == c0
+    assert g.homogeneous_part(2) == f.homogeneous_part(2)
 
 
 def test_pick_invariant_values():
@@ -110,7 +119,8 @@ def test_normalize_jet_pipeline_on_catalog_surfaces():
         assert rep.cubic_class == expected
         assert rep.jet.homogeneous_part(2) == (X * Y).scale(2) + Z * Z
         assert is_trace_free(rep.cubic, HYP)
-        assert transform_graph(f, rep.change) == rep.jet
+        # the cubic is read without the jet, and is the jet's cubic
+        assert rep.jet.homogeneous_part(3) == rep.cubic
 
 
 def test_transform_graph_inverse_composition():
@@ -243,10 +253,9 @@ def _exact_equal(got, want):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(mixed_scalars, min_size=15, max_size=15))
-def test_ip_skips_zero_products_keeping_the_full_sum(xs):
-    u, v, H = xs[:3], xs[3:6], (xs[6:9], xs[9:12], xs[12:15])
-    full = sum(u[i] * H[i][j] * v[j] for i in range(3) for j in range(3))
-    assert _exact_equal(_ip(H, u, v), full)
+def test_dot_skips_zero_products_keeping_the_full_sum(xs):
+    for u, v in ((xs[:3], xs[3:6]), (xs[6:9], xs[9:12]), (xs[12:], xs[:3])):
+        assert _exact_equal(_dot(u, v), sum(a * b for a, b in zip(u, v)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,3 +273,157 @@ def test_compose_skips_zero_products_keeping_the_full_sums(xs):
         assert _exact_equal(got.translation[i],
                             sum(a.linear[i][k] * b.translation[k]
                                 for k in range(4)) + a.translation[i])
+
+
+# -- the two-step normalization as an oracle ------------------------------------
+
+def _ip(H, u, v):
+    return sum((u[i] * H[i][j] * v[j] for i in range(3) for j in range(3)), F(0))
+
+
+def _promoted(c, tower):
+    return tower.const(c) if tower is not None and isinstance(c, F) else c
+
+
+def _quadratic_oracle(f1, fld):
+    """The quadratic normal form by a search over inner products, and its
+    graph by a series solve: the change, the jet, the form and the tower."""
+    H = gram_matrix(f1)
+    basis = [list(e) for e in IDENTITY3]
+    for k in range(3):
+        if not _ip(H, basis[k], basis[k]):
+            hit = next((l for l in range(k + 1, 3) if _ip(H, basis[l], basis[l])), None)
+            if hit is not None:
+                basis[k], basis[hit] = basis[hit], basis[k]
+            else:
+                for l in range(k + 1, 3):
+                    if _ip(H, basis[k], basis[l]):
+                        basis[k] = [a + b for a, b in zip(basis[k], basis[l])]
+                        break
+        d = _ip(H, basis[k], basis[k])
+        for l in range(k + 1, 3):
+            f = _ip(H, basis[k], basis[l]) / d
+            basis[l] = [a - f * b for a, b in zip(basis[l], basis[k])]
+    d = [_ip(H, b, b) for b in basis]
+    tower = None
+    if fld == "real" and (all(x > 0 for x in d) or all(x < 0 for x in d)):
+        scales = []
+        for i in range(3):
+            s = rational_sqrt(d[2] / d[i])
+            if s is None:
+                tower = (tower or Tower()).extend(
+                    f"s{(tower.depth if tower else 0) + 1}", d[2] / d[i])
+                s = tower.generator(tower.depth - 1)
+            scales.append(s)
+        if tower is not None:
+            scales = [tower.lift(s) if isinstance(s, TowerElement)
+                      else tower.const(s) for s in scales]
+        cols = [[b * sc for b in basis[i]] for i, sc in enumerate(scales)]
+        w_scale = 1 / _promoted(1 / d[2], tower)
+        form = QuadraticForm(IDENTITY3, "elliptic")
+    else:
+        pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+        found = [(i, j, s) for i, j in pairs if -d[i] / d[j] > 0
+                 for s in [rational_sqrt(-d[i] / d[j])] if s is not None]
+        if found:
+            i, j, s = found[0]
+        else:
+            i, j = (next((i, j) for i, j in pairs if -d[i] / d[j] > 0)
+                    if fld == "real" else (0, 1))
+            tower = Tower().extend("s1", -d[i] / d[j])
+            s = tower.generator(0)
+        iso = [_promoted(a + s * b, tower) for a, b in zip(basis[i], basis[j])]
+        Ht = [[_promoted(c, tower) for c in row] for row in H]
+        bt = [[_promoted(c, tower) for c in b] for b in basis]
+        v0 = next(b for b in bt if _ip(Ht, iso, b))
+        beta0 = _ip(Ht, iso, v0)
+        v = [a - (_ip(Ht, v0, v0) / (2 * beta0)) * b for a, b in zip(v0, iso)]
+        beta = _ip(Ht, iso, v)
+        cands = [[a - (_ip(Ht, b, v) / beta) * u - (_ip(Ht, b, iso) / beta) * w
+                  for a, u, w in zip(b, iso, v)] for b in bt]
+        e = next(c for c in cands if any(c) and _ip(Ht, c, c))
+        gamma = _ip(Ht, e, e)
+        cols = [[(gamma / beta) * c for c in iso], v, e]
+        w_scale = 1 / (1 / gamma)
+        form = QuadraticForm(HYPERBOLIC_GRAM, "complex" if fld == "complex" else "hyperbolic")
+    t3 = [[cols[j][i] for j in range(3)] for i in range(3)]
+    phi = AffineMap.xyz_linear(t3, w_scale)
+    return transform_graph(f1, phi), phi, form, tower
+
+
+def two_step(f, fld="complex"):
+    """The normalized jet, change, cubic, class, Pick invariant and tower,
+    with the quadratic jet solved first and the shear, read off its cubic,
+    applied by a second solve."""
+    f1, phi1 = remove_linear(f)
+    j1, phi2, form, tower = _quadratic_oracle(f1, fld)
+    change = phi1.compose(phi2)
+    c = j1.homogeneous_part(3)
+    if form.signature == "elliptic":
+        return j1, change, c, "unclassified-elliptic", pick_invariant(c, form), tower
+    h = QuadraticForm(HYPERBOLIC_GRAM, form.signature)
+    lv = [trace_decompose(c, h)[1].coefficient(e) for e in UNITS]
+    Hi = h.inverse_gram()
+    rows = [list(r) for r in AffineMap.identity().linear]
+    for i in range(3):
+        rows[i][3] = -sum(Hi[i][k] * lv[k] for k in range(3)) / 2
+    shear = AffineMap(tuple(map(tuple, rows)))
+    j2 = transform_graph(j1, shear)
+    c0 = j2.homogeneous_part(3)
+    return j2, change.compose(shear), c0, cubic_type(c0, h), pick_invariant(c0, h), tower
+
+
+def assert_matches_two_step(f, fld="complex"):
+    rep = normalize_jet(f, fld)
+    jet_, change, cubic, kind, pick, tower = two_step(f, fld)
+    assert rep.change == change
+    assert rep.cubic == cubic
+    assert (rep.cubic_class, rep.pick) == (kind, pick)
+    if tower is None:
+        assert rep.tower is None
+    else:
+        assert (rep.tower.names, rep.tower.squares) == (tower.names, tower.squares)
+    assert rep.jet == jet_
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("eid, alpha", [
+    (eid, alpha) for eid in WORKLOADS.ENTRY_IDS
+    for alpha in WORKLOADS.ALPHA_POOL.get(eid, (None,))])
+def test_one_solve_matches_two_step_on_every_catalog_jet(eid, alpha):
+    entry = cat.catalog()[eid]
+    f = expand_graph(parse_surface(entry.surface, entry.basepoint, alpha), 6)
+    for order in (3, 6):
+        assert_matches_two_step(f.truncate(order))
+
+
+@pytest.mark.parametrize("surface, fld", [(s, "real") for s in ELLIPTIC]
+                         + [(TOWER, "complex"), (TOWER, "real")])
+def test_one_solve_matches_two_step_on_the_recorded_quadrics(surface, fld):
+    f = expand_graph(parse_surface(surface, ("0", "0", "0", "0")), 6)
+    assert normalize_jet(f, fld).tower or surface == ELLIPTIC[0]
+    for order in (3, 5, 6):
+        assert_matches_two_step(f.truncate(order), fld)
+
+
+def test_one_solve_matches_two_step_on_affine_images():
+    # the 20 images a seed-1 dense-images workload draws from: dense jets
+    # with linear terms
+    rng = random.Random(1)
+    for eid in WORKLOADS.ENTRY_IDS:
+        pool = WORKLOADS.ALPHA_POOL
+        alpha = rng.choice(pool[eid]) if eid in pool else None
+        text, point = WORKLOADS.affine_image(rng, eid, alpha)
+        f = expand_graph(parse_surface(text, point.split(","), alpha), 5)
+        assert_matches_two_step(f)
