@@ -287,7 +287,7 @@ def _promoted(c, tower):
 
 def _quadratic_oracle(f1, fld):
     """The quadratic normal form by a search over inner products, and its
-    graph by a series solve: the change, the jet, the form and the tower."""
+    graph by a series solve: the jet, the change, the form and the tower."""
     H = gram_matrix(f1)
     basis = [list(e) for e in IDENTITY3]
     for k in range(3):
