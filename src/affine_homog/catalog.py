@@ -1,8 +1,14 @@
 """Catalog of homogeneous graph hypersurfaces and its verification pipelines.
 
 The data side is a table of twenty explicit defining equations (shipped in
-catalog_data.json) and ten graph normal forms with their determining
-orders. The pipeline side ties the other modules together:
+catalog_data.json) and one table of the ten graph normal forms
+(``NORMAL_FORMS``), each with its cubic case, isotropy dimension,
+determining order, terms above the cubic as polynomials in b, closed form
+and rescaling note; each case (``CUBIC_CASES``) holds its cubic and its
+gauge entries. The base jets, discovery's start jets and orders, the one
+matcher ``match_component``, the overlaps and the gauges of
+``confirm_isotropy`` are read from those two tables. The pipeline side
+ties the other modules together:
 
   verify_entry        expand an explicit equation, compute its symmetry
                       algebra, and check homogeneity with the expected
@@ -22,12 +28,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, zip_longest
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .frontend import DomainError, expand_graph, parse_surface
-from .groebner import solve_zero_dim
+from .groebner import _rational_roots, solve_zero_dim
 from .jets import Jet
-from .linalg import linear_solve, nullspace
+from .linalg import LinearEquation, linear_solve, nullspace
 from .normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
                         cubic_action_matrix, cubic_basis, normalize_jet,
                         pick_invariant, transform_graph)
@@ -36,9 +43,9 @@ from .scalars import (InputError, RationalFunc, Tower, parse_rational,
                       scalar_str)
 from .symmetry import (E_X, E_Y, E_Z, AffineVectorField, CompletionError,
                        complete_series, closure_constraints, degree_unknowns,
-                       full_algebra, linear_equations, normalize_gauge,
-                       pqr_families, raise_order, reduce_against_span,
-                       solve_tangency, tangency_residual)
+                       full_algebra, linear_equations, pqr_families,
+                       raise_order, reduce_against_span, solve_tangency,
+                       tangency_residual)
 
 XYZ = ("x", "y", "z")
 F = Fraction
@@ -120,109 +127,115 @@ def catalog() -> Dict[str, CatalogEntry]:
 
 QUADRIC_TERMS = {(1, 1, 0): F(2), (0, 0, 2): F(1)}
 
-CASE_CUBICS: Dict[str, Dict[Tuple[int, int, int], Fraction]] = {
-    "no-cubic": {},
-    "I3": {(3, 0, 0): F(1)},
-    "I2": {(2, 0, 1): F(1)},
-    "I1": {(2, 1, 0): F(1), (1, 0, 2): F(-2)},
-    "I0": {(1, 1, 1): F(3), (0, 0, 3): F(-1)},
-    "Inr": {(3, 0, 0): F(1)},
+Monomial = Tuple[int, int, int]
+
+
+class Case(NamedTuple):
+    """A cubic case: its normalized cubic; its gauge, the coordinate indices
+    of the entries pinned to slice away the isotropy of its model at the
+    determining order, one per isotropy direction (A13 is 2, A22 is 5, A23
+    is 6, A31 is 8 and A44 is 15); and the test every monomial of a
+    completed jet passes, where the case has one."""
+    cubic: Dict[Monomial, Fraction]
+    gauge: Tuple[int, ...]
+    shape: Optional[Callable[[Monomial], bool]] = None
+
+
+CUBIC_CASES = {
+    "no-cubic": Case({}, (2, 5, 8, 15)),
+    "I3": Case({(3, 0, 0): F(1)}, (5, 8)),
+    "I2": Case({(2, 0, 1): F(1)}, (5,)),
+    "I1": Case({(2, 1, 0): F(1), (1, 0, 2): F(-2)}, (5,)),
+    # every term is a polynomial in u = xy and z
+    "I0": Case({(1, 1, 1): F(3), (0, 0, 3): F(-1)}, (5,), lambda m: m[0] == m[1]),
+    # z^2 plus a series in x and y alone
+    "Inr": Case({(3, 0, 0): F(1)}, (6,), lambda m: m[2] == 0 or m == (0, 0, 2)),
 }
 
-NORMAL_FORM_IDS = ("Qd", "Sp", "I3", "I2", "I1.1", "I1.2",
-                   "I0.1", "I0.2", "I0.3", "Inr")
 
-CASE_OF = {"Qd": "no-cubic", "Sp": "no-cubic", "I3": "I3", "I2": "I2",
-           "I1.1": "I1", "I1.2": "I1",
-           "I0.1": "I0", "I0.2": "I0", "I0.3": "I0", "Inr": "Inr"}
+class NormalForm(NamedTuple):
+    """A normal form: its cubic case, isotropy dimension and determining
+    order; its terms above the cubic, each coefficient a polynomial in b
+    given as (c0, c1, c2) of 1, b, b^2; its closed defining equation,
+    where there is one; and, where a rescaling normalizes its constant
+    quartic, the note of a jet whose quartic is a nonzero multiple of it."""
+    id: str
+    case: str
+    isotropy: int
+    order: int
+    terms: Dict[Monomial, Tuple[Fraction, ...]]
+    closed: Optional[str] = None
+    rescale: str = ""
 
-ISOTROPY_DIMS = {"Qd": 4, "Sp": 3, "I3": 2, "I2": 1, "I1.1": 1, "I1.2": 1,
-                 "I0.1": 1, "I0.2": 1, "I0.3": 1, "Inr": 1}
+    @property
+    def parametric(self) -> bool:
+        return any(len(cs) > 1 for cs in self.terms.values())
 
-PARAMETRIC = {"I2", "I0.1", "I0.2", "I0.3", "Inr"}
 
-DETERMINING_ORDER = {nf: (5 if nf == "Inr" else 4) for nf in NORMAL_FORM_IDS}
+# the Sp closed form is the implicit quadratic satisfied by the square-root
+# branch through the origin
+NORMAL_FORMS = {nf.id: nf for nf in (
+    NormalForm("Qd", "no-cubic", 4, 4, {}, "W = 2*X*Y + Z^2"),
+    NormalForm("Sp", "no-cubic", 3, 4, {(2, 2, 0): (4,), (1, 1, 2): (4,), (0, 0, 4): (1,)},
+               "W = 2*X*Y + Z^2 + W^2", "rescaling normalizes the quartic modulus"),
+    NormalForm("I3", "I3", 2, 4, {}, "W = 2*X*Y + Z^2 + X^3"),
+    NormalForm("I2", "I2", 1, 4, {(4, 0, 0): (0, 1)}, "W = 2*X*Y + Z^2 + X^2*Z + alpha*X^4"),
+    NormalForm("I1.1", "I1", 1, 4, {(3, 1, 0): (F(1, 2),), (2, 0, 2): (-1,)},
+               "W = (4*X*Y + 2*Z^2 - 5*X*Z^2)*(2 - X)^(-1)"),
+    NormalForm("I1.2", "I1", 1, 4, {(3, 1, 0): (F(1, 2),), (2, 0, 2): (F(21, 4),)},
+               "W = (8*X*Y + 4*Z^2 + 20*X^2*Y)*((2 - X)*(2 + 5*X))^(-1)"),
+    NormalForm("I0.1", "I0", 1, 4, {(2, 2, 0): (F(9, 4),), (1, 1, 2): (F(-9, 2),),
+                                    (0, 0, 4): (0, F(15, 32))}),
+    NormalForm("I0.2", "I0", 1, 4, {(2, 2, 0): (F(63, 8), F(-45, 8)),
+                                    (1, 1, 2): (F(-81, 8), F(45, 8)),
+                                    (0, 0, 4): (0, F(15, 32))}),
+    NormalForm("I0.3", "I0", 1, 4, {(2, 2, 0): (F(-7, 4), -2, F(-1, 4)),
+                                    (1, 1, 2): (F(13, 2), F(7, 4), F(-1, 4)),
+                                    (0, 0, 4): (F(7, 8), F(7, 16), F(-1, 16))}),
+    NormalForm("Inr", "Inr", 1, 5, {(4, 0, 0): (1,), (5, 0, 0): (0, 1)},
+               rescale="nonzero x^4 multiple; rescales into the nr chain"),
+)}
 
-# closed defining equations where known; the Sp one is the implicit
-# quadratic satisfied by the square-root branch through the origin
-CLOSED_FORMS = {
-    "Qd": "W = 2*X*Y + Z^2",
-    "Sp": "W = 2*X*Y + Z^2 + W^2",
-    "I3": "W = 2*X*Y + Z^2 + X^3",
-    "I2": "W = 2*X*Y + Z^2 + X^2*Z + alpha*X^4",
-    "I1.1": "W = (4*X*Y + 2*Z^2 - 5*X*Z^2)*(2 - X)^(-1)",
-    "I1.2": "W = (8*X*Y + 4*Z^2 + 20*X^2*Y)*((2 - X)*(2 + 5*X))^(-1)",
-}
+NORMAL_FORM_IDS = tuple(NORMAL_FORMS)
+ISOTROPY_DIMS = {nf.id: nf.isotropy for nf in NORMAL_FORMS.values()}
 
 # default alpha bindings for batch sweeps over the parametric entries
 SWEEP_ALPHAS = {"N4": F(3), "N7": F(12, 5), "N11": F(4, 3),
                 "N13": F(5, 3), "N16": F(5)}
-
-OVERLAPS = ((("I0.1", "I0.2"), F(1)),
-            (("I0.1", "I0.3"), F(-4)),
-            (("I0.2", "I0.3"), F(7, 2)))
 
 
 def _poly(terms) -> Poly:
     return Poly(XYZ, dict(terms))
 
 
+def _first_form(case: str) -> NormalForm:
+    return next(nf for nf in NORMAL_FORMS.values() if nf.case == case)
+
+
 def case_jet(case: str) -> Jet:
-    """The normalized truncation discovery starts from: quadric plus case
-    cubic, plus the quartic x^4 in the null-rotation case."""
-    terms = dict(QUADRIC_TERMS)
-    terms.update(CASE_CUBICS[case])
-    if case == "Inr":
-        terms[(4, 0, 0)] = F(1)
-        return Jet(_poly(terms), 4)
-    return Jet(_poly(terms), 3)
-
-
-def i0_quartic_coeffs(nf_id: str, b):
-    """Quartic coefficients (x^2y^2, xyz^2, z^4) of the three I0 forms."""
-    if nf_id == "I0.1":
-        return (F(9, 4), F(-9, 2), F(15, 32) * b)
-    if nf_id == "I0.2":
-        return (F(-9, 8) * (5 * b - 7), F(9, 8) * (5 * b - 9), F(15, 32) * b)
-    if nf_id == "I0.3":
-        return (F(-1, 4) * (b + 1) * (b + 7),
-                F(-1, 4) * (b * b - 7 * b - 26),
-                F(-1, 16) * (b * b - 7 * b - 14))
-    raise CatalogError(f"not an I0 form: {nf_id}")
+    """The normalized truncation discovery starts from: the base jet of the
+    case's first form at b = 0, below its determining order."""
+    nf = _first_form(case)
+    return base_jet(nf.id, F(0)).truncate(nf.order - 1)
 
 
 def base_jet(nf_id: str, b=None) -> Jet:
     """The defining low-order jet of a normal form, at its determining
     order. Parametric forms default to a generic symbolic parameter."""
-    if nf_id in PARAMETRIC and b is None:
+    nf = NORMAL_FORMS[nf_id]
+    if nf.parametric and b is None:
         b = RationalFunc.gen("b")
-    terms = dict(QUADRIC_TERMS)
-    case = CASE_OF[nf_id]
-    terms.update(CASE_CUBICS[case])
-    if nf_id == "Sp":
-        terms.update({(2, 2, 0): F(4), (1, 1, 2): F(4), (0, 0, 4): F(1)})
-    elif nf_id == "I2":
-        terms[(4, 0, 0)] = b
-    elif nf_id == "I1.1":
-        terms.update({(3, 1, 0): F(1, 2), (2, 0, 2): F(-1)})
-    elif nf_id == "I1.2":
-        terms.update({(3, 1, 0): F(1, 2), (2, 0, 2): F(21, 4)})
-    elif nf_id in ("I0.1", "I0.2", "I0.3"):
-        c22, c112, c004 = i0_quartic_coeffs(nf_id, b)
-        for m, c in (((2, 2, 0), c22), ((1, 1, 2), c112), ((0, 0, 4), c004)):
-            if c:
-                terms[m] = c
-    elif nf_id == "Inr":
-        terms[(4, 0, 0)] = F(1)
-        if b:
-            terms[(5, 0, 0)] = b
-    elif nf_id not in ("Qd", "I3"):
-        raise CatalogError(f"unknown normal form {nf_id!r}")
-    return Jet(_poly(terms), DETERMINING_ORDER[nf_id])
+    terms = {**QUADRIC_TERMS, **CUBIC_CASES[nf.case].cubic}
+    for m, cs in nf.terms.items():
+        c = F(cs[-1])
+        for a in reversed(cs[:-1]):
+            c = c * b + a
+        terms[m] = c  # Poly drops a zero
+    return Jet(_poly(terms), nf.order)
 
 
 def closed_form_jet(nf_id: str, order: int, b=None) -> Jet:
-    text = CLOSED_FORMS.get(nf_id)
+    text = NORMAL_FORMS[nf_id].closed
     if text is None:
         raise CatalogError(f"{nf_id} has no closed defining equation")
     if b is None and "alpha" in text:
@@ -374,63 +387,35 @@ class DiscoveryComponent:
                 "note": self.note}
 
 
-def _structural_ok(case: str, jet: Jet) -> bool:
-    if case == "I0":
-        # every term is a polynomial in u = xy and z
-        return all(m[0] == m[1] for m in jet.poly.terms)
-    if case == "Inr":
-        # z^2 plus a series in x and y alone
-        return all(m[2] == 0 or m == (0, 0, 2) for m in jet.poly.terms)
-    return True
-
-
 def match_component(case: str, jet: Jet):
-    """Identify a completed jet against the normal-form table. Returns
-    (normal form id, parameter value, note)."""
-    h4 = jet.homogeneous_part(4)
-    c = h4.coefficient
-    if case == "no-cubic":
-        k = c((2, 2, 0))
-        expected = Poly(XYZ, {(2, 2, 0): k, (1, 1, 2): k, (0, 0, 4): k / 4}
-                        if k else {})
-        if h4 != expected:
-            return None, None, "quartic outside the expected pencil"
-        if not k:
-            return "Qd", None, ""
-        return "Sp", k, "rescaling normalizes the quartic modulus"
-    if case in ("I3", "I2"):
-        k = c((4, 0, 0))
-        if h4 != Poly(XYZ, {(4, 0, 0): k} if k else {}):
-            return None, None, "quartic not a multiple of x^4"
-        if case == "I2":
-            return "I2", k, ""
-        if not k:
-            return "I3", None, ""
-        return "Inr", k, "nonzero x^4 multiple; rescales into the nr chain"
-    if case == "I1":
-        for nf in ("I1.1", "I1.2"):
-            if h4 == base_jet(nf).homogeneous_part(4):
-                return nf, None, ""
-        return None, None, "quartic matches neither I1 form"
-    if case == "I0":
-        c22, c112, c004 = c((2, 2, 0)), c((1, 1, 2)), c((0, 0, 4))
-        for nf in ("I0.1", "I0.2", "I0.3"):
-            if nf == "I0.3":
-                b = (F(-4) * (c22 - c112) - 33) / 15
-            else:
-                b = F(32, 15) * c004
-            if (c22, c112, c004) == i0_quartic_coeffs(nf, b):
-                return nf, b, ""
-        return None, None, "quartic matches no I0 form"
-    if case == "Inr":
-        h5 = jet.homogeneous_part(5)
-        k = h5.coefficient((5, 0, 0))
-        if h5 != Poly(XYZ, {(5, 0, 0): k} if k else {}):
-            return None, None, "quintic not a multiple of x^5"
-        if h4 != base_jet("Inr", F(0)).homogeneous_part(4):
-            return None, None, "quartic disturbed during completion"
-        return "Inr", k if k else F(0), ""
-    raise CatalogError(f"unknown case {case!r}")
+    """Identify a completed jet against the normal forms that share the
+    case's cubic, in table order. A form matches when the jet, to the
+    lower of their orders, is the form's base jet at some b: b is solved
+    from the coefficient equations of the form's terms, linear in the
+    unknowns (b, b^2), and every coefficient is then checked at it. A form
+    with a rescaling note also matches a jet whose quartic is a nonzero
+    multiple of its own, with the jet's coefficient at the form's first
+    quartic monomial as parameter. Returns (normal form id, parameter,
+    note)."""
+    cubic = CUBIC_CASES[case].cubic
+    for nf in NORMAL_FORMS.values():
+        if CUBIC_CASES[nf.case].cubic != cubic:
+            continue
+        got = jet.truncate(min(jet.order, nf.order))
+        fam = linear_solve([LinearEquation({k - 1: c for k, c in enumerate(cs) if k and c},
+                                           got.poly.coefficient(m) - cs[0])
+                            for m, cs in nf.terms.items() if sum(m) <= got.order], ("b", "b2"))
+        if fam is not None and not (nf.parametric and 0 in fam.free_cols):
+            b = fam.particular[0] if nf.parametric else None
+            if got == base_jet(nf.id, b).truncate(got.order):
+                return nf.id, b, ""
+        if nf.rescale:
+            m0, c0 = next((m, cs[0]) for m, cs in nf.terms.items() if sum(m) == 4)
+            k, want = jet.poly.coefficient(m0), base_jet(nf.id, F(0))
+            if k and jet.truncate(4) == Jet(want.truncate(3).poly
+                                            + want.homogeneous_part(4).scale(k / c0), 4):
+                return nf.id, k, nf.rescale
+    return None, None, "matches no normal form of the case"
 
 
 def _tag_duplicates(comps: List[DiscoveryComponent]):
@@ -457,8 +442,8 @@ def discover(case: str) -> List[DiscoveryComponent]:
     """From the normalized truncation of one cubic case, solve the closure
     equations and complete each solution to its determining order."""
     f = case_jet(case)
-    det = 5 if case == "Inr" else 4
-    fams = pqr_families(solve_tangency(f), case)
+    det = _first_form(case).order
+    fams = pqr_families(solve_tangency(f), CUBIC_CASES[case].gauge)
     if fams is None:
         raise CatalogError(f"case {case}: no translated tangency solutions")
     famP, famQ, famR = fams
@@ -479,7 +464,8 @@ def discover(case: str) -> List[DiscoveryComponent]:
             return
         comp.jet = jet
         comp.normal_form, comp.parameter, comp.note = match_component(case, jet)
-        if not _structural_ok(case, jet):
+        shape = CUBIC_CASES[case].shape
+        if shape and not all(shape(m) for m in jet.poly.terms):
             comp.note = (comp.note + "; " if comp.note else "") + \
                 "structural identity violated"
         comps.append(comp)
@@ -525,33 +511,32 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     families are views of that solve, and the completed jet, which adds
     only terms above the base jet's order, restricts it to its own free
     family (``full_algebra``'s ``below``)."""
-    if order < DETERMINING_ORDER[nf_id]:
+    nf = NORMAL_FORMS[nf_id]
+    if order < nf.order:
         raise InputError(f"order {order} is below the determining order "
-                         f"{DETERMINING_ORDER[nf_id]} of {nf_id}")
-    if nf_id in PARAMETRIC and b is None:
+                         f"{nf.order} of {nf_id}")
+    if nf.parametric and b is None:
         b = RationalFunc.gen("b")
-    elif nf_id not in PARAMETRIC and b is not None:
+    elif not nf.parametric and b is not None:
         raise InputError(f"{nf_id} takes no b")
     jet0 = base_jet(nf_id, b)
-    case = CASE_OF[nf_id]
-    expected = ISOTROPY_DIMS[nf_id]
+    gauge = CUBIC_CASES[nf.case].gauge
     details: Dict[str, object] = {"normal_form": nf_id, "order": order}
     if b is not None:
         details["b"] = b
     # the gauged and ungauged families are views of one free solve
     fam = solve_tangency(jet0)
-    gauged, ungauged = pqr_families(fam, case), pqr_families(fam)
+    gauged, ungauged = pqr_families(fam, gauge), pqr_families(fam)
     if gauged is None or ungauged is None:
         details["error"] = "no translated tangency solutions"
         return Report(f"isotropy:{nf_id}", False, details)
     details["ungauged_dims"] = [g.dimension for g in ungauged]
     details["gauged_dims"] = [g.dimension for g in gauged]
     # at the determining order the translated families see the isotropy of
-    # the truncated model, which for Sp coincides with the quadric's
-    model_dim = {"no-cubic": 4, "I3": 2}.get(case, 1)
-    gauge_len = len(normalize_gauge(case))
-    unique_mod_iso = all(g.dimension == model_dim for g in ungauged)
-    gauge_cuts = all(g.dimension == model_dim - gauge_len for g in gauged)
+    # the truncated model, which for Sp coincides with the quadric's: one
+    # direction per gauge entry, which the gauge cuts away
+    unique_mod_iso = all(g.dimension == len(gauge) for g in ungauged)
+    gauge_cuts = all(g.is_unique() for g in gauged)
     P, Q, R = (AffineVectorField.from_coords(g.particular).A for g in gauged)
     try:
         completed = complete_series(jet0, P, Q, R, order)
@@ -561,14 +546,14 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     alg = full_algebra(completed, below=(fam, jet0.order))
     details.update({
         "closed": alg.closed, "isotropy_dim": alg.isotropy_dim,
-        "expected_isotropy": expected, "full_dim": alg.full_dim,
+        "expected_isotropy": nf.isotropy, "full_dim": alg.full_dim,
         "translation_rank": alg.translation_rank,
         "unique_mod_isotropy": unique_mod_iso,
         "gauge_fixes_solution": gauge_cuts,
         # always empty: completion divides only by integer exponents
         "degeneracies": [],
     })
-    passed = (homogeneous(alg) and alg.isotropy_dim == expected
+    passed = (homogeneous(alg) and alg.isotropy_dim == nf.isotropy
               and unique_mod_iso and gauge_cuts)
 
     if nf_id in ("I1.1", "I1.2"):
@@ -597,13 +582,33 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
 
 # -- parameter bookkeeping -----------------------------------------------------------
 
+def overlaps() -> List[Tuple[Tuple[str, str], Fraction]]:
+    """((form, form), b) for each rational b at which two parametric forms
+    of one case coincide: the common rational roots of their coefficient
+    differences, in table order."""
+    out = []
+    forms = [nf for nf in NORMAL_FORMS.values() if nf.parametric]
+    for p, q in combinations(forms, 2):
+        if p.case != q.case:
+            continue
+        roots = []
+        for m in {**p.terms, **q.terms}:
+            diff = Poly(("b",), {(k,): F(c) - F(d) for k, (c, d) in enumerate(
+                zip_longest(p.terms.get(m, ()), q.terms.get(m, ()), fillvalue=0))})
+            if diff.terms:
+                roots.append(_rational_roots(diff, "b")[0])
+        common = roots[0] if roots else ()
+        out += [((p.id, q.id), r) for r in common if all(r in rs for rs in roots)]
+    return out
+
+
 def overlap_identities() -> Report:
-    """The three parameter values where two I0 forms coincide, checked by
-    exact evaluation of the quartic coefficient formulas."""
+    """The parameter values where two forms coincide, checked by exact
+    comparison of their base jets."""
     results = {}
     passed = True
-    for (a, bnf), bval in OVERLAPS:
-        same = i0_quartic_coeffs(a, bval) == i0_quartic_coeffs(bnf, bval)
+    for (a, bnf), bval in overlaps():
+        same = base_jet(a, bval) == base_jet(bnf, bval)
         results[f"{a}={bnf} at b={bval}"] = same
         passed = passed and same
     return Report("overlaps", passed, results)
@@ -698,7 +703,7 @@ def real_catalog_checks() -> Report:
     img = {"x": x.scale(iovs) + y.scale(iovs) + z,
            "y": x.scale(iovs) + y.scale(iovs) - z,
            "z": x - y}
-    f_old = _poly({**QUADRIC_TERMS, (1, 1, 1): F(3), (0, 0, 3): F(-1)})
+    f_old = _poly({**QUADRIC_TERMS, **CUBIC_CASES["I0"].cubic})
     f_new = f_old.substitute(img).scale(F(-1, 2))
     expected_cubic = _poly({(3, 0, 0): F(5, 4), (2, 1, 0): F(-3, 4),
                             (1, 0, 2): F(3, 2), (1, 2, 0): F(3, 4),
@@ -723,7 +728,7 @@ def real_catalog_checks() -> Report:
     ok = not any(picks)
     details["pick_zero_I3_I2_I1"] = ok
     passed = passed and ok
-    pick_i0 = pick_invariant(_poly({(1, 1, 1): F(3), (0, 0, 3): F(-1)}), h)
+    pick_i0 = pick_invariant(_poly(CUBIC_CASES["I0"].cubic), h)
     details["pick_I0"] = pick_i0
     passed = passed and bool(pick_i0)
 

@@ -27,7 +27,7 @@ DEFAULT_ORDER = 6
 ORDER_WARNING = 10
 
 ENTRY_IDS = tuple(f"N{k}" for k in range(1, 21))
-CASES = ("no-cubic", "I3", "I2", "I1", "I0", "Inr")
+CASES = tuple(cat.CUBIC_CASES)
 
 
 @functools.lru_cache(maxsize=None)

@@ -224,23 +224,6 @@ def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
 COORDINATE_NAMES = ([f"{i}{j}" for i in range(1, 5) for j in range(1, 5)]
                     + [f"t{i}" for i in range(1, 5)])
 
-# coordinate indices of the entries whose vanishing slices away the case's
-# isotropy shifts (adding an isotropy generator to a solution matrix is a
-# residual freedom; one pinned entry per independent isotropy direction):
-# A13 is 2, A22 is 5, A23 is 6, A31 is 8 and A44 is 15
-GAUGE_ENTRIES = {
-    "no-cubic": (2, 5, 8, 15),
-    "I3": (5, 8),
-    "Inr": (6,),
-}
-
-
-def normalize_gauge(case: str) -> Tuple[int, ...]:
-    """The coordinate indices of the entries that pin down the case's
-    known isotropy generators (A22 unless the case names others)."""
-    return GAUGE_ENTRIES.get(case, (5,))
-
-
 def solve_tangency(F: Jet, order: Optional[int] = None) -> SolutionFamily:
     """Every affine field tangent to F to the given order: the RREF
     nullspace of F's twenty columns at that order, in ``coords()`` order.
@@ -255,19 +238,21 @@ def solve_tangency(F: Jet, order: Optional[int] = None) -> SolutionFamily:
     return linear_solve(linear_equations(columns, Jet.zero(order)), COORDINATE_NAMES)
 
 
-def pqr_families(fam: SolutionFamily, case: Optional[str] = None):
+def pqr_families(fam: SolutionFamily, gauge: Sequence[int] = ()):
     """The three tangency families with unit translation parts along x, y
-    and z, gauge-fixed for the given cubic case when one is named, or None
-    when one of them does not exist (when translation column 16, 17 or 18
-    is a pivot of the free solve).
+    and z, or None when one of them does not exist (when translation
+    column 16, 17 or 18 is a pivot of the free solve).
 
     They are views of the free family ``fam``, restricted by the gauge:
-    each takes the basis vector of its translation column as its particular
-    solution, shares the translation-free basis vectors, and names its
-    coordinates with the family's letter."""
-    if case:
+    the coordinate indices of entries pinned to zero, which slice away
+    the shifts by isotropy generators (adding one to a solution matrix is
+    a residual freedom). Each view takes the basis vector of its
+    translation column as its particular solution, shares the
+    translation-free basis vectors, and names its coordinates with the
+    family's letter."""
+    if gauge:
         fam = fam.restrict([LinearEquation({i: b[g] for i, b in enumerate(fam.basis) if b[g]})
-                            for g in normalize_gauge(case)])
+                            for g in gauge])
     k = sum(c < 16 for c in fam.free_cols)
     if fam.free_cols[k:k + 3] != [16, 17, 18]:
         return None

@@ -38,7 +38,7 @@ def test_criterion_01_sphere_series():
 def test_criterion_02_two_point_discovery():
     t0 = time.perf_counter()
     f = cat.case_jet("I1")
-    fams = pqr_families(solve_tangency(f), "I1")
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["I1"].gauge)
     free = sum(len(g.free) for g in fams)
     cons = closure_constraints(f, *fams)
     comps = cat.discover("I1")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from time import perf_counter
@@ -18,6 +19,18 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code", [(["catalog"], 0),
+                                        (["verify", "--entry=Qd", "--order=2"], 2)])
+def test_python_dash_m_runs_the_command_line(argv, code):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-m", "affine_homog", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert (proc.stdout.startswith("N1:") if code == 0
+            else "below the determining order" in proc.stderr)
 
 
 def test_expand_sphere_two_jet(capsys):

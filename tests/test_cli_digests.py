@@ -70,7 +70,7 @@ def argvs():
                           "--format=json"])
     for nf in cat.NORMAL_FORM_IDS:
         out.append(["verify", "--entry=" + nf, "--order=8", "--format=json"])
-        if nf in cat.PARAMETRIC:
+        if cat.NORMAL_FORMS[nf].parametric:
             out.append(["verify", "--entry=" + nf, "--order=8", "--b=3/2",
                         "--format=json"])
     out.append(["catalog", "--verify-all", "--format=json"])
@@ -85,7 +85,7 @@ def jet_sources():
     """The `verify` argv whose completed jet each `symmetry --jet -` run
     reads: one per normal form, at b = 3/2 for the parametric ones."""
     return [["verify", "--entry=" + nf, "--order=8"]
-            + (["--b=3/2"] if nf in cat.PARAMETRIC else []) + ["--format=json"]
+            + (["--b=3/2"] if cat.NORMAL_FORMS[nf].parametric else []) + ["--format=json"]
             for nf in cat.NORMAL_FORM_IDS]
 
 

@@ -162,7 +162,7 @@ def test_buchberger_ignores_how_the_ideal_is_generated(case):
 @pytest.mark.parametrize("case", CASES)
 def test_discover_systems_solve_the_same_when_doubled(case):
     f = cat.case_jet(case)
-    famP, famQ, famR = pqr_families(solve_tangency(f), case)
+    famP, famQ, famR = pqr_families(solve_tangency(f), cat.CUBIC_CASES[case].gauge)
     cons = closure_constraints(f, famP, famQ, famR)
     ring = sorted(set(famP.free + famQ.free + famR.free))
     assert solve_zero_dim(cons + cons, ring) == solve_zero_dim(cons, ring)
@@ -466,7 +466,7 @@ def discover_inputs():
     try:
         for case in CASES:
             f = cat.case_jet(case)
-            famP, famQ, famR = pqr_families(solve_tangency(f), case)
+            famP, famQ, famR = pqr_families(solve_tangency(f), cat.CUBIC_CASES[case].gauge)
             ring = sorted(set(famP.free + famQ.free + famR.free))
             solve_zero_dim(closure_constraints(f, famP, famQ, famR), ring)
     finally:
@@ -686,7 +686,7 @@ def test_pivot_sequence_of_the_discover_systems(case, monkeypatch):
 
     monkeypatch.setattr(groebner, "_eliminate_linear", record)
     f = cat.case_jet(case)
-    famP, famQ, famR = pqr_families(solve_tangency(f), case)
+    famP, famQ, famR = pqr_families(solve_tangency(f), cat.CUBIC_CASES[case].gauge)
     ring = sorted(set(famP.free + famQ.free + famR.free))
     solve_zero_dim(closure_constraints(f, famP, famQ, famR), ring)
     assert seen == PIVOTS[case]

@@ -215,10 +215,9 @@ def test_groebner_s_polys_reduce_to_zero(gens, order):
 
 @lru_cache(maxsize=None)
 def _completion(nf, order):
-    from affine_homog.catalog import base_jet
+    from affine_homog.catalog import CUBIC_CASES, base_jet
     f = base_jet(nf)
-    case = "I1"
-    fams = pqr_families(solve_tangency(f), case)
+    fams = pqr_families(solve_tangency(f), CUBIC_CASES["I1"].gauge)
     P, Q, R = (AffineVectorField.from_coords(g.particular).A for g in fams)
     return complete_series(f, P, Q, R, order)
 

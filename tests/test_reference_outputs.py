@@ -14,12 +14,10 @@ from pathlib import Path
 import pytest
 
 from affine_homog import catalog as cat
-from affine_homog.cli import run
+from affine_homog.cli import CASES, run
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
-
-CASES = ("no-cubic", "I3", "I2", "I1", "I0", "Inr")
 
 KEYS = ([f"discover --case={case} --format=json" for case in CASES]
         + [f"verify --entry={nf} --order=6 --format=json"

@@ -16,12 +16,11 @@ from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
                                  solve_rows)
 from affine_homog.poly import XYZ, Poly
 from affine_homog.scalars import InputError, RationalFunc, Tower
-from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z,
-                                   GAUGE_ENTRIES, ZERO4, AffineVectorField,
-                                   CompletionError, _combine, bracket,
-                                   closure_constraints, complete_series,
-                                   degree_unknowns, full_algebra,
-                                   linear_equations, normalize_gauge,
+from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z, ZERO4,
+                                   AffineVectorField, CompletionError,
+                                   _combine, bracket, closure_constraints,
+                                   complete_series, degree_unknowns,
+                                   full_algebra, linear_equations,
                                    pqr_families, raise_order,
                                    reduce_against_span, solve_tangency,
                                    tangency_columns, tangency_residual)
@@ -229,7 +228,7 @@ def test_quadric_full_algebra():
 
 def test_pqr_families_translations():
     f = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2), 3)
-    fams = pqr_families(solve_tangency(f), "I1")
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["I1"].gauge)
     assert fams is not None
     famP, famQ, famR = fams
     # at cubic order the gauged solve leaves 6 free unknowns per matrix
@@ -240,18 +239,23 @@ def test_pqr_families_translations():
 
 def test_closure_constraint_count_i1():
     f = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2), 3)
-    fams = pqr_families(solve_tangency(f), "I1")
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["I1"].gauge)
     cons = closure_constraints(f, *fams)
     assert len(cons) == 41
 
 
 def test_gauge_entries_per_case():
-    # coordinate indices of A13, A22, A31, A44 and A23 in coords() order
-    assert GAUGE_ENTRIES["no-cubic"] == (2, 5, 8, 15)
-    assert GAUGE_ENTRIES["I3"] == (5, 8)
-    assert GAUGE_ENTRIES["Inr"] == (6,)
-    # one pinned entry, A22, on each family's coordinates
-    assert normalize_gauge("I1") == (5,)
+    # coordinate indices of A13, A22, A31, A44 and A23 in coords() order;
+    # one pinned entry, A22, where the model has one isotropy direction
+    assert {case: c.gauge for case, c in cat.CUBIC_CASES.items()} == {
+        "no-cubic": (2, 5, 8, 15), "I3": (5, 8), "I2": (5,), "I1": (5,),
+        "I0": (5,), "Inr": (6,)}
+    # one entry per isotropy direction of the model at the determining
+    # order, which each ungauged translated family carries
+    for nf in cat.NORMAL_FORM_IDS:
+        gauge = cat.CUBIC_CASES[cat.NORMAL_FORMS[nf].case].gauge
+        fams = pqr_families(solve_tangency(cat.base_jet(nf)))
+        assert [g.dimension for g in fams] == [len(gauge)] * 3
 
 
 def test_complete_series_quadric_stays_quadratic():
@@ -268,7 +272,7 @@ def test_complete_series_quadric_stays_quadratic():
 def test_complete_series_truncation_coherence():
     from affine_homog.catalog import base_jet
     f = base_jet("I1.1")
-    fams = pqr_families(solve_tangency(f), "I1")
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["I1"].gauge)
     P, Q, R = (_field(g.particular).A for g in fams)
     full = complete_series(f, P, Q, R, 7)
     part = complete_series(f, P, Q, R, 5)
@@ -279,7 +283,7 @@ def test_complete_series_builds_only_the_new_degree_after_its_first_order():
     # order m reads degree m-1 of the residuals alone once order m-1 is
     # complete; the first order checks every degree
     f = cat.base_jet("I0.1")
-    fams = pqr_families(solve_tangency(f), "I0")
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["I0"].gauge)
     P, Q, R = (_field(g.particular).A for g in fams)
     built, columns = [], symmetry.tangency_columns
 
@@ -308,7 +312,7 @@ def test_complete_series_refuses_a_constant_term():
     # translated families to order 6 left three residual terms per field
     # at order 5)
     f = cat.base_jet("Sp") + 1
-    fams = pqr_families(solve_tangency(f), cat.CASE_OF["Sp"])
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["no-cubic"].gauge)
     P, Q, R = (_field(g.particular).A for g in fams)
     with pytest.raises(InputError):
         complete_series(f, P, Q, R, 6)
@@ -472,7 +476,7 @@ def reached_completions():
         for case in CASES:
             cat.discover(case)
         for nf in cat.NORMAL_FORM_IDS:
-            for b in (None, F(6), F(3, 2)) if nf in cat.PARAMETRIC else (None,):
+            for b in (None, F(6), F(3, 2)) if cat.NORMAL_FORMS[nf].parametric else (None,):
                 for order in (6, 8):
                     cat.confirm_isotropy(nf, b, order)
     return tuple(seen)
@@ -616,8 +620,8 @@ def test_normal_form_algebra_restricted_from_the_base_jet_matches_a_fresh_solve(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cat, "full_algebra", recorded)
         for nf in cat.NORMAL_FORM_IDS:
-            for b in (None, F(6), F(3, 2)) if nf in cat.PARAMETRIC else (None,):
-                for order in (cat.DETERMINING_ORDER[nf], 6, 8):
+            for b in (None, F(6), F(3, 2)) if cat.NORMAL_FORMS[nf].parametric else (None,):
+                for order in (cat.NORMAL_FORMS[nf].order, 6, 8):
                     cat.confirm_isotropy(nf, b, order)
     assert len(built) == 60
     for jet, kwargs, alg in built:
@@ -649,13 +653,13 @@ def assert_same_entries(got, want):
     assert list(got) == list(want)
 
 
-def assert_views_match_fixed_solves(jet, case):
+def assert_views_match_fixed_solves(jet, gauge=()):
     """pqr_families gives, entry for entry and type for type, the three
     fixed-translation solves, or None when one of them has no solution."""
-    extra = [LinearEquation({g: F(1)}) for g in normalize_gauge(case)] if case else ()
+    extra = [LinearEquation({g: F(1)}) for g in gauge]
     want = [fixed_translation_solve(jet, e, prefix, extra)
             for prefix, e in zip("pqr", (E_X, E_Y, E_Z))]
-    got = pqr_families(solve_tangency(jet), case)
+    got = pqr_families(solve_tangency(jet), gauge)
     if None in want:
         assert got is None
         return
@@ -670,13 +674,13 @@ def assert_views_match_fixed_solves(jet, case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_pqr_views_match_fixed_solves_on_case_jets(case):
-    for gauge in (case, None):
+    for gauge in (cat.CUBIC_CASES[case].gauge, ()):
         assert_views_match_fixed_solves(cat.case_jet(case), gauge)
 
 
 @pytest.mark.parametrize("nf", cat.NORMAL_FORM_IDS)
 def test_pqr_views_match_fixed_solves_on_base_jets(nf):
-    for gauge in (cat.CASE_OF[nf], None):
+    for gauge in (cat.CUBIC_CASES[cat.NORMAL_FORMS[nf].case].gauge, ()):
         assert_views_match_fixed_solves(cat.base_jet(nf), gauge)
 
 
@@ -689,7 +693,7 @@ def test_pqr_families_none_when_a_translation_is_out_of_reach():
         assert fixed_translation_solve(jet, E_X) is None
         assert fixed_translation_solve(jet, E_Y) is not None
         assert fixed_translation_solve(jet, E_Z) is not None
-        assert_views_match_fixed_solves(jet, None)
+        assert_views_match_fixed_solves(jet)
 
 
 # -- what _algebra reads of a residual, and when it reuses a closure verdict -------
