@@ -191,6 +191,9 @@ def _cmd_normalize(parser, args) -> int:
     if not args.jet:
         _require(parser, args, "surface", "basepoint")
     F = _load_jet(args)
+    if F.order < 3:
+        raise InputError(f"normalize needs a jet of order 3 or more (order "
+                         f"{F.order} does not determine the cubic)")
     fld = "real" if args.real else "complex"
     rep = normalize_jet(F, fld)
     out = rep.to_json()

@@ -5,19 +5,25 @@ classifies the cubic by exact invariants taken from its derivatives (the
 trace from the h-Laplacian, the Pick invariant from the apolar pairing),
 and gives the action of a linear vector field on the trace-free cubic basis.
 
-The normalizing change is built before any jet. The quadratic map is read
-off the Gram matrix. It is a block map, old xyz = T new xyz and old w =
-s new w, so the graph after it is w = F(T x) / s with no series to solve,
-and its cubic is exactly c(T x) / s. The shear that makes that cubic
-trace-free, and the trace-free cubic it leaves, come from the trace
-decomposition c = c0 + q l. The normalized jet is the one series solve,
-transform_graph of F through the composed change; a report runs it only
-when its jet is read, so a classification alone runs none.
+The class and the Pick invariant are read in the source coordinates. The
+trace decomposition c = c0 + q l and the class of c0 do not depend on the
+coordinates; the Gram matrix H is inverted through its congruence
+diagonalization; and after the quadratic block map, old xyz = T new xyz
+and old w = s new w, the Pick invariant is s pick(c0, H). So a
+classification builds no map and solves no series.
+
+The normalizing change is built only when it is read. The quadratic map
+is read off the diagonalization. It is a block map, so the graph after
+it is w = F(T x) / s with no series to solve, and its cubic is exactly
+c(T x) / s. The shear that makes that cubic trace-free, and the
+trace-free cubic it leaves, come from its trace decomposition. The
+normalized jet is the one series solve, transform_graph of F through the
+composed change, run only when the jet is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -136,11 +142,16 @@ HYPERBOLIC_GRAM = ((Fraction(0), Fraction(1), Fraction(0)),
 class QuadraticForm:
     gram: Tuple[Tuple[object, ...], ...]
     signature: str  # "hyperbolic", "elliptic", or "complex"
+    inverse: Optional[Tuple[Tuple[object, ...], ...]] = field(
+        default=None, compare=False, repr=False)
 
     def inverse_gram(self):
-        """The inverse of the gram matrix, one solved column at a time,
-        memoized for a matrix of Fractions (a tower element equal to a
-        Fraction would share its key, so other scalars are solved anew)."""
+        """The inverse of the gram matrix: ``inverse`` when it is given,
+        else one solved column at a time, memoized for a matrix of
+        Fractions (a tower element equal to a Fraction would share its key,
+        so other scalars are solved anew)."""
+        if self.inverse is not None:
+            return self.inverse
         if all(type(c) is Fraction for row in self.gram for c in row):
             return _inverse(self.gram)
         return _inverse.__wrapped__(self.gram)
@@ -202,7 +213,8 @@ def _diagonalize(H):
                     add(k, 1, hit)
         d.append(ip(k, k))
         if not d[k]:
-            raise NormalizationError("degenerate quadratic part")
+            raise NormalizationError(
+                "degenerate quadratic part (non-degeneracy fails)")
         for l in range(k + 1, 3):
             f = ip(k, l) / d[k]
             if f:
@@ -213,10 +225,60 @@ def _diagonalize(H):
 @dataclass
 class NormalizedQuadratic:
     """The block map old xyz = T . new xyz, old w = s * new w that brings
-    a quadratic part to its normal form."""
-    change: AffineMap
+    a quadratic part x^T H x to its normal form.
+
+    The congruence diagonalization of H (basis b_k, values d_k) and the
+    square roots chosen from it fix the map; ``change`` builds it the
+    first time it is read. ``w_scale`` is s, and ``source_form`` is H
+    with its inverse sum_k b_k b_k^T / d_k, so the invariants of the
+    source need no map. ``scales`` holds the elliptic roots sqrt(d_2 /
+    d_k); ``pair`` the indices and root (i, j, s) of the isotropic vector
+    b_i + s b_j, s^2 = -d_i / d_j, of the other forms."""
+    gram: Tuple[Tuple[object, ...], ...]
+    basis: List[List[object]]
+    d: List[object]
     form: QuadraticForm
+    scales: Optional[List[object]] = None
+    pair: Optional[Tuple[int, int, object]] = None
     tower: Optional[Tower] = None
+
+    @property
+    def w_scale(self):
+        """s = d_m, m the index outside the isotropic pair, or d_2 for the
+        elliptic form; in the tower when one is adjoined."""
+        m = 2 if self.pair is None else 3 - self.pair[0] - self.pair[1]
+        return _promote(self.d[m], self.tower)
+
+    @cached_property
+    def source_form(self) -> QuadraticForm:
+        basis, d = self.basis, self.d
+        inverse = tuple(tuple(
+            sum((b[r] * b[c] / dk for b, dk in zip(basis, d) if b[r] and b[c]),
+                Fraction(0)) for c in range(3)) for r in range(3))
+        return QuadraticForm(self.gram, self.form.signature, inverse)
+
+    @cached_property
+    def change(self) -> AffineMap:
+        if self.pair is None:
+            cols = [[self.basis[i][r] * self.scales[i] for r in range(3)]
+                    for i in range(3)]
+        else:
+            # The basis is H-orthogonal, so each inner product the
+            # hyperbolic basis needs is read off d. The first b that pairs
+            # with iso is b_k, k = min(i, j), with beta = (iso, b_k); v =
+            # b_k - d_k / (2 beta) iso is isotropic with (iso, v) = beta;
+            # and b_m, m the third index, spans the orthogonal complement
+            # of span(iso, v) = span(b_i, b_j), with gamma = d_m.
+            i, j, s = self.pair
+            d = [_promote(c, self.tower) for c in self.d]
+            basis = [[_promote(c, self.tower) for c in b] for b in self.basis]
+            iso = [a + s * b for a, b in zip(basis[i], basis[j])]
+            k, m = min(i, j), 3 - i - j
+            beta = d[i] if k == i else s * d[j]
+            v = [a - (d[k] / (2 * beta)) * b for a, b in zip(basis[k], iso)]
+            cols = [[(d[m] / beta) * c for c in iso], v, basis[m]]
+        t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+        return AffineMap.xyz_linear(t3, w_scale=self.w_scale)
 
     def cubic(self, c: Poly) -> Poly:
         """The cubic, after the change, of a graph w = q + c + O(4).
@@ -231,15 +293,14 @@ class NormalizedQuadratic:
 def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     """Linear change in (x,y,z) plus w-rescaling making the quadratic part
     2xy+z^2 (complex or real-hyperbolic) or x^2+y^2+z^2 (real-elliptic),
-    read off the Gram matrix with no jet transformed.
+    read off the Gram matrix with no jet transformed and built only when
+    its ``change`` is read.
 
     At most two square roots are adjoined; most catalog inputs stay in Q.
     """
     if F.homogeneous_part(0) or F.homogeneous_part(1):
         raise NormalizationError("expected a jet without constant or linear terms")
     H = gram_matrix(F)
-    if matrix_rank(H) < 3:
-        raise NormalizationError("degenerate quadratic part (non-degeneracy fails)")
     basis, d = _diagonalize(H)
 
     tower: Optional[Tower] = None
@@ -247,7 +308,6 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     if fld == "real" and all(x > 0 for x in d) or (
             fld == "real" and all(x < 0 for x in d)):
         # definite: elliptic target x^2+y^2+z^2, reference axis z
-        mu = 1 / d[2]
         scales = []
         for i in range(3):
             val = d[2] / d[i]  # positive
@@ -261,10 +321,8 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
             from .scalars import TowerElement
             scales = [tower.lift(s) if isinstance(s, TowerElement) else
                       tower.const(s) for s in scales]
-        cols = [[basis[i][r] * scales[i] for r in range(3)] for i in range(3)]
-        t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-        phi = AffineMap.xyz_linear(t3, w_scale=1 / _promote(mu, tower))
-        return NormalizedQuadratic(phi, QuadraticForm(IDENTITY3, "elliptic"), tower)
+        return NormalizedQuadratic(H, basis, d, QuadraticForm(IDENTITY3, "elliptic"),
+                                   scales=scales, tower=tower)
 
     # hyperbolic / complex target 2xy+z^2: an isotropic vector b_i + s b_j,
     # with s^2 = -d_i / d_j, rational for the first pair that allows it
@@ -278,24 +336,9 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
             i, j = pairs[0]
         tower = Tower().extend("s1", -d[i] / d[j])
         s = tower.generator(0)
-
-    # The basis is H-orthogonal, so each inner product the hyperbolic basis
-    # needs is read off d. The first b that pairs with iso is b_k, k =
-    # min(i, j), with beta = (iso, b_k); v = b_k - d_k / (2 beta) iso is
-    # isotropic with (iso, v) = beta; and b_m, m the third index, spans the
-    # orthogonal complement of span(iso, v) = span(b_i, b_j), with gamma = d_m.
-    d = [_promote(c, tower) for c in d]
-    basis = [[_promote(c, tower) for c in b] for b in basis]
-    iso = [a + s * b for a, b in zip(basis[i], basis[j])]
-    k, m = min(i, j), 3 - i - j
-    beta = d[i] if k == i else s * d[j]
-    v = [a - (d[k] / (2 * beta)) * b for a, b in zip(basis[k], iso)]
-    gamma = d[m]
-    cols = [[(gamma / beta) * c for c in iso], v, basis[m]]
-    t3 = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    phi = AffineMap.xyz_linear(t3, w_scale=gamma)
     sig = "complex" if fld == "complex" else "hyperbolic"
-    return NormalizedQuadratic(phi, QuadraticForm(HYPERBOLIC_GRAM, sig), tower)
+    return NormalizedQuadratic(H, basis, d, QuadraticForm(HYPERBOLIC_GRAM, sig),
+                               pair=(i, j, s), tower=tower)
 
 
 def _promote(c, tower: Optional[Tower]):
@@ -458,19 +501,45 @@ def _classify(c0: Poly, h: QuadraticForm):
 
 @dataclass
 class NormalizationReport:
-    """The normalizing change of a graph jet ``source`` and what it reads
-    off: the form, the normalized cubic, its class and Pick invariant.
+    """The normalization of a graph jet ``source``: the class and the Pick
+    invariant of its cubic, read in the source coordinates, and the
+    normalizing change, the normalized cubic and jet, built when read.
 
-    ``jet``, the graph in the new coordinates, is transform_graph(source,
-    change): it is solved the first time it is read, and only then, as
-    the cubic is built without it."""
+    ``change`` and ``cubic`` run the quadratic block map, the cubic after
+    it and the shear that makes it trace-free (``normal_shear``) the first
+    time either is read; ``jet``, transform_graph(source, change), is
+    solved the first time it is read. A classification alone runs none
+    of them."""
     source: Jet
-    change: AffineMap
-    form: QuadraticForm
-    cubic: Poly
+    quadratic: NormalizedQuadratic
     cubic_class: str
     pick: object
-    tower: Optional[Tower] = None
+
+    @property
+    def form(self) -> QuadraticForm:
+        return self.quadratic.form
+
+    @property
+    def tower(self) -> Optional[Tower]:
+        return self.quadratic.tower
+
+    @cached_property
+    def _normalized(self) -> Tuple[AffineMap, Poly]:
+        nq = self.quadratic
+        change = remove_linear(self.source)[1].compose(nq.change)
+        c = nq.cubic(self.source.homogeneous_part(3))
+        if nq.pair is None:
+            return change, c
+        c0, shear = normal_shear(c)
+        return change.compose(shear), c0
+
+    @cached_property
+    def change(self) -> AffineMap:
+        return self._normalized[0]
+
+    @cached_property
+    def cubic(self) -> Poly:
+        return self._normalized[1]
 
     @cached_property
     def jet(self) -> Jet:
@@ -489,24 +558,22 @@ class NormalizationReport:
 
 
 def normalize_jet(F: Jet, fld: str = "complex") -> NormalizationReport:
-    """Remove the linear terms, normalize the quadratic, shear the cubic
-    trace-free and classify it, building the change before any jet.
+    """Classify the cubic of a graph jet in its own coordinates, with the
+    normalizing change left to be built when it is read.
 
-    The quadratic map is a block map, so the cubic after it is read by
-    substitution (``NormalizedQuadratic.cubic``); the shear and the
-    trace-free cubic come from its trace decomposition (``normal_shear``).
-    The normalized jet is solved, once, only if the report's ``jet`` is
-    read."""
-    F1, phi1 = remove_linear(F)
+    With H the Gram matrix of the quadratic part, the trace decomposition
+    c = c0 + q l and the class of c0 are the same in any coordinates, and
+    the block map x -> T x, w -> s w sends c0 to c0(T x) / s and H^-1 to
+    s T^-1 H^-1 T^-T, so the normalized Pick invariant is s pick(c0, H).
+    The elliptic form leaves c unclassified and reads s pick(c, H). A zero
+    cubic has the rational Pick invariant 0, in a tower or not."""
+    F1 = remove_linear(F)[0]
     nq = normalize_quadratic(F1, fld)
-    change = phi1.compose(nq.change)
-    c = nq.cubic(F1.homogeneous_part(3))
-    if nq.form.signature == "elliptic":
-        return NormalizationReport(F, change, nq.form, c,
-                                   "unclassified-elliptic",
-                                   pick_invariant(c, nq.form), nq.tower)
-    c0, shear = normal_shear(c)
-    h = QuadraticForm(HYPERBOLIC_GRAM, nq.form.signature)
-    kind, pick = _classify(c0, h)
-    return NormalizationReport(F, change.compose(shear), h, c0, kind, pick,
-                               nq.tower)
+    h = nq.source_form
+    c = F1.homogeneous_part(3)
+    if nq.pair is None:
+        kind, c0, pick = "unclassified-elliptic", c, pick_invariant(c, h)
+    else:
+        c0 = trace_decompose(c, h)[0]
+        kind, pick = _classify(c0, h)
+    return NormalizationReport(F, nq, kind, nq.w_scale * pick if c0 else pick)

@@ -177,7 +177,11 @@ def test_usage_errors_exit_two(capsys):
                  ["verify", "--entry=N7", "--alpha=1e10000000"],
                  ["verify", "--entry=I0.1", "--b=1e10000000"],
                  ["expand", *SPHERE[:2], "--basepoint", "0,0,0,1e10000000"],
-                 ["real", "--order", "5"]):                 # takes no order
+                 ["real", "--order", "5"],                  # takes no order
+                 # a 2-jet does not determine the cubic that normalize
+                 # classifies
+                 ["normalize", "--surface=W=2*X*Y+Z^2+X^3",
+                  "--basepoint=0,0,0,0", "--order=2"]):
         start = perf_counter()
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -213,6 +217,16 @@ def test_malformed_jet_on_stdin_exits_two(capsys, monkeypatch):
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert err.splitlines()[-1].startswith("affine-homog: error: malformed jet")
+    # a well-formed 2-jet is a usage error for normalize alone
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"order": 2, "terms": [{"m": [1, 1, 0], "c": "2"}, '
+        '{"m": [0, 0, 2], "c": "1"}]}'))
+    with pytest.raises(SystemExit) as exc:
+        run(["normalize", "--jet", "-"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("affine-homog: error: normalize needs")
 
 
 def test_math_errors_exit_one(capsys):

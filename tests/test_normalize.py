@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from affine_homog import catalog as cat
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
+from affine_homog.linalg import matrix_rank
 from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, UNITS,
                                     AffineMap, NormalizationError,
                                     QuadraticForm, _dot, cubic_basis,
@@ -55,9 +57,14 @@ def test_normalize_quadratic_real_definite_is_elliptic():
     assert transform_graph(f, nq.change).homogeneous_part(2) == X * X + Y * Y + Z * Z
 
 
-def test_degenerate_quadratic_rejected():
-    with pytest.raises(NormalizationError):
-        normalize_quadratic(jet(X * Y))
+@pytest.mark.parametrize("q", [
+    X * X, (X + Y) * (X + Y), Poly.zero(),                  # rank 1 and 0
+    X * Y, X * X + Y * Y, X * X - Z * Z, X * Y + Y * Z])    # rank 2
+def test_degenerate_quadratic_rejected(q):
+    # the diagonalization ends on a zero value exactly when H is singular
+    with pytest.raises(NormalizationError, match=r"^degenerate quadratic "
+                       r"part \(non-degeneracy fails\)$"):
+        normalize_quadratic(jet(q + X * X * Y))
 
 
 def test_cubic_basis_trace_free():
@@ -384,6 +391,7 @@ def assert_matches_two_step(f, fld="complex"):
     else:
         assert (rep.tower.names, rep.tower.squares) == (tower.names, tower.squares)
     assert rep.jet == jet_
+    return rep, pick
 
 
 def _workloads():
@@ -408,8 +416,14 @@ def test_one_solve_matches_two_step_on_every_catalog_jet(eid, alpha):
         assert_matches_two_step(f.truncate(order))
 
 
+# a tower quadric with a nonzero cubic, whose Pick invariant is scaled in
+# the tower
+TOWER_CUBIC = TOWER + " + X^3 + X*Y*Z"
+
+
 @pytest.mark.parametrize("surface, fld", [(s, "real") for s in ELLIPTIC]
-                         + [(TOWER, "complex"), (TOWER, "real")])
+                         + [(s, fld) for s in (TOWER, TOWER_CUBIC)
+                            for fld in ("complex", "real")])
 def test_one_solve_matches_two_step_on_the_recorded_quadrics(surface, fld):
     f = expand_graph(parse_surface(surface, ("0", "0", "0", "0")), 6)
     assert normalize_jet(f, fld).tower or surface == ELLIPTIC[0]
@@ -417,13 +431,91 @@ def test_one_solve_matches_two_step_on_the_recorded_quadrics(surface, fld):
         assert_matches_two_step(f.truncate(order), fld)
 
 
-def test_one_solve_matches_two_step_on_affine_images():
-    # the 20 images a seed-1 dense-images workload draws from: dense jets
-    # with linear terms
+@pytest.mark.parametrize("surface", [TOWER, TOWER_CUBIC])
+def test_pick_has_the_scalar_type_of_the_normalized_coordinates(surface):
+    # a tower element for a cubic over the tower, and the rational 0 for a
+    # zero cubic, as the normalized cubic gives them
+    rep = normalize_jet(expand_graph(parse_surface(surface, ("0",) * 4), 3))
+    assert rep.tower is not None
+    assert type(rep.pick) is type(pick_invariant(rep.cubic, rep.form))
+
+
+@functools.lru_cache(maxsize=None)
+def _seed1_images():
+    """The 20 images a seed-1 dense-images workload draws from, one per
+    entry, as (entry id, alpha, 5-jet): dense jets with linear terms."""
     rng = random.Random(1)
+    out = []
     for eid in WORKLOADS.ENTRY_IDS:
         pool = WORKLOADS.ALPHA_POOL
         alpha = rng.choice(pool[eid]) if eid in pool else None
         text, point = WORKLOADS.affine_image(rng, eid, alpha)
-        f = expand_graph(parse_surface(text, point.split(","), alpha), 5)
+        out.append((eid, alpha,
+                    expand_graph(parse_surface(text, point.split(","), alpha), 5)))
+    return out
+
+
+def test_one_solve_matches_two_step_on_affine_images():
+    for _, _, f in _seed1_images():
         assert_matches_two_step(f)
+
+
+def _random_3jet(rng):
+    """A seeded 3-jet with a nondegenerate quadratic part and, as a rule,
+    linear terms: small rationals on a random subset of the monomials."""
+    monos = [(a, b, n - a - b) for n in (1, 2, 3)
+             for a in range(n + 1) for b in range(n + 1 - a)]
+    while True:
+        f = jet(Poly(("x", "y", "z"), (
+            (m, F(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+            for m in monos if rng.random() < 0.7)), 3)
+        if matrix_rank(gram_matrix(f)) == 3:
+            return f
+
+
+def test_one_solve_matches_two_step_on_seeded_random_jets():
+    rng = random.Random(28)
+    towers = elliptic = 0
+    for k in range(200):
+        f = _random_3jet(rng)
+        fld = ("complex", "real")[k % 2]
+        if k % 8 == 7:
+            # a diagonally dominant, so definite, quadric: the elliptic form
+            f = jet(f.poly + (X * X + Y * Y + Z * Z).scale(8), 3)
+        rep, pick = assert_matches_two_step(f, fld)
+        # the Pick invariant keeps its scalar type, and so its JSON form
+        assert type(rep.pick) is type(pick)
+        towers += rep.tower is not None
+        elliptic += rep.form.signature == "elliptic"
+    # the draw reaches the tower and the elliptic branches
+    assert towers >= 50 and elliptic >= 20
+
+
+def test_affine_images_keep_the_class_and_the_zero_pattern_of_pick():
+    # the classification is affine-invariant: each seed-1 image of an
+    # entry has its cubic class, and its Pick invariant is zero where the
+    # entry's is
+    for eid, alpha, f in _seed1_images():
+        entry = cat.catalog()[eid]
+        source = expand_graph(parse_surface(entry.surface, entry.basepoint,
+                                            alpha), 3)
+        rep = normalize_jet(f.truncate(3))
+        assert rep.cubic_class == WORKLOADS.CUBIC_CLASS[eid], eid
+        assert bool(rep.pick) == bool(normalize_jet(source).pick), eid
+
+
+def test_verify_builds_no_normalizing_map(monkeypatch):
+    # verify reads only the class and the Pick invariant, which the source
+    # coordinates give: the map, its shear and every series solve raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normalizing map was built")
+
+    monkeypatch.setattr(AffineMap, "compose", refuse)
+    monkeypatch.setattr("affine_homog.normalize.normal_shear", refuse)
+    monkeypatch.setattr("affine_homog.normalize.transform_graph", refuse)
+    monkeypatch.setattr("affine_homog.catalog.transform_graph", refuse)
+    for eid in WORKLOADS.ENTRY_IDS:
+        for alpha in WORKLOADS.ALPHA_POOL.get(eid, (None,)):
+            rep = cat.verify_entry(eid, alpha=alpha)
+            assert rep.passed, (eid, alpha)
+            assert rep.details["cubic_class"] == WORKLOADS.CUBIC_CLASS[eid]
