@@ -4,14 +4,15 @@ an indefinite quadric whose normalization adjoins a square root (over the
 complex numbers and over the hyperbolic reals), of the completed normal
 forms of `verify --entry=NF` (over symbolic b and at b = 3/2), of
 `symmetry --jet -` on each normal form's completed jet (at b = 3/2 for the
-parametric ones), and of the catalog-wide `catalog --verify-all` and `real`
-reports.
+parametric ones), of the default text output of `discover --case=C` for
+each of the six cubic cases, and of the catalog-wide `catalog --verify-all`
+and `real` reports.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
-tests replay them, so a change to jet expansion, normalization or the
-tangency solves, or to the series completion, that alters any printed
-coefficient or basis field fails here. A `symmetry --jet -` run reads its
+tests replay them, so a change to jet expansion, normalization, the
+tangency solves, the closure constraints or the series completion that
+alters any printed coefficient or basis field fails here. A `symmetry --jet -` run reads its
 jet on stdin; its key is the argv followed by `<` and the `verify` argv
 whose completed jet it reads.
 
@@ -30,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from affine_homog import catalog as cat
-from affine_homog.cli import run
+from affine_homog.cli import CASES, run
 
 DATA = Path(__file__).with_name("cli_digests.json")
 
@@ -73,6 +74,8 @@ def argvs():
         if cat.NORMAL_FORMS[nf].parametric:
             out.append(["verify", "--entry=" + nf, "--order=8", "--b=3/2",
                         "--format=json"])
+    for case in CASES:
+        out.append(["discover", "--case=" + case])
     out.append(["catalog", "--verify-all", "--format=json"])
     out.append(["real", "--format=json"])
     return out
@@ -118,7 +121,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()] + [stdin_key(s) for s in jet_sources()]
-    assert len(keys) == 132
+    assert len(keys) == 138
     assert set(keys) == set(RECORDED)
 
 
