@@ -35,6 +35,13 @@ its own free coordinate and 0 at the others: a bracket is reduced in those
 free coordinates (it is in the span exactly when it equals the basis
 weighted by its own free coordinates), with no elimination.
 
+The closure of the gauge-fixed families, whose free entries are unknowns,
+is a polynomial system (``closure_constraints``), built over Q with no
+Poly arithmetic: each family is affine in its unknowns and the bracket is
+bilinear, so each bracket's residual is a sum over unknown monomials of
+the residuals of integer matrices, tabled once, with one Fraction per
+constraint term.
+
 A column is the truncated product of a gradient entry (F_x, F_y, F_z or
 -1) and a coordinate (x, y, z, F or 1). Only the three columns F_i . F
 are products of polynomials; by x, y or z a column is an exponent shift
@@ -51,12 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
 from .linalg import LinearEquation, SolutionFamily, linear_solve
 from .poly import GREVLEX, Poly
-from .scalars import InputError
+from .scalars import InputError, over_common_denominator
 
 XYZ = ("x", "y", "z")
 
@@ -172,7 +180,8 @@ def _read_columns(F: Jet, fields: Sequence[AffineVectorField], M: int,
 
 
 def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
-    """sum(weights[k] * columns[k]); weights may be Poly-valued."""
+    """sum(weights[k] * columns[k]). The weights are scalars; no caller in
+    the package passes Poly weights, but the sum takes them."""
     acc: Dict[Tuple[int, ...], object] = {}
     for col, c in zip(columns, weights):
         if not c:
@@ -265,36 +274,93 @@ def pqr_families(fam: SolutionFamily, gauge: Sequence[int] = ()):
 
 def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
                         famR: SolutionFamily) -> List[Poly]:
-    """Coefficient-wise polynomial closure constraints on the free
-    entries of the three gauge-fixed families (quadratic in the
-    unknowns, monic-normalized), one per nonzero residual coefficient.
+    """Coefficient-wise polynomial closure constraints on the free entries
+    of three gauge-fixed families over Q (at most cubic in the unknowns,
+    monic-normalized): for each bracket (P,Q), (Q,R), (R,P), less the
+    span's translation part, one per nonzero coefficient of its residual,
+    in ascending grevlex order of the xyz monomial.
 
-    The residuals read only the sixteen matrix columns, built once at
-    F's order, and each product c*x of a translation coordinate c of the
-    bracket and a matrix entry x of a field is subtracted only where both
-    are nonzero."""
+    A family is affine in its unknowns (its particular vector plus u times
+    its basis vector of u) and the bracket is bilinear, so a bracket's
+    residual is the sum over unknown monomials mu of u^mu times the residual
+    of one matrix. Those matrices are tabled in integers, from the brackets
+    of pairs of vectors, with every vector over one common denominator D and
+    the sixteen matrix columns (built once, at F's order) over theirs: a
+    pair adds D times the matrix part of its bracket at its mu, and each
+    translation coordinate c of that bracket subtracts c*x at mu times u for
+    each vector x of the field of that translation (all over D^3). The
+    coefficient of u^mu at an xyz monomial is the dot product of its matrix
+    with the columns' coefficients there, and making the constraint monic
+    costs one Fraction per term."""
+    fams = (famP, famQ, famR)
     ring = tuple(sorted(famP.free + famQ.free + famR.free))
-    fields = [AffineVectorField.from_coords(fam.member({u: Poly.var(u, ring) for u in fam.free}))
-              for fam in (famP, famQ, famR)]
-    columns = tangency_columns(F, F.order, range(16))
+    vectors = [vec for fam in fams for vec in (fam.particular, *fam.basis)]
+    nums, D = over_common_denominator([c for vec in vectors for c in vec])
+    nums = iter(nums)
+    # each family as (exponent of u, the nonzero entries (j, x) of each row
+    # of [A | v] of u's integer vector), the particular vector at exponent 0
+    pieces = []
+    for fam in fams:
+        keys = [(0,) * len(ring)] + [tuple(int(u == v) for v in ring) for u in fam.free]
+        pieces.append([(key, _augmented_rows([next(nums) for _ in range(20)]))
+                       for key in keys])
+    matrices = [[(key, [(4 * i + j, x) for i, row in enumerate(rows) for j, x in row if j < 4])
+                 for key, rows in ps] for ps in pieces]
+    columns = [col.poly.terms for col in tangency_columns(F, F.order, range(16))]
+    nums = iter(over_common_denominator([c for terms in columns for c in terms.values()])[0])
+    columns = [[(m, next(nums)) for m in terms] for terms in columns]
     constraints: List[Poly] = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
-        # the bracket minus the span's translation part: its linear part
-        # must be tangent for the span to close
-        B = bracket(fields[a], fields[b])
-        A = [list(r) for r in B.A]
-        for c, V in zip(B.v, fields):
-            if c:
-                for row, vrow in zip(A, V.A):
-                    for j, x in enumerate(vrow):
-                        if x:
-                            row[j] = row[j] - c * x
-        res = tangency_residual(F, AffineVectorField(A, ZERO4), F.order, columns)
-        for m in sorted(res.poly.terms, key=GREVLEX.key):
-            c = res.poly.terms[m]
-            c = c if isinstance(c, Poly) else Poly.const(c, ring)
-            constraints.append(c.monic())
+        table: Dict[Tuple[int, ...], Dict[int, int]] = {}
+        for ka, ra in pieces[a]:
+            for kb, rb in pieces[b]:
+                mu = tuple(map(add, ka, kb))
+                entry = table.setdefault(mu, {})
+                for (i, j), n in _integer_bracket(ra, rb).items():
+                    if j < 4:
+                        entry[4 * i + j] = entry.get(4 * i + j, 0) + D * n
+                    elif i < 3:
+                        # the span's translation part: its linear part must
+                        # be tangent for the span to close
+                        for kr, xs in matrices[i]:
+                            term = table.setdefault(tuple(map(add, mu, kr)), {})
+                            for e, x in xs:
+                                term[e] = term.get(e, 0) - n * x
+        # the coefficients of each xyz monomial, grevlex-largest mu first
+        residual: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+        for mu in sorted(table, key=GREVLEX.key, reverse=True):
+            for e, n in table[mu].items():
+                if n:
+                    for m, c in columns[e]:
+                        coeffs = residual.setdefault(m, {})
+                        coeffs[mu] = coeffs.get(mu, 0) + n * c
+        for m in sorted(residual, key=GREVLEX.key):
+            coeffs = [(mu, s) for mu, s in residual[m].items() if s]
+            if coeffs:
+                lead = coeffs[0][1]
+                constraints.append(Poly._canonical(
+                    ring, {mu: Fraction(s, lead) for mu, s in coeffs}))
     return constraints
+
+
+def _augmented_rows(vec: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """The nonzero entries (j, x) of each row of [A | v] of a field's
+    coordinates, in ``coords()`` order; j = 4 is the translation."""
+    return [[(j, x) for j, x in enumerate((*vec[4 * i:4 * i + 4], vec[16 + i])) if x]
+            for i in range(4)]
+
+
+def _integer_bracket(rows1, rows2) -> Dict[Tuple[int, int], int]:
+    """``bracket`` of two fields given by ``_augmented_rows``: the entries
+    at (i, j) of [A2 A1 - A1 A2 | A2 v1 - A1 v2] that it touches."""
+    out: Dict[Tuple[int, int], int] = {}
+    for left, right, sign in ((rows2, rows1, 1), (rows1, rows2, -1)):
+        for i, row in enumerate(left):
+            for k, x in row:
+                if k < 4:
+                    for j, y in right[k]:
+                        out[i, j] = out.get((i, j), 0) + sign * x * y
+    return out
 
 
 # -- term-by-term completion -------------------------------------------------------

@@ -14,7 +14,7 @@ from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
 from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
                                  solve_rows)
-from affine_homog.poly import XYZ, Poly
+from affine_homog.poly import GREVLEX, XYZ, Poly
 from affine_homog.scalars import InputError, RationalFunc, Tower
 from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z, ZERO4,
                                    AffineVectorField, CompletionError,
@@ -244,6 +244,86 @@ def test_closure_constraint_count_i1():
     assert len(cons) == 41
 
 
+# -- the integer closure table against the Poly-valued reference ---------------------
+
+def poly_closure_constraints(F_, famP, famQ, famR):
+    """The closure constraints by Poly arithmetic: the three families as
+    fields with Poly entries in the free unknowns, bracketed, less c*x for
+    each translation coordinate c of the bracket and matrix entry x of the
+    field of that translation, and weighting the sixteen matrix columns;
+    one monic constraint per nonzero residual coefficient, in ascending
+    grevlex order of its xyz monomial."""
+    ring = tuple(sorted(famP.free + famQ.free + famR.free))
+    fields = [_field(fam.member({u: Poly.var(u, ring) for u in fam.free}))
+              for fam in (famP, famQ, famR)]
+    columns = tangency_columns(F_, F_.order, range(16))
+    constraints = []
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        B = bracket(fields[a], fields[b])
+        A = [list(r) for r in B.A]
+        for c, V in zip(B.v, fields):
+            if c:
+                for row, vrow in zip(A, V.A):
+                    for j, x in enumerate(vrow):
+                        if x:
+                            row[j] = row[j] - c * x
+        res = tangency_residual(F_, AffineVectorField(A, ZERO4), F_.order, columns)
+        for m in sorted(res.poly.terms, key=GREVLEX.key):
+            c = res.poly.terms[m]
+            c = c if isinstance(c, Poly) else Poly.const(c, ring)
+            constraints.append(c.monic())
+    return constraints
+
+
+def assert_same_constraints(jet, fams):
+    got, want = closure_constraints(jet, *fams), poly_closure_constraints(jet, *fams)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert {m: type(c) for m, c in g.terms.items()} == \
+            {m: type(c) for m, c in w.terms.items()}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_closure_constraints_match_the_poly_reference_on_case_jets(case):
+    f = cat.case_jet(case)
+    for gauge in (cat.CUBIC_CASES[case].gauge, ()):
+        assert_same_constraints(f, pqr_families(solve_tangency(f), gauge))
+
+
+def test_closure_constraints_match_the_poly_reference_on_the_i1_jet():
+    f = Jet((X * Y).scale(2) + Z * Z + X * X * Y - (X * Z * Z).scale(2), 3)
+    assert_same_constraints(f, pqr_families(solve_tangency(f), cat.CUBIC_CASES["I1"].gauge))
+
+
+def test_closure_constraints_match_the_poly_reference_on_base_jets():
+    compared = 0
+    for nf in cat.NORMAL_FORM_IDS:
+        f = cat.base_jet(nf, F(3, 2) if cat.NORMAL_FORMS[nf].parametric else None)
+        for gauge in (cat.CUBIC_CASES[cat.NORMAL_FORMS[nf].case].gauge, ()):
+            fams = pqr_families(solve_tangency(f), gauge)
+            if fams is not None:
+                assert_same_constraints(f, fams)
+                compared += 1
+    assert compared
+
+
+def test_closure_constraints_does_no_poly_arithmetic(monkeypatch):
+    # the constraints are tabled in integers: no Poly product, sum or
+    # scaling, no bracket of fields and no residual of a field
+    f = cat.case_jet("I0")
+    fams = pqr_families(solve_tangency(f), cat.CUBIC_CASES["I0"].gauge)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly arithmetic in closure_constraints")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "scale"):
+        monkeypatch.setattr(Poly, name, refuse)
+    monkeypatch.setattr(symmetry, "bracket", refuse)
+    monkeypatch.setattr(symmetry, "tangency_residual", refuse)
+    assert len(closure_constraints(f, *fams)) == 38
+
+
 def test_gauge_entries_per_case():
     # coordinate indices of A13, A22, A31, A44 and A23 in coords() order;
     # one pinned entry, A22, where the model has one isotropy direction
@@ -340,7 +420,7 @@ _S = _TOWER.generator(0)
 _PQ = ("p", "q")
 _P, _Q = Poly.var("p", _PQ), Poly.var("q", _PQ)
 # per domain, the nonzero values a field entry takes besides rationals (the
-# Poly-valued fields are those of closure_constraints)
+# Poly-valued fields are those of the reference poly_closure_constraints)
 BRACKET_DOMAINS = ((F(2), F(-1, 3)),
                    (_B, _B + 1, -_B, 1 / (_B - 1), RationalFunc.const(3)),
                    (_S, 1 - _S, _TOWER.const(2)),
