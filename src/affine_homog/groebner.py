@@ -32,14 +32,16 @@ pairs lost nothing, and so is every generator, which certifies that it
 spans the generators' ideal and not a smaller one.
 
 The solver does linear elimination first, in the ring the system came
-in: each pivot is eliminated only from the polynomials that contain its
-variable (``_eliminate``), its slot stays at exponent 0, and the system
-is restricted to the remaining variables once, at the end. Then comes
-lexicographic elimination with rational root extraction and
-back-substitution. After a free parameter has been designated,
-quadratics over its function field are split whenever the discriminant
-is a perfect square. Irrational roots are reported as residual
-components with their defining polynomials, never approximated.
+in, on one mutable term dict per polynomial: each pivot is substituted
+only into the terms that contain its variable (``_substitute_in_place``),
+its slot stays at exponent 0, a polynomial's pivot candidate is
+recomputed only when it has changed and has few enough terms to be the
+next pivot, and the system is restricted to the remaining variables
+once, at the end. Then comes lexicographic elimination with rational
+root extraction and back-substitution. After a free parameter has been
+designated, quadratics over its function field are split whenever the
+discriminant is a perfect square. Irrational roots are reported as
+residual components with their defining polynomials, never approximated.
 
 Every point and family is certified exactly on every generator. Each
 distinct monomial of a ring is evaluated once per solution and shared by
@@ -61,7 +63,7 @@ from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import _RATIONAL, rref
-from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _add_terms, _mul_terms
+from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _mul_terms
 from .scalars import (RationalFunc, _udivmod, _ueval, over_common_denominator,
                       primitive_integers, ratfunc_sqrt)
 
@@ -341,29 +343,6 @@ def _restrict(p: Poly, vars: Tuple[str, ...]) -> Poly:
     return Poly._canonical(tuple(vars), terms)
 
 
-def _linear_coefficient(p: Poly, v: str):
-    """(c, rest) with p = c*v + rest, for p linear in v with scalar c."""
-    i = p.vars.index(v)
-    rest = dict(p.terms)
-    c = rest.pop(tuple(int(j == i) for j in range(len(p.vars))))
-    return c, Poly._canonical(p.vars, rest)
-
-
-def _pivot_candidate(p: Poly, ring: Tuple[str, ...]):
-    """((term count, degree), v) for the first variable v of the ring in
-    which p is linear with a scalar coefficient, or None."""
-    linear, other = set(), set()
-    for m in p.terms:
-        if sum(m) == 1:
-            linear.add(m.index(1))
-        else:
-            other.update(compress(range(len(m)), m))
-    free = linear - other
-    if not free:
-        return None
-    return (len(p.terms), p.total_degree()), ring[min(free)]
-
-
 def _univariate_in(p: Poly) -> Optional[str]:
     used = set()
     for m in p.terms:
@@ -504,30 +483,59 @@ def _dedupe(out: SolutionSet):
     out.families = families
 
 
-def _eliminate(p: Poly, i: int, expr: Poly) -> Poly:
-    """p with the variable of slot i replaced by expr, which does not
-    contain it: ``p.substitute`` with the image kept in p's ring, where the
-    slot stays at exponent 0. An empty expr drops the terms that contain
-    the variable, a one-term expr shifts their monomials and scales them
-    by a power of its coefficient, a longer one multiplies them by its
-    powers, each built once by ``_mul_terms``."""
-    powers = [None, expr.terms]
-    new = []
-    for m, c in p.terms.items():
-        if isinstance(c, int):
-            c = Fraction(c)
+def _pivot_slot(terms: Dict[Mono, object]):
+    """((term count, degree), i) for the first slot i in which the term
+    dict is linear with a scalar coefficient, or None."""
+    linear, other = set(), set()
+    degree = 0
+    for m in terms:
+        d = sum(m)
+        if d == 1:
+            linear.add(m.index(1))
+        else:
+            other.update(compress(range(len(m)), m))
+        if d > degree:
+            degree = d
+    free = linear - other
+    if not free:
+        return None
+    return (len(terms), degree), min(free)
+
+
+def _substitute_in_place(terms: Dict[Mono, object], i: int,
+                         powers: List[Dict[Mono, object]]) -> bool:
+    """Whether the variable of slot i occurs in the term dict ``terms``;
+    if it does, it is replaced there, in place, by the polynomial whose
+    term dict is ``powers[1]``. Only the terms that contain it are popped,
+    and their products with its powers are added in, with the slot at
+    exponent 0; a sum that cancels is dropped. Each power is built once,
+    when first needed, and kept in ``powers`` for the next call. As in
+    ``Poly.substitute``, an int coefficient becomes a Fraction."""
+    hit = [m for m in terms if m[i]]
+    if not hit:
+        return False
+    if int in map(type, terms.values()):
+        for m, c in terms.items():
+            if isinstance(c, int):
+                terms[m] = Fraction(c)
+    for m in hit:
+        c = terms.pop(m)
         e = m[i]
-        if not e:
-            new.append((m, c))
-            continue
         while len(powers) <= e:
             powers.append(_mul_terms(powers[-1], powers[1], None))
         base = m[:i] + (0,) + m[i + 1:]
-        new.extend((tuple(map(add, base, me)), c * ce)
-                   for me, ce in powers[e].items())
-    out: Dict[Mono, object] = {}
-    _add_terms(out, new)
-    return Poly._canonical(p.vars, out)
+        for me, ce in powers[e].items():
+            t = tuple(map(add, base, me))
+            v = terms.get(t)
+            if v is None:
+                terms[t] = c * ce
+            else:
+                v += c * ce
+                if v:
+                    terms[t] = v
+                else:
+                    del terms[t]
+    return True
 
 
 def _eliminate_linear(system: List[Poly], ring: Tuple[str, ...],
@@ -536,50 +544,69 @@ def _eliminate_linear(system: List[Poly], ring: Tuple[str, ...],
     for an inconsistent branch; each pivot ``v := expr`` goes on the stack.
 
     The pivot is the polynomial with the fewest terms, then the lowest
-    degree, then the first in text order. It is eliminated only from the
-    polynomials that contain its variable. The system stays in the ring it
+    degree, then the first in text order, then in row order; an int pivot
+    coefficient divides as a Fraction. Each polynomial is one term dict,
+    which ``_substitute_in_place`` changes only when it contains the
+    pivot's variable, with each power of the pivot's image built once per
+    pivot. A changed row's candidate is recomputed only when it could
+    still be the pivot: the rows are walked by ascending term count, in
+    row order within a count, and the walk stops at the first row with
+    more terms than the best candidate. The system stays in the ring it
     came in, with each eliminated slot at exponent 0, which changes
-    neither a polynomial's text nor its grevlex order, and is restricted to
-    the remaining variables once, at the end."""
+    neither a polynomial's text nor its grevlex order, and is restricted
+    to the remaining variables once, at the end."""
     system = [p for p in system if p]
     if any(p.is_constant() for p in system):
         return None
     full = ring
-    # [polynomial, pivot candidate, text once a tie has needed it]
-    rows = [[p, _pivot_candidate(p, full), None] for p in system]
+    n = len(full)
+    constant = (0,) * n
+    # [term dict, pivot candidate (False until computed), text once a tie
+    # has needed it]; changing the terms resets the other two
+    rows = [[dict(p.terms), False, None] for p in system]
     while True:
-        pivots = [row for row in rows if row[1] is not None]
-        if not pivots:
+        low, ties = None, []
+        for row in sorted(rows, key=lambda row: len(row[0])):
+            if low is not None and len(row[0]) > low[0]:
+                break
+            if row[1] is False:
+                row[1] = _pivot_slot(row[0])
+            if row[1] is None:
+                continue
+            key = row[1][0]
+            if low is None or key < low:
+                low, ties = key, [row]
+            elif key == low:
+                ties.append(row)
+        if not ties:
             break
-        low = min(row[1][0] for row in pivots)
-        pivots = [row for row in pivots if row[1][0] == low]
-        if len(pivots) > 1:
-            for row in pivots:
+        if len(ties) > 1:
+            for row in ties:
                 if row[2] is None:
-                    row[2] = str(row[0])
-            pivots.sort(key=lambda row: row[2])
-        pivot = pivots[0]
-        v = pivot[1][1]
-        c, rest = _linear_coefficient(pivot[0], v)
-        i = full.index(v)
-        ring = tuple(u for u in ring if u != v)
-        expr = rest.map_coefficients(lambda a: -a / c)
-        stack.append((v, expr))
+                    row[2] = str(Poly._canonical(full, row[0]))
+            ties.sort(key=lambda row: row[2])
+        pivot = ties[0]
+        terms, i = pivot[0], pivot[1][1]
+        c = terms.pop(tuple(int(j == i) for j in range(n)))
+        if isinstance(c, int):
+            c = Fraction(c)
+        expr = {m: -a / c for m, a in terms.items()}
+        stack.append((full[i], Poly._canonical(full, expr)))
+        ring = tuple(u for u in ring if u != full[i])
+        powers = [None, expr]
         kept = []
         for row in rows:
             if row is pivot:
                 continue
-            q = row[0]
-            if any(m[i] for m in q.terms):
-                q = _eliminate(q, i, expr)
-                if not q:
+            if _substitute_in_place(row[0], i, powers):
+                if not row[0]:
                     continue
-                if q.is_constant():
+                if len(row[0]) == 1 and constant in row[0]:
                     return None
-                row = [q, _pivot_candidate(q, full), None]
+                row[1], row[2] = False, None
             kept.append(row)
         rows = kept
-    system = [row[0] for row in rows]
+    system = [Poly._canonical(full, row[0]) for row in rows]
     if ring != full:
         system = [_restrict(p, ring) for p in system]
     return system, ring

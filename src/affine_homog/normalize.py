@@ -479,13 +479,17 @@ def partials_span_dimension(c0: Poly) -> int:
 
 
 def cubic_type(c0: Poly, h: QuadraticForm) -> str:
+    """The class of a trace-free cubic; any other raises
+    ``NormalizationError``."""
+    if not is_trace_free(c0, h):
+        raise NormalizationError("cubic is not trace-free")
     return _classify(c0, h)[0]
 
 
 def _classify(c0: Poly, h: QuadraticForm):
-    """The class of a trace-free cubic and its Pick invariant."""
-    if not is_trace_free(c0, h):
-        raise NormalizationError("cubic is not trace-free")
+    """The class of a trace-free cubic and its Pick invariant; the c0 of
+    ``trace_decompose`` is trace-free by construction and is not
+    re-checked."""
     pick = pick_invariant(c0, h)
     if c0.is_zero():
         return CUBIC_ZERO, pick

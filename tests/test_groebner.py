@@ -13,7 +13,8 @@ from affine_homog.groebner import (GroebnerError, _certify, _divide, _divisor,
                                    _echelon, _is_rational, _normalised,
                                    _rational_roots, _s_terms, _term_dict,
                                    buchberger, solve_zero_dim)
-from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _add_terms
+from affine_homog.poly import (GREVLEX, LEX, Poly, VariableMismatch, _add_terms,
+                               _mul_terms)
 from affine_homog.scalars import RationalFunc
 from affine_homog.symmetry import closure_constraints, pqr_families, solve_tangency
 
@@ -608,11 +609,182 @@ def test_eliminate_equals_substitute(case):
     ring = UVWX[:i] + UVWX[i + 1:]
     sub = p.substitute({UVWX[i]: groebner._restrict(expr, ring)})
     expect = {m[:i] + (0,) + m[i:]: c for m, c in sub.terms.items()}
-    ours = groebner._eliminate(p, i, expr)
-    assert ours.vars == UVWX
-    assert ours.terms == expect
-    assert ({m: type(c) for m, c in ours.terms.items()}
+    ours = dict(p.terms)
+    occurs = any(m[i] for m in p.terms)
+    assert groebner._substitute_in_place(ours, i, [None, expr.terms]) == occurs
+    if not occurs:
+        expect = p.terms  # untouched, int coefficients included
+    assert ours == expect
+    assert ({m: type(c) for m, c in ours.items()}
             == {m: type(c) for m, c in expect.items()})
+
+
+# -- the reference linear elimination: one new Poly per substitution -------
+
+def _linear_coefficient(p, v):
+    """(c, rest) with p = c*v + rest, for p linear in v with scalar c."""
+    i = p.vars.index(v)
+    rest = dict(p.terms)
+    c = rest.pop(tuple(int(j == i) for j in range(len(p.vars))))
+    return c, Poly._canonical(p.vars, rest)
+
+
+def _pivot_candidate(p, ring):
+    """((term count, degree), v) for the first variable v of the ring in
+    which p is linear with a scalar coefficient, or None."""
+    linear, other = set(), set()
+    for m in p.terms:
+        if sum(m) == 1:
+            linear.add(m.index(1))
+        else:
+            other.update(j for j, e in enumerate(m) if e)
+    free = linear - other
+    if not free:
+        return None
+    return (len(p.terms), p.total_degree()), ring[min(free)]
+
+
+def _eliminate(p, i, expr):
+    """p with the variable of slot i replaced by expr, kept in p's ring."""
+    powers = [None, expr.terms]
+    new = []
+    for m, c in p.terms.items():
+        if isinstance(c, int):
+            c = F(c)
+        e = m[i]
+        if not e:
+            new.append((m, c))
+            continue
+        while len(powers) <= e:
+            powers.append(_mul_terms(powers[-1], powers[1], None))
+        base = m[:i] + (0,) + m[i + 1:]
+        new.extend((tuple(a + b for a, b in zip(base, me)), c * ce)
+                   for me, ce in powers[e].items())
+    out = {}
+    _add_terms(out, new)
+    return Poly._canonical(p.vars, out)
+
+
+def poly_eliminate_linear(system, ring, stack):
+    """``groebner._eliminate_linear`` rebuilding each touched polynomial
+    and rescanning it for a pivot after every pivot; the pivot is the
+    candidate with the fewest terms, then the lowest degree, then the
+    first in text order (row order among equal texts)."""
+    system = [p for p in system if p]
+    if any(p.is_constant() for p in system):
+        return None
+    full = ring
+    rows = [[p, _pivot_candidate(p, full), None] for p in system]
+    while True:
+        pivots = [row for row in rows if row[1] is not None]
+        if not pivots:
+            break
+        low = min(row[1][0] for row in pivots)
+        pivots = [row for row in pivots if row[1][0] == low]
+        if len(pivots) > 1:
+            for row in pivots:
+                if row[2] is None:
+                    row[2] = str(row[0])
+            pivots.sort(key=lambda row: row[2])
+        pivot = pivots[0]
+        v = pivot[1][1]
+        c, rest = _linear_coefficient(pivot[0], v)
+        if isinstance(c, int):
+            c = F(c)
+        i = full.index(v)
+        ring = tuple(u for u in ring if u != v)
+        expr = rest.map_coefficients(lambda a: -a / c)
+        stack.append((v, expr))
+        kept = []
+        for row in rows:
+            if row is pivot:
+                continue
+            q = row[0]
+            if any(m[i] for m in q.terms):
+                q = _eliminate(q, i, expr)
+                if not q:
+                    continue
+                if q.is_constant():
+                    return None
+                row = [q, _pivot_candidate(q, full), None]
+            kept.append(row)
+        rows = kept
+    system = [row[0] for row in rows]
+    if ring != full:
+        system = [groebner._restrict(p, ring) for p in system]
+    return system, ring
+
+
+def _linear_part(n):
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return st.dictionaries(st.sampled_from(units), st.integers(-3, 3).filter(bool)
+                           | fractions.filter(bool), min_size=1, max_size=3)
+
+
+@st.composite
+def linear_systems(draw):
+    """(ring, system): 1-6 polynomials in 4 or 5 variables of degree <= 3,
+    each with a linear part, with int and Fraction coefficients. Some
+    rows repeat an earlier one, as it is or with constant RationalFunc
+    coefficients (equal texts, which the pivot choice breaks by row
+    order), some add a constant to one (they reduce to that constant), and
+    sometimes one or two coefficients are RationalFuncs in b."""
+    ring = draw(st.sampled_from([UVWX, UVWX + ("y",)]))
+    n = len(ring)
+    monos = st.sampled_from(_monomials(n, 3))
+    rows = [dict(draw(_linear_part(n)))
+            for _ in range(draw(st.integers(1, 6)))]
+    for row in rows:
+        for m, c in draw(st.dictionaries(monos, st.integers(-3, 3).filter(bool)
+                                         | fractions.filter(bool),
+                                         max_size=3)).items():
+            row[m] = row.get(m, 0) + c
+    for _ in range(draw(st.integers(0, 2))):
+        row = dict(draw(st.sampled_from(rows)))
+        how = draw(st.sampled_from(["same", "rf", "constant"]))
+        if how == "rf":
+            row = {m: c * ONE for m, c in row.items()}
+        elif how == "constant":
+            zero = (0,) * n
+            row[zero] = row.get(zero, 0) + draw(st.integers(1, 3))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        m = draw(st.sampled_from(sorted(row)))
+        row[m] = B + draw(st.integers(-2, 2))
+    return ring, [Poly(ring, row) for row in rows]
+
+
+def _typed(p):
+    return p.vars, {m: (type(c), c) for m, c in p.terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_eliminate_linear_equals_the_poly_reference(case):
+    ring, system = case
+    ours_stack, ref_stack = [], []
+    ours = groebner._eliminate_linear(list(system), ring, ours_stack)
+    ref = poly_eliminate_linear(list(system), ring, ref_stack)
+    assert ([(v, _typed(e)) for v, e in ours_stack]
+            == [(v, _typed(e)) for v, e in ref_stack])
+    if ref is None:
+        assert ours is None
+    else:
+        assert ours[1] == ref[1]
+        assert [_typed(p) for p in ours[0]] == [_typed(p) for p in ref[0]]
+
+
+def test_an_int_pivot_coefficient_divides_exactly():
+    # 3u + 1 = 0 and u + 2v = 0 with int coefficients: u = -1/3, v = 1/6
+    stack = []
+    out = groebner._eliminate_linear(
+        [Poly(UV, {(1, 0): 3, (0, 0): 1}), Poly(UV, {(1, 0): 1, (0, 1): 2})],
+        UV, stack)
+    assert out == ([], ())
+    assert [(v, _typed(e)) for v, e in stack] == [
+        ("u", _typed(Poly._canonical(UV, {(0, 0): F(-1, 3)}))),
+        ("v", _typed(Poly._canonical(UV, {(0, 0): F(1, 6)})))]
 
 
 def test_certificate_rejects_spurious_solutions():

@@ -116,6 +116,31 @@ def test_cubic_type_classification():
     assert cubic_type(basis[3], HYP) == "I0"
 
 
+def test_cubic_type_rejects_a_cubic_that_is_not_trace_free():
+    # Lap_h(z^3) = 6z under the hyperbolic form
+    with pytest.raises(NormalizationError, match="^cubic is not trace-free$"):
+        cubic_type(Z * Z * Z, HYP)
+
+
+def test_trace_decompose_leaves_a_trace_free_cubic_under_random_forms():
+    # normalize_jet classifies the c0 of trace_decompose without checking it
+    rng = random.Random(5)
+    monos = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+    forms = 0
+    while forms < 100:
+        e = [F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(6)]
+        gram = ((e[0], e[1], e[2]), (e[1], e[3], e[4]), (e[2], e[4], e[5]))
+        if matrix_rank(gram) < 3:
+            continue
+        forms += 1
+        h = QuadraticForm(gram, "complex")
+        c = Poly(("x", "y", "z"), ((m, F(rng.randint(-4, 4), rng.randint(1, 3)))
+                                   for m in monos if rng.random() < 0.6))
+        c0, l = trace_decompose(c, h)
+        assert is_trace_free(c0, h)
+        assert c0 + quadratic_poly(h) * l == c
+
+
 def test_normalize_jet_pipeline_on_catalog_surfaces():
     cases = [("W = X*Y + Z^2 + X^3", ("0", "0", "0", "0"), "I3"),
              ("W = X*Y + Z^2 + X*Z^2", ("0", "0", "0", "0"), "I1"),
