@@ -21,6 +21,15 @@ class Jet:
         self.order = order
 
     @classmethod
+    def _canonical(cls, poly: Poly, order: int) -> "Jet":
+        """Wrap a polynomial already known to have no term above
+        ``order`` (>= 0), without the truncation pass."""
+        j = object.__new__(cls)
+        j.poly = poly
+        j.order = order
+        return j
+
+    @classmethod
     def zero(cls, order: int, vars: Sequence[str] = XYZ) -> "Jet":
         return cls(Poly.zero(vars), order)
 

@@ -10,10 +10,11 @@ place where the scalar types choose the branch:
   output entry;
 - any other system (``RationalFunc``, ``TowerElement`` or mixed) is
   eliminated over its field with the smallest-``_pivot_size`` pivot,
-  and does no arithmetic on zero entries. ``RationalFunc`` itself pays
-  for a gcd only where a result can share a factor with its denominator
-  (see its docstring), so a parametric system whose pivots are constants
-  runs without one.
+  and does no arithmetic on zero entries. ``RationalFunc`` computes on
+  integer polynomials times one rational content and pays for a
+  polynomial gcd only where a result can share a factor with its
+  denominator (see its docstring), so a parametric system whose pivots
+  are constants runs without one.
 
 The types choose the branch and the pivot order, which change the cost
 of a solve only: the RREF is unique, so no value depends on them.
@@ -96,7 +97,7 @@ def _pivot_size(c) -> int:
     if isinstance(c, Fraction):
         return c.numerator.bit_length() + c.denominator.bit_length()
     if isinstance(c, RationalFunc):
-        return 8 * (len(c.num) + len(c.den))
+        return 8 * (len(c.n) + len(c.d))
     return 1 << 20
 
 

@@ -60,8 +60,8 @@ def positive_power(x, k: int):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, used as numerator/denominator of RationalFunc
-# (coefficient tuples, constant term first, no trailing zeros)
+# univariate polynomials over Q (Fraction coefficients) or Z (int ones, as in
+# RationalFunc): coefficient tuples, constant term first, no trailing zeros
 
 def _utrim(c: Sequence[Fraction]) -> tuple:
     c = list(c)
@@ -70,24 +70,16 @@ def _utrim(c: Sequence[Fraction]) -> tuple:
     return tuple(c)
 
 
-def _uadd(a, b):
-    n = max(len(a), len(b))
-    return _utrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
-def _uneg(a):
-    return tuple(-x for x in a)
-
-
 def _umul(a, b):
+    """The product of two coefficient tuples (ints or Fractions) with
+    nonzero last entries, which has one too."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _utrim(out)
+    return tuple(out)
 
 
 def _udivmod(a, b):
@@ -148,29 +140,76 @@ def _ustr(a, var):
     return out
 
 
-_ONE = (Fraction(1),)
+def _primitive_part(ints: List[int]) -> Tuple[int, tuple]:
+    """(g, ints / g) for g the content of a list of ints whose last entry
+    is nonzero, signed so that the part has a positive last entry."""
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return g, tuple(c // g for c in ints)
+
+
+def _split(coeffs) -> Tuple[Fraction, tuple]:
+    """(content, primitive part) of trimmed Fraction coefficients."""
+    if not coeffs:
+        return Fraction(0), ()
+    ints, den = over_common_denominator(coeffs)
+    g, part = _primitive_part(ints)
+    return Fraction(g, den), part
+
+
+def _sum(s1, n1, s2, n2) -> Tuple[Fraction, tuple]:
+    """s1*n1 + s2*n2 for rational s1, s2 and integer tuples n1, n2, as
+    (content, primitive part); zero is (0, ())."""
+    q1, q2 = s1.denominator, s2.denominator
+    a, b = s1.numerator * q2, s2.numerator * q1
+    if len(n1) < len(n2):
+        a, n1, b, n2 = b, n2, a, n1
+    m = [a * c for c in n1]
+    for i, c in enumerate(n2):
+        m[i] += b * c
+    while m and not m[-1]:
+        m.pop()
+    if not m:
+        return Fraction(0), ()
+    g, part = _primitive_part(m)
+    return Fraction(g, q1 * q2), part
+
+
+_ONE = (1,)
 
 
 class RationalFunc:
     """Exact rational function in one named parameter over Q.
 
-    Canonical form: ``num`` and ``den`` are trimmed coefficient tuples of
-    ``Fraction``s, coprime, with ``den`` monic, so equality and hashing
-    compare tuples. The general constructor restores that form with a
-    polynomial gcd. An operation skips the gcd only where the gcd is
-    provably 1, and then builds its result with ``_canonical``:
+    Canonical form: the value is ``s * N(b) / D(b)`` with ``s`` one
+    ``Fraction`` and ``N``, ``D`` coprime tuples of ``int`` (constant term
+    first, no trailing zeros), each primitive with a positive last entry;
+    zero is ``s = 0``, ``N = ()``, ``D = (1,)``. The form is unique, so
+    equality compares the three fields. ``num`` and ``den`` read the value
+    as coprime ``Fraction`` tuples with ``den`` monic, and the hash is
+    taken of those.
 
-    - any denominator of length 1 (the gcd with a constant is a unit);
-    - ``r + p`` and ``r - p`` for a polynomial ``p`` (including a constant):
-      ``(num + p*den)/den``, since gcd(num + p*den, den) = gcd(num, den);
-    - ``c*r`` and ``r/c`` for a nonzero constant ``c``, and negation, which
-      scale ``num`` only;
-    - the product of two polynomials.
+    The arithmetic is on the integer tuples, with one ``Fraction``
+    operation on the contents. The general constructor divides out a
+    polynomial gcd over Q; an operation skips it where the gcd is
+    provably 1:
 
-    Every other quotient and product keeps the general constructor.
+    - the product of two polynomials, ``s1*s2 * N1*N2``: by Gauss's lemma
+      a product of primitive polynomials is primitive, so nothing is
+      divided at all;
+    - a product by or a quotient by a constant, and negation, which change
+      ``s`` only (an ``int`` or ``Fraction`` operand is taken as it is);
+    - a sum with a polynomial ``p`` (a constant included),
+      ``(s*N + p*D)/D``: gcd(s*N + p*D, D) = gcd(N, D) = 1, so only the
+      integer content of the new numerator is divided out.
+
+    A sum of two values with non-constant denominators, every other
+    product and every quotient by a non-constant value run the general
+    constructor.
     """
 
-    __slots__ = ("var", "num", "den")
+    __slots__ = ("var", "s", "n", "d")
 
     def __init__(self, num, den=_ONE, var="b"):
         num = _utrim([as_fraction(c) for c in num])
@@ -182,117 +221,143 @@ class RationalFunc:
             if len(g) > 1:
                 num = _udivmod(num, g)[0]
                 den = _udivmod(den, g)[0]
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
         self.var = var
-        self.num = num
-        self.den = den
+        self.s, self.n = _split(num)
+        content, self.d = _split(den)
+        self.s /= content
 
     @classmethod
-    def _canonical(cls, num, den, var) -> "RationalFunc":
-        """Wrap a pair that is already in canonical form."""
+    def _canonical(cls, s, n, d, var) -> "RationalFunc":
+        """Wrap fields that are already in canonical form."""
         r = object.__new__(cls)
         r.var = var
-        r.num = num
-        r.den = den
+        r.s = s
+        r.n = n
+        r.d = d
+        return r
+
+    @classmethod
+    def _reduced(cls, s, n, d, var) -> "RationalFunc":
+        """The general constructor, on s * n/d for integer tuples n, d."""
+        r = cls(n, d, var)
+        r.s *= s
         return r
 
     @classmethod
     def const(cls, q, var="b") -> "RationalFunc":
         q = as_fraction(q)
-        return cls._canonical((q,) if q else (), _ONE, var)
+        return cls._canonical(q, _ONE if q else (), _ONE, var)
 
     @classmethod
     def gen(cls, var="b") -> "RationalFunc":
-        return cls._canonical((Fraction(0), Fraction(1)), _ONE, var)
+        return cls._canonical(Fraction(1), (0, 1), _ONE, var)
+
+    @property
+    def num(self) -> tuple:
+        """The numerator's Fraction coefficients over the monic ``den``."""
+        k = self.s / self.d[-1]
+        return tuple(k * c for c in self.n)
+
+    @property
+    def den(self) -> tuple:
+        """The monic denominator's Fraction coefficients."""
+        lc = self.d[-1]
+        return tuple(Fraction(c, lc) for c in self.d)
 
     # -- predicates
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self.n) <= 1 and len(self.d) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ScalarError(f"not constant: {self}")
-        return self.num[0] / self.den[0] if self.num else Fraction(0)
+        return self.s
 
     # -- coercion
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """(s, N, D) of a RationalFunc in this parameter, or of an int or
+        Fraction ``c`` as (c, (1,), (1,)); None for any other type."""
         if isinstance(other, RationalFunc):
             if other.var != self.var:
                 raise ScalarError("parameter name mismatch")
-            return other
+            return other.s, other.n, other.d
         if isinstance(other, (int, Fraction)):
-            return RationalFunc.const(other, var=self.var)
+            return other, _ONE, _ONE
         return None
 
     # -- arithmetic
 
+    def _plus(self, s2, n2, d2) -> "RationalFunc":
+        if not s2:
+            return self
+        s1, n1, d1 = self.s, self.n, self.d
+        if len(d1) > 1 and len(d2) > 1:
+            s, n = _sum(s1, _umul(n1, d2), s2, _umul(n2, d1))
+            return RationalFunc._reduced(s, n, _umul(d1, d2), self.var)
+        if len(d2) > 1:
+            s1, n1, d1, s2, n2, d2 = s2, n2, d2, s1, n1, d1
+        # s2*n2 is a polynomial, so (s1*n1 + s2*n2*d1)/d1 is in lowest
+        # terms; it is zero only if d1 is 1
+        s, n = _sum(s1, n1, s2, _umul(n2, d1) if len(d1) > 1 else n2)
+        return RationalFunc._canonical(s, n, d1, self.var)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        if len(self.den) > 1 and len(o.den) > 1:
-            return RationalFunc(_uadd(_umul(self.num, o.den), _umul(o.num, self.den)),
-                                _umul(self.den, o.den), var=self.var)
-        if len(o.den) > 1:
-            self, o = o, self
-        # o is a polynomial, so (num + o*den)/den is already in lowest terms
-        shifted = _umul(o.num, self.den) if len(self.den) > 1 else o.num
-        return RationalFunc._canonical(_uadd(self.num, shifted), self.den, self.var)
+        return self._plus(*t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunc._canonical(_uneg(self.num), self.den, self.var)
+        return RationalFunc._canonical(-self.s, self.n, self.d, self.var)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(-t[0], t[1], t[2])
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scale(self, c: Fraction) -> "RationalFunc":
-        num = tuple(x * c for x in self.num) if c else ()
-        return RationalFunc._canonical(num, self.den if c else _ONE, self.var)
-
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        if o.is_constant():
-            return self._scale(o.num[0] if o.num else 0)
-        if self.is_constant():
-            return o._scale(self.num[0] if self.num else 0)
-        if len(self.den) == 1 and len(o.den) == 1:
-            return RationalFunc._canonical(_umul(self.num, o.num), _ONE, self.var)
-        return RationalFunc(_umul(self.num, o.num), _umul(self.den, o.den),
-                            var=self.var)
+        s2, n2, d2 = t
+        s = self.s * s2
+        if not s:
+            return RationalFunc.const(0, self.var)
+        n1, d1 = self.n, self.d
+        if len(n2) == 1 and len(d2) == 1:
+            return RationalFunc._canonical(s, n1, d1, self.var)
+        if len(n1) == 1 and len(d1) == 1:
+            return RationalFunc._canonical(s, n2, d2, self.var)
+        if len(d1) == 1 and len(d2) == 1:
+            return RationalFunc._canonical(s, _umul(n1, n2), _ONE, self.var)
+        return RationalFunc._reduced(s, _umul(n1, n2), _umul(d1, d2), self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        if not o.num:
+        s2, n2, d2 = t
+        if not s2:
             raise ZeroDivisionError("division by zero rational function")
-        if o.is_constant():
-            return self._scale(1 / o.num[0])
-        return RationalFunc(_umul(self.num, o.den), _umul(self.den, o.num),
-                            var=self.var)
+        if len(n2) == 1 and len(d2) == 1:
+            return RationalFunc._canonical(self.s / s2, self.n, self.d, self.var)
+        return RationalFunc._reduced(self.s / s2, _umul(self.n, d2),
+                                     _umul(self.d, n2), self.var)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o / self
+        return RationalFunc.const(other, var=self.var) / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -302,23 +367,25 @@ class RationalFunc:
         return positive_power(self, k)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._operand(other)
+        if t is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        s2, n2, d2 = t
+        return self.s == s2 and (not s2 or (self.n == n2 and self.d == d2))
 
     def __hash__(self):
         # a constant equals, so must hash as, the Fraction it holds
         if self.is_constant():
-            return hash(self.as_fraction())
+            return hash(self.s)
         return hash((self.var, self.num, self.den))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.s)
 
     def __call__(self, value):
         """Evaluate at an exact value (Fraction or another RationalFunc)."""
-        n = _ueval(self.num, value) if self.num else (
+        num = self.num
+        n = _ueval(num, value) if num else (
             value * 0 if isinstance(value, RationalFunc) else Fraction(0))
         d = _ueval(self.den, value)
         if isinstance(value, (int, Fraction)):
@@ -329,7 +396,7 @@ class RationalFunc:
 
     def __str__(self):
         ns = _ustr(self.num, self.var)
-        if self.den == _ONE:
+        if len(self.d) == 1:
             return ns
         return f"({ns})/({_ustr(self.den, self.var)})"
 

@@ -153,7 +153,7 @@ def tangency_columns(F: Jet, M: int, ks: Sequence[int], lo: int = 0) -> List[Jet
         else:
             col = Poly._canonical(XYZ, {m: -c for m, c in fp.terms.items()
                                         if lo <= sum(m) <= M})
-        cols.append(Jet(col, M))
+        cols.append(Jet._canonical(col, M))
     return cols
 
 
@@ -180,8 +180,9 @@ def _read_columns(F: Jet, fields: Sequence[AffineVectorField], M: int,
 
 
 def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
-    """sum(weights[k] * columns[k]). The weights are scalars; no caller in
-    the package passes Poly weights, but the sum takes them."""
+    """sum(weights[k] * columns[k]), for columns with no term above M.
+    The weights are scalars; no caller in the package passes Poly weights,
+    but the sum takes them."""
     acc: Dict[Tuple[int, ...], object] = {}
     for col, c in zip(columns, weights):
         if not c:
@@ -189,7 +190,7 @@ def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
         for m, a in col.poly.terms.items():
             t = a * c
             acc[m] = acc[m] + t if m in acc else t
-    return Jet(Poly(XYZ, acc), M)
+    return Jet._canonical(Poly(XYZ, acc), M)
 
 
 def tangency_residual(F: Jet, V: AffineVectorField, M: int,

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from affine_homog.linalg import _pivot_size
 from affine_homog.scalars import (RationalFunc, ScalarError, Tower,
                                   parse_rational, ratfunc_sqrt,
                                   rational_nth_root, rational_sqrt, scalar_str)
@@ -178,3 +180,70 @@ def test_ratfunc_arithmetic_is_canonical(op, operands, swap):
     rebuilt = RationalFunc(got.num, got.den, var=got.var)
     assert (rebuilt.num, rebuilt.den) == (got.num, got.den)
     assert hash(rebuilt) == hash(got)
+
+
+def _assert_canonical_fields(r):
+    """r is s * N/D with one Fraction s and coprime primitive int tuples
+    N, D with positive last entries; zero is s = 0, N = (), D = (1,)."""
+    assert type(r.s) is F and all(type(c) is int for c in r.n + r.d)
+    if not r.s:
+        assert (r.n, r.d) == ((), (1,))
+        return
+    for part in (r.n, r.d):
+        assert part and part[-1] > 0 and gcd(*part) == 1
+    assert sp.degree(sp.gcd(_sym_poly(r.n), _sym_poly(r.d)), _b) == 0
+
+
+polys = st.lists(fractions, max_size=4).map(RationalFunc)
+with_pole = st.tuples(ratfuncs, st.integers(-3, 3)).map(
+    lambda t: t[0] / (RationalFunc.gen() + t[1])).filter(lambda r: len(r.d) > 1)
+scalar_operands = st.one_of(st.sampled_from([0, F(0)]), st.integers(-6, 6), fractions)
+
+
+@st.composite
+def _fast_path_cases(draw):
+    """(x, op, y) on each path where RationalFunc skips the general
+    constructor."""
+    kind = draw(st.sampled_from(["cancel", "signs", "scale", "one pole"]))
+    if kind == "cancel":
+        # p + (c*p + q) = (1 + c)*p + q, and p - (c*p + q): leading terms,
+        # the whole sum or the content cancel
+        p, q = draw(polys), draw(polys)
+        c = draw(st.sampled_from([F(-1), F(1), F(-1, 2), F(1, 2), F(-3), F(3)]))
+        return p, draw(st.sampled_from("+-")), c * p + q
+    if kind == "signs":
+        # a product of polynomials with negative leading coefficients
+        x, y = draw(polys), draw(polys)
+        return (-x if x and x.num[-1] > 0 else x), "*", (-y if y and y.num[-1] > 0 else y)
+    if kind == "scale":
+        return draw(ratfuncs), draw(st.sampled_from("*/")), draw(scalar_operands)
+    # a sum with exactly one non-constant denominator
+    return draw(with_pole), draw(st.sampled_from("+-")), draw(st.one_of(polys, scalar_operands))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fast_path_cases(), st.booleans())
+def test_ratfunc_fast_paths_keep_the_canonical_form(case, swap):
+    x, op, y = case
+    if swap:
+        x, y = y, x
+    if op == "/" and not y:
+        return
+    got = _OPS[op](x, y)
+    num, den = sp.fraction(sp.cancel(_OPS[op](_sym(x), _sym(y))))
+    assert sp.expand(_sym_poly(got.num) * den - _sym_poly(got.den) * num) == 0
+    _assert_canonical_fields(got)
+    rebuilt = RationalFunc(got.num, got.den, var=got.var)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert (rebuilt.s, rebuilt.n, rebuilt.d) == (got.s, got.n, got.d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfuncs.filter(lambda r: not r.is_constant()))
+def test_pivot_size_and_hash_read_the_fraction_form(r):
+    # pivot size and hash are those of the coprime Fraction form that num
+    # and den give (den monic), whatever the stored fields, so pivot order
+    # and set order follow that form
+    assert _pivot_size(r) == 8 * (len(r.num) + len(r.den))
+    assert hash(r) == hash((r.var, r.num, r.den))
+    assert r.den[-1] == 1 and all(type(c) is F for c in r.num + r.den)
