@@ -5,8 +5,8 @@ complex numbers and over the hyperbolic reals), of the completed normal
 forms of `verify --entry=NF` (over symbolic b and at b = 3/2), of
 `symmetry --jet -` on each normal form's completed jet (at b = 3/2 for the
 parametric ones), of the default text output of `discover --case=C` for
-each of the six cubic cases, and of the catalog-wide `catalog --verify-all`
-and `real` reports.
+each of the six cubic cases, and of the catalog-wide `catalog` (with and
+without `--verify-all`) and `real` reports.
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
@@ -76,6 +76,7 @@ def argvs():
                         "--format=json"])
     for case in CASES:
         out.append(["discover", "--case=" + case])
+    out.append(["catalog", "--format=json"])
     out.append(["catalog", "--verify-all", "--format=json"])
     out.append(["real", "--format=json"])
     return out
@@ -121,7 +122,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()] + [stdin_key(s) for s in jet_sources()]
-    assert len(keys) == 138
+    assert len(keys) == 139
     assert set(keys) == set(RECORDED)
 
 
