@@ -217,7 +217,8 @@ def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
         gens[0]._check(g)
     monos = sorted({m for g in gens for m in g.terms}, key=order.key,
                    reverse=True)
-    rows = [[g.terms.get(m, 0) for m in monos] for g in gens]
+    index = {m: k for k, m in enumerate(monos)}
+    rows = [{index[m]: c for m, c in g.terms.items()} for g in gens]
     pivot_rows = rref(rows, [0] * len(rows), len(monos))
     return [Poly._canonical(gens[0].vars,
                             {m: c for m, c in zip(monos, row) if c})

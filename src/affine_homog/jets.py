@@ -1,18 +1,20 @@
 """Truncated power series (jets): a polynomial plus an inclusive
 truncation order. Arithmetic auto-truncates to the minimum order of the
-operands."""
+operands. A jet is a value: its polynomial and order never change, so its
+gradient is computed on the first request and kept."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 from .poly import GREVLEX, Poly, XYZ
 from .scalars import InputError, parse_rational, positive_power, scalar_str
 
 
 class Jet:
-    __slots__ = ("poly", "order")
+    # _gradient is set by the first gradient() call
+    __slots__ = ("poly", "order", "_gradient")
 
     def __init__(self, poly: Poly, order: int):
         if order < 0:
@@ -40,6 +42,16 @@ class Jet:
     @property
     def vars(self):
         return self.poly.vars
+
+    def gradient(self) -> Tuple[Poly, ...]:
+        """The partials of the polynomial by each of its variables, in
+        order: (F_x, F_y, F_z) for a jet in x, y, z. Computed once per
+        jet."""
+        try:
+            return self._gradient
+        except AttributeError:
+            self._gradient = tuple(self.poly.partial(n) for n in self.vars)
+            return self._gradient
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()

@@ -1,16 +1,20 @@
 """Exact linear algebra over the scalar domains.
 
 All row elimination goes through ``rref``, which reduces a system to its
-unique RREF by one of two Gauss-Jordan branches. ``rref`` is the one
-place where the scalar types choose the branch:
+unique RREF by one of two Gauss-Jordan branches. Its rows are sparse,
+one ``{col: entry}`` per row, as the tangency systems (about one entry in
+six nonzero) and Buchberger's echelon step build them. ``rref`` is the
+one place where the scalar types choose the branch:
 
 - a system of ``int`` and ``Fraction`` entries is scaled to integer rows
   and eliminated fraction-free (cross-multiplication, then division by
-  the row content), so ``Fraction`` normalisation is paid only once per
-  output entry;
+  the row content) on the nonzero entries alone, so ``Fraction``
+  normalisation is paid only once per output entry and no zero entry is
+  scaled or eliminated;
 - any other system (``RationalFunc``, ``TowerElement`` or mixed) is
+  made dense, with ``Fraction(0)`` at each unlisted column, and
   eliminated over its field with the smallest-``_pivot_size`` pivot,
-  and does no arithmetic on zero entries. ``RationalFunc`` computes on
+  doing no arithmetic on zero entries. ``RationalFunc`` computes on
   integer polynomials times one rational content and pays for a
   polynomial gcd only where a result can share a factor with its
   denominator (see its docstring), so a parametric system whose pivots
@@ -18,10 +22,12 @@ place where the scalar types choose the branch:
 
 The types choose the branch and the pivot order, which change the cost
 of a solve only: the RREF is unique, so no value depends on them.
-``solve_rows`` reads the particular solution and the nullspace off the
-RREF; ``linear_solve`` (equations keyed by column index, with named
-columns), ``nullspace`` and ``matrix_rank`` are thin front ends to it,
-and Buchberger's echelon step in ``groebner`` calls ``rref`` directly.
+``solve_rows`` (dense rows) reads the particular solution and the
+nullspace off the RREF; ``linear_solve`` (equations keyed by column
+index, with named columns) passes its equations to ``rref`` as sparse
+rows and reads the same; ``nullspace`` and ``matrix_rank`` are thin front
+ends to ``solve_rows``, and Buchberger's echelon step in ``groebner``
+calls ``rref`` directly.
 Inconsistency is a returned value, not an exception.
 """
 
@@ -29,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from .scalars import RationalFunc, primitive, primitive_integers
+from .scalars import RationalFunc
 
 _RATIONAL = (int, Fraction)
 
@@ -87,7 +93,8 @@ class SolutionFamily:
         the equations' rows appended (a cancelled entry is ``Fraction(0)``,
         as ``solve_rows`` writes it)."""
         kernel = linear_solve(equations, self.free)
-        basis = [[c if c else Fraction(0) for c in self.member(dict(zip(self.free, v)))]
+        zero = Fraction(0)
+        basis = [[c if c else zero for c in self.member(dict(zip(self.free, v)))]
                  for v in kernel.basis]
         return SolutionFamily(self.unknowns, self.particular, basis,
                               [self.free_cols[c] for c in kernel.free_cols])
@@ -148,17 +155,24 @@ def _field_rref(rows, rhs, ncols):
 
 
 def _integer_rref(rows, rhs, ncols):
-    """Fraction-free Gauss-Jordan over Z for rational systems. Each row,
-    augmented by its rhs, is scaled by the lcm of its denominators; a row
-    is eliminated by ``(p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``
-    and then divided by its content, so no ``Fraction`` is normalised per
-    scalar operation. Returns None when inconsistent, else the pivot rows as
+    """Fraction-free Gauss-Jordan over Z for rational systems, on sparse
+    rows. Each row, augmented by its rhs at column ``ncols``, is kept as
+    its nonzero entries ``{col: int}``, scaled by the lcm of their
+    denominators and divided by their content; a row is eliminated by
+    ``(p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)`` over the union
+    of the two rows' entries and then divided by its content, so no
+    ``Fraction`` is normalised per scalar operation and no zero entry is
+    touched. Returns None when inconsistent, else the pivot rows as dense
     ``{col: (row, rhs)}`` with pivot 1 and ``Fraction`` entries."""
     work = []
     for row, b in zip(rows, rhs):
-        ints = primitive_integers((*row, b))
-        if any(ints):
-            work.append(ints)
+        entries = [(k, c) for k, c in row.items() if c]
+        if b:
+            entries.append((ncols, b))
+        if entries:
+            den = lcm(*(c.denominator for _, c in entries))
+            ints = {k: c.numerator * (den // c.denominator) for k, c in entries}
+            work.append(_primitive_row(ints))
     pivots = {}
     r = 0
     for col in range(ncols):
@@ -166,7 +180,7 @@ def _integer_rref(rows, rhs, ncols):
         # the cross-multiplied rows short
         best = None
         for i in range(r, len(work)):
-            c = work[i][col]
+            c = work[i].get(col)
             if c and (best is None or abs(c) < abs(work[best][col])):
                 best = i
         if best is None:
@@ -175,40 +189,65 @@ def _integer_rref(rows, rhs, ncols):
         prow = work[r]
         p = prow[col]
         for j in range(len(work)):
-            f = work[j][col]
+            row = work[j]
+            f = row.get(col)
             if j != r and f:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                work[j] = primitive([a * x - b * y for x, y in zip(work[j], prow)])
+                new = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+                for k, y in prow.items():
+                    x = new.get(k, 0) - b * y
+                    if x:
+                        new[k] = x
+                    else:
+                        new.pop(k, None)
+                work[j] = _primitive_row(new)
         pivots[col] = r
         r += 1
         if r == len(work):
             break
 
-    if any(work[j][ncols] for j in range(r, len(work))):
+    if any(ncols in work[j] for j in range(r, len(work))):
         return None
     zero = Fraction(0)
     out = {}
     for col, ri in pivots.items():
         row = work[ri]
         p = row[col]
-        out[col] = ([Fraction(a, p) if a else zero for a in row[:ncols]],
-                    Fraction(row[ncols], p))
+        dense = [zero] * ncols
+        for k, a in row.items():
+            if k < ncols:
+                dense[k] = Fraction(a, p)
+        out[col] = (dense, Fraction(row.get(ncols, 0), p))
     return out
 
 
-def rref(rows: Sequence[Sequence[object]], rhs: Sequence[object], ncols: int):
-    """The reduced row-echelon form of ``rows . x = rhs`` over ``ncols``
-    columns. Returns None when inconsistent, else the pivot rows as
-    ``{col: (row, rhs)}`` with pivot 1, in ascending pivot column.
+def _primitive_row(row: Dict[int, int]) -> Dict[int, int]:
+    """A sparse integer row divided by its content."""
+    g = gcd(*row.values())
+    return {k: a // g for k, a in row.items()} if g > 1 else row
 
-    The scalar types choose the branch: an all-``int``/``Fraction``
-    system runs fraction-free over Z (``_integer_rref``), anything else
-    over its field (``_field_rref``). That choice and the pivot order
+
+def rref(rows: Sequence[Mapping[int, object]], rhs: Sequence[object], ncols: int):
+    """The reduced row-echelon form of ``rows . x = rhs`` over ``ncols``
+    columns, each row given sparse as ``{col: entry}`` (a column it does
+    not list holds zero). Returns None when inconsistent, else the pivot
+    rows as dense ``{col: (row, rhs)}`` with pivot 1, in ascending pivot
+    column.
+
+    The scalar types of the listed entries and of the rhs choose the
+    branch: an all-``int``/``Fraction`` system runs fraction-free over Z
+    on the sparse rows (``_integer_rref``), anything else over its field
+    (``_field_rref``) on the rows made dense, with ``Fraction(0)`` at
+    each column a row does not list. That choice and the pivot order
     change the cost only; the RREF is unique, so never a value."""
     rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
-        isinstance(c, _RATIONAL) for row in rows for c in row)
-    return (_integer_rref if rational else _field_rref)(rows, rhs, ncols)
+        isinstance(c, _RATIONAL) for row in rows for c in row.values())
+    if rational:
+        return _integer_rref(rows, rhs, ncols)
+    zero = Fraction(0)
+    return _field_rref([[row.get(k, zero) for k in range(ncols)] for row in rows],
+                       rhs, ncols)
 
 
 def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
@@ -220,7 +259,13 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
     column (1 there, 0 at the other free columns), and the free column
     indices.
     """
-    pivot_rows = rref(rows, rhs, ncols)
+    return _read_solution(rref([dict(enumerate(row)) for row in rows], rhs, ncols),
+                          ncols)
+
+
+def _read_solution(pivot_rows, ncols: int):
+    """``solve_rows``' result from the RREF's pivot rows (None when
+    inconsistent)."""
     if pivot_rows is None:
         return None
 
@@ -261,16 +306,16 @@ def linear_solve(equations: Sequence[LinearEquation],
     name in ``unknowns``. Returns None when inconsistent; raises
     ``ValueError`` on a column index outside the unknowns."""
     unknowns = list(unknowns)
+    ncols = len(unknowns)
     rows = []
     for eq in equations:
-        # an int becomes a Fraction, which _pivot_size ranks by its size
-        row = [Fraction(0)] * len(unknowns)
-        for k, c in eq.coeffs.items():
-            if not 0 <= k < len(row):
+        for k in eq.coeffs:
+            if not 0 <= k < ncols:
                 raise ValueError(f"column index {k} outside the "
-                                 f"{len(row)} unknowns")
-            row[k] = Fraction(c) if isinstance(c, int) else c
-        rows.append(row)
-    solved = solve_rows(rows, [eq.rhs for eq in equations], len(unknowns))
+                                 f"{ncols} unknowns")
+        # an int becomes a Fraction, which _pivot_size ranks by its size
+        rows.append({k: Fraction(c) if isinstance(c, int) else c
+                     for k, c in eq.coeffs.items()})
+    solved = _read_solution(rref(rows, [eq.rhs for eq in equations], ncols), ncols)
     return None if solved is None else SolutionFamily(unknowns, *solved)
 

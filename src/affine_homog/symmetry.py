@@ -33,7 +33,11 @@ A solved span is closed when every bracket of two basis fields lies in it.
 The basis is the RREF nullspace basis of the solve, so each field is 1 at
 its own free coordinate and 0 at the others: a bracket is reduced in those
 free coordinates (it is in the span exactly when it equals the basis
-weighted by its own free coordinates), with no elimination.
+weighted by its own free coordinates), with no elimination. The check
+runs over Z (``_closed``): the basis is put over one common denominator D
+and bracketed as integer fields, whose brackets are D^2 times the basis
+fields' brackets, and ``reduce_against_span`` reads the scale D at the
+integer fields' free coordinates.
 
 The closure of the gauge-fixed families, whose free entries are unknowns,
 is a polynomial system (``closure_constraints``), built over Q with no
@@ -43,15 +47,17 @@ the residuals of integer matrices, tabled once, with one Fraction per
 constraint term.
 
 A column is the truncated product of a gradient entry (F_x, F_y, F_z or
--1) and a coordinate (x, y, z, F or 1). Only the three columns F_i . F
-are products of polynomials; by x, y or z a column is an exponent shift
-and by 1 a truncation, with no coefficient arithmetic. Every solve and
-residual builds its own columns, from the jet it is given and at its own
-order, and a residual of fields tangent below degree lo builds only the
-columns they read, in degrees lo..M (``tangency_columns``' lo):
-``complete_series`` the new degree of each order, a restricted algebra
-the degrees above the order of the family it restricts, and the isotropy
-check of an algebra at N its degree N.
+-1) and a coordinate (x, y, z, F or 1). The partials F_x, F_y, F_z are
+computed once per jet (``Jet.gradient``), so the builds that read one jet
+share them. Only the three columns F_i . F are products of polynomials;
+by x, y or z a column is an exponent shift and by 1 a truncation, with
+no coefficient arithmetic. Every solve and residual builds its own
+columns, from the jet it is given and at its own order, and a residual
+of fields tangent below degree lo builds only the columns they read, in
+degrees lo..M (``tangency_columns``' lo): ``complete_series`` the new
+degree of each order, a restricted algebra the degrees above the order
+of the family it restricts, and the isotropy check of an algebra at N its
+degree N.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
-from .linalg import LinearEquation, SolutionFamily, linear_solve
+from .linalg import _RATIONAL, LinearEquation, SolutionFamily, linear_solve
 from .poly import GREVLEX, Poly
 from .scalars import InputError, over_common_denominator
 
@@ -142,7 +148,7 @@ def tangency_columns(F: Jet, M: int, ks: Sequence[int], lo: int = 0) -> List[Jet
     product's coefficient type: an int coefficient of F_i becomes the
     Fraction a product by the Fraction 1 of a coordinate makes of it."""
     fp = F.poly
-    grad = [fp.partial(n) for n in XYZ] + [Poly.const(-1, XYZ)]
+    grad = [*F.gradient(), Poly.const(-1, XYZ)]
     cols = []
     for k in ks:
         i, j = divmod(k, 4) if k < 16 else (k - 16, 4)
@@ -447,13 +453,17 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
                         target: AffineVectorField, free: Sequence[int]) -> bool:
     """True when target lies in the exact linear span of the fields.
 
-    The fields are an RREF nullspace basis (``SymmetryAlgebra.basis``):
-    field k is 1 at coordinate ``free[k]`` and 0 at every other free
-    coordinate. A member of the span is then the combination of the fields
-    weighted by its own free coordinates, so target is in the span exactly
-    when it equals that combination; no elimination is needed."""
+    The fields are an RREF nullspace basis (``SymmetryAlgebra.basis``),
+    or one common nonzero multiple s of it: field k is s at coordinate
+    ``free[k]`` and 0 at every other free coordinate. A member of the span
+    is then the combination of the fields weighted by its own free
+    coordinates, over s, so target is in the span exactly when s times it
+    equals that combination; no elimination is needed. The scale s is
+    read at the first field's free coordinate; it is 1 for a basis as
+    solved, and the integer multiple of ``_closed``."""
     t = target.coords()
-    rest = list(t)
+    s = fields[0].coords()[free[0]] if fields else 1
+    rest = list(t) if s == 1 else [s * x if x else x for x in t]
     for i, f in zip(free, fields):
         w = t[i]
         if w:
@@ -461,6 +471,38 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
                 if x:
                     rest[c] = rest[c] - w * x
     return not any(rest)
+
+
+def _closed(basis: Sequence[AffineVectorField], free: Sequence[int]) -> bool:
+    """Whether the span of an RREF nullspace basis (field k is 1 at
+    coordinate ``free[k]``, 0 at the other free coordinates) is closed
+    under the bracket: ``reduce_against_span(basis, bracket(a, b), free)``
+    for every pair a, b in order, stopping at the first pair outside.
+
+    The brackets are taken over Z. Every coordinate of the basis is put
+    over one common denominator D (D = 1, and the coordinates kept, when
+    one is not rational), so the integer fields are D times the basis and
+    ``_integer_bracket`` of two of them is D^2 times their bracket; a
+    multiple of a bracket lies in the span exactly when the bracket does,
+    and ``reduce_against_span`` reads the scale D of the integer fields at
+    their free coordinates."""
+    coords = [c for V in basis for c in V.coords()]
+    if all(isinstance(c, _RATIONAL) for c in coords):
+        coords = over_common_denominator(coords)[0]
+    vecs = [coords[k:k + 20] for k in range(0, len(coords), 20)]
+    fields = [AffineVectorField.from_coords(vec) for vec in vecs]
+    rows = [_augmented_rows(vec) for vec in vecs]
+    return all(reduce_against_span(fields, _bracket_field(ra, rb), free)
+               for i, ra in enumerate(rows) for rb in rows[i + 1:])
+
+
+def _bracket_field(rows1, rows2) -> AffineVectorField:
+    """``_integer_bracket`` of two fields' ``_augmented_rows`` as a field,
+    with the int 0 at each coordinate it does not touch."""
+    coords = [0] * 20
+    for (i, j), x in _integer_bracket(rows1, rows2).items():
+        coords[4 * i + j if j < 4 else 16 + i] = x
+    return AffineVectorField.from_coords(coords)
 
 
 def full_algebra(F: Jet, order: Optional[int] = None,
@@ -526,7 +568,6 @@ def _algebra(F: Jet, N: int,
                 matrix_part.restrict(linear_equations(residuals, Jet.zero(N))).basis]
     tangency_ok = len(isotropy) == k
     if closed is None or len(basis) != len(below[0].basis):
-        closed = all(reduce_against_span(basis, bracket(a, b), fam.free_cols)
-                     for i, a in enumerate(basis) for b in basis[i + 1:])
+        closed = _closed(basis, fam.free_cols)
     return SymmetryAlgebra(basis, fam.free_cols, isotropy, N, closed and tangency_ok,
                            sum(1 for b in basis if any(b.v[:3])), tangency_ok)

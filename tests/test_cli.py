@@ -366,6 +366,21 @@ def test_normal_form_verify_solves_tangency_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_catalog_verify_differentiates_each_jet_once(capsys, monkeypatch):
+    # the four column builds of N6 (free solve at 5 and isotropy at 6 on
+    # the jet truncated to 6, restriction and isotropy at 7 on the jet at
+    # 7) read two gradients of three partials each; the other 37 partials
+    # are the normalization of the 3-jet (its trace decomposition and the
+    # span of its cubic's partials)
+    calls = []
+    partial = Poly.partial
+    monkeypatch.setattr(Poly, "partial",
+                        lambda p, name: calls.append(name) or partial(p, name))
+    code, out, _ = invoke(capsys, "verify", "--entry=N6", "--order=6")
+    assert code == 0 and out
+    assert len(calls) == 6 + 37
+
+
 @pytest.mark.parametrize("argv, solves", [
     (("verify", "--entry=N6", "--order=6"), 0),
     (("normalize", "--surface=W = X*Y + Z^2 + X*Z^2", "--basepoint=0,0,0,0",

@@ -95,3 +95,18 @@ def test_from_json_refuses_a_repeated_monomial():
 def test_equality_includes_order():
     assert jet(X, 3) != jet(X, 4)
     assert jet(X, 3) == jet(X, 3)
+
+
+def test_gradient_is_computed_once_and_leaves_the_value(monkeypatch):
+    j = jet(X * X * Y + (Y * Z).scale(F(1, 2)) + X, 4)
+    calls = []
+    partial = Poly.partial
+    monkeypatch.setattr(Poly, "partial",
+                        lambda p, name: calls.append(name) or partial(p, name))
+    grad = j.gradient()
+    assert grad == ((X * Y).scale(2) + Poly.const(F(1)), X * X + Z.scale(F(1, 2)),
+                    Y.scale(F(1, 2)))
+    assert j.gradient() is grad and calls == ["x", "y", "z"]
+    # the cache is not part of the value
+    fresh = jet(X * X * Y + (Y * Z).scale(F(1, 2)) + X, 4)
+    assert fresh == j and hash(fresh) == hash(j)

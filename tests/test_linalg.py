@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
@@ -7,8 +8,8 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
 from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
-                                 nullspace, solve_rows)
-from affine_homog.scalars import RationalFunc
+                                 nullspace, rref, solve_rows)
+from affine_homog.scalars import RationalFunc, primitive, primitive_integers
 from test_scalars import ratfuncs
 
 
@@ -288,6 +289,98 @@ def test_integer_branch_matches_sympy_rref(system):
     particular, basis, free_cols = got
     assert (particular, basis, free_cols) == want
     assert all(type(c) is F for vec in (particular, *basis) for c in vec)
+
+
+# -- the sparse integer branch against the dense one ---------------------------
+
+def dense_integer_rref(rows, rhs, ncols):
+    """The integer branch of ``rref`` on dense rows, as it ran before rows
+    were sparse: each row, augmented by its rhs, is scaled by the lcm of
+    its denominators; a row is eliminated by ``(p/g) row - (f/g)
+    pivot_row`` with ``g = gcd(p, f)`` and then divided by its content.
+    None when inconsistent, else the pivot rows as ``{col: (row, rhs)}``
+    with pivot 1 and ``Fraction`` entries."""
+    work = []
+    for row, b in zip(rows, rhs):
+        ints = primitive_integers((*row, b))
+        if any(ints):
+            work.append(ints)
+    pivots = {}
+    r = 0
+    for col in range(ncols):
+        best = None
+        for i in range(r, len(work)):
+            c = work[i][col]
+            if c and (best is None or abs(c) < abs(work[best][col])):
+                best = i
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        prow = work[r]
+        p = prow[col]
+        for j in range(len(work)):
+            f = work[j][col]
+            if j != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                work[j] = primitive([a * x - b * y for x, y in zip(work[j], prow)])
+        pivots[col] = r
+        r += 1
+        if r == len(work):
+            break
+
+    if any(work[j][ncols] for j in range(r, len(work))):
+        return None
+    zero = F(0)
+    out = {}
+    for col, ri in pivots.items():
+        row = work[ri]
+        p = row[col]
+        out[col] = ([F(a, p) if a else zero for a in row[:ncols]],
+                    F(row[ncols], p))
+    return out
+
+
+_entry_or_zero = st.one_of(st.sampled_from((0, F(0))), _entries)
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Rational rows as ``{col: entry}``: int and Fraction entries, listed
+    zeros, empty rows, scaled copies, possibly more rows than columns, and
+    a zero, consistent or arbitrary rhs."""
+    ncols = draw(st.integers(1, 5))
+    row = st.dictionaries(st.integers(0, ncols - 1), _entry_or_zero, max_size=ncols)
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.booleans()):  # a dependent row
+        k = draw(st.sampled_from((1, -2, F(1, 3))))
+        rows.append({c: k * x for c, x in draw(st.sampled_from(rows)).items()})
+    kind = draw(st.sampled_from(("zero", "consistent", "arbitrary")))
+    if kind == "zero":
+        rhs = [draw(st.sampled_from((0, F(0)))) for _ in rows]
+    elif kind == "consistent":
+        x = draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+        rhs = [sum((c * x[k] for k, c in r.items()), F(0)) for r in rows]
+    else:  # usually inconsistent when the rows are dependent
+        rhs = draw(st.lists(_entry_or_zero, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_systems())
+def test_sparse_integer_rref_equals_the_dense_one(system):
+    rows, rhs, ncols = system
+    got = rref(rows, rhs, ncols)
+    want = dense_integer_rref([[r.get(k, 0) for k in range(ncols)] for r in rows],
+                              rhs, ncols)
+    if want is None:
+        assert got is None
+        return
+    assert list(got) == list(want)
+    for col, (row, b) in want.items():
+        assert got[col] == (row, b)
+        assert [type(c) for c in got[col][0]] == [type(c) for c in row]
+        assert type(got[col][1]) is type(b)
 
 
 # -- the field branch over QQ(b) against sympy's rref -----------------------

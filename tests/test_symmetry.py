@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import sys
 from fractions import Fraction as F
 from functools import lru_cache
@@ -18,7 +19,7 @@ from affine_homog.poly import GREVLEX, XYZ, Poly
 from affine_homog.scalars import InputError, RationalFunc, Tower
 from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z, ZERO4,
                                    AffineVectorField, CompletionError,
-                                   _combine, bracket, closure_constraints,
+                                   _closed, _combine, bracket, closure_constraints,
                                    complete_series, degree_unknowns,
                                    full_algebra, linear_equations,
                                    pqr_families, raise_order,
@@ -778,13 +779,19 @@ def test_pqr_families_none_when_a_translation_is_out_of_reach():
 
 # -- what _algebra reads of a residual, and when it reuses a closure verdict -------
 
-def _sweep_alpha_pool():
-    """The alphas the catalog-sweep benchmark binds, per parametric entry."""
+@lru_cache(maxsize=None)
+def _workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("sweep_workloads", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.ALPHA_POOL
+    return module
+
+
+def _sweep_alpha_pool():
+    """The alphas the catalog-sweep benchmark binds, per parametric entry."""
+    return _workloads().ALPHA_POOL
 
 
 def _chain(Fj, low, top):
@@ -838,3 +845,62 @@ def test_raised_closure_verdict_matches_a_fresh_bracket_check():
             else:
                 fresh += 1
     assert reused and fresh
+
+
+# -- closure over Z against the bracket of the basis fields ------------------------
+
+def _bracket_closed(basis, free):
+    return all(reduce_against_span(basis, bracket(a, b), free)
+               for i, a in enumerate(basis) for b in basis[i + 1:])
+
+
+def _dense_images(seed):
+    """(entry, jet at order 7) of the dense-images benchmark's image of
+    every entry for this seed, before it samples the ones a pass runs."""
+    wl = _workloads()
+    rng = random.Random(seed)
+    out = []
+    for eid in wl.ENTRY_IDS:
+        alpha = rng.choice(wl.ALPHA_POOL[eid]) if eid in wl.ALPHA_POOL else None
+        text, point = wl.affine_image(rng, eid, alpha)
+        out.append((eid, expand_graph(parse_surface(text, point.split(","), alpha), 7)))
+    return out
+
+
+def test_integer_closure_equals_the_bracket_check(monkeypatch):
+    # every catalog entry at every pooled alpha (orders 6 and 7), the
+    # variants at orders 4 to 6, the normal forms over symbolic b and the
+    # seed-1 dense images
+    algebras = {"entries": [], "variants": [], "normal forms": [], "dense": []}
+    pool = _sweep_alpha_pool()
+    for eid, e in cat.catalog().items():
+        for alpha in pool.get(eid, (None,)):
+            Fj = expand_graph(parse_surface(e.surface, e.basepoint, alpha), 7)
+            algebras["entries"] += _chain(Fj, 6, 7)
+    n = len(cat.catalog())
+    for Fj in _expanded(6)[n:n + len(cat.VARIANTS)]:
+        algebras["variants"] += _chain(Fj, 4, 6)
+
+    def recorded(*args, **kwargs):
+        alg = full_algebra(*args, **kwargs)
+        algebras["normal forms"].append(alg)
+        return alg
+
+    monkeypatch.setattr(cat, "full_algebra", recorded)
+    for nf in cat.NORMAL_FORM_IDS:
+        cat.confirm_isotropy(nf)
+    monkeypatch.undo()
+    algebras["dense"] = [full_algebra(Fj) for _, Fj in _dense_images(1)]
+    assert [len(algebras[k]) for k in ("normal forms", "dense")] == [10, 20]
+
+    verdicts = set()
+    scaled = 0
+    for kind, algs in algebras.items():
+        for alg in algs:
+            want = _bracket_closed(alg.basis, alg.free)
+            assert _closed(alg.basis, alg.free) is want, (kind, alg.order)
+            verdicts.add(want)
+            scaled += any(isinstance(c, F) and c.denominator > 1
+                          for b in alg.basis for c in b.coords())
+    # both verdicts occur, and bases whose common denominator is not 1
+    assert verdicts == {True, False} and scaled
