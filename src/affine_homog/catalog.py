@@ -722,7 +722,7 @@ def real_catalog_checks() -> Report:
     passed = passed and ok
 
     # Pick invariant vanishes for the cubic chains that stay hyperbolic
-    h = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic")
+    h = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic", HYPERBOLIC_GRAM)
     basis = cubic_basis()
     picks = [pick_invariant(basis[i], h) for i in (0, 1, 2)]
     ok = not any(picks)

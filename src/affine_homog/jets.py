@@ -70,15 +70,9 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet(-self.poly, self.order)
-
     def __sub__(self, other):
         o = self._coerce(other)
         return Jet(self.poly - o.poly, min(self.order, o.order))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):

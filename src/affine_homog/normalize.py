@@ -7,10 +7,15 @@ and gives the action of a linear vector field on the trace-free cubic basis.
 
 The class and the Pick invariant are read in the source coordinates. The
 trace decomposition c = c0 + q l and the class of c0 do not depend on the
-coordinates; the Gram matrix H is inverted through its congruence
-diagonalization; and after the quadratic block map, old xyz = T new xyz
-and old w = s new w, the Pick invariant is s pick(c0, H). So a
+coordinates, and after the quadratic block map, old xyz = T new xyz and
+old w = s new w, the Pick invariant is s pick(c0, H). So a
 classification builds no map and solves no series.
+
+H^-1 has one source, the congruence diagonalization of the Gram matrix
+H: with basis b_k and values d_k it is sum_k b_k b_k^T / d_k
+(``NormalizedQuadratic.source_form``). The grams of the normal forms,
+2xy+z^2 and x^2+y^2+z^2, are their own inverses, so no matrix is ever
+inverted by elimination.
 
 The normalizing change is built only when it is read. The quadratic map
 is read off the diagonalization. It is a block map, so the graph after
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 from typing import List, Optional, Tuple
 
@@ -142,27 +147,10 @@ HYPERBOLIC_GRAM = ((Fraction(0), Fraction(1), Fraction(0)),
 class QuadraticForm:
     gram: Tuple[Tuple[object, ...], ...]
     signature: str  # "hyperbolic", "elliptic", or "complex"
-    inverse: Optional[Tuple[Tuple[object, ...], ...]] = field(
-        default=None, compare=False, repr=False)
-
-    def inverse_gram(self):
-        """The inverse of the gram matrix: ``inverse`` when it is given,
-        else one solved column at a time, memoized for a matrix of
-        Fractions (a tower element equal to a Fraction would share its key,
-        so other scalars are solved anew)."""
-        if self.inverse is not None:
-            return self.inverse
-        if all(type(c) is Fraction for row in self.gram for c in row):
-            return _inverse(self.gram)
-        return _inverse.__wrapped__(self.gram)
-
-
-@lru_cache(maxsize=16)
-def _inverse(gram):
-    cols = [solve_rows(gram, e, 3) for e in IDENTITY3]
-    if any(col is None or col[1] for col in cols):
-        raise NormalizationError("singular quadratic form")
-    return tuple(zip(*(col[0] for col in cols)))
+    # H^-1: the diagonalization's sum_k b_k b_k^T / d_k for a source form
+    # (``NormalizedQuadratic.source_form``), the gram itself for the normal
+    # forms, whose grams are their own inverses
+    inverse: Tuple[Tuple[object, ...], ...] = field(compare=False, repr=False)
 
 
 def gram_matrix(F: Jet):
@@ -321,7 +309,8 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
             from .scalars import TowerElement
             scales = [tower.lift(s) if isinstance(s, TowerElement) else
                       tower.const(s) for s in scales]
-        return NormalizedQuadratic(H, basis, d, QuadraticForm(IDENTITY3, "elliptic"),
+        return NormalizedQuadratic(H, basis, d,
+                                   QuadraticForm(IDENTITY3, "elliptic", IDENTITY3),
                                    scales=scales, tower=tower)
 
     # hyperbolic / complex target 2xy+z^2: an isotropic vector b_i + s b_j,
@@ -337,7 +326,8 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
         tower = Tower().extend("s1", -d[i] / d[j])
         s = tower.generator(0)
     sig = "complex" if fld == "complex" else "hyperbolic"
-    return NormalizedQuadratic(H, basis, d, QuadraticForm(HYPERBOLIC_GRAM, sig),
+    return NormalizedQuadratic(H, basis, d,
+                               QuadraticForm(HYPERBOLIC_GRAM, sig, HYPERBOLIC_GRAM),
                                pair=(i, j, s), tower=tower)
 
 
@@ -401,7 +391,7 @@ def _laplacian(c: Poly, h: QuadraticForm) -> Poly:
     """The h-Laplacian sum_jk (H^-1)_jk d_j d_k c of a cubic form c."""
     if any(sum(m) != 3 for m in c.terms):
         raise ValueError("not a cubic form")
-    Hi = h.inverse_gram()
+    Hi = h.inverse
     return sum((c.partial(vj).partial(vk).scale(Hi[j][k])
                 for j, vj in enumerate(XYZ) for k, vk in enumerate(XYZ)
                 if Hi[j][k]), Poly.zero(XYZ))
@@ -424,11 +414,6 @@ def trace_decompose(c: Poly, h: QuadraticForm) -> Tuple[Poly, Poly]:
     return c - quadratic_poly(h) * l, l
 
 
-def is_trace_free(c: Poly, h: QuadraticForm) -> bool:
-    """Lap_h(c) = 6 sum_i trace_i(c) x_i: trace-free means h-harmonic."""
-    return _laplacian(c, h).is_zero()
-
-
 def normal_shear(c: Poly) -> Tuple[Poly, AffineMap]:
     """The shear x_i -> x_i + a_i w that makes the cubic c of a graph
     w = 2xy+z^2 + c + O(4) trace-free, and the trace-free cubic c0 it
@@ -440,11 +425,11 @@ def normal_shear(c: Poly) -> Tuple[Poly, AffineMap]:
     gives 2B(x, a) = -l, so the sheared graph's cubic is c - q l = c0 and
     its quadratic part is q.
     """
-    h = QuadraticForm(HYPERBOLIC_GRAM, "complex")
+    h = QuadraticForm(HYPERBOLIC_GRAM, "complex", HYPERBOLIC_GRAM)
     c0, l = trace_decompose(c, h)
     if not l:
         return c0, AffineMap.identity()
-    Hi = h.inverse_gram()
+    Hi = h.inverse
     lv = [l.coefficient(e) for e in UNITS]
     rows = [list(r) for r in AffineMap.identity().linear]
     for i in range(3):
@@ -464,7 +449,7 @@ def pick_invariant(c0: Poly, h: QuadraticForm):
     over a tower gives a tower element."""
     if any(sum(m) != 3 for m in c0.terms):
         raise ValueError("not a cubic form")
-    Hi = h.inverse_gram()
+    Hi = h.inverse
     dual = c0.substitute({v: Poly(XYZ, zip(UNITS, Hi[i]))
                           for i, v in enumerate(XYZ)})
     return sum((a * c0.coefficient(m) * factorial(m[0]) * factorial(m[1])
@@ -473,17 +458,9 @@ def pick_invariant(c0: Poly, h: QuadraticForm):
 
 
 def partials_span_dimension(c0: Poly) -> int:
-    monos = sorted({m for v in XYZ for m in c0.partial(v).terms})
-    rows = [[c0.partial(v).terms.get(m, Fraction(0)) for m in monos] for v in XYZ]
-    return matrix_rank(rows)
-
-
-def cubic_type(c0: Poly, h: QuadraticForm) -> str:
-    """The class of a trace-free cubic; any other raises
-    ``NormalizationError``."""
-    if not is_trace_free(c0, h):
-        raise NormalizationError("cubic is not trace-free")
-    return _classify(c0, h)[0]
+    partials = [c0.partial(v).terms for v in XYZ]
+    monos = sorted({m for p in partials for m in p})
+    return matrix_rank([[p.get(m, Fraction(0)) for m in monos] for p in partials])
 
 
 def _classify(c0: Poly, h: QuadraticForm):
@@ -507,13 +484,12 @@ def _classify(c0: Poly, h: QuadraticForm):
 class NormalizationReport:
     """The normalization of a graph jet ``source``: the class and the Pick
     invariant of its cubic, read in the source coordinates, and the
-    normalizing change, the normalized cubic and jet, built when read.
+    normalizing change and the normalized jet, built when read.
 
-    ``change`` and ``cubic`` run the quadratic block map, the cubic after
-    it and the shear that makes it trace-free (``normal_shear``) the first
-    time either is read; ``jet``, transform_graph(source, change), is
-    solved the first time it is read. A classification alone runs none
-    of them."""
+    ``change`` runs the quadratic block map, the cubic after it and the
+    shear that makes it trace-free (``normal_shear``) the first time it is
+    read; ``jet``, transform_graph(source, change), is solved the first
+    time it is read. A classification alone runs neither."""
     source: Jet
     quadratic: NormalizedQuadratic
     cubic_class: str
@@ -528,22 +504,12 @@ class NormalizationReport:
         return self.quadratic.tower
 
     @cached_property
-    def _normalized(self) -> Tuple[AffineMap, Poly]:
+    def change(self) -> AffineMap:
         nq = self.quadratic
         change = remove_linear(self.source)[1].compose(nq.change)
-        c = nq.cubic(self.source.homogeneous_part(3))
         if nq.pair is None:
-            return change, c
-        c0, shear = normal_shear(c)
-        return change.compose(shear), c0
-
-    @cached_property
-    def change(self) -> AffineMap:
-        return self._normalized[0]
-
-    @cached_property
-    def cubic(self) -> Poly:
-        return self._normalized[1]
+            return change
+        return change.compose(normal_shear(nq.cubic(self.source.homogeneous_part(3)))[1])
 
     @cached_property
     def jet(self) -> Jet:

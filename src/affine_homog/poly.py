@@ -181,10 +181,6 @@ class Poly:
         m = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, {m: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, expo: Mono, c=Fraction(1), vars: Sequence[str] = XYZ) -> "Poly":
-        return cls(vars, {tuple(expo): c})
-
     # -- basic queries
 
     def is_zero(self) -> bool:
@@ -192,9 +188,6 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
 
     def coefficient(self, expo: Mono):
         return self.terms.get(tuple(expo), Fraction(0))
@@ -215,15 +208,6 @@ class Poly:
             raise ValueError("leading term of zero polynomial")
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
-
-    def monic(self, order: TermOrder = GREVLEX) -> "Poly":
-        """This polynomial divided by its leading coefficient."""
-        c = self.leading_term(order)[1]
-        if isinstance(c, int):
-            c = Fraction(c)
-        # a nonzero coefficient over a unit stays nonzero: no zero check
-        return self if c == 1 else Poly._canonical(
-            self.vars, {m: a / c for m, a in self.terms.items()})
 
     # -- arithmetic
 
@@ -252,9 +236,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Poly) and other.vars == self.vars:

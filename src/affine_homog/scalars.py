@@ -582,20 +582,12 @@ class TowerElement:
 
     def __hash__(self):
         # a rational element equals, so must hash as, its Fraction
-        if self.is_rational():
+        if not any(self.vec[1:]):
             return hash(self.vec[0])
         return hash((self.tower.names, self.vec))
 
     def __bool__(self):
         return any(self.vec)
-
-    def is_rational(self) -> bool:
-        return not any(self.vec[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError(f"not rational: {self}")
-        return self.vec[0]
 
     def to_json(self):
         return {"basis": self.tower.basis_labels(),

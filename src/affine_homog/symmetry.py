@@ -29,6 +29,10 @@ jet's free solve is the completed jet's free family at n-1. The completed
 jet's solve at N-1 is that family restricted by the residual rows of
 degrees n..N-1 (``full_algebra(..., below=(family, n))``).
 
+There is one Lie bracket, ``_row_bracket``, over the nonzero entries of
+the augmented rows [A | v] of two fields. The public ``bracket``, the
+closure check and the closure constraints all run it.
+
 A solved span is closed when every bracket of two basis fields lies in it.
 The basis is the RREF nullspace basis of the solve, so each field is 1 at
 its own free coordinate and 0 at the others: a bracket is reduced in those
@@ -111,29 +115,10 @@ class AffineVectorField:
 
 
 def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:
-    """Lie bracket: (A2 A1 - A1 A2, A2 v1 - A1 v2). Symmetry fields are
-    sparse, so each product runs over the nonzero entries of A2 (or A1)
-    and of the augmented rows [A1 | v1] (or [A2 | v2]) only; every entry
-    of either product starts at Fraction(0) and sums its terms in
-    ascending inner index. The two are subtracted only where either is
-    nonzero or their types differ; elsewhere the entry stays the zero of
-    the first product."""
-    def product(a, aug):
-        out = [[Fraction(0)] * 5 for _ in range(4)]
-        for row, acc in zip(a, out):
-            for k, x in enumerate(row):
-                if x:
-                    for j, y in enumerate(aug[k]):
-                        if y:
-                            acc[j] = acc[j] + x * y
-        return out
-
-    p = product(v2.A, [(*r, t) for r, t in zip(v1.A, v1.v)])
-    q = product(v1.A, [(*r, t) for r, t in zip(v2.A, v2.v)])
-    rows = [[x - y if x or y or type(x) is not type(y) else x
-             for x, y in zip(pr, qr)]
-            for pr, qr in zip(p, q)]
-    return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
+    """Lie bracket: (A2 A1 - A1 A2, A2 v1 - A1 v2), by ``_row_bracket``
+    over the nonzero entries of the augmented rows [A | v] of each field,
+    with the int 0 at each coordinate no product touches."""
+    return _bracket_field(_augmented_rows(v1.coords()), _augmented_rows(v2.coords()))
 
 
 def tangency_columns(F: Jet, M: int, ks: Sequence[int], lo: int = 0) -> List[Jet]:
@@ -323,7 +308,7 @@ def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
             for kb, rb in pieces[b]:
                 mu = tuple(map(add, ka, kb))
                 entry = table.setdefault(mu, {})
-                for (i, j), n in _integer_bracket(ra, rb).items():
+                for (i, j), n in _row_bracket(ra, rb).items():
                     if j < 4:
                         entry[4 * i + j] = entry.get(4 * i + j, 0) + D * n
                     elif i < 3:
@@ -350,17 +335,19 @@ def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
     return constraints
 
 
-def _augmented_rows(vec: Sequence[int]) -> List[List[Tuple[int, int]]]:
+def _augmented_rows(vec: Sequence[object]) -> List[List[Tuple[int, object]]]:
     """The nonzero entries (j, x) of each row of [A | v] of a field's
     coordinates, in ``coords()`` order; j = 4 is the translation."""
     return [[(j, x) for j, x in enumerate((*vec[4 * i:4 * i + 4], vec[16 + i])) if x]
             for i in range(4)]
 
 
-def _integer_bracket(rows1, rows2) -> Dict[Tuple[int, int], int]:
-    """``bracket`` of two fields given by ``_augmented_rows``: the entries
-    at (i, j) of [A2 A1 - A1 A2 | A2 v1 - A1 v2] that it touches."""
-    out: Dict[Tuple[int, int], int] = {}
+def _row_bracket(rows1, rows2) -> Dict[Tuple[int, int], object]:
+    """The one Lie bracket of the package, of two fields given by
+    ``_augmented_rows``: the entries at (i, j) of [A2 A1 - A1 A2 | A2 v1 -
+    A1 v2] that it touches, over the scalars of the rows (the ints of
+    ``_closed`` and ``closure_constraints``, or Q(b) entries unscaled)."""
+    out: Dict[Tuple[int, int], object] = {}
     for left, right, sign in ((rows2, rows1, 1), (rows1, rows2, -1)):
         for i, row in enumerate(left):
             for k, x in row:
@@ -482,7 +469,7 @@ def _closed(basis: Sequence[AffineVectorField], free: Sequence[int]) -> bool:
     The brackets are taken over Z. Every coordinate of the basis is put
     over one common denominator D (D = 1, and the coordinates kept, when
     one is not rational), so the integer fields are D times the basis and
-    ``_integer_bracket`` of two of them is D^2 times their bracket; a
+    ``_row_bracket`` of two of them is D^2 times their bracket; a
     multiple of a bracket lies in the span exactly when the bracket does,
     and ``reduce_against_span`` reads the scale D of the integer fields at
     their free coordinates."""
@@ -497,10 +484,10 @@ def _closed(basis: Sequence[AffineVectorField], free: Sequence[int]) -> bool:
 
 
 def _bracket_field(rows1, rows2) -> AffineVectorField:
-    """``_integer_bracket`` of two fields' ``_augmented_rows`` as a field,
+    """``_row_bracket`` of two fields' ``_augmented_rows`` as a field,
     with the int 0 at each coordinate it does not touch."""
     coords = [0] * 20
-    for (i, j), x in _integer_bracket(rows1, rows2).items():
+    for (i, j), x in _row_bracket(rows1, rows2).items():
         coords[4 * i + j if j < 4 else 16 + i] = x
     return AffineVectorField.from_coords(coords)
 

@@ -7,15 +7,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from affine_homog import catalog as cat
-from affine_homog.normalize import (HYPERBOLIC_GRAM, QuadraticForm,
-                                    cubic_basis, cubic_type,
-                                    partials_span_dimension, pick_invariant)
+from affine_homog.normalize import (cubic_basis, partials_span_dimension,
+                                    pick_invariant)
 from affine_homog.poly import Poly
 from affine_homog.symmetry import (AffineVectorField, closure_constraints,
                                    full_algebra, pqr_families, solve_tangency)
+from test_normalize import HYP, cubic_type
 
 XYZ = ("x", "y", "z")
-HYP = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic")
 
 
 def _report(num, label, ok):

@@ -369,16 +369,16 @@ def test_normal_form_verify_solves_tangency_once(capsys, monkeypatch):
 def test_catalog_verify_differentiates_each_jet_once(capsys, monkeypatch):
     # the four column builds of N6 (free solve at 5 and isotropy at 6 on
     # the jet truncated to 6, restriction and isotropy at 7 on the jet at
-    # 7) read two gradients of three partials each; the other 37 partials
-    # are the normalization of the 3-jet (its trace decomposition and the
-    # span of its cubic's partials)
+    # 7) read two gradients of three partials each; the other 19 partials
+    # are the normalization of the 3-jet (16 in its trace decomposition and
+    # the three partials of its trace-free cubic, whose span is its class)
     calls = []
     partial = Poly.partial
     monkeypatch.setattr(Poly, "partial",
                         lambda p, name: calls.append(name) or partial(p, name))
     code, out, _ = invoke(capsys, "verify", "--entry=N6", "--order=6")
     assert code == 0 and out
-    assert len(calls) == 6 + 37
+    assert len(calls) == 6 + 19
 
 
 @pytest.mark.parametrize("argv, solves", [

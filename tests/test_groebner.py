@@ -17,6 +17,7 @@ from affine_homog.poly import (GREVLEX, LEX, Poly, VariableMismatch, _add_terms,
                                _mul_terms)
 from affine_homog.scalars import RationalFunc
 from affine_homog.symmetry import closure_constraints, pqr_families, solve_tangency
+from test_poly import monic, monomial, total_degree
 
 UV = ("u", "v")
 UVW = ("u", "v", "w")
@@ -94,7 +95,7 @@ def test_buchberger_matches_sympy(case):
         assert all(g.leading_term(order)[1] == 1 for g in ours)
         theirs = sp.groebner([to_sympy(g, syms) for g in gens], *syms,
                              order=name, domain=sp.QQ)
-        expect = {from_sympy(e, syms, vars).monic(order) for e in theirs.exprs}
+        expect = {monic(from_sympy(e, syms, vars), order) for e in theirs.exprs}
         assert set(ours) == expect
 
 
@@ -388,8 +389,8 @@ def field_s_poly(f, g, order=GREVLEX):
     mf, cf = f.leading_term(order)
     mg, cg = g.leading_term(order)
     l = _lcm(mf, mg)
-    return (Poly.monomial(_msub(l, mf), 1 / cf, f.vars) * f
-            - Poly.monomial(_msub(l, mg), 1 / cg, g.vars) * g)
+    return (monomial(_msub(l, mf), 1 / cf, f.vars) * f
+            - monomial(_msub(l, mg), 1 / cg, g.vars) * g)
 
 
 def field_buchberger(gens, order=GREVLEX):
@@ -425,7 +426,7 @@ def field_buchberger(gens, order=GREVLEX):
             continue
         r = field_reduce(field_s_poly(G[i], G[j], order), G, order)
         if r:
-            r = r.monic(order)
+            r = monic(r, order)
             G.append(r)
             lt.append(r.leading_term(order)[0])
             for a in range(len(G) - 1):
@@ -438,7 +439,7 @@ def field_buchberger(gens, order=GREVLEX):
     for i, g in enumerate(minimal):
         r = field_reduce(g, minimal[:i] + minimal[i + 1:], order)
         if r:
-            reduced.append(r.monic(order))
+            reduced.append(monic(r, order))
     reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     return reduced
 
@@ -641,7 +642,7 @@ def _pivot_candidate(p, ring):
     free = linear - other
     if not free:
         return None
-    return (len(p.terms), p.total_degree()), ring[min(free)]
+    return (len(p.terms), total_degree(p)), ring[min(free)]
 
 
 def _eliminate(p, i, expr):

@@ -6,6 +6,7 @@ import pytest
 from affine_homog.jets import Jet
 from affine_homog.poly import Poly
 from affine_homog.scalars import InputError
+from test_poly import monomial
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -37,7 +38,7 @@ def test_inverse_geometric_series():
     inv = one_minus.inverse()
     expect = Poly.zero()
     for k in range(6):
-        expect = expect + Poly.monomial((k, 0, 0))
+        expect = expect + monomial((k, 0, 0))
     assert inv.poly == expect
 
 

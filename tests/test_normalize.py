@@ -15,25 +15,52 @@ from affine_homog.jets import Jet
 from affine_homog.linalg import matrix_rank
 from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, UNITS,
                                     AffineMap, NormalizationError,
-                                    QuadraticForm, _dot, cubic_basis,
-                                    cubic_type, gram_matrix, is_trace_free,
+                                    QuadraticForm, _classify, _dot,
+                                    _laplacian, cubic_basis, gram_matrix,
                                     normal_shear, normalize_jet,
                                     normalize_quadratic,
                                     partials_span_dimension, pick_invariant,
                                     quadratic_poly, remove_linear,
                                     trace_decompose, transform_graph)
-from affine_homog.poly import Poly
-from affine_homog.scalars import RationalFunc, Tower, TowerElement, rational_sqrt
+from affine_homog.poly import XYZ, Poly
+from affine_homog.scalars import Tower, TowerElement, rational_sqrt
 from test_cli_digests import ELLIPTIC, TOWER
 
 X = Poly.var("x")
 Y = Poly.var("y")
 Z = Poly.var("z")
-HYP = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic")
+HYP = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic", HYPERBOLIC_GRAM)
 
 
 def jet(p, n=4):
     return Jet(p, n)
+
+
+def is_trace_free(c: Poly, h: QuadraticForm) -> bool:
+    """Lap_h(c) = 6 sum_i trace_i(c) x_i: trace-free means h-harmonic."""
+    return _laplacian(c, h).is_zero()
+
+
+def cubic_type(c0: Poly, h: QuadraticForm) -> str:
+    """The class of a trace-free cubic; any other raises
+    ``NormalizationError``."""
+    if not is_trace_free(c0, h):
+        raise NormalizationError("cubic is not trace-free")
+    return _classify(c0, h)[0]
+
+
+def _sympy_matrix(rows):
+    return sp.Matrix([[sp.Rational(c.numerator, c.denominator) for c in r]
+                      for r in rows])
+
+
+def _fractions(M):
+    return tuple(tuple(F(int(c.p), int(c.q)) for c in M.row(i)) for i in range(3))
+
+
+def complex_form(gram) -> QuadraticForm:
+    """The complex form of a nondegenerate gram, with sympy's inverse."""
+    return QuadraticForm(gram, "complex", _fractions(_sympy_matrix(gram).inv()))
 
 
 def test_remove_linear():
@@ -133,7 +160,7 @@ def test_trace_decompose_leaves_a_trace_free_cubic_under_random_forms():
         if matrix_rank(gram) < 3:
             continue
         forms += 1
-        h = QuadraticForm(gram, "complex")
+        h = complex_form(gram)
         c = Poly(("x", "y", "z"), ((m, F(rng.randint(-4, 4), rng.randint(1, 3)))
                                    for m in monos if rng.random() < 0.6))
         c0, l = trace_decompose(c, h)
@@ -150,9 +177,7 @@ def test_normalize_jet_pipeline_on_catalog_surfaces():
         rep = normalize_jet(f)
         assert rep.cubic_class == expected
         assert rep.jet.homogeneous_part(2) == (X * Y).scale(2) + Z * Z
-        assert is_trace_free(rep.cubic, HYP)
-        # the cubic is read without the jet, and is the jet's cubic
-        assert rep.jet.homogeneous_part(3) == rep.cubic
+        assert is_trace_free(rep.jet.homogeneous_part(3), HYP)
 
 
 def test_transform_graph_inverse_composition():
@@ -174,22 +199,29 @@ fractions = st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda t: F(*t)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(fractions, min_size=9, max_size=9), st.booleans())
+@given(st.lists(fractions, min_size=8, max_size=8), st.booleans())
 def test_inverse_gram_matches_sympy(entries, singular):
-    rows = [entries[0:3], entries[3:6], entries[6:9]]
+    # the one H^-1 of the package: the source form's, read off the
+    # congruence diagonalization of a random symmetric gram; a singular
+    # gram (its third row and column s and t times the first two) fails
+    # the diagonalization
+    e = entries
+    gram = [[e[0], e[1], e[2]], [e[1], e[3], e[4]], [e[2], e[4], e[5]]]
     if singular:
-        s, t = entries[6], entries[7]
-        rows[2] = [s * a + t * b for a, b in zip(rows[0], rows[1])]
-    form = QuadraticForm(tuple(map(tuple, rows)), "complex")
-    M = sp.Matrix([[sp.Rational(c.numerator, c.denominator) for c in r]
-                   for r in rows])
+        s, t = e[6], e[7]
+        for j in range(2):
+            gram[2][j] = gram[j][2] = s * gram[0][j] + t * gram[1][j]
+        gram[2][2] = s * s * gram[0][0] + 2 * s * t * gram[0][1] + t * t * gram[1][1]
+    q = Poly(XYZ, ((tuple(a + b for a, b in zip(UNITS[i], UNITS[j])), gram[i][j])
+                   for i in range(3) for j in range(3)))
+    M = _sympy_matrix(gram)
     if M.det() == 0:
-        with pytest.raises(NormalizationError, match="singular"):
-            form.inverse_gram()
+        with pytest.raises(NormalizationError):
+            normalize_quadratic(jet(q, 3))
     else:
-        expected = [[F(int(c.p), int(c.q)) for c in M.inv().row(i)]
-                    for i in range(3)]
-        assert [list(r) for r in form.inverse_gram()] == expected
+        form = normalize_quadratic(jet(q, 3)).source_form
+        assert form.gram == tuple(map(tuple, gram))
+        assert form.inverse == _fractions(M.inv())
 
 
 CUBIC_MONOS = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
@@ -222,11 +254,10 @@ def test_cubic_invariants_match_the_tensor_contractions(case):
     # the deleted 3-tensor formulas, evaluated in sympy, as the oracle for
     # the h-Laplacian and apolar-pairing forms
     c, gram = case
-    M = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in r]
-                   for r in gram])
+    M = _sympy_matrix(gram)
     assume(M.det() != 0)
     Hi = M.inv()
-    h = QuadraticForm(gram, "complex")
+    h = complex_form(gram)
 
     def trace(C):
         return [sum(Hi[j, k] * C[i][j][k] for j in range(3) for k in range(3))
@@ -254,6 +285,12 @@ def test_cubic_invariants_match_the_tensor_contractions(case):
     assert pick_invariant(c, h) == pick(C)
 
 
+def test_normal_form_grams_are_their_own_inverses():
+    # the forms of the normal forms pass their gram as its inverse
+    for gram in (HYPERBOLIC_GRAM, IDENTITY3):
+        assert _sympy_matrix(gram) ** 2 == sp.eye(3)
+
+
 def test_invariants_reject_non_cubics():
     for fn in (is_trace_free, trace_decompose, pick_invariant):
         with pytest.raises(ValueError, match="not a cubic form"):
@@ -265,18 +302,6 @@ _TOWER = Tower(("s",), (F(2),))
 _S = _TOWER.generator(0)
 mixed_scalars = st.sampled_from([0, 1, F(0), F(1), F(-3, 2), _TOWER.const(0),
                                  _S, 1 + _S, _TOWER.const(F(2, 3))])
-
-
-def test_inverse_gram_is_memoized_for_fraction_grams_only():
-    # every form the pipeline builds shares one inverse; a tower gram (even
-    # one that equals a Fraction gram) and one over Q(b), which does not
-    # hash, are solved each time, in their own scalars
-    assert HYP.inverse_gram() is QuadraticForm(HYPERBOLIC_GRAM, "complex").inverse_gram()
-    swap = ((F(0), F(0), F(1)), (F(0), F(1), F(0)))
-    for a in (F(2), _TOWER.const(F(2)), 1 + _S, RationalFunc.gen("b")):
-        inv = QuadraticForm(((a, F(0), F(0)),) + swap, "complex").inverse_gram()
-        assert type(inv[0][0]) is type(a) and inv[0][0] == 1 / a
-        assert inv[1:] == swap and inv[0][1:] == (0, 0)
 
 
 def _exact_equal(got, want):
@@ -352,7 +377,7 @@ def _quadratic_oracle(f1, fld):
                       else tower.const(s) for s in scales]
         cols = [[b * sc for b in basis[i]] for i, sc in enumerate(scales)]
         w_scale = 1 / _promoted(1 / d[2], tower)
-        form = QuadraticForm(IDENTITY3, "elliptic")
+        form = QuadraticForm(IDENTITY3, "elliptic", IDENTITY3)
     else:
         pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
         found = [(i, j, s) for i, j in pairs if -d[i] / d[j] > 0
@@ -377,7 +402,8 @@ def _quadratic_oracle(f1, fld):
         gamma = _ip(Ht, e, e)
         cols = [[(gamma / beta) * c for c in iso], v, e]
         w_scale = 1 / (1 / gamma)
-        form = QuadraticForm(HYPERBOLIC_GRAM, "complex" if fld == "complex" else "hyperbolic")
+        form = QuadraticForm(HYPERBOLIC_GRAM, "complex" if fld == "complex" else "hyperbolic",
+                             HYPERBOLIC_GRAM)
     t3 = [[cols[j][i] for j in range(3)] for i in range(3)]
     phi = AffineMap.xyz_linear(t3, w_scale)
     return transform_graph(f1, phi), phi, form, tower
@@ -393,9 +419,9 @@ def two_step(f, fld="complex"):
     c = j1.homogeneous_part(3)
     if form.signature == "elliptic":
         return j1, change, c, "unclassified-elliptic", pick_invariant(c, form), tower
-    h = QuadraticForm(HYPERBOLIC_GRAM, form.signature)
+    h = QuadraticForm(HYPERBOLIC_GRAM, form.signature, HYPERBOLIC_GRAM)
     lv = [trace_decompose(c, h)[1].coefficient(e) for e in UNITS]
-    Hi = h.inverse_gram()
+    Hi = h.inverse
     rows = [list(r) for r in AffineMap.identity().linear]
     for i in range(3):
         rows[i][3] = -sum(Hi[i][k] * lv[k] for k in range(3)) / 2
@@ -409,7 +435,7 @@ def assert_matches_two_step(f, fld="complex"):
     rep = normalize_jet(f, fld)
     jet_, change, cubic, kind, pick, tower = two_step(f, fld)
     assert rep.change == change
-    assert rep.cubic == cubic
+    assert rep.jet.homogeneous_part(3) == cubic
     assert (rep.cubic_class, rep.pick) == (kind, pick)
     if tower is None:
         assert rep.tower is None
@@ -462,7 +488,7 @@ def test_pick_has_the_scalar_type_of_the_normalized_coordinates(surface):
     # zero cubic, as the normalized cubic gives them
     rep = normalize_jet(expand_graph(parse_surface(surface, ("0",) * 4), 3))
     assert rep.tower is not None
-    assert type(rep.pick) is type(pick_invariant(rep.cubic, rep.form))
+    assert type(rep.pick) is type(pick_invariant(rep.jet.homogeneous_part(3), rep.form))
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,17 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affine_homog.groebner import buchberger
 from affine_homog.jets import Jet
-from affine_homog.normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
-                                    is_trace_free, trace_decompose,
-                                    transform_graph)
+from affine_homog.normalize import AffineMap, trace_decompose, transform_graph
 from affine_homog.poly import GREVLEX, LEX, Poly
 from affine_homog.symmetry import (AffineVectorField, bracket,
                                    complete_series, pqr_families, solve_tangency,
                                    tangency_columns, tangency_residual)
 from test_groebner import reduce, s_poly
+from test_normalize import HYP, is_trace_free
+from test_poly import monic, monomial
 
 XYZ = ("x", "y", "z")
-HYP = QuadraticForm(HYPERBOLIC_GRAM, "hyperbolic")
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -76,7 +75,7 @@ def test_jet_truncation_coherence(p, q, n, k):
 def test_jet_division_and_monic_stay_exact(p, d, n):
     # int coefficients and divisors must give Fractions, never floats
     q = Jet(p, n) / d
-    m = p.monic()
+    m = monic(p)
     for c in (*q.poly.terms.values(), *m.terms.values()):
         assert isinstance(c, (int, F))
     assert q * d == Jet(p, n)
@@ -165,7 +164,7 @@ def test_residual_is_weighted_sum_of_columns(p, n, M, coords, m, i, j):
     mono = (i, min(j, m - i), m - i - min(j, m - i))
     f = _i11_jet()
     V = _field_from_coords(coords)
-    added = Jet(f.poly + Poly.monomial(mono, vars=XYZ), m)
+    added = Jet(f.poly + monomial(mono, vars=XYZ), m)
     diff = (tangency_residual(added, V, m - 1)
             - tangency_residual(Jet(f.poly, m), V, m - 1))
     along = {mono[:n] + (mono[n] - 1,) + mono[n + 1:]: t * mono[n]

@@ -83,12 +83,6 @@ class TestTower:
         assert (x - s) * s == i
         assert tw.dim == 4
 
-    def test_rational_detection(self):
-        tw = Tower(("s",), (F(2),))
-        e = tw.const(F(5, 3))
-        assert e.is_rational() and e.as_fraction() == F(5, 3)
-        assert not tw.generator(0).is_rational()
-
 
 def test_equal_scalars_hash_equal():
     # equal values must hash equal, so sets and dicts treat them as one key

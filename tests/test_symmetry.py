@@ -25,6 +25,7 @@ from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z, ZERO4,
                                    pqr_families, raise_order,
                                    reduce_against_span, solve_tangency,
                                    tangency_columns, tangency_residual)
+from test_poly import monic, monomial
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -260,19 +261,19 @@ def poly_closure_constraints(F_, famP, famQ, famR):
     columns = tangency_columns(F_, F_.order, range(16))
     constraints = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
-        B = bracket(fields[a], fields[b])
+        B = dense_bracket(fields[a], fields[b])
         A = [list(r) for r in B.A]
         for c, V in zip(B.v, fields):
             if c:
                 for row, vrow in zip(A, V.A):
                     for j, x in enumerate(vrow):
                         if x:
-                            row[j] = row[j] - c * x
+                            row[j] = -(c * x) + row[j]
         res = tangency_residual(F_, AffineVectorField(A, ZERO4), F_.order, columns)
         for m in sorted(res.poly.terms, key=GREVLEX.key):
             c = res.poly.terms[m]
             c = c if isinstance(c, Poly) else Poly.const(c, ring)
-            constraints.append(c.monic())
+            constraints.append(monic(c))
     return constraints
 
 
@@ -403,14 +404,15 @@ def test_complete_series_refuses_a_constant_term():
 
 def dense_bracket(v1, v2):
     """The bracket as one dot product per entry over the columns of the
-    augmented matrices, each sum starting at Fraction(0)."""
+    augmented matrices, each sum starting at Fraction(0); the negated one
+    comes first, since a Fraction less a Poly is not defined."""
     a1, a2 = v1.A, v2.A
     c1, c2 = (*zip(*a1), v1.v), (*zip(*a2), v2.v)
 
     def dot(row, col):
         return sum((a * b for a, b in zip(row, col) if a and b), F(0))
 
-    rows = [[dot(a2[i], c1[j]) - dot(a1[i], c2[j]) for j in range(5)]
+    rows = [[-dot(a1[i], c2[j]) + dot(a2[i], c1[j]) for j in range(5)]
             for i in range(4)]
     return AffineVectorField(tuple(r[:4] for r in rows), tuple(r[4] for r in rows))
 
@@ -439,11 +441,26 @@ def bracket_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(bracket_pairs())
 def test_sparse_bracket_matches_dense_formula(pair):
-    got, want = bracket(*pair).coords(), dense_bracket(*pair).coords()
-    for g, w in zip(got, want):
-        assert type(g) is type(w) and g == w
-        if isinstance(w, Poly):
-            assert list(g.terms) == list(w.terms)
+    # by value: a coordinate that no product touches is the int 0
+    assert bracket(*pair).coords() == dense_bracket(*pair).coords()
+
+
+def test_every_bracket_runs_the_one_row_bracket(monkeypatch):
+    # bracket, the closure check and the closure constraints share one
+    # bracket implementation
+    calls = []
+    row_bracket = symmetry._row_bracket
+    monkeypatch.setattr(symmetry, "_row_bracket",
+                        lambda *a: calls.append(1) or row_bracket(*a))
+    a = field([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    bracket(a, DILATION)
+    assert len(calls) == 1
+    alg = full_algebra(QUADRIC)
+    # one per pair of the quadric's seven fields
+    assert alg.closed and len(calls) == 1 + 21
+    f = cat.case_jet("I0")
+    closure_constraints(f, *pqr_families(solve_tangency(f), cat.CUBIC_CASES["I0"].gauge))
+    assert len(calls) > 1 + 21
 
 
 def test_v3_bracket_leaves_the_span_at_order_4_only():
@@ -525,7 +542,7 @@ def eliminated_series(f, P, Q, R, M):
         for mat, e in zip((P, Q, R), (E_X, E_Y, E_Z)):
             columns = []
             for u in unknowns:
-                p = Poly.monomial(mono_of[u], vars=XYZ)
+                p = monomial(mono_of[u], vars=XYZ)
                 columns.append(Jet(sum((p.partial(n).scale(t)
                                         for n, t in zip(XYZ, e) if t),
                                        Poly.zero(XYZ)), m - 1))
