@@ -5,8 +5,9 @@ complex numbers and over the hyperbolic reals), of the completed normal
 forms of `verify --entry=NF` (over symbolic b and at b = 3/2), of
 `symmetry --jet -` on each normal form's completed jet (at b = 3/2 for the
 parametric ones), of the default text output of `discover --case=C` for
-each of the six cubic cases, and of the catalog-wide `catalog` (with and
-without `--verify-all`) and `real` reports.
+each of the six cubic cases, of the catalog-wide `catalog` (with and
+without `--verify-all`) and `real` reports, and of `verify --surface` on an
+ad-hoc surface that passes (N6) and one that fails (variant v1 at order 5).
 
 ``cli_digests.json`` holds, for each argv below, the exit code and the
 sha256 of stdout recorded from an earlier version of the program. These
@@ -79,6 +80,13 @@ def argvs():
     out.append(["catalog", "--format=json"])
     out.append(["catalog", "--verify-all", "--format=json"])
     out.append(["real", "--format=json"])
+    n6 = entries["N6"]
+    v1_text, v1_bp = cat.VARIANTS["v1"]
+    for surface, bp, order in ((n6.surface, n6.basepoint, []),
+                               (v1_text, v1_bp, ["--order=5"])):
+        out.append(["verify", "--surface=" + surface,
+                    "--basepoint=" + ",".join(str(c) for c in bp)]
+                   + order + ["--format=json"])
     return out
 
 
@@ -122,7 +130,7 @@ RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
 
 def test_every_argv_is_recorded():
     keys = [" ".join(a) for a in argvs()] + [stdin_key(s) for s in jet_sources()]
-    assert len(keys) == 139
+    assert len(keys) == 141
     assert set(keys) == set(RECORDED)
 
 
