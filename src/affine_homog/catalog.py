@@ -3,11 +3,12 @@
 The data side is a table of twenty explicit defining equations (shipped in
 catalog_data.json) and one table of the ten graph normal forms
 (``NORMAL_FORMS``), each with its cubic case, isotropy dimension,
-determining order, terms above the cubic as polynomials in b, closed form
-and rescaling note; each case (``CUBIC_CASES``) holds its cubic and its
-gauge entries. The base jets, discovery's start jets and orders, the one
-matcher ``match_component``, the overlaps and the gauges of
-``confirm_isotropy`` are read from those two tables. The pipeline side
+determining order, terms above the cubic as polynomials in b, closed form,
+rescaling note and the symmetries the paper displays for it; each case
+(``CUBIC_CASES``) holds its cubic and its gauge entries. The base jets,
+discovery's start jets and orders, the one matcher ``match_component``,
+the overlaps and the gauges and displayed symmetries that
+``confirm_isotropy`` checks are read from those two tables. The pipeline side
 ties the other modules together:
 
   verify_entry        expand an explicit equation, compute its symmetry
@@ -96,7 +97,6 @@ class CatalogEntry:
     uses_alpha: bool
     excluded_alphas: Tuple[Fraction, ...]
     expected_isotropy: int
-    real_variants: Tuple[str, ...]
 
 
 def load_catalog() -> Dict[str, CatalogEntry]:
@@ -108,8 +108,7 @@ def load_catalog() -> Dict[str, CatalogEntry]:
             basepoint=tuple(parse_rational(c) for c in e["basepoint"]),
             uses_alpha=e["uses_alpha"],
             excluded_alphas=tuple(parse_rational(c) for c in e["excluded_alphas"]),
-            expected_isotropy=e["expected_isotropy"],
-            real_variants=tuple(e["real_variants"]))
+            expected_isotropy=e["expected_isotropy"])
     return out
 
 
@@ -158,7 +157,11 @@ class NormalForm(NamedTuple):
     order; its terms above the cubic, each coefficient a polynomial in b
     given as (c0, c1, c2) of 1, b, b^2; its closed defining equation,
     where there is one; and, where a rescaling normalizes its constant
-    quartic, the note of a jet whose quartic is a nonzero multiple of it."""
+    quartic, the note of a jet whose quartic is a nonzero multiple of it.
+    Where the paper displays them, it also holds the linear part of the
+    isotropy generator, up to scale (matched at entry (3, 3)), and a
+    parameter value with symmetries (target matrix, translation) that the
+    algebra there must contain, each modulo the isotropy direction."""
     id: str
     case: str
     isotropy: int
@@ -166,11 +169,15 @@ class NormalForm(NamedTuple):
     terms: Dict[Monomial, Tuple[Fraction, ...]]
     closed: Optional[str] = None
     rescale: str = ""
+    generator: Optional[Tuple[Tuple[int, ...], ...]] = None
+    displayed: Optional[Tuple[Fraction, tuple]] = None
 
     @property
     def parametric(self) -> bool:
         return any(len(cs) > 1 for cs in self.terms.values())
 
+
+_I1_GENERATOR = ((0, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
 
 # the Sp closed form is the implicit quadratic satisfied by the square-root
 # branch through the origin
@@ -181,11 +188,18 @@ NORMAL_FORMS = {nf.id: nf for nf in (
     NormalForm("I3", "I3", 2, 4, {}, "W = 2*X*Y + Z^2 + X^3"),
     NormalForm("I2", "I2", 1, 4, {(4, 0, 0): (0, 1)}, "W = 2*X*Y + Z^2 + X^2*Z + alpha*X^4"),
     NormalForm("I1.1", "I1", 1, 4, {(3, 1, 0): (F(1, 2),), (2, 0, 2): (-1,)},
-               "W = (4*X*Y + 2*Z^2 - 5*X*Z^2)*(2 - X)^(-1)"),
+               "W = (4*X*Y + 2*Z^2 - 5*X*Z^2)*(2 - X)^(-1)",
+               generator=_I1_GENERATOR),
     NormalForm("I1.2", "I1", 1, 4, {(3, 1, 0): (F(1, 2),), (2, 0, 2): (F(21, 4),)},
-               "W = (8*X*Y + 4*Z^2 + 20*X^2*Y)*((2 - X)*(2 + 5*X))^(-1)"),
+               "W = (8*X*Y + 4*Z^2 + 20*X^2*Y)*((2 - X)*(2 + 5*X))^(-1)",
+               generator=_I1_GENERATOR),
     NormalForm("I0.1", "I0", 1, 4, {(2, 2, 0): (F(9, 4),), (1, 1, 2): (F(-9, 2),),
-                                    (0, 0, 4): (0, F(15, 32))}),
+                                    (0, 0, 4): (0, F(15, 32))},
+               displayed=(F(6), (
+                   (((0, 0, 0, 0), (0, 0, 0, 0), (0, F(-3, 2), 0, 0), (0, 2, 0, 0)), E_X),
+                   (((0, 0, 0, 0), (0, 0, 0, 0), (F(-3, 2), 0, 0, 0), (2, 0, 0, 0)), E_Y),
+                   (((F(15, 2), 0, 0, 0), (0, 0, 0, 0), (0, 0, 6, F(-9, 8)),
+                     (0, 0, 2, 9)), E_Z)))),
     NormalForm("I0.2", "I0", 1, 4, {(2, 2, 0): (F(63, 8), F(-45, 8)),
                                     (1, 1, 2): (F(-81, 8), F(45, 8)),
                                     (0, 0, 4): (0, F(15, 32))}),
@@ -489,18 +503,6 @@ def discover(case: str) -> List[DiscoveryComponent]:
 
 # -- isotropy confirmation ---------------------------------------------------------
 
-# the displayed symmetry triple of the I0.1 form at parameter 6,
-# each understood modulo the isotropy direction
-_I01_B6_TRIPLE = (
-    (((0, 0, 0, 0), (0, 0, 0, 0), (0, F(-3, 2), 0, 0), (0, 2, 0, 0)), E_X),
-    (((0, 0, 0, 0), (0, 0, 0, 0), (F(-3, 2), 0, 0, 0), (2, 0, 0, 0)), E_Y),
-    (((F(15, 2), 0, 0, 0), (0, 0, 0, 0), (0, 0, 6, F(-9, 8)),
-      (0, 0, 2, 9)), E_Z),
-)
-
-ISO_GENERATOR_I1 = ((0, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
-
-
 def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     """Complete a normal form to the given order with its translated
     symmetries and confirm the full algebra closes with the expected
@@ -556,23 +558,23 @@ def confirm_isotropy(nf_id: str, b=None, order: int = 6) -> Report:
     passed = (homogeneous(alg) and alg.isotropy_dim == nf.isotropy
               and unique_mod_iso and gauge_cuts)
 
-    if nf_id in ("I1.1", "I1.2"):
+    if nf.generator is not None:
         gen_ok = False
         if alg.isotropy_dim == 1:
             g = alg.isotropy[0].A
             s = g[3][3]
             if s:
-                scaled = tuple(tuple(2 * a / s for a in row) for row in g)
-                gen_ok = scaled == tuple(tuple(F(c) for c in row)
-                                         for row in ISO_GENERATOR_I1)
+                scale = nf.generator[3][3]
+                scaled = tuple(tuple(scale * a / s for a in row) for row in g)
+                gen_ok = scaled == nf.generator
         details["isotropy_generator_ok"] = gen_ok
         passed = passed and gen_ok
 
-    if nf_id == "I0.1" and b == 6:
+    if nf.displayed is not None and b == nf.displayed[0]:
         # some field of the algebra has the target matrix and translation
         found = [reduce_against_span(alg.basis, AffineVectorField(target, e),
                                      alg.free)
-                 for target, e in _I01_B6_TRIPLE]
+                 for target, e in nf.displayed[1]]
         details["displayed_triple_in_algebra"] = found
         passed = passed and all(found)
 

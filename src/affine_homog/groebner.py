@@ -211,8 +211,9 @@ def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
     """The reduced row-echelon form of the generators over their monomials,
     from ``linalg.rref`` with the monomials as columns in descending term
     order: monic rows with distinct leading terms, none of which occurs in
-    another row, by descending leading term. Invertible row operations
-    leave the ideal as it was."""
+    another row, by descending leading term. Each sparse pivot row becomes
+    a polynomial with its terms in descending order. Invertible row
+    operations leave the ideal as it was."""
     for g in gens:
         gens[0]._check(g)
     monos = sorted({m for g in gens for m in g.terms}, key=order.key,
@@ -221,7 +222,7 @@ def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
     rows = [{index[m]: c for m, c in g.terms.items()} for g in gens]
     pivot_rows = rref(rows, [0] * len(rows), len(monos))
     return [Poly._canonical(gens[0].vars,
-                            {m: c for m, c in zip(monos, row) if c})
+                            {monos[k]: c for k, c in sorted(row.items())})
             for row, _ in pivot_rows.values()]
 
 

@@ -1,32 +1,33 @@
 """Exact linear algebra over the scalar domains.
 
 All row elimination goes through ``rref``, which reduces a system to its
-unique RREF by one of two Gauss-Jordan branches. Its rows are sparse,
-one ``{col: entry}`` per row, as the tangency systems (about one entry in
-six nonzero) and Buchberger's echelon step build them. ``rref`` is the
-one place where the scalar types choose the branch:
+unique RREF by one Gauss-Jordan loop. Its rows are sparse, one
+``{col: entry}`` per row with the rhs at column ``ncols``, as the
+tangency systems (about one entry in six nonzero) and Buchberger's
+echelon step build them, and the loop touches only their nonzero
+entries. The scalar types choose three things, in ``rref`` alone:
 
-- a system of ``int`` and ``Fraction`` entries is scaled to integer rows
-  and eliminated fraction-free (cross-multiplication, then division by
-  the row content) on the nonzero entries alone, so ``Fraction``
-  normalisation is paid only once per output entry and no zero entry is
-  scaled or eliminated;
-- any other system (``RationalFunc``, ``TowerElement`` or mixed) is
-  made dense, with ``Fraction(0)`` at each unlisted column, and
-  eliminated over its field with the smallest-``_pivot_size`` pivot,
-  doing no arithmetic on zero entries. ``RationalFunc`` computes on
-  integer polynomials times one rational content and pays for a
-  polynomial gcd only where a result can share a factor with its
+- a system of ``int`` and ``Fraction`` entries is scaled to primitive
+  integer rows, pivots on the smallest ``|c|`` and eliminates
+  fraction-free (cross-multiplication, then division by the row
+  content), so ``Fraction`` normalisation is paid only once per output
+  entry;
+- any other system (``RationalFunc``, ``TowerElement`` or mixed) keeps
+  its rows as given, pivots on the smallest ``_pivot_size`` and
+  eliminates over its field by a monic pivot row. ``RationalFunc``
+  computes on integer polynomials times one rational content and pays
+  for a polynomial gcd only where a result can share a factor with its
   denominator (see its docstring), so a parametric system whose pivots
   are constants runs without one.
 
-The types choose the branch and the pivot order, which change the cost
-of a solve only: the RREF is unique, so no value depends on them.
-``solve_rows`` (dense rows) reads the particular solution and the
-nullspace off the RREF; ``linear_solve`` (equations keyed by column
-index, with named columns) passes its equations to ``rref`` as sparse
-rows and reads the same; ``nullspace`` and ``matrix_rank`` are thin front
-ends to ``solve_rows``, and Buchberger's echelon step in ``groebner``
+The types choose the preparation, the pivot order and the row operation,
+which change the cost of a solve only: the RREF is unique, so no value
+depends on them. ``rref`` returns sparse pivot rows. ``solve_rows``
+(dense rows) reads the particular solution and the nullspace off them;
+``linear_solve`` (equations keyed by column index, with named columns)
+passes its equations to ``rref`` as sparse rows and reads the same;
+``nullspace`` is a thin front end to ``solve_rows``, ``matrix_rank``
+counts the pivot rows, and Buchberger's echelon step in ``groebner``
 calls ``rref`` directly.
 Inconsistency is a returned value, not an exception.
 """
@@ -108,120 +109,6 @@ def _pivot_size(c) -> int:
     return 1 << 20
 
 
-def _field_rref(rows, rhs, ncols):
-    """Gauss-Jordan over any scalar field, picking the smallest pivot by
-    ``_pivot_size``. Returns None when inconsistent, else the pivot rows
-    as ``{col: (row, rhs)}`` scaled to pivot 1."""
-    rows = list(zip(rows, rhs))
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        # choose the simplest non-zero pivot in this column
-        best = None
-        for i in range(r, len(rows)):
-            c = rows[i][0][col]
-            if c:
-                s = _pivot_size(c)
-                if best is None or s < best[1]:
-                    best = (i, s)
-        if best is None:
-            continue
-        i = best[0]
-        rows[r], rows[i] = rows[i], rows[r]
-        prow, prhs = rows[r]
-        p = prow[col]
-        if isinstance(p, int):
-            p = Fraction(p)
-        inv_row = [c / p if c else c for c in prow]
-        inv_rhs = prhs / p if prhs else prhs
-        rows[r] = (inv_row, inv_rhs)
-        for j in range(len(rows)):
-            if j == r:
-                continue
-            f = rows[j][0][col]
-            if f:
-                row, b = rows[j]
-                rows[j] = ([x - f * y if y else x for x, y in zip(row, inv_row)],
-                           b - f * inv_rhs if inv_rhs else b)
-        pivots[col] = r
-        r += 1
-        if r == len(rows):
-            break
-
-    # consistency: zero rows must have zero rhs
-    if any(rows[j][1] for j in range(r, len(rows))):
-        return None
-    return {col: rows[ri] for col, ri in pivots.items()}
-
-
-def _integer_rref(rows, rhs, ncols):
-    """Fraction-free Gauss-Jordan over Z for rational systems, on sparse
-    rows. Each row, augmented by its rhs at column ``ncols``, is kept as
-    its nonzero entries ``{col: int}``, scaled by the lcm of their
-    denominators and divided by their content; a row is eliminated by
-    ``(p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)`` over the union
-    of the two rows' entries and then divided by its content, so no
-    ``Fraction`` is normalised per scalar operation and no zero entry is
-    touched. Returns None when inconsistent, else the pivot rows as dense
-    ``{col: (row, rhs)}`` with pivot 1 and ``Fraction`` entries."""
-    work = []
-    for row, b in zip(rows, rhs):
-        entries = [(k, c) for k, c in row.items() if c]
-        if b:
-            entries.append((ncols, b))
-        if entries:
-            den = lcm(*(c.denominator for _, c in entries))
-            ints = {k: c.numerator * (den // c.denominator) for k, c in entries}
-            work.append(_primitive_row(ints))
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        # any non-zero pivot gives the same RREF; the smallest keeps
-        # the cross-multiplied rows short
-        best = None
-        for i in range(r, len(work)):
-            c = work[i].get(col)
-            if c and (best is None or abs(c) < abs(work[best][col])):
-                best = i
-        if best is None:
-            continue
-        work[r], work[best] = work[best], work[r]
-        prow = work[r]
-        p = prow[col]
-        for j in range(len(work)):
-            row = work[j]
-            f = row.get(col)
-            if j != r and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
-                for k, y in prow.items():
-                    x = new.get(k, 0) - b * y
-                    if x:
-                        new[k] = x
-                    else:
-                        new.pop(k, None)
-                work[j] = _primitive_row(new)
-        pivots[col] = r
-        r += 1
-        if r == len(work):
-            break
-
-    if any(ncols in work[j] for j in range(r, len(work))):
-        return None
-    zero = Fraction(0)
-    out = {}
-    for col, ri in pivots.items():
-        row = work[ri]
-        p = row[col]
-        dense = [zero] * ncols
-        for k, a in row.items():
-            if k < ncols:
-                dense[k] = Fraction(a, p)
-        out[col] = (dense, Fraction(row.get(ncols, 0), p))
-    return out
-
-
 def _primitive_row(row: Dict[int, int]) -> Dict[int, int]:
     """A sparse integer row divided by its content."""
     g = gcd(*row.values())
@@ -232,22 +119,88 @@ def rref(rows: Sequence[Mapping[int, object]], rhs: Sequence[object], ncols: int
     """The reduced row-echelon form of ``rows . x = rhs`` over ``ncols``
     columns, each row given sparse as ``{col: entry}`` (a column it does
     not list holds zero). Returns None when inconsistent, else the pivot
-    rows as dense ``{col: (row, rhs)}`` with pivot 1, in ascending pivot
-    column.
+    rows as sparse ``{col: ({col: entry}, rhs)}``, pivot 1 included and no
+    zero entry listed, in ascending pivot column.
 
-    The scalar types of the listed entries and of the rhs choose the
-    branch: an all-``int``/``Fraction`` system runs fraction-free over Z
-    on the sparse rows (``_integer_rref``), anything else over its field
-    (``_field_rref``) on the rows made dense, with ``Fraction(0)`` at
-    each column a row does not list. That choice and the pivot order
+    An all-``int``/``Fraction`` system runs on primitive integer rows,
+    with the smallest ``|c|`` as pivot and the row operation ``(p/g) row
+    - (f/g) pivot_row`` (``g = gcd(p, f)``) followed by division by the
+    row content; its pivot rows become ``Fraction`` rows at the end. Any
+    other system runs on its rows as given, with the smallest
+    ``_pivot_size`` as pivot, the pivot row made monic and the row
+    operation ``row - f pivot_row``. That choice and the pivot order
     change the cost only; the RREF is unique, so never a value."""
     rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
         isinstance(c, _RATIONAL) for row in rows for c in row.values())
-    if rational:
-        return _integer_rref(rows, rhs, ncols)
-    zero = Fraction(0)
-    return _field_rref([[row.get(k, zero) for k in range(ncols)] for row in rows],
-                       rhs, ncols)
+    work = []
+    for row, b in zip(rows, rhs):
+        entries = {k: c for k, c in row.items() if c}
+        if b:
+            entries[ncols] = b
+        if not entries:
+            continue
+        if rational:
+            den = lcm(*(c.denominator for c in entries.values()))
+            entries = _primitive_row({k: c.numerator * (den // c.denominator)
+                                      for k, c in entries.items()})
+        work.append(entries)
+    size = abs if rational else _pivot_size
+    pivot_cols = []
+    for col in range(ncols):
+        r = len(pivot_cols)
+        # any non-zero pivot gives the same RREF; the smallest keeps the
+        # eliminated rows short
+        best = None
+        for i in range(r, len(work)):
+            c = work[i].get(col)
+            if c:
+                s = size(c)
+                if best is None or s < best[1]:
+                    best = (i, s)
+        if best is None:
+            continue
+        i = best[0]
+        work[r], work[i] = work[i], work[r]
+        prow = work[r]
+        p = prow[col]
+        if not rational:
+            if isinstance(p, int):
+                p = Fraction(p)
+            prow = work[r] = {k: c / p for k, c in prow.items()}
+        for j in range(len(work)):
+            row = work[j]
+            f = row.get(col)
+            if j == r or not f:
+                continue
+            if rational:
+                g = gcd(p, f)
+                a, f = p // g, f // g
+                row = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+            else:
+                row = dict(row)
+            for k, y in prow.items():
+                x = row.get(k, 0) - f * y
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+            work[j] = _primitive_row(row) if rational else row
+        pivot_cols.append(col)
+        if len(pivot_cols) == len(work):
+            break
+
+    # consistency: the rows left without a pivot must have zero rhs
+    if any(ncols in row for row in work[len(pivot_cols):]):
+        return None
+    out = {}
+    for col, row in zip(pivot_cols, work):
+        b = row.pop(ncols, 0)
+        if rational:
+            p = row[col]
+            out[col] = ({k: Fraction(a, p) for k, a in row.items()}, Fraction(b, p))
+        else:
+            out[col] = (row, b if b else Fraction(0))
+    return out
 
 
 def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
@@ -264,26 +217,23 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
 
 
 def _read_solution(pivot_rows, ncols: int):
-    """``solve_rows``' result from the RREF's pivot rows (None when
-    inconsistent)."""
+    """``solve_rows``' result from the RREF's sparse pivot rows (None when
+    inconsistent): each entry off the pivot lies in a free column."""
     if pivot_rows is None:
         return None
 
     free_cols = [c for c in range(ncols) if c not in pivot_rows]
     zero = Fraction(0)
     particular = [zero] * ncols
-    for col, (_, b) in pivot_rows.items():
-        particular[col] = b
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
+    basis = {fc: [zero] * ncols for fc in free_cols}
+    for fc, vec in basis.items():
         vec[fc] = Fraction(1)
-        for col, (row, _) in pivot_rows.items():
-            c = row[fc]
-            if c:
-                vec[col] = -c
-        basis.append(vec)
-    return particular, basis, free_cols
+    for col, (row, b) in pivot_rows.items():
+        particular[col] = b
+        for k, c in row.items():
+            if k != col:
+                basis[k][col] = -c
+    return particular, list(basis.values()), free_cols
 
 
 def nullspace(rows: Sequence[Sequence[object]], ncols: int) -> List[List[object]]:
@@ -293,11 +243,12 @@ def nullspace(rows: Sequence[Sequence[object]], ncols: int) -> List[List[object]
 
 
 def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
-    """Exact rank of a matrix given as rows."""
+    """Exact rank of a matrix given as rows: the number of pivot rows of
+    its RREF."""
     if not rows:
         return 0
-    ncols = len(rows[0])
-    return ncols - len(nullspace(rows, ncols))
+    return len(rref([dict(enumerate(row)) for row in rows], [0] * len(rows),
+                    len(rows[0])))
 
 
 def linear_solve(equations: Sequence[LinearEquation],

@@ -73,12 +73,9 @@ class AffineMap:
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner in substitution order: old = self(inner(new)).
         Products with a zero factor are skipped."""
-        def dot(row, col):
-            return sum((a * b for a, b in zip(row, col) if a and b), Fraction(0))
-
         cols = tuple(zip(*inner.linear))
-        lin = tuple(tuple(dot(r, c) for c in cols) for r in self.linear)
-        tr = tuple(dot(r, inner.translation) + t
+        lin = tuple(tuple(_dot(r, c) for c in cols) for r in self.linear)
+        tr = tuple(_dot(r, inner.translation) + t
                    for r, t in zip(self.linear, self.translation))
         return AffineMap(lin, tr)
 

@@ -378,9 +378,32 @@ def test_sparse_integer_rref_equals_the_dense_one(system):
         return
     assert list(got) == list(want)
     for col, (row, b) in want.items():
-        assert got[col] == (row, b)
-        assert [type(c) for c in got[col][0]] == [type(c) for c in row]
-        assert type(got[col][1]) is type(b)
+        sparse, got_b = got[col]
+        assert all(sparse.values())  # no zero entry is listed
+        dense = [sparse.get(k, F(0)) for k in range(ncols)]
+        assert (dense, got_b) == (row, b)
+        assert [type(c) for c in dense] == [type(c) for c in row]
+        assert type(got_b) is type(b)
+
+
+def _as_constants(values):
+    return [RationalFunc.const(c) for c in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_systems())
+def test_both_branches_give_one_solution(system):
+    # the same rational system, as given (the integer branch) and with every
+    # entry a constant RationalFunc (the field branch)
+    rows, rhs, ncols = system
+    want = solve_rows(rows, rhs, ncols)
+    got = solve_rows([_as_constants(r) for r in rows], _as_constants(rhs), ncols)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    (particular, basis, free_cols), (gp, gb, gf) = want, got
+    assert gp == particular and gb == basis and gf == free_cols
 
 
 # -- the field branch over QQ(b) against sympy's rref -----------------------
