@@ -40,8 +40,7 @@ from .normalize import (HYPERBOLIC_GRAM, AffineMap, QuadraticForm,
                         cubic_action_matrix, cubic_basis, normalize_jet,
                         pick_invariant, transform_graph)
 from .poly import Poly
-from .scalars import (InputError, RationalFunc, Tower, parse_rational,
-                      scalar_str)
+from .scalars import InputError, RationalFunc, Tower, parse_rational
 from .symmetry import (E_X, E_Y, E_Z, AffineVectorField, CompletionError,
                        complete_series, closure_constraints, degree_unknowns,
                        full_algebra, linear_equations, pqr_families,
@@ -64,7 +63,7 @@ def _jsonable(v):
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, (Fraction, RationalFunc)):
-        return scalar_str(v)
+        return str(v)
     if isinstance(v, Jet):
         return v.to_json()
     if isinstance(v, dict):
@@ -387,13 +386,12 @@ class DiscoveryComponent:
 
     def to_json(self):
         return {"kind": self.kind,
-                "assignments": {k: scalar_str(v) if not isinstance(v, Poly)
-                                else str(v)
+                "assignments": {k: str(v)
                                 for k, v in sorted(self.assignments.items(),
                                                    key=lambda kv: kv[0])},
                 "jet": self.jet.to_json() if self.jet is not None else None,
                 "normal_form": self.normal_form,
-                "parameter": scalar_str(self.parameter)
+                "parameter": str(self.parameter)
                 if self.parameter is not None else None,
                 "duplicate_of": self.duplicate_of,
                 # always empty: completion divides only by integer exponents
@@ -445,7 +443,7 @@ def _tag_duplicates(comps: List[DiscoveryComponent]):
             key = (comp.normal_form, "generic")
         else:
             key = (comp.normal_form,
-                   scalar_str(par) if par is not None else "")
+                   str(par) if par is not None else "")
         if key in seen:
             comp.duplicate_of = seen[key]
         else:
@@ -496,7 +494,7 @@ def discover(case: str) -> List[DiscoveryComponent]:
     comps.sort(key=lambda comp: (
         {"point": 0, "family": 1, "residual": 2}[comp.kind],
         comp.normal_form or "~",
-        scalar_str(comp.parameter) if isinstance(comp.parameter, Fraction) else ""))
+        str(comp.parameter) if isinstance(comp.parameter, Fraction) else ""))
     _tag_duplicates(comps)
     return comps
 

@@ -1,9 +1,10 @@
 """Surface equation front end.
 
 Parses implicit defining equations over W,X,Y,Z (explicit '*', '^' with
-rational or 'alpha' exponents, exp and log), and Taylor-expands them at a
-basepoint into a graph-form jet w = F(x,y,z) by evaluating the equation on
-jets and solving it for w order by order.
+rational or 'alpha' exponents, exp and log) into a syntax tree of tagged
+tuples, and Taylor-expands them at a basepoint into a graph-form jet
+w = F(x,y,z) by evaluating the equation on jets and solving it for w order
+by order.
 """
 
 from __future__ import annotations
@@ -31,60 +32,15 @@ class DomainError(ValueError):
     pass
 
 
-# -- AST ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Node:
-    pass
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class Const(Node):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Param(Node):
-    name: str = "alpha"
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Pow(Node):
-    base: Node
-    exponent: Node  # Const or Param
-
-
-@dataclass(frozen=True)
-class Exp(Node):
-    arg: Node
-
-
-@dataclass(frozen=True)
-class Log(Node):
-    arg: Node
+# -- syntax tree ---------------------------------------------------------------
+#
+# A node is a tuple tagged by its kind:
+#   leaves      ("var", "W"), ("const", Fraction), ("alpha",)
+#   operations  ("+", a, b), ("-", a, b), ("*", a, b), ("^", base, exponent),
+#               ("exp", a), ("log", a)
+#   ("known", jet)  a subtree without W, held as its jet (expand_graph)
+# The children of a node are its entries that are tuples; the exponent of
+# a "^" node is a "const" or "alpha" leaf.
 
 
 # -- tokenizer / recursive descent -------------------------------------------
@@ -163,24 +119,25 @@ class _Parser:
         self.take(")")
         self.nesting -= 1
 
-    def parse_equation(self) -> Tuple[Node, Node]:
+    def parse_equation(self) -> tuple:
+        """The residual lhs - rhs, the tree that is evaluated."""
         lhs = self.parse_expr()
         self.take("=")
         rhs = self.parse_expr()
         kind, tok, pos = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok!r}", pos)
-        # the residual lhs - rhs is the tree that is evaluated
-        depth, power = _tree_measures(Sub(lhs, rhs))
+        residual = ("-", lhs, rhs)
+        depth, power = _tree_measures(residual)
         if depth > MAX_DEPTH:
             raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels",
                              0)
         if power > MAX_EXPONENT:
             raise ParseError(f"nested powers multiply their exponents past "
                              f"{MAX_EXPONENT}", 0)
-        return lhs, rhs
+        return residual
 
-    def parse_expr(self) -> Node:
+    def parse_expr(self) -> tuple:
         kind, tok, pos = self.peek()
         negate = False
         if tok == "-":
@@ -190,37 +147,37 @@ class _Parser:
             self.take()
         node = self.parse_term()
         if negate:
-            node = Sub(Const(Fraction(0)), node)
+            node = ("-", ("const", Fraction(0)), node)
         while True:
             kind, tok, pos = self.peek()
             if tok == "+":
                 self.take()
-                node = Add(node, self.parse_term())
+                node = ("+", node, self.parse_term())
             elif tok == "-":
                 self.take()
-                node = Sub(node, self.parse_term())
+                node = ("-", node, self.parse_term())
             else:
                 return node
 
-    def parse_term(self) -> Node:
+    def parse_term(self) -> tuple:
         node = self.parse_factor()
         while True:
             kind, tok, pos = self.peek()
             if tok == "*":
                 self.take()
-                node = Mul(node, self.parse_factor())
+                node = ("*", node, self.parse_factor())
             else:
                 return node
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self) -> tuple:
         node = self.parse_atom()
         kind, tok, pos = self.peek()
         if tok == "^":
             self.take()
-            node = Pow(node, self.parse_exponent())
+            node = ("^", node, self.parse_exponent())
         return node
 
-    def parse_exponent(self) -> Node:
+    def parse_exponent(self) -> tuple:
         kind, tok, pos = self.peek()
         if tok == "(":
             self.open()
@@ -242,32 +199,31 @@ class _Parser:
                 raise ParseError(f"exponent {num} past the budget: numerator"
                                  f" and denominator at most {MAX_EXPONENT}",
                                  pos)
-            return Const(-num if neg else num)
+            return ("const", -num if neg else num)
         if tok == "alpha":
             self.take()
             if neg:
                 raise ParseError("negated parameter exponent not supported", pos)
-            return Param()
+            return ("alpha",)
         raise ParseError("expected rational or alpha exponent", pos)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple:
         kind, tok, pos = self.peek()
         if kind == "var":
             self.take()
-            return Var(tok)
+            return ("var", tok)
         if kind == "num":
             self.take()
-            node = Const(parse_rational(tok))
-            return node
+            return ("const", parse_rational(tok))
         if tok == "alpha":
             self.take()
-            return Param()
+            return ("alpha",)
         if tok in ("exp", "log"):
             self.take()
             self.open()
             arg = self.parse_expr()
             self.close()
-            return Exp(arg) if tok == "exp" else Log(arg)
+            return (tok, arg)
         if tok == "(":
             self.open()
             node = self.parse_expr()
@@ -277,60 +233,52 @@ class _Parser:
                          pos)
 
 
-def _tree_measures(node: Node) -> Tuple[int, int]:
+def _tree_measures(node: tuple) -> Tuple[int, int]:
     """(levels of the syntax tree, the largest product of |numerators| of
     the constant exponents along a chain of nested powers, where an
     exponent 0 counts as 1), counted without recursion."""
     depth, power, todo = 0, 1, [(node, 1, 1)]
     while todo:
         n, d, k = todo.pop()
-        if isinstance(n, Pow) and isinstance(n.exponent, Const):
-            k *= abs(n.exponent.value.numerator) or 1
+        if n[0] == "^" and n[2][0] == "const":
+            k *= abs(n[2][1].numerator) or 1
         depth, power = max(depth, d), max(power, k)
         todo.extend((c, d + 1, k) for c in _children(n))
     return depth, power
 
 
-def _children(node: Node):
-    return [v for v in (getattr(node, f) for f in node.__dataclass_fields__)
-            if isinstance(v, Node)]
+def _children(node: tuple):
+    return [c for c in node if isinstance(c, tuple)]
 
 
 # -- SurfaceSpec --------------------------------------------------------------
 
 @dataclass
 class SurfaceSpec:
-    lhs: Node
-    rhs: Node
+    residual: tuple  # the syntax tree of lhs - rhs
     basepoint: Tuple[Fraction, Fraction, Fraction, Fraction]  # (W,X,Y,Z)
     alpha: Optional[Fraction] = None
-    text: str = ""
-
-    def residual_node(self) -> Node:
-        return Sub(self.lhs, self.rhs)
 
 
 def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:
     """Parse an implicit equation and validate the basepoint on it."""
-    lhs, rhs = _Parser(text).parse_equation()
+    residual = _Parser(text).parse_equation()
     bp = tuple(parse_rational(str(c)) if not isinstance(c, Fraction) else c
                for c in basepoint)
     if len(bp) != 4:
         raise InputError("basepoint must have four components (W,X,Y,Z)")
     if alpha is not None and not isinstance(alpha, (Fraction, RationalFunc)):
         alpha = parse_rational(str(alpha))
-    if _uses(lhs, Param()) or _uses(rhs, Param()):
-        if alpha is None:
-            raise InputError("equation uses alpha but no binding was given")
-    spec = SurfaceSpec(lhs, rhs, bp, alpha, text)
+    if alpha is None and _uses(residual, ("alpha",)):
+        raise InputError("equation uses alpha but no binding was given")
     at_bp = _ambient_images(bp, Jet.zero(0, GRAPH_VARS))
-    val = eval_jet(spec.residual_node(), at_bp, 0, alpha).poly.constant_term()
+    val = eval_jet(residual, at_bp, 0, alpha).poly.constant_term()
     if val != 0:
         raise InputError(f"basepoint does not satisfy the equation (residual {val})")
-    return spec
+    return SurfaceSpec(residual, bp, alpha)
 
 
-def _uses(node: Node, leaf: Node) -> bool:
+def _uses(node: tuple, leaf: tuple) -> bool:
     """Does ``leaf`` occur in the tree of ``node``?"""
     return node == leaf or any(_uses(c, leaf) for c in _children(node))
 
@@ -353,30 +301,15 @@ def _check_power(c, p: int):
                              f"{MAX_POWER_DIGITS} digits")
 
 
-def _rational_pow(base: Fraction, e: Fraction) -> Fraction:
-    if e.denominator == 1:
-        k = e.numerator
-        if k < 0 and base == 0:
-            raise DomainError("zero to a negative power")
-        _check_power(base, k)
-        return base ** k
-    if base <= 0:
-        raise DomainError(f"non-integer power of non-positive base {base}")
-    root = rational_nth_root(base, e.denominator)
-    if root is None:
-        raise DomainError(f"{base}^(1/{e.denominator}) is irrational")
-    _check_power(root, e.numerator)
-    return root ** e.numerator
-
-
 def taylor_primitive(fn: str, center: Fraction, order: int,
                      exponent: Optional[Fraction] = None) -> Jet:
     """Univariate jet of fn(center + u) in the variable u.
 
     exp requires center 0 and log requires center 1 so the coefficients
-    stay rational; pow requires an exact rational value at the center.
+    stay rational; pow takes a non-integer exponent (eval_jet computes
+    integer powers itself) and requires an exact rational value at the
+    center.
     """
-    u = Poly.var("u", ("u",))
     if fn == "exp":
         if center != 0:
             raise DomainError("exp expansion needs center 0 for exact coefficients")
@@ -396,17 +329,16 @@ def taylor_primitive(fn: str, center: Fraction, order: int,
             terms[(k,)] = Fraction((-1) ** (k + 1), k)
         return Jet(Poly(("u",), terms), order)
     if fn == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        if exponent.denominator == 1:
-            if exponent.numerator >= 0:
-                base = Jet(Poly.const(center, ("u",)) + u, order)
-                return base ** exponent.numerator
-            if center == 0:
-                raise DomainError("negative power at center 0")
-        elif center <= 0:
+        if exponent is None or exponent.denominator == 1:
+            raise ValueError("pow requires a non-integer exponent")
+        if center <= 0:
             raise DomainError("non-integer power needs a positive center")
-        c_pow = _rational_pow(center, exponent)
+        root = rational_nth_root(center, exponent.denominator)
+        if root is None:
+            raise DomainError(f"{center}^(1/{exponent.denominator}) is "
+                              f"irrational")
+        _check_power(root, exponent.numerator)
+        c_pow = root ** exponent.numerator
         # binomial series: sum_k binom(e,k) center^(e-k) u^k
         terms = {(0,): c_pow}
         coeff = c_pow
@@ -417,7 +349,7 @@ def taylor_primitive(fn: str, center: Fraction, order: int,
     raise ValueError(f"unknown primitive {fn!r}")
 
 
-# -- jet evaluation of an AST -----------------------------------------------------
+# -- jet evaluation of a syntax tree -------------------------------------------------
 
 def _compose_primitive(fn: str, arg: Jet, order: int,
                        exponent: Optional[Fraction] = None) -> Jet:
@@ -446,14 +378,14 @@ def expand_graph(spec: SurfaceSpec, order: int) -> Jet:
     this is the jet that evaluating the whole equation at each step gives.
     """
     w1 = Jet(Poly.var("w", GRAPH_VARS + ("w",)), 1)
-    node = spec.residual_node()
-    lin = eval_jet(node, _ambient_images(spec.basepoint, w1), 1, spec.alpha)
+    lin = eval_jet(spec.residual, _ambient_images(spec.basepoint, w1), 1,
+                   spec.alpha)
     slope = lin.poly.coefficient((0, 0, 0, 1))
     if slope == 0:
         raise DomainError("cannot solve for W at the basepoint "
                           "(implicit function condition fails)")
     xyz = _ambient_images(spec.basepoint, Jet.zero(order, GRAPH_VARS))
-    w_side = _hoist_w_free(node, xyz, order, spec.alpha)
+    w_side = _hoist_w_free(spec.residual, xyz, order, spec.alpha)
     w0 = Poly.const(spec.basepoint[0], GRAPH_VARS)
 
     def residual(w: Jet) -> Jet:
@@ -463,67 +395,60 @@ def expand_graph(spec: SurfaceSpec, order: int) -> Jet:
     return solve_series(residual, slope, Jet.zero(0, GRAPH_VARS), order)
 
 
-@dataclass(frozen=True, eq=False)
-class _Known(Node):
-    """A subtree without W, held as its jet at some order; it evaluates to
-    that jet truncated to the order of the evaluation."""
-    jet: Jet
-
-
-def _hoist_w_free(node: Node, images: Dict[str, Jet], order: int,
-                  alpha) -> Node:
+def _hoist_w_free(node: tuple, images: Dict[str, Jet], order: int,
+                  alpha) -> tuple:
     """``node`` with each maximal subtree free of W replaced by its jet at
     ``order`` on ``images``."""
-    if not _uses(node, Var("W")):
-        return _Known(eval_jet(node, images, order, alpha))
-    if isinstance(node, Var):
+    if not _uses(node, ("var", "W")):
+        return ("known", eval_jet(node, images, order, alpha))
+    if node[0] == "var":
         return node
-    if isinstance(node, Pow):  # the exponent is a Const or Param node
-        return Pow(_hoist_w_free(node.base, images, order, alpha),
-                   node.exponent)
-    return type(node)(*(_hoist_w_free(c, images, order, alpha)
-                        for c in _children(node)))
+    if node[0] == "^":  # the exponent is a "const" or "alpha" leaf
+        return ("^", _hoist_w_free(node[1], images, order, alpha), node[2])
+    return (node[0], *(_hoist_w_free(c, images, order, alpha)
+                       for c in node[1:]))
 
 
-def eval_jet(node: Node, images: Dict[str, Jet], order: int,
+def eval_jet(node: tuple, images: Dict[str, Jet], order: int,
              alpha: Optional[Fraction] = None) -> Jet:
-    """Evaluate an AST on jets. ``images`` sends each ambient variable to
-    a jet whose constant term is that basepoint coordinate."""
+    """Evaluate a syntax tree on jets. ``images`` sends each ambient
+    variable to a jet whose constant term is that basepoint coordinate; a
+    "known" node evaluates to its jet truncated to ``order``."""
     some = next(iter(images.values()))
     vars = some.vars
 
-    def ev(n: Node) -> Jet:
-        if isinstance(n, Var):
-            return images[n.name]
-        if isinstance(n, _Known):
-            return Jet(n.jet.poly, order)
-        if isinstance(n, Const):
-            return Jet.const(n.value, order, vars)
-        if isinstance(n, Param):
+    def ev(n: tuple) -> Jet:
+        tag = n[0]
+        if tag == "var":
+            return images[n[1]]
+        if tag == "known":
+            return Jet(n[1].poly, order)
+        if tag == "const":
+            return Jet.const(n[1], order, vars)
+        if tag == "alpha":
             if alpha is None:
                 raise ValueError("unbound parameter alpha")
             return Jet.const(alpha, order, vars)
-        if isinstance(n, Add):
-            return ev(n.left) + ev(n.right)
-        if isinstance(n, Sub):
-            return ev(n.left) - ev(n.right)
-        if isinstance(n, Mul):
-            return ev(n.left) * ev(n.right)
-        if isinstance(n, Pow):
-            e = n.exponent.value if isinstance(n.exponent, Const) else alpha
+        if tag == "+":
+            return ev(n[1]) + ev(n[2])
+        if tag == "-":
+            return ev(n[1]) - ev(n[2])
+        if tag == "*":
+            return ev(n[1]) * ev(n[2])
+        if tag == "^":
+            e = n[2][1] if n[2][0] == "const" else alpha
             if e is None:
                 raise ValueError("unbound parameter alpha")
-            base = ev(n.base)
+            base = ev(n[1])
+            if e.denominator != 1:
+                return _compose_primitive("pow", base, order, e)
             center = base.poly.constant_term()
-            # a negative power at a zero center is refused by the primitive
-            if e.denominator == 1 and (e >= 0 or center):
-                _check_power(center, e.numerator)
-                return base ** e.numerator
-            return _compose_primitive("pow", base, order, e)
-        if isinstance(n, Exp):
-            return _compose_primitive("exp", ev(n.arg), order)
-        if isinstance(n, Log):
-            return _compose_primitive("log", ev(n.arg), order)
+            if e < 0 and center == 0:
+                raise DomainError("negative power at center 0")
+            _check_power(center, e.numerator)
+            return base ** e.numerator
+        if tag in ("exp", "log"):
+            return _compose_primitive(tag, ev(n[1]), order)
         raise TypeError(f"unknown node {n!r}")
 
     return ev(node)

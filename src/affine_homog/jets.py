@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 from .poly import GREVLEX, Poly, XYZ
-from .scalars import InputError, parse_rational, positive_power, scalar_str
+from .scalars import InputError, parse_rational, positive_power
 
 
 class Jet:
@@ -134,7 +134,7 @@ class Jet:
             if hasattr(c, "to_json"):
                 cs = c.to_json()
             else:
-                cs = scalar_str(c)
+                cs = str(c)
             terms.append({"m": list(m), "c": cs})
         return {"order": self.order, "vars": list(self.vars), "terms": terms}
 

@@ -91,9 +91,8 @@ class AffineMap:
         return out
 
     def to_json(self):
-        from .scalars import scalar_str
-        return {"linear": [[scalar_str(c) for c in row] for row in self.linear],
-                "translation": [scalar_str(c) for c in self.translation]}
+        return {"linear": [[str(c) for c in row] for row in self.linear],
+                "translation": [str(c) for c in self.translation]}
 
 
 def transform_graph(F: Jet, phi: AffineMap) -> Jet:
@@ -513,13 +512,12 @@ class NormalizationReport:
         return transform_graph(self.source, self.change)
 
     def to_json(self):
-        from .scalars import scalar_str
         return {
             "jet": self.jet.to_json(),
             "change": self.change.to_json(),
             "signature": self.form.signature,
             "cubic_class": self.cubic_class,
-            "pick_invariant": scalar_str(self.pick),
+            "pick_invariant": str(self.pick),
             "tower": list(self.tower.names) if self.tower else [],
         }
 

@@ -40,11 +40,6 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational: {text!r}") from exc
 
 
-def scalar_str(x) -> str:
-    """Canonical exact string form ("-3/4", "(b+1)/(b-2)", ...)."""
-    return str(x)
-
-
 def positive_power(x, k: int):
     """``x`` to the power ``k`` >= 1 by repeated squaring from the lowest
     set bit: ``k.bit_length() - 1`` squarings and one product for each

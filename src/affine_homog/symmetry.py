@@ -109,9 +109,8 @@ class AffineVectorField:
         return cls(tuple(tuple(c[i:i + 4]) for i in range(0, 16, 4)), c[16:])
 
     def to_json(self):
-        from .scalars import scalar_str
-        return {"A": [[scalar_str(a) for a in r] for r in self.A],
-                "v": [scalar_str(t) for t in self.v]}
+        return {"A": [[str(a) for a in r] for r in self.A],
+                "v": [str(t) for t in self.v]}
 
 
 def bracket(v1: AffineVectorField, v2: AffineVectorField) -> AffineVectorField:

@@ -1,16 +1,20 @@
+import contextlib
 import importlib.util
+import io
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from affine_homog import catalog, frontend
 from affine_homog.cli import run
-from affine_homog.frontend import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
-                                   DomainError, ParseError, _ambient_images,
-                                   eval_jet, expand_graph, parse_surface,
+from affine_homog.frontend import (GRAPH_VARS, MAX_DEPTH, MAX_DIGITS,
+                                   MAX_EXPONENT, DomainError, ParseError,
+                                   _ambient_images, _Parser, eval_jet,
+                                   expand_graph, parse_surface,
                                    taylor_primitive)
 from affine_homog.jets import Jet, solve_series
 from affine_homog.poly import Poly
@@ -91,7 +95,7 @@ def test_negative_exponent_and_parenthesized():
 
 def graph_residual(spec, w: Jet) -> Jet:
     """Substitute a graph jet back into the defining equation."""
-    return eval_jet(spec.residual_node(), _ambient_images(spec.basepoint, w),
+    return eval_jet(spec.residual, _ambient_images(spec.basepoint, w),
                     w.order, spec.alpha)
 
 
@@ -112,6 +116,15 @@ def test_taylor_primitive_oracles():
     p = taylor_primitive("pow", F(4), 3, exponent=F(1, 2))
     assert [p.poly.coefficient((k,)) for k in range(4)] == \
         [F(2), F(1, 4), F(-1, 64), F(1, 512)]
+
+
+def test_pow_primitive_takes_only_non_integer_exponents():
+    # eval_jet computes integer powers and refuses a negative one at 0
+    for e in (None, F(2), F(-1), F(0)):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            taylor_primitive("pow", F(1), 3, exponent=e)
+    with pytest.raises(DomainError, match="negative power at center 0"):
+        parse_surface("W = X*Y + Z^(-2)", ("0", "0", "0", "0"))
 
 
 def test_basepoint_validation():
@@ -261,7 +274,12 @@ ORACLE_SURFACES = (
        for text, bp in catalog.VARIANTS.values()]
     # W under a negative power, and under a power on both sides
     + [("W*(1 + W)^(-1) = X*Y + Z^2", (F(0),) * 4, None),
-       ("(2 + W)^2 = 4 + X*Y + (1 + W)^3*Z^2 + W", (F(0),) * 4, None)])
+       ("(2 + W)^2 = 4 + X*Y + (1 + W)^3*Z^2 + W", (F(0),) * 4, None)]
+    # W under log, a non-integer power and an alpha power
+    + [("2*W = X*Y + Z^2 + log(1 + W)", (F(0),) * 4, None),
+       ("(1 + W)^(1/2) = 1 + X*Y + Z^2", (F(0),) * 4, None),
+       ("(1 + W)^alpha = 1 + X*Y + Z^2", (F(0),) * 4, F(3, 2)),
+       ("(1 + W)^alpha = 1 + X*Y + Z^2", (F(0),) * 4, F(-2))])
 
 
 @pytest.mark.parametrize("text, basepoint, alpha", ORACLE_SURFACES)
@@ -285,3 +303,68 @@ def test_primitives_are_composed_once_per_expansion(eid, order, monkeypatch):
                         lambda *a, **k: calls.append(1) or compose(*a, **k))
     expand_graph(spec, order)
     assert len(calls) <= 2
+
+
+# -- grammar fuzz through the command line -----------------------------------------
+
+LEAVES = ("W", "X", "Y", "Z", "alpha", "0", "1", "2", "3", "1/2", "3/2")
+EXPONENTS = ("2", "3", "(-1)", "(1/2)", "(-3/2)", "alpha", "0")
+BASE_COORDS = ("0", "1", "2", "-1", "1/2")
+
+
+def surface_exprs(depth):
+    """Expressions of the surface grammar at most ``depth`` operations
+    deep, each operation bracketed."""
+    leaves = st.sampled_from(LEAVES)
+    if depth == 0:
+        return leaves
+    sub = surface_exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, st.sampled_from(EXPONENTS)).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(("exp", "log")), sub).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        sub.map(lambda e: f"(-{e})"))
+
+
+def residual_at(text, basepoint, alpha):
+    """The residual of an equation at a basepoint, or None where it is
+    not defined."""
+    try:
+        tree = _Parser(text).parse_equation()
+        at_bp = _ambient_images(tuple(map(parse_rational, basepoint)),
+                                Jet.zero(0, GRAPH_VARS))
+        return eval_jet(tree, at_bp, 0,
+                        alpha and parse_rational(alpha)).poly.constant_term()
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(("", "W + ")), surface_exprs(4), surface_exprs(4),
+       st.tuples(*[st.sampled_from(BASE_COORDS)] * 4),
+       st.sampled_from((None, "2", "3/2", "-1", "1/2")),
+       st.sampled_from(("expand", "symmetry", "normalize")), st.booleans())
+def test_grammar_fuzz_exits_cleanly(w, lhs, rhs, basepoint, alpha, command,
+                                    shift):
+    """A drawn equation exits 0, 1 or 2 and raises nothing. Half the draws
+    move the rhs by the residual at the basepoint, so that they pass the
+    basepoint check, and half add W to the lhs, so that more of them have
+    a w-slope."""
+    lhs = w + lhs
+    text = f"{lhs} = {rhs}"
+    val = residual_at(text, basepoint, alpha) if shift else None
+    if val and len(str(val)) <= MAX_DIGITS:
+        text = f"{lhs} = {rhs} + ({val})"
+    argv = [command, f"--surface={text}", f"--basepoint={','.join(basepoint)}",
+            "--order=3"] + ([f"--alpha={alpha}"] if alpha else [])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

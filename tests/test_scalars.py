@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from affine_homog.linalg import _pivot_size
 from affine_homog.scalars import (RationalFunc, ScalarError, Tower,
                                   parse_rational, ratfunc_sqrt,
-                                  rational_nth_root, rational_sqrt, scalar_str)
+                                  rational_nth_root, rational_sqrt)
 
 
 def test_parse_rational():
@@ -59,7 +59,7 @@ class TestRationalFunc:
             b / (b - b)
 
     def test_str_roundtrip_constant(self):
-        assert scalar_str(RationalFunc.const(F(-3, 7))) == "-3/7"
+        assert str(RationalFunc.const(F(-3, 7))) == "-3/7"
 
 
 class TestTower:
