@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from itertools import combinations, zip_longest
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .frontend import DomainError, expand_graph, parse_surface
 from .groebner import _rational_roots, solve_zero_dim
@@ -64,8 +64,6 @@ def _jsonable(v):
         return v
     if isinstance(v, (Fraction, RationalFunc)):
         return str(v)
-    if isinstance(v, Jet):
-        return v.to_json()
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -624,20 +622,19 @@ MAP_ROWS: List[Tuple[str, Callable, str]] = [
 MAP_SAMPLES = (F(0), F(2), F(6), F(-4), F(1), F(7, 2), F(9, 4), F(11))
 
 
-def check_overlaps_and_maps(order: int = 5,
-                            samples: Sequence[Fraction] = MAP_SAMPLES) -> Report:
+def check_overlaps_and_maps() -> Report:
     """Overlap identities plus spot checks of the parameter maps relating
-    the explicit equations to the normal forms: at sampled values either
-    the induced alpha is excluded by the entry's restrictions (a
-    neighbouring entry covers it) or the entry verifies with isotropy 1
-    and the expected cubic class."""
+    the explicit equations to the normal forms: at each b of MAP_SAMPLES
+    either the induced alpha is excluded by the entry's restrictions (a
+    neighbouring entry covers it) or the entry verifies at order 5 with
+    isotropy 1 and the expected cubic class."""
     rep = overlap_identities()
     details: Dict[str, object] = {"overlaps": rep.details}
     passed = rep.passed
     cat = catalog()
     for eid, amap, cls in MAP_ROWS:
         entry = cat[eid]
-        for bval in samples:
+        for bval in MAP_SAMPLES:
             key = f"{eid} b={bval}"
             try:
                 alpha = amap(bval)
@@ -647,7 +644,7 @@ def check_overlaps_and_maps(order: int = 5,
             if alpha in entry.excluded_alphas:
                 details[key] = f"excluded (alpha={alpha})"
                 continue
-            r = verify_entry(entry, alpha, order)
+            r = verify_entry(entry, alpha, 5)
             good = (r.passed and r.details.get("isotropy_dim") == 1
                     and r.details.get("cubic_class") == cls)
             details[key] = (f"alpha={alpha}: "
@@ -661,11 +658,8 @@ def check_overlaps_and_maps(order: int = 5,
 def sphere_series(sign: int, order: int = 4) -> Jet:
     """The two real square-root branches over the quadric: the graph
     solving w = 2xy+z^2 +/- w^2 through the origin."""
-    u = Jet(_poly(QUADRIC_TERMS), order)
-    one = Jet.const(F(1), order, XYZ)
-    if sign > 0:
-        return (one - (one - u * 4).sqrt()) * F(1, 2)
-    return ((one + u * 4).sqrt() - one) * F(1, 2)
+    text = "W = 2*X*Y + Z^2 " + ("+" if sign > 0 else "-") + " W^2"
+    return expand_graph(parse_surface(text, (F(0),) * 4), order)
 
 
 def real_catalog_checks() -> Report:

@@ -1,13 +1,15 @@
 """Exact polynomial system solving for the closure constraints.
 
-Buchberger's algorithm plus a zero-dimensional solver. The generators
-enter in reduced row-echelon form over their monomials, which
-``linalg.rref`` computes: invertible row operations, so the ideal is
-unchanged, and the leading terms are distinct. The S-pairs wait in a
-heap keyed by (degree of the lcm, term-order key of the lcm, i, j), with
-the lcm computed once when the pair is queued; popping the minimum is
-the normal selection strategy. Pairs are skipped by Buchberger's coprime
-criterion and a chain check.
+Buchberger's algorithm under lex, the one term order the solver needs,
+plus a zero-dimensional solver. Lex compares exponent tuples as they
+are, so a leading monomial is ``max`` of the monomials with no sort key.
+The generators enter in reduced row-echelon form over their monomials,
+which ``linalg.rref`` computes: invertible row operations, so the ideal
+is unchanged, and the leading terms are distinct. The S-pairs wait in a
+heap keyed by (degree of the lcm, the lcm, i, j), with the lcm computed
+once when the pair is queued; popping the minimum is the normal
+selection strategy. Pairs are skipped by Buchberger's coprime criterion
+and a chain check.
 
 All division goes through one loop, ``_divide``, and the coefficient
 values choose how it divides, as in ``linalg.rref``:
@@ -49,7 +51,7 @@ the generators of that ring, and a monomial with a zero-valued variable
 counts as 0 without a product.
 
 Deterministic throughout: variables are ordered lexically by name and
-all tie-breaking is by fixed term-order keys.
+all tie-breaking is by the lex order of exponent tuples.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import _RATIONAL, rref
-from .poly import GREVLEX, LEX, Mono, Poly, TermOrder, _mul_terms
+from .poly import Mono, Poly, _mul_terms
 from .scalars import (RationalFunc, _udivmod, _ueval, over_common_denominator,
                       primitive_integers, ratfunc_sqrt)
 
@@ -104,10 +106,10 @@ def _term_dict(p: Poly, integral: bool):
     return dict(zip(p.terms, nums)), den
 
 
-def _normalised(terms: Dict[Mono, object], key, integral: bool):
+def _normalised(terms: Dict[Mono, object], integral: bool):
     """A nonzero term dict divided by its content with a positive leading
     coefficient (over Z), or by its leading coefficient (otherwise)."""
-    lc = terms[max(terms, key=key)]
+    lc = terms[max(terms)]
     if integral:
         g = gcd(*terms.values())
         if lc < 0:
@@ -116,9 +118,9 @@ def _normalised(terms: Dict[Mono, object], key, integral: bool):
     return terms if lc == 1 else {m: c / lc for m, c in terms.items()}
 
 
-def _divisor(terms: Dict[Mono, object], key, integral: bool) -> Divisor:
+def _divisor(terms: Dict[Mono, object], integral: bool) -> Divisor:
     """The divisor of a term dict that ``_normalised`` returned."""
-    m = max(terms, key=key)
+    m = max(terms)
     return m, terms[m] if integral else 1, [(t, c) for t, c in terms.items()
                                            if t != m]
 
@@ -138,7 +140,7 @@ def _sub_multiple(d: Dict[Mono, object], q: Mono, c, tail):
                 del d[m]
 
 
-def _divide(work: Dict[Mono, object], divisors: Sequence[Divisor], key):
+def _divide(work: Dict[Mono, object], divisors: Sequence[Divisor]):
     """(remainder, s) of full multivariate division of the term dict
     ``work``, which is consumed: s * work reduces to the remainder.
 
@@ -151,7 +153,7 @@ def _divide(work: Dict[Mono, object], divisors: Sequence[Divisor], key):
     rem = {}
     scale = 1
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
         for gm, gc, tail in divisors:
             if _divides(gm, m):
@@ -187,7 +189,7 @@ def _s_terms(f: Divisor, g: Divisor) -> Dict[Mono, object]:
     return s
 
 
-def _certify(R: Sequence[Divisor], gens: Sequence[Dict[Mono, object]], key):
+def _certify(R: Sequence[Divisor], gens: Sequence[Dict[Mono, object]]):
     """Raise ``GroebnerError`` unless the divisors R, which lie in the
     ideal of the term dicts ``gens``, are a Groebner basis of that ideal:
     every S-pair of R reduces to zero, which certifies that the skipped
@@ -195,29 +197,23 @@ def _certify(R: Sequence[Divisor], gens: Sequence[Dict[Mono, object]], key):
     that minimalisation dropped no element of a larger ideal."""
     for i in range(len(R)):
         for j in range(i + 1, len(R)):
-            if _divide(_s_terms(R[i], R[j]), R, key)[0]:
+            if _divide(_s_terms(R[i], R[j]), R)[0]:
                 raise GroebnerError("basis failed the S-polynomial criterion")
     for t in gens:
-        if _divide(dict(t), R, key)[0]:
+        if _divide(dict(t), R)[0]:
             raise GroebnerError("basis does not contain the generators")
 
 
-def _order_key(order: TermOrder):
-    # lex compares exponent tuples as they are
-    return None if order is LEX else order.key
-
-
-def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
+def _echelon(gens: Sequence[Poly]) -> List[Poly]:
     """The reduced row-echelon form of the generators over their monomials,
-    from ``linalg.rref`` with the monomials as columns in descending term
+    from ``linalg.rref`` with the monomials as columns in descending lex
     order: monic rows with distinct leading terms, none of which occurs in
     another row, by descending leading term. Each sparse pivot row becomes
     a polynomial with its terms in descending order. Invertible row
     operations leave the ideal as it was."""
     for g in gens:
         gens[0]._check(g)
-    monos = sorted({m for g in gens for m in g.terms}, key=order.key,
-                   reverse=True)
+    monos = sorted({m for g in gens for m in g.terms}, reverse=True)
     index = {m: k for k, m in enumerate(monos)}
     rows = [{index[m]: c for m, c in g.terms.items()} for g in gens]
     pivot_rows = rref(rows, [0] * len(rows), len(monos))
@@ -226,29 +222,27 @@ def _echelon(gens: Sequence[Poly], order: TermOrder) -> List[Poly]:
             for row, _ in pivot_rows.values()]
 
 
-def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
-    """Reduced monic Groebner basis of the ideal generated by gens."""
+def buchberger(gens: Sequence[Poly]) -> List[Poly]:
+    """Reduced monic lex Groebner basis of the ideal generated by gens."""
     gens = [g for g in gens if g]
     if not gens:
         return []
-    echelon = _echelon(gens, order)
+    echelon = _echelon(gens)
     vars = echelon[0].vars
-    key = _order_key(order)
     integral = _is_rational(echelon)
     # T[k] holds the normalised terms of the k-th element, G[k] its divisor
-    T = [_normalised(_term_dict(g, integral)[0], key, integral)
-         for g in echelon]
-    G = [_divisor(t, key, integral) for t in T]
+    T = [_normalised(_term_dict(g, integral)[0], integral) for g in echelon]
+    G = [_divisor(t, integral) for t in T]
     lt = [d[0] for d in G]
 
-    # heap of (degree, order key, i, j, lcm); (i, j) is unique, so the
-    # first four entries order the pairs totally and the lcm is never compared
-    pairs: List[Tuple[int, tuple, int, int, Mono]] = []
+    # heap of (degree, lcm, i, j); (i, j) is unique, so the entries order
+    # the pairs totally
+    pairs: List[Tuple[int, Mono, int, int]] = []
     pair_set = set()
 
     def push(i: int, j: int):
         l = _lcm(lt[i], lt[j])
-        heapq.heappush(pairs, (sum(l), order.key(l), i, j, l))
+        heapq.heappush(pairs, (sum(l), l, i, j))
         pair_set.add((i, j))
 
     def useless(i: int, j: int, l: Mono) -> bool:
@@ -271,16 +265,16 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
             push(i, j)
 
     while pairs:
-        _, _, i, j, l = heapq.heappop(pairs)
+        _, l, i, j = heapq.heappop(pairs)
         pair_set.discard((i, j))
         if useless(i, j, l):
             continue
-        r = _divide(_s_terms(G[i], G[j]), G, key)[0]
+        r = _divide(_s_terms(G[i], G[j]), G)[0]
         if r:
-            r = _normalised(r, key, integral)
+            r = _normalised(r, integral)
             k = len(G)
             T.append(r)
-            G.append(_divisor(r, key, integral))
+            G.append(_divisor(r, integral))
             lt.append(G[k][0])
             for a in range(k):
                 push(a, k)
@@ -298,12 +292,12 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = GREVLEX) -> List[Poly]:
     # inter-reduce tails; keep each element's terms with its divisor
     reduced = []
     for i in minimal:
-        r = _divide(dict(T[i]), [G[j] for j in minimal if j != i], key)[0]
+        r = _divide(dict(T[i]), [G[j] for j in minimal if j != i])[0]
         if r:
-            r = _normalised(r, key, integral)
-            reduced.append((_divisor(r, key, integral), r))
-    reduced.sort(key=lambda t: order.key(t[0][0]))
-    _certify([d for d, _ in reduced], T[:len(echelon)], key)
+            r = _normalised(r, integral)
+            reduced.append((_divisor(r, integral), r))
+    reduced.sort(key=lambda t: t[0][0])
+    _certify([d for d, _ in reduced], T[:len(echelon)])
     if not integral:
         return [Poly._canonical(vars, r) for _, r in reduced]
     return [Poly._canonical(vars, {m: Fraction(c, lc) for m, c in r.items()})
@@ -636,7 +630,7 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
             out.residual.append(ResidualComponent([], vals))
         return
 
-    gb = buchberger(system, LEX)
+    gb = buchberger(system)
     if any(g.is_constant() for g in gb):
         return
 
@@ -668,7 +662,7 @@ def _solve_rec(system: List[Poly], ring: Tuple[str, ...],
     # positive-dimensional: pick a parameter not leading any basis element
     leading_vars = set()
     for g in gb:
-        m = g.leading_term(LEX)[0]
+        m = max(g.terms)
         for v, e in zip(g.vars, m):
             if e:
                 leading_vars.add(v)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
-from .poly import GREVLEX, Poly, XYZ
+from .poly import Poly, XYZ, grevlex_key
 from .scalars import InputError, parse_rational, positive_power
 
 
@@ -112,13 +112,6 @@ class Jet:
         x0 = Jet.const(Fraction(1) / c0, 0, self.vars)
         return solve_series(lambda x: self * x - 1, c0, x0, self.order)
 
-    def sqrt(self) -> "Jet":
-        """Square root with constant term 1 (used by series checks)."""
-        if self.poly.constant_term() != 1:
-            raise ValueError("jet sqrt requires constant term 1")
-        r0 = Jet.const(Fraction(1), 0, self.vars)
-        return solve_series(lambda r: r * r - self, Fraction(2), r0, self.order)
-
     def truncate(self, order: int) -> "Jet":
         return Jet(self.poly, min(self.order, order))
 
@@ -130,7 +123,7 @@ class Jet:
     def to_json(self):
         terms = []
         for m, c in sorted(self.poly.terms.items(),
-                           key=lambda t: GREVLEX.key(t[0])):
+                           key=lambda t: grevlex_key(t[0])):
             if hasattr(c, "to_json"):
                 cs = c.to_json()
             else:

@@ -287,24 +287,28 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
     H = gram_matrix(F)
     basis, d = _diagonalize(H)
 
-    tower: Optional[Tower] = None
-
     if fld == "real" and all(x > 0 for x in d) or (
             fld == "real" and all(x < 0 for x in d)):
-        # definite: elliptic target x^2+y^2+z^2, reference axis z
-        scales = []
+        # definite: elliptic target x^2+y^2+z^2, reference axis z. The
+        # scale sqrt(d_2 / d_i) is q g_k for the first k with d_2 / d_i =
+        # q^2 a_k, q rational: a_0 = g_0 = 1, and a_k, k > 0, the square of
+        # the generator g_k, an earlier irrational d_2 / d_i
+        squares: List[Fraction] = []
+        roots = []
         for i in range(3):
             val = d[2] / d[i]  # positive
-            s = rational_sqrt(val)
-            if s is None:
-                tower = (tower or Tower()).extend(
-                    f"s{(tower.depth if tower else 0) + 1}", val)
-                s = tower.generator(tower.depth - 1)
-            scales.append(s)
-        if tower is not None:
-            from .scalars import TowerElement
-            scales = [tower.lift(s) if isinstance(s, TowerElement) else
-                      tower.const(s) for s in scales]
+            for k, a in enumerate([Fraction(1)] + squares):
+                q = rational_sqrt(val / a)
+                if q is not None:
+                    roots.append((q, k))
+                    break
+            else:
+                squares.append(val)
+                roots.append((Fraction(1), len(squares)))
+        tower = Tower([f"s{k}" for k in range(1, len(squares) + 1)],
+                      squares) if squares else None
+        scales = [tower.generator(k - 1) * q if k else _promote(q, tower)
+                  for q, k in roots]
         return NormalizedQuadratic(H, basis, d,
                                    QuadraticForm(IDENTITY3, "elliptic", IDENTITY3),
                                    scales=scales, tower=tower)
@@ -315,11 +319,12 @@ def normalize_quadratic(F: Jet, fld: str = "complex") -> NormalizedQuadratic:
              if i != j and -d[i] / d[j] > 0]
     roots = [(i, j, rational_sqrt(-d[i] / d[j])) for i, j in pairs]
     i, j, s = next((r for r in roots if r[2] is not None), (0, 1, None))
+    tower = None
     if s is None:
         if fld == "real":
             # not empty: a definite real form took the elliptic branch
             i, j = pairs[0]
-        tower = Tower().extend("s1", -d[i] / d[j])
+        tower = Tower(("s1",), (-d[i] / d[j],))
         s = tower.generator(0)
     sig = "complex" if fld == "complex" else "hyperbolic"
     return NormalizedQuadratic(H, basis, d,

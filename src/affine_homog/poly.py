@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over an exact coefficient domain.
 
 Exponent vectors are tuples aligned with an explicit ambient variable
-list. Stored terms never carry zero coefficients; canonical iteration is
-graded reverse lexicographic. Coefficients may be Fractions, rational
-functions, tower elements, or (for constraint bookkeeping) other Polys.
+list. Stored terms never carry zero coefficients. ``grevlex_key`` sorts
+monomials for display and for the order of equations; the Groebner
+bases take lex, which compares exponent tuples as they are.
+Coefficients may be Fractions, rational functions, tower elements, or
+(for constraint bookkeeping) other Polys.
 
 Every product goes through ``_mul_terms``. When both operands have at
 least two terms and every coefficient is exactly a Fraction, it works
@@ -40,23 +42,6 @@ class VariableMismatch(ValueError):
 def grevlex_key(m: Mono):
     """Sort key: ascending order ends at the grevlex-largest monomial."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def lex_key(m: Mono):
-    return m
-
-
-class TermOrder:
-    def __init__(self, name: str, key):
-        self.name = name
-        self.key = key
-
-    def __repr__(self):
-        return f"TermOrder({self.name})"
-
-
-GREVLEX = TermOrder("grevlex", grevlex_key)
-LEX = TermOrder("lex", lex_key)
 
 
 def _add_terms(d: Dict[Mono, object], terms: Iterable[Tuple[Mono, object]]):
@@ -198,16 +183,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def sorted_terms(self, order: TermOrder = GREVLEX):
-        """Terms in descending order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
+    def sorted_terms(self):
+        """Terms in descending grevlex order (leading term first)."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                       reverse=True)
-
-    def leading_term(self, order: TermOrder = GREVLEX):
-        if not self.terms:
-            raise ValueError("leading term of zero polynomial")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
 
     # -- arithmetic
 
@@ -264,10 +243,8 @@ class Poly:
             c = Fraction(c)
         if not c:
             return Poly(self.vars)
-        # a product of nonzero scalars vanishes only in a tower that is not
-        # a field, so the check is kept
-        return Poly._canonical(self.vars, {m: p for m, co in self.terms.items()
-                                           if (p := co * c)})
+        # every coefficient domain, towers included, has no zero divisors
+        return Poly._canonical(self.vars, {m: co * c for m, co in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:

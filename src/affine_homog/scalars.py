@@ -1,5 +1,5 @@
 """Exact coefficient domains: rationals, rational functions in one
-parameter, and quadratic extension towers of depth at most 2.
+parameter, and towers of at most two square roots of rationals.
 
 All three kinds interoperate with ``int`` and ``fractions.Fraction``
 through the usual arithmetic operators, so polynomial and linear-algebra
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, neg
 from typing import Collection, List, Optional, Sequence, Tuple
 
 
@@ -402,10 +403,15 @@ class RationalFunc:
 # quadratic extension towers
 
 class Tower:
-    """A tower Q(g1, g2, ...) with each generator a declared square root.
+    """A tower Q(g_1, ..., g_n), n <= 2, with each generator a declared
+    square root of a nonzero rational, ``squares[i] = g_i^2``.
 
-    ``squares[i]`` is the square of generator ``i``, an element of the
-    sub-tower of depth ``i`` (a Fraction at depth 0). Depth is capped at 2.
+    The coordinate at index S is that of the basis product g_S of the
+    generators in the bit set S, so g_S g_T = (prod_{i in S & T} a_i)
+    g_{S ^ T} with a_i = ``squares[i]``. No product of squares may be a
+    rational square, so the tower is a field: the norm of a nonzero
+    element, its product with its conjugates (the element with the signs
+    of the generators in a nonempty set T flipped), is a nonzero rational.
     """
 
     def __init__(self, names: Sequence[str] = (), squares: Sequence = ()):
@@ -414,28 +420,18 @@ class Tower:
         if len(names) > 2:
             raise ScalarError("extension tower deeper than 2 not supported")
         self.names = tuple(names)
-        self.squares = []
-        for i, s in enumerate(squares):
-            if isinstance(s, TowerElement):
-                s = s.vec
-            elif isinstance(s, (int, Fraction)):
-                s = (as_fraction(s),)
-            self.squares.append(_resize(s, 1 << i))
-
-    @property
-    def depth(self) -> int:
-        return len(self.names)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.depth
+        self.squares = tuple(as_fraction(a) for a in squares)
+        # factors[S]: the product of the squares of the generators in S
+        self.factors = [Fraction(1)]
+        for a in self.squares:
+            self.factors += [f * a for f in self.factors]
+        if any(rational_sqrt(f) is not None for f in self.factors[1:]):
+            raise ScalarError("the squares do not give a field")
+        self.dim = len(self.factors)
 
     def basis_labels(self):
-        labels = ["1"]
-        for name in self.names:
-            labels = labels + [lb + "*" + name if lb != "1" else name
-                               for lb in labels]
-        return labels
+        return ["*".join(n for i, n in enumerate(self.names) if s >> i & 1) or "1"
+                for s in range(self.dim)]
 
     def const(self, q) -> "TowerElement":
         return TowerElement(self, [as_fraction(q)] + [Fraction(0)] * (self.dim - 1))
@@ -445,61 +441,27 @@ class Tower:
         v[1 << i] = Fraction(1)
         return TowerElement(self, v)
 
-    def extend(self, name: str, square) -> "Tower":
-        sq = square.vec if isinstance(square, TowerElement) else as_fraction(square)
-        return Tower(self.names + (name,), list(self.squares) + [sq])
+    def mul(self, a, b) -> tuple:
+        """The product of two coordinate vectors."""
+        out = [Fraction(0)] * len(a)
+        for s, x in enumerate(a):
+            if x:
+                for t, y in enumerate(b):
+                    if y:
+                        out[s ^ t] += self.factors[s & t] * x * y
+        return tuple(out)
 
-    def lift(self, elem: "TowerElement") -> "TowerElement":
-        """Re-express an element of a sub-tower in this tower."""
-        return TowerElement(self, _resize(elem.vec, self.dim))
-
-
-def _resize(vec, n):
-    vec = list(vec)
-    if len(vec) > n:
-        if any(vec[n:]):
-            raise ScalarError("element does not fit in sub-tower")
-        vec = vec[:n]
-    return tuple(vec) + (Fraction(0),) * (n - len(vec))
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
-
-
-def _vmul(squares, a, b):
-    """Multiply two coordinate vectors of length 2**d recursively."""
-    n = len(a)
-    if n == 1:
-        return (a[0] * b[0],)
-    h = n // 2
-    s = squares[-1]  # square of the top generator, vector of length h
-    sq = _resize(s, h)
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    sub = squares[:-1]
-    lo = _vadd(_vmul(sub, a0, b0), _vmul(sub, _vmul(sub, a1, b1), sq))
-    hi = _vadd(_vmul(sub, a0, b1), _vmul(sub, a1, b0))
-    return lo + hi
-
-
-def _vinv(squares, a):
-    n = len(a)
-    if n == 1:
-        if not a[0]:
+    def inverse(self, a) -> tuple:
+        """The inverse of a coordinate vector: the product of its
+        conjugates over its norm."""
+        num = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+        for t in range(1, len(a)):
+            num = self.mul(num, [-x if (s & t).bit_count() & 1 else x
+                                 for s, x in enumerate(a)])
+        norm = self.mul(a, num)[0]
+        if not norm:
             raise ZeroDivisionError("division by zero tower element")
-        return (1 / a[0],)
-    h = n // 2
-    sq = _resize(squares[-1], h)
-    a0, a1 = a[:h], a[h:]
-    sub = squares[:-1]
-    norm = _vadd(_vmul(sub, a0, a0), _vneg(_vmul(sub, _vmul(sub, a1, a1), sq)))
-    ninv = _vinv(sub, norm)
-    return _vmul(sub, a0, ninv) + _vneg(_vmul(sub, a1, ninv))
+        return tuple(x / norm for x in num)
 
 
 class TowerElement:
@@ -526,19 +488,16 @@ class TowerElement:
             return self.tower.const(other)
         return None
 
-    def _squares(self):
-        return [self.tower.squares[i] for i in range(self.tower.depth)]
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TowerElement(self.tower, _vadd(self.vec, o.vec))
+        return TowerElement(self.tower, map(add, self.vec, o.vec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.tower, _vneg(self.vec))
+        return TowerElement(self.tower, map(neg, self.vec))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -553,7 +512,7 @@ class TowerElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TowerElement(self.tower, _vmul(self._squares(), self.vec, o.vec))
+        return TowerElement(self.tower, self.tower.mul(self.vec, o.vec))
 
     __rmul__ = __mul__
 
@@ -561,7 +520,7 @@ class TowerElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * TowerElement(self.tower, _vinv(self._squares(), o.vec))
+        return self * TowerElement(self.tower, self.tower.inverse(o.vec))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -73,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
 from .linalg import _RATIONAL, LinearEquation, SolutionFamily, linear_solve
-from .poly import GREVLEX, Poly
+from .poly import Poly, grevlex_key
 from .scalars import InputError, over_common_denominator
 
 XYZ = ("x", "y", "z")
@@ -205,7 +205,7 @@ def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
     for col in columns:
         monos.update(col.poly.terms)
     eqs = []
-    for m in sorted(monos, key=GREVLEX.key):
+    for m in sorted(monos, key=grevlex_key):
         coeffs = {}
         for k, col in enumerate(columns):
             c = col.poly.terms.get(m)
@@ -319,13 +319,13 @@ def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
                                 term[e] = term.get(e, 0) - n * x
         # the coefficients of each xyz monomial, grevlex-largest mu first
         residual: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
-        for mu in sorted(table, key=GREVLEX.key, reverse=True):
+        for mu in sorted(table, key=grevlex_key, reverse=True):
             for e, n in table[mu].items():
                 if n:
                     for m, c in columns[e]:
                         coeffs = residual.setdefault(m, {})
                         coeffs[mu] = coeffs.get(mu, 0) + n * c
-        for m in sorted(residual, key=GREVLEX.key):
+        for m in sorted(residual, key=grevlex_key):
             coeffs = [(mu, s) for mu, s in residual[m].items() if s]
             if coeffs:
                 lead = coeffs[0][1]

@@ -42,6 +42,20 @@ def test_expand_sphere_two_jet(capsys):
     assert terms == {(1, 1, 0): "1/2", (0, 0, 2): "1/2"}
 
 
+def test_normalize_writes_a_dependent_root_over_the_first_generator(capsys):
+    # the scales sqrt(2) and sqrt(1/2) = s1/2 need one generator
+    code, out, _ = invoke(capsys, "normalize", "--real=elliptic",
+                          "--surface=W = X^2 + 4*Y^2 + 2*Z^2 + X^3",
+                          "--basepoint=0,0,0,0", "--format=json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["tower"] == ["s1"]
+    quadratic = {tuple(t["m"]): t["c"] for t in rep["jet"]["terms"]
+                 if sum(t["m"]) == 2}
+    one = {"basis": ["1", "s1"], "coords": ["1", "0"]}
+    assert quadratic == {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): one}
+
+
 def test_verify_catalog_entry(capsys):
     code, out, _ = invoke(capsys, "verify", "--entry", "N7",
                           "--alpha", "12/5", "--format", "json")

@@ -15,7 +15,9 @@ tests replay them, so a change to jet expansion, normalization, the
 tangency solves, the closure constraints or the series completion that
 alters any printed coefficient or basis field fails here. A `symmetry --jet -` run reads its
 jet on stdin; its key is the argv followed by `<` and the `verify` argv
-whose completed jet it reads.
+whose completed jet it reads. One more test replays the whole table in a
+fresh process under a fixed `PYTHONHASHSEED`, so output that followed the
+hash order of a set or a dict would fail there.
 
 Regenerate the file (only when an output change is intended) with
 
@@ -26,6 +28,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,17 +151,37 @@ def test_symmetry_of_completed_jet_matches_recorded_digest(source, capsys):
     assert _entry(code, capsys.readouterr().out) == RECORDED[stdin_key(source)]
 
 
-if __name__ == "__main__":
-    table = {}
+def table():
+    """The exit code and stdout digest of every argv, as this program
+    gives them."""
+    out = {}
     for argv in argvs():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run(list(argv))
-        table[" ".join(argv)] = _entry(code, buf.getvalue())
+        out[" ".join(argv)] = _entry(code, buf.getvalue())
     for source in jet_sources():
         jet = completed_jet(source)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = run_on_stdin(SYMMETRY_STDIN, jet)
-        table[stdin_key(source)] = _entry(code, buf.getvalue())
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+        out[stdin_key(source)] = _entry(code, buf.getvalue())
+    return out
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # the whole table once more, in a fresh process under a fixed seed
+    # (pytest's own process draws a random one)
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_cli_digests as t; print(json.dumps(t.table()))"],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONHASHSEED": "3", "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == RECORDED
+
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps(table(), indent=1, sort_keys=True) + "\n")

@@ -13,8 +13,7 @@ from affine_homog.groebner import (GroebnerError, _certify, _divide, _divisor,
                                    _echelon, _is_rational, _normalised,
                                    _rational_roots, _s_terms, _term_dict,
                                    buchberger, solve_zero_dim)
-from affine_homog.poly import (GREVLEX, LEX, Poly, VariableMismatch, _add_terms,
-                               _mul_terms)
+from affine_homog.poly import Poly, VariableMismatch, _add_terms, _mul_terms
 from affine_homog.scalars import RationalFunc
 from affine_homog.symmetry import closure_constraints, pqr_families, solve_tangency
 from test_poly import monic, monomial, total_degree
@@ -52,7 +51,7 @@ def from_sympy(e, syms, vars):
     [{(3, 0): 1, (1, 1): -2}, {(2, 1): 1, (0, 2): -2, (1, 0): 1}],
 ])
 def test_buchberger_matches_sympy_lex(gens):
-    ours = buchberger([P(g) for g in gens], LEX)
+    ours = buchberger([P(g) for g in gens])
     u, v = sp.symbols("u v")
     theirs = sp.groebner([to_sympy(P(g), (u, v)) for g in gens],
                          u, v, order="lex")
@@ -82,7 +81,10 @@ small_systems = st.sampled_from([UV, UVW]).flatmap(
     lambda vars: st.tuples(st.just(vars),
                            st.lists(polys(vars, 2), min_size=2, max_size=3)))
 
-ORDERS = [(LEX, "lex"), (GREVLEX, "grevlex")]
+def lead(p):
+    """The lex-leading (monomial, coefficient) of p."""
+    m = max(p.terms)
+    return m, p.terms[m]
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,13 +92,12 @@ ORDERS = [(LEX, "lex"), (GREVLEX, "grevlex")]
 def test_buchberger_matches_sympy(case):
     vars, gens = case
     syms = sp.symbols(vars)
-    for order, name in ORDERS:
-        ours = buchberger(gens, order)
-        assert all(g.leading_term(order)[1] == 1 for g in ours)
-        theirs = sp.groebner([to_sympy(g, syms) for g in gens], *syms,
-                             order=name, domain=sp.QQ)
-        expect = {monic(from_sympy(e, syms, vars), order) for e in theirs.exprs}
-        assert set(ours) == expect
+    ours = buchberger(gens)
+    assert all(lead(g)[1] == 1 for g in ours)
+    theirs = sp.groebner([to_sympy(g, syms) for g in gens], *syms,
+                         order="lex", domain=sp.QQ)
+    expect = {monic(from_sympy(e, syms, vars), None) for e in theirs.exprs}
+    assert set(ours) == expect
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,15 +108,14 @@ def test_reduce_is_the_normal_form(case_and_p):
     # sympy's remainder whatever divisor either side picks
     (vars, gens), p = case_and_p
     syms = sp.symbols(vars)
-    for order, name in ORDERS:
-        gb = buchberger(gens, order)
-        r = reduce(p, gb, order)
-        lts = [g.leading_term(order)[0] for g in gb]
-        assert not any(all(a <= b for a, b in zip(lt, m))
-                       for m in r.terms for lt in lts)
-        expect = sp.reduced(to_sympy(p, syms), [to_sympy(g, syms) for g in gb],
-                            *syms, order=name, domain=sp.QQ)[1]
-        assert r == from_sympy(expect, syms, vars)
+    gb = buchberger(gens)
+    r = reduce(p, gb)
+    lts = [lead(g)[0] for g in gb]
+    assert not any(all(a <= b for a, b in zip(lt, m))
+                   for m in r.terms for lt in lts)
+    expect = sp.reduced(to_sympy(p, syms), [to_sympy(g, syms) for g in gb],
+                        *syms, order="lex", domain=sp.QQ)[1]
+    assert r == from_sympy(expect, syms, vars)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,19 +129,18 @@ def test_echelon_is_the_reduced_row_echelon_form(case):
     gens = gens + [gens[0] - gens[-1], h * gens[i % len(gens)]]
     monos = sorted({m for g in gens for m in g.terms})
     rank = sp.Matrix([[g.coefficient(m) for m in monos] for g in gens]).rank()
-    for order, _ in ORDERS:
-        rows = _echelon(gens, order)
-        assert len(rows) == rank
-        leads = [r.leading_term(order) for r in rows]
-        assert all(c == 1 for _, c in leads)
-        keys = [order.key(m) for m, _ in leads]
-        assert keys == sorted(keys, reverse=True)
-        for k, (m, _) in enumerate(leads):
-            assert all(m not in r.terms for r in rows[:k] + rows[k + 1:])
-        for g in gens:
-            for (m, _), r in zip(leads, rows):
-                g = g - r.scale(g.coefficient(m))
-            assert not g
+    rows = _echelon(gens)
+    assert len(rows) == rank
+    leads = [lead(r) for r in rows]
+    assert all(c == 1 for _, c in leads)
+    keys = [m for m, _ in leads]
+    assert keys == sorted(keys, reverse=True)
+    for k, (m, _) in enumerate(leads):
+        assert all(m not in r.terms for r in rows[:k] + rows[k + 1:])
+    for g in gens:
+        for (m, _), r in zip(leads, rows):
+            g = g - r.scale(g.coefficient(m))
+        assert not g
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,11 +153,10 @@ def test_buchberger_ignores_how_the_ideal_is_generated(case):
     i, j = i % len(gens), j % len(gens)
     shuffled = list(gens)
     random.Random(0).shuffle(shuffled)
-    for order, _ in ORDERS:
-        gb = buchberger(gens, order)
-        assert buchberger(shuffled, order) == gb
-        assert buchberger(gens + gens, order) == gb
-        assert buchberger(gens + [h * gens[i] + gens[j]], order) == gb
+    gb = buchberger(gens)
+    assert buchberger(shuffled) == gb
+    assert buchberger(gens + gens) == gb
+    assert buchberger(gens + [h * gens[i] + gens[j]]) == gb
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -172,21 +170,21 @@ def test_discover_systems_solve_the_same_when_doubled(case):
 
 def test_reduce_ideal_membership():
     gens = [P({(2, 0): 1, (0, 1): -1}), P({(0, 2): 1, (1, 0): -1})]
-    gb = buchberger(gens, GREVLEX)
+    gb = buchberger(gens)
     inside = gens[0] * P({(1, 1): 3}) + gens[1] * P({(0, 0): -2, (1, 0): 5})
-    assert reduce(inside, gb, GREVLEX).is_zero()
+    assert reduce(inside, gb).is_zero()
     outside = P({(1, 0): 1})
-    assert not reduce(outside, gb, GREVLEX).is_zero()
+    assert not reduce(outside, gb).is_zero()
     with pytest.raises(VariableMismatch):
-        reduce(P({(1, 0): 1}, ("v", "u")), gb, GREVLEX)
+        reduce(P({(1, 0): 1}, ("v", "u")), gb)
 
 
 def test_s_poly_reduces_in_basis():
     gens = [P({(2, 0): 1, (0, 2): 1, (0, 0): -1}), P({(1, 1): 1, (0, 0): -1})]
-    gb = buchberger(gens, LEX)
+    gb = buchberger(gens)
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
-            assert reduce(s_poly(gb[i], gb[j], LEX), gb, LEX).is_zero()
+            assert reduce(s_poly(gb[i], gb[j]), gb).is_zero()
 
 
 def test_solve_two_rational_points():
@@ -317,40 +315,33 @@ def _msub(a, b):
 # ``_divide`` and ``_s_terms`` on Poly operands, with the scale they apply
 # divided back out: the oracles that the field versions below must match.
 
-def _order_key(order):
-    return None if order is LEX else order.key
-
-
-def _poly_divisor(p, key, integral):
+def _poly_divisor(p, integral):
     """The divisor of a nonzero polynomial."""
-    return _divisor(_normalised(_term_dict(p, integral)[0], key, integral),
-                    key, integral)
+    return _divisor(_normalised(_term_dict(p, integral)[0], integral), integral)
 
 
-def reduce(p, basis, order=GREVLEX):
+def reduce(p, basis):
     """Normal form of p modulo the basis."""
     if not basis:
         return p
     for g in basis:
         p._check(g)
-    key = _order_key(order)
     integral = _is_rational([p, *basis])
-    divisors = [_poly_divisor(g, key, integral) for g in basis]
+    divisors = [_poly_divisor(g, integral) for g in basis]
     work, den = _term_dict(p, integral)
-    rem, scale = _divide(work, divisors, key)
+    rem, scale = _divide(work, divisors)
     if integral:
         den *= scale
         rem = {m: F(c, den) for m, c in rem.items()}
     return Poly._canonical(p.vars, rem)
 
 
-def s_poly(f, g, order=GREVLEX):
+def s_poly(f, g):
     """x^(l-mf) f/cf - x^(l-mg) g/cg, with l the lcm of the leading
     monomials mf, mg and cf, cg the leading coefficients."""
     f._check(g)
-    key = _order_key(order)
     integral = _is_rational((f, g))
-    df, dg = _poly_divisor(f, key, integral), _poly_divisor(g, key, integral)
+    df, dg = _poly_divisor(f, integral), _poly_divisor(g, integral)
     s = _s_terms(df, dg)
     if integral:
         # the cross-multiplied S-polynomial is lcm(cf, cg) times this one
@@ -359,19 +350,18 @@ def s_poly(f, g, order=GREVLEX):
     return Poly._canonical(f.vars, s)
 
 
-def field_reduce(p, basis, order=GREVLEX):
+def field_reduce(p, basis):
     if not basis:
         return p
-    key = None if order is LEX else order.key
     divisors = []
     for g in basis:
-        gm, gc = g.leading_term(order)
+        gm, gc = lead(g)
         divisors.append((gm, gc, [(tm, tc) for tm, tc in g.terms.items()
                                   if tm != gm]))
     work = dict(p.terms)
     rem = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
         for gm, gc, tail in divisors:
             if _divides(gm, m):
@@ -385,25 +375,25 @@ def field_reduce(p, basis, order=GREVLEX):
     return Poly._canonical(p.vars, rem)
 
 
-def field_s_poly(f, g, order=GREVLEX):
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
+def field_s_poly(f, g):
+    mf, cf = lead(f)
+    mg, cg = lead(g)
     l = _lcm(mf, mg)
     return (monomial(_msub(l, mf), 1 / cf, f.vars) * f
             - monomial(_msub(l, mg), 1 / cg, g.vars) * g)
 
 
-def field_buchberger(gens, order=GREVLEX):
+def field_buchberger(gens):
     gens = [g for g in gens if g]
     if not gens:
         return []
-    G = _echelon(gens, order)
-    lt = [g.leading_term(order)[0] for g in G]
+    G = _echelon(gens)
+    lt = [lead(g)[0] for g in G]
     pairs, pair_set = [], set()
 
     def push(i, j):
         l = _lcm(lt[i], lt[j])
-        heapq.heappush(pairs, (sum(l), order.key(l), i, j, l))
+        heapq.heappush(pairs, (sum(l), l, i, j))
         pair_set.add((i, j))
 
     def useless(i, j, l):
@@ -420,15 +410,15 @@ def field_buchberger(gens, order=GREVLEX):
         for j in range(i + 1, len(G)):
             push(i, j)
     while pairs:
-        _, _, i, j, l = heapq.heappop(pairs)
+        _, l, i, j = heapq.heappop(pairs)
         pair_set.discard((i, j))
         if useless(i, j, l):
             continue
-        r = field_reduce(field_s_poly(G[i], G[j], order), G, order)
+        r = field_reduce(field_s_poly(G[i], G[j]), G)
         if r:
-            r = monic(r, order)
+            r = monic(r, None)
             G.append(r)
-            lt.append(r.leading_term(order)[0])
+            lt.append(lead(r)[0])
             for a in range(len(G) - 1):
                 push(a, len(G) - 1)
     minimal = [G[i] for i in range(len(G))
@@ -437,10 +427,10 @@ def field_buchberger(gens, order=GREVLEX):
                           for j in range(len(G)))]
     reduced = []
     for i, g in enumerate(minimal):
-        r = field_reduce(g, minimal[:i] + minimal[i + 1:], order)
+        r = field_reduce(g, minimal[:i] + minimal[i + 1:])
         if r:
-            reduced.append(monic(r, order))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+            reduced.append(monic(r, None))
+    reduced.sort(key=lambda g: lead(g)[0])
     return reduced
 
 
@@ -455,14 +445,14 @@ def assert_same_basis(ours, oracle):
 
 @pytest.fixture(scope="module")
 def discover_inputs():
-    """The (generators, order) of every Buchberger call that solving the
-    closure constraints of the six discover cases makes."""
+    """The generators of every Buchberger call that solving the closure
+    constraints of the six discover cases makes."""
     seen = []
     real = groebner.buchberger
 
-    def record(gens, order=GREVLEX):
-        seen.append((list(gens), order))
-        return real(gens, order)
+    def record(gens):
+        seen.append(list(gens))
+        return real(gens)
 
     groebner.buchberger = record
     try:
@@ -483,10 +473,10 @@ def _parametric(gens):
 
 def test_discover_bases_equal_the_field_oracle(discover_inputs):
     assert len(discover_inputs) == 11
-    assert sum(_parametric(gens) for gens, _ in discover_inputs) == 1
-    for gens, order in discover_inputs:
-        ours = buchberger(gens, order)
-        assert_same_basis(ours, field_buchberger(gens, order))
+    assert sum(_parametric(gens) for gens in discover_inputs) == 1
+    for gens in discover_inputs:
+        ours = buchberger(gens)
+        assert_same_basis(ours, field_buchberger(gens))
         if not _parametric(gens):
             assert all(type(c) is F for g in ours for c in g.terms.values())
 
@@ -495,10 +485,9 @@ def test_discover_bases_equal_the_field_oracle(discover_inputs):
 @given(small_systems)
 def test_buchberger_equals_the_field_oracle(case):
     vars, gens = case
-    for order, _ in ORDERS:
-        ours = buchberger(gens, order)
-        assert_same_basis(ours, field_buchberger(gens, order))
-        assert all(type(c) is F for g in ours for c in g.terms.values())
+    ours = buchberger(gens)
+    assert_same_basis(ours, field_buchberger(gens))
+    assert all(type(c) is F for g in ours for c in g.terms.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,10 +497,9 @@ def test_division_equals_the_field_oracle(case_and_p):
     # the generators are no Groebner basis, so the remainder depends on
     # each divisor chosen: scaling what is left never changes that choice
     (vars, gens), p = case_and_p
-    for order, _ in ORDERS:
-        assert reduce(p, gens, order) == field_reduce(p, gens, order)
-        f, g = gens[:2]
-        assert s_poly(f, g, order) == field_s_poly(f, g, order)
+    assert reduce(p, gens) == field_reduce(p, gens)
+    f, g = gens[:2]
+    assert s_poly(f, g) == field_s_poly(f, g)
 
 
 B = RationalFunc.gen("b")
@@ -542,37 +530,36 @@ PARAMETRIC_SYSTEMS = [
 
 @pytest.mark.parametrize("gens", PARAMETRIC_SYSTEMS)
 def test_parametric_bases_equal_the_field_oracle(gens):
-    for order, _ in ORDERS:
-        gb = buchberger(gens, order)
-        assert_same_basis(gb, field_buchberger(gens, order))
-        assert all(g.leading_term(order)[1] == 1 for g in gb)
-        for g in gens:
-            assert not reduce(g, gb, order)
-        vars = gens[0].vars
-        p = gens[0] * gens[-1] + PB({(1,) * len(vars): B}, vars)
-        assert reduce(p, gens, order) == field_reduce(p, gens, order)
+    gb = buchberger(gens)
+    assert_same_basis(gb, field_buchberger(gens))
+    assert all(lead(g)[1] == 1 for g in gb)
+    for g in gens:
+        assert not reduce(g, gb)
+    vars = gens[0].vars
+    p = gens[0] * gens[-1] + PB({(1,) * len(vars): B}, vars)
+    assert reduce(p, gens) == field_reduce(p, gens)
 
 
 def _lex_divisors(polys):
-    """The divisors of polynomials with Fraction coefficients under lex,
-    as ``buchberger`` holds its basis (lex takes no sort key)."""
-    return [_poly_divisor(p, None, True) for p in polys]
+    """The divisors of polynomials with Fraction coefficients, as
+    ``buchberger`` holds its basis."""
+    return [_poly_divisor(p, True) for p in polys]
 
 
 def test_certificate_rejects_what_is_no_basis_of_the_ideal():
     # under lex, u^2 - v and u*v - 1 have the reduced basis u - v^2, v^3 - 1
     gens = [P({(2, 0): 1, (0, 1): -1}), P({(1, 1): 1, (0, 0): -1})]
     terms = [_term_dict(g, True)[0] for g in gens]
-    gb = buchberger(gens, LEX)
+    gb = buchberger(gens)
     assert gb == [P({(0, 3): 1, (0, 0): -1}), P({(1, 0): 1, (0, 2): -1})]
-    _certify(_lex_divisors(gb), terms, None)
+    _certify(_lex_divisors(gb), terms)
     # the generators themselves: their S-pair leaves u - v^2
     with pytest.raises(GroebnerError, match="S-polynomial"):
-        _certify(_lex_divisors(gens), terms, None)
+        _certify(_lex_divisors(gens), terms)
     # u - v^2 alone is a Groebner basis, of a smaller ideal: what a pair
     # skipped by mistake can leave after minimalisation
     with pytest.raises(GroebnerError, match="generators"):
-        _certify(_lex_divisors(gb[1:]), terms, None)
+        _certify(_lex_divisors(gb[1:]), terms)
 
 
 # -- linear elimination and the solution certificate ----------------------

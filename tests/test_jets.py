@@ -47,15 +47,6 @@ def test_inverse_requires_unit():
         jet(X, 3).inverse()
 
 
-def test_sqrt_binomial_series():
-    # sqrt(1 + u) with u = x: coefficients are the binomial(1/2, k) values
-    j = jet(Poly.const(F(1)) + X, 4)
-    s = j.sqrt()
-    coeffs = [s.poly.coefficient((k, 0, 0)) for k in range(5)]
-    assert coeffs == [F(1), F(1, 2), F(-1, 8), F(1, 16), F(-5, 128)]
-    assert (s * s).poly == (Poly.const(F(1)) + X)
-
-
 def test_homogeneous_part_and_truncate():
     f = jet((X + Y) * (X + Y) + Z, 3)
     assert f.homogeneous_part(1) == Z

@@ -23,7 +23,7 @@ from affine_homog.normalize import (HYPERBOLIC_GRAM, IDENTITY3, UNITS,
                                     quadratic_poly, remove_linear,
                                     trace_decompose, transform_graph)
 from affine_homog.poly import XYZ, Poly
-from affine_homog.scalars import Tower, TowerElement, rational_sqrt
+from affine_homog.scalars import Tower, rational_sqrt
 from test_cli_digests import ELLIPTIC, TOWER
 
 X = Poly.var("x")
@@ -364,17 +364,22 @@ def _quadratic_oracle(f1, fld):
     d = [_ip(H, b, b) for b in basis]
     tower = None
     if fld == "real" and (all(x > 0 for x in d) or all(x < 0 for x in d)):
-        scales = []
+        # a scale is a rational q, or q times the root of an earlier
+        # irrational square a, (q, a); a new irrational square is (1, a)
+        squares, roots = [], []
         for i in range(3):
-            s = rational_sqrt(d[2] / d[i])
-            if s is None:
-                tower = (tower or Tower()).extend(
-                    f"s{(tower.depth if tower else 0) + 1}", d[2] / d[i])
-                s = tower.generator(tower.depth - 1)
-            scales.append(s)
-        if tower is not None:
-            scales = [tower.lift(s) if isinstance(s, TowerElement)
-                      else tower.const(s) for s in scales]
+            val = d[2] / d[i]
+            root = rational_sqrt(val)
+            if root is None:
+                a = next((a for a in squares if rational_sqrt(val * a)), val)
+                root = (rational_sqrt(val * a) / a, a)
+                if a is val:
+                    squares.append(val)
+            roots.append(root)
+        if squares:
+            tower = Tower([f"s{k + 1}" for k in range(len(squares))], squares)
+        scales = [_promoted(r, tower) if isinstance(r, F)
+                  else tower.generator(squares.index(r[1])) * r[0] for r in roots]
         cols = [[b * sc for b in basis[i]] for i, sc in enumerate(scales)]
         w_scale = 1 / _promoted(1 / d[2], tower)
         form = QuadraticForm(IDENTITY3, "elliptic", IDENTITY3)
@@ -387,7 +392,7 @@ def _quadratic_oracle(f1, fld):
         else:
             i, j = (next((i, j) for i, j in pairs if -d[i] / d[j] > 0)
                     if fld == "real" else (0, 1))
-            tower = Tower().extend("s1", -d[i] / d[j])
+            tower = Tower(("s1",), (-d[i] / d[j],))
             s = tower.generator(0)
         iso = [_promoted(a + s * b, tower) for a, b in zip(basis[i], basis[j])]
         Ht = [[_promoted(c, tower) for c in row] for row in H]
@@ -470,9 +475,12 @@ def test_one_solve_matches_two_step_on_every_catalog_jet(eid, alpha):
 # a tower quadric with a nonzero cubic, whose Pick invariant is scaled in
 # the tower
 TOWER_CUBIC = TOWER + " + X^3 + X*Y*Z"
+# two irrational elliptic scales, sqrt(2) and sqrt(1/2) = sqrt(2)/2: one root
+DEPENDENT_ROOTS = "W = X^2 + 4*Y^2 + 2*Z^2 + X^3"
 
 
-@pytest.mark.parametrize("surface, fld", [(s, "real") for s in ELLIPTIC]
+@pytest.mark.parametrize("surface, fld", [(s, "real")
+                                          for s in ELLIPTIC + (DEPENDENT_ROOTS,)]
                          + [(s, fld) for s in (TOWER, TOWER_CUBIC)
                             for fld in ("complex", "real")])
 def test_one_solve_matches_two_step_on_the_recorded_quadrics(surface, fld):

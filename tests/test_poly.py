@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_homog import poly as poly_module
 from affine_homog.jets import Jet
-from affine_homog.poly import GREVLEX, LEX, Poly, VariableMismatch, _mul_terms
+from affine_homog.poly import Poly, VariableMismatch, _mul_terms, grevlex_key
 from affine_homog.scalars import RationalFunc, Tower
 
 XYZ = ("x", "y", "z")
@@ -28,10 +28,16 @@ def total_degree(p):
     return max((sum(m) for m in p.terms), default=-1)
 
 
-def monic(p, order=GREVLEX):
+def leading_coefficient(p, key=grevlex_key):
+    """The coefficient of the largest monomial of p under the sort key
+    (grevlex by default; a key of None is lex)."""
+    return p.terms[max(p.terms, key=key)]
+
+
+def monic(p, key=grevlex_key):
     """p over its leading coefficient, an int one made a Fraction so that
     no quotient is a float."""
-    c = p.leading_term(order)[1]
+    c = leading_coefficient(p, key)
     if isinstance(c, int):
         c = F(c)
     return p if c == 1 else Poly(p.vars, {m: a / c for m, a in p.terms.items()})
@@ -63,16 +69,6 @@ def test_mul_truncated_matches_truncated_product():
             for lo in range(hi + 2):
                 want = {m: c for m, c in full.terms.items() if lo <= sum(m) <= hi}
                 assert p.mul_truncated(q, hi, lo).terms == want, (hi, lo)
-
-
-def test_leading_terms():
-    p = X * Y * Z + X * X * X + Y.scale(5)
-    assert p.leading_term(LEX)[0] == (3, 0, 0)
-    # grevlex ties on degree 3: x^3 beats xyz
-    assert p.leading_term(GREVLEX)[0] == (3, 0, 0)
-    q = X * X * Y + X * Z * Z
-    assert q.leading_term(LEX)[0] == (2, 1, 0)
-    assert q.leading_term(GREVLEX)[0] == (2, 1, 0)
 
 
 def test_partial_and_eval():

@@ -3,10 +3,10 @@ from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from affine_homog.linalg import _pivot_size
-from affine_homog.scalars import (RationalFunc, ScalarError, Tower,
+from affine_homog.scalars import (RationalFunc, ScalarError, Tower, TowerElement,
                                   parse_rational, ratfunc_sqrt,
                                   rational_nth_root, rational_sqrt)
 
@@ -82,6 +82,15 @@ class TestTower:
         x = (i / s) + s
         assert (x - s) * s == i
         assert tw.dim == 4
+
+    @pytest.mark.parametrize("squares", [(F(4),), (F(0),), (F(2), F(1, 2)),
+                                         (F(-3), F(-12)), (F(2), F(9))])
+    def test_squares_that_give_no_field_are_refused(self, squares):
+        # a rational square, or two squares whose product is one: sqrt(1/2)
+        # is sqrt(2)/2, so 2*s2 - s1 would be a nonzero element with no
+        # inverse
+        with pytest.raises(ScalarError, match="field"):
+            Tower(("s1", "s2")[:len(squares)], squares)
 
 
 def test_equal_scalars_hash_equal():
@@ -241,3 +250,49 @@ def test_pivot_size_and_hash_read_the_fraction_form(r):
     assert _pivot_size(r) == 8 * (len(r.num) + len(r.den))
     assert hash(r) == hash((r.var, r.num, r.den))
     assert r.den[-1] == 1 and all(type(c) is F for c in r.num + r.den)
+
+
+# -- towers against sympy's square roots
+
+def _is_field(squares):
+    """No product of a nonempty subset of the squares is a rational square."""
+    products = [F(1)]
+    for a in squares:
+        products += [p * a for p in products]
+    return all(rational_sqrt(p) is None for p in products[1:])
+
+
+_squares = st.tuples(st.integers(-12, 12).filter(bool), st.integers(1, 6)).map(
+    lambda t: F(*t))
+towers = st.integers(1, 2).flatmap(
+    lambda n: st.lists(_squares, min_size=n, max_size=n)).filter(_is_field).map(
+    lambda sq: Tower(("s1", "s2")[:len(sq)], sq))
+
+
+def _sym_tower(x):
+    """The sympy value of a tower element: sum_S c_S prod_{i in S} sqrt(a_i)."""
+    roots = [sp.sqrt(_sym(a)) for a in x.tower.squares]
+    return sp.expand(sum(_sym(c) * sp.prod([r for i, r in enumerate(roots) if s >> i & 1])
+                         for s, c in enumerate(x.vec)))
+
+
+@st.composite
+def _tower_operands(draw):
+    tw = draw(towers)
+    elements = st.lists(fractions, min_size=tw.dim, max_size=tw.dim).map(
+        lambda v: TowerElement(tw, v))
+    return draw(elements), draw(elements.filter(bool))
+
+
+@seed(36)
+@settings(max_examples=200, deadline=None)
+@given(_tower_operands())
+def test_tower_arithmetic_matches_sympy_square_roots(operands):
+    # exact: a sum or product in sympy's radicals expands to the same value,
+    # and a quotient times the divisor expands to the dividend
+    x, y = operands
+    sx, sy = _sym_tower(x), _sym_tower(y)
+    assert sp.expand(_sym_tower(x + y) - (sx + sy)) == 0
+    assert sp.expand(_sym_tower(x * y) - sx * sy) == 0
+    assert sp.expand(_sym_tower(x / y) * sy - sx) == 0
+    assert all(type(c) is F for z in (x + y, x * y, x / y) for c in z.vec)

@@ -15,7 +15,7 @@ from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
 from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
                                  solve_rows)
-from affine_homog.poly import GREVLEX, XYZ, Poly
+from affine_homog.poly import XYZ, Poly, grevlex_key
 from affine_homog.scalars import InputError, RationalFunc, Tower
 from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z, ZERO4,
                                    AffineVectorField, CompletionError,
@@ -270,7 +270,7 @@ def poly_closure_constraints(F_, famP, famQ, famR):
                         if x:
                             row[j] = -(c * x) + row[j]
         res = tangency_residual(F_, AffineVectorField(A, ZERO4), F_.order, columns)
-        for m in sorted(res.poly.terms, key=GREVLEX.key):
+        for m in sorted(res.poly.terms, key=grevlex_key):
             c = res.poly.terms[m]
             c = c if isinstance(c, Poly) else Poly.const(c, ring)
             constraints.append(monic(c))
