@@ -26,7 +26,6 @@ ties the other modules together:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from itertools import combinations, zip_longest
@@ -73,11 +72,14 @@ def _jsonable(v):
     return str(v)
 
 
-@dataclass
 class Report:
-    name: str
-    passed: bool
-    details: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("name", "passed", "details")
+
+    def __init__(self, name: str, passed: bool,
+                 details: Optional[Dict[str, object]] = None):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed,
@@ -86,14 +88,20 @@ class Report:
 
 # -- catalog entries -----------------------------------------------------------
 
-@dataclass
 class CatalogEntry:
-    id: str
-    surface: str
-    basepoint: Tuple[Fraction, Fraction, Fraction, Fraction]
-    uses_alpha: bool
-    excluded_alphas: Tuple[Fraction, ...]
-    expected_isotropy: int
+    __slots__ = ("id", "surface", "basepoint", "uses_alpha", "excluded_alphas",
+                 "expected_isotropy")
+
+    def __init__(self, id: str, surface: str,
+                 basepoint: Tuple[Fraction, Fraction, Fraction, Fraction],
+                 uses_alpha: bool, excluded_alphas: Tuple[Fraction, ...],
+                 expected_isotropy: int):
+        self.id = id
+        self.surface = surface
+        self.basepoint = basepoint
+        self.uses_alpha = uses_alpha
+        self.excluded_alphas = excluded_alphas
+        self.expected_isotropy = expected_isotropy
 
 
 def load_catalog() -> Dict[str, CatalogEntry]:
@@ -372,15 +380,21 @@ def replacement_check(order: int = 6) -> Report:
 
 # -- discovery -----------------------------------------------------------------------
 
-@dataclass
 class DiscoveryComponent:
-    kind: str  # point | family | residual
-    assignments: Dict[str, object]
-    jet: Optional[Jet] = None
-    normal_form: Optional[str] = None
-    parameter: Optional[object] = None
-    duplicate_of: Optional[int] = None
-    note: str = ""
+    __slots__ = ("kind", "assignments", "jet", "normal_form", "parameter",
+                 "duplicate_of", "note")
+
+    def __init__(self, kind: str, assignments: Dict[str, object],
+                 jet: Optional[Jet] = None, normal_form: Optional[str] = None,
+                 parameter: Optional[object] = None,
+                 duplicate_of: Optional[int] = None, note: str = ""):
+        self.kind = kind  # point | family | residual
+        self.assignments = assignments
+        self.jet = jet
+        self.normal_form = normal_form
+        self.parameter = parameter
+        self.duplicate_of = duplicate_of
+        self.note = note
 
     def to_json(self):
         return {"kind": self.kind,

@@ -10,7 +10,6 @@ by order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -253,11 +252,17 @@ def _children(node: tuple):
 
 # -- SurfaceSpec --------------------------------------------------------------
 
-@dataclass
 class SurfaceSpec:
-    residual: tuple  # the syntax tree of lhs - rhs
-    basepoint: Tuple[Fraction, Fraction, Fraction, Fraction]  # (W,X,Y,Z)
-    alpha: Optional[Fraction] = None
+    """``residual`` is the syntax tree of lhs - rhs, ``basepoint`` is
+    (W, X, Y, Z) and ``alpha`` the binding of alpha, if any."""
+    __slots__ = ("residual", "basepoint", "alpha")
+
+    def __init__(self, residual: tuple,
+                 basepoint: Tuple[Fraction, Fraction, Fraction, Fraction],
+                 alpha: Optional[Fraction] = None):
+        self.residual = residual
+        self.basepoint = basepoint
+        self.alpha = alpha
 
 
 def parse_surface(text: str, basepoint, alpha=None) -> SurfaceSpec:

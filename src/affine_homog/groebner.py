@@ -57,7 +57,6 @@ all tie-breaking is by the lex order of exponent tuples.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -306,24 +305,47 @@ def buchberger(gens: Sequence[Poly]) -> List[Poly]:
 
 # -- solution extraction ----------------------------------------------------------
 
-@dataclass
 class ParametricFamily:
-    free: str
-    assignments: Dict[str, RationalFunc]
+    __slots__ = ("free", "assignments")
+
+    def __init__(self, free: str, assignments: Dict[str, RationalFunc]):
+        self.free = free
+        self.assignments = assignments
+
+    def __eq__(self, other):
+        return type(other) is ParametricFamily and \
+            (self.free, self.assignments) == (other.free, other.assignments)
 
 
-@dataclass
 class ResidualComponent:
-    basis: List[Poly]
-    assignments: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("basis", "assignments")
+
+    def __init__(self, basis: List[Poly],
+                 assignments: Optional[Dict[str, object]] = None):
+        self.basis = basis
+        self.assignments = {} if assignments is None else assignments
+
+    def __eq__(self, other):
+        return type(other) is ResidualComponent and \
+            (self.basis, self.assignments) == (other.basis, other.assignments)
 
 
-@dataclass
 class SolutionSet:
-    unknowns: List[str]
-    points: List[Dict[str, Fraction]] = field(default_factory=list)
-    families: List[ParametricFamily] = field(default_factory=list)
-    residual: List[ResidualComponent] = field(default_factory=list)
+    __slots__ = ("unknowns", "points", "families", "residual")
+
+    def __init__(self, unknowns: List[str],
+                 points: Optional[List[Dict[str, Fraction]]] = None,
+                 families: Optional[List[ParametricFamily]] = None,
+                 residual: Optional[List[ResidualComponent]] = None):
+        self.unknowns = unknowns
+        self.points = [] if points is None else points
+        self.families = [] if families is None else families
+        self.residual = [] if residual is None else residual
+
+    def __eq__(self, other):
+        return type(other) is SolutionSet and \
+            (self.unknowns, self.points, self.families, self.residual) == \
+            (other.unknowns, other.points, other.families, other.residual)
 
 
 def _restrict(p: Poly, vars: Tuple[str, ...]) -> Poly:

@@ -34,7 +34,6 @@ Inconsistency is a returned value, not an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -44,22 +43,32 @@ from .scalars import RationalFunc
 _RATIONAL = (int, Fraction)
 
 
-@dataclass
 class LinearEquation:
     """sum(coeffs[k] * x[k]) = rhs, keyed by column index"""
-    coeffs: Dict[int, object]
-    rhs: object = Fraction(0)
+    __slots__ = ("coeffs", "rhs")
+
+    def __init__(self, coeffs: Dict[int, object], rhs: object = Fraction(0)):
+        self.coeffs = coeffs
+        self.rhs = rhs
 
 
-@dataclass
 class SolutionFamily:
     """Affine solution space: particular + span(basis), as vectors over the
     columns; basis vector k is 1 at column ``free_cols[k]`` and 0 at the
     other free columns. ``unknowns`` names the columns."""
-    unknowns: List[str]
-    particular: List[object]
-    basis: List[List[object]]
-    free_cols: List[int]
+    __slots__ = ("unknowns", "particular", "basis", "free_cols")
+
+    def __init__(self, unknowns: List[str], particular: List[object],
+                 basis: List[List[object]], free_cols: List[int]):
+        self.unknowns = unknowns
+        self.particular = particular
+        self.basis = basis
+        self.free_cols = free_cols
+
+    def __eq__(self, other):
+        return type(other) is SolutionFamily and \
+            (self.unknowns, self.particular, self.basis, self.free_cols) == \
+            (other.unknowns, other.particular, other.basis, other.free_cols)
 
     @property
     def free(self) -> List[str]:

@@ -28,7 +28,6 @@ composed change, run only when the jet is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -50,11 +49,18 @@ class NormalizationError(ValueError):
 
 # -- affine maps of 4-space ----------------------------------------------------
 
-@dataclass
 class AffineMap:
     """old = linear . new + translation (rows of ``linear`` give old coords)."""
-    linear: Tuple[Tuple[object, ...], ...]
-    translation: Tuple[object, ...] = (Fraction(0),) * 4
+    __slots__ = ("linear", "translation")
+
+    def __init__(self, linear: Tuple[Tuple[object, ...], ...],
+                 translation: Tuple[object, ...] = (Fraction(0),) * 4):
+        self.linear = linear
+        self.translation = translation
+
+    def __eq__(self, other):
+        return type(other) is AffineMap and \
+            (self.linear, self.translation) == (other.linear, other.translation)
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -139,14 +145,17 @@ HYPERBOLIC_GRAM = ((Fraction(0), Fraction(1), Fraction(0)),
                    (Fraction(0), Fraction(0), Fraction(1)))
 
 
-@dataclass
 class QuadraticForm:
-    gram: Tuple[Tuple[object, ...], ...]
-    signature: str  # "hyperbolic", "elliptic", or "complex"
-    # H^-1: the diagonalization's sum_k b_k b_k^T / d_k for a source form
-    # (``NormalizedQuadratic.source_form``), the gram itself for the normal
-    # forms, whose grams are their own inverses
-    inverse: Tuple[Tuple[object, ...], ...] = field(compare=False, repr=False)
+    __slots__ = ("gram", "signature", "inverse")
+
+    def __init__(self, gram: Tuple[Tuple[object, ...], ...], signature: str,
+                 inverse: Tuple[Tuple[object, ...], ...]):
+        self.gram = gram
+        self.signature = signature  # "hyperbolic", "elliptic", or "complex"
+        # H^-1: the diagonalization's sum_k b_k b_k^T / d_k for a source
+        # form (``NormalizedQuadratic.source_form``), the gram itself for the
+        # normal forms, whose grams are their own inverses
+        self.inverse = inverse
 
 
 def gram_matrix(F: Jet):
@@ -206,7 +215,6 @@ def _diagonalize(H):
     return basis, d
 
 
-@dataclass
 class NormalizedQuadratic:
     """The block map old xyz = T . new xyz, old w = s * new w that brings
     a quadratic part x^T H x to its normal form.
@@ -218,13 +226,19 @@ class NormalizedQuadratic:
     source need no map. ``scales`` holds the elliptic roots sqrt(d_2 /
     d_k); ``pair`` the indices and root (i, j, s) of the isotropic vector
     b_i + s b_j, s^2 = -d_i / d_j, of the other forms."""
-    gram: Tuple[Tuple[object, ...], ...]
-    basis: List[List[object]]
-    d: List[object]
-    form: QuadraticForm
-    scales: Optional[List[object]] = None
-    pair: Optional[Tuple[int, int, object]] = None
-    tower: Optional[Tower] = None
+
+    def __init__(self, gram: Tuple[Tuple[object, ...], ...],
+                 basis: List[List[object]], d: List[object], form: QuadraticForm,
+                 scales: Optional[List[object]] = None,
+                 pair: Optional[Tuple[int, int, object]] = None,
+                 tower: Optional[Tower] = None):
+        self.gram = gram
+        self.basis = basis
+        self.d = d
+        self.form = form
+        self.scales = scales
+        self.pair = pair
+        self.tower = tower
 
     @property
     def w_scale(self):
@@ -481,7 +495,6 @@ def _classify(c0: Poly, h: QuadraticForm):
 
 # -- full normalization pipeline ----------------------------------------------------
 
-@dataclass
 class NormalizationReport:
     """The normalization of a graph jet ``source``: the class and the Pick
     invariant of its cubic, read in the source coordinates, and the
@@ -491,10 +504,13 @@ class NormalizationReport:
     shear that makes it trace-free (``normal_shear``) the first time it is
     read; ``jet``, transform_graph(source, change), is solved the first
     time it is read. A classification alone runs neither."""
-    source: Jet
-    quadratic: NormalizedQuadratic
-    cubic_class: str
-    pick: object
+
+    def __init__(self, source: Jet, quadratic: NormalizedQuadratic,
+                 cubic_class: str, pick: object):
+        self.source = source
+        self.quadratic = quadratic
+        self.cubic_class = cubic_class
+        self.pick = pick
 
     @property
     def form(self) -> QuadraticForm:

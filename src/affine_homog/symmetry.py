@@ -66,7 +66,6 @@ degree N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,15 +89,14 @@ class CompletionError(ValueError):
         self.order = order
 
 
-@dataclass
 class AffineVectorField:
     """The field p -> A.p + v on (x, y, z, w)-space."""
-    A: Tuple[Tuple[object, ...], ...]
-    v: Tuple[object, ...] = ZERO4
+    __slots__ = ("A", "v")
 
-    def __post_init__(self):
-        self.A = tuple(tuple(r) for r in self.A)
-        self.v = tuple(self.v)
+    def __init__(self, A: Sequence[Sequence[object]],
+                 v: Sequence[object] = ZERO4):
+        self.A = tuple(tuple(r) for r in A)
+        self.v = tuple(v)
 
     def coords(self) -> List[object]:
         return [a for r in self.A for a in r] + list(self.v)
@@ -409,15 +407,20 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
 
 # -- full algebra ------------------------------------------------------------------
 
-@dataclass
 class SymmetryAlgebra:
-    basis: List[AffineVectorField]
-    free: List[int]  # basis field k is 1 at coordinate free[k], 0 at the others
-    isotropy: List[AffineVectorField]  # a basis of the isotropy at the order
-    order: int
-    closed: bool
-    translation_rank: int
-    tangency_ok: bool = True
+    __slots__ = ("basis", "free", "isotropy", "order", "closed",
+                 "translation_rank", "tangency_ok")
+
+    def __init__(self, basis: List[AffineVectorField], free: List[int],
+                 isotropy: List[AffineVectorField], order: int, closed: bool,
+                 translation_rank: int, tangency_ok: bool = True):
+        self.basis = basis
+        self.free = free  # basis field k is 1 at coordinate free[k], 0 at the others
+        self.isotropy = isotropy  # a basis of the isotropy at the order
+        self.order = order
+        self.closed = closed
+        self.translation_rank = translation_rank
+        self.tangency_ok = tangency_ok
 
     @property
     def isotropy_dim(self) -> int:

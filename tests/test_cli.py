@@ -33,6 +33,28 @@ def test_python_dash_m_runs_the_command_line(argv, code):
             else "below the determining order" in proc.stderr)
 
 
+def _modules_after(code):
+    """The names in sys.modules of a fresh isolated interpreter that ran
+    ``code`` with the source directory as its first argument."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code + "\nprint(*sys.modules)", src],
+        capture_output=True, text=True, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # what the package adds to a bare interpreter, loaded as the
+    # benchmark's set-up child loads it: dataclasses brings inspect, ast
+    # and dis, and builds each decorated class by exec
+    bare = _modules_after("import sys")
+    loaded = _modules_after("import sys\nsys.path.insert(0, sys.argv[1])\n"
+                            "import affine_homog.cli as cli\ncli.cat.catalog()")
+    added = loaded - bare
+    assert "affine_homog.symmetry" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_expand_sphere_two_jet(capsys):
     code, out, _ = invoke(capsys, "expand", *SPHERE,
                           "--order", "2", "--format", "json")

@@ -563,6 +563,29 @@ def test_affine_images_keep_the_class_and_the_zero_pattern_of_pick():
         assert bool(rep.pick) == bool(normalize_jet(source).pick), eid
 
 
+def assert_idempotent(f):
+    rep = normalize_jet(f)
+    again = normalize_jet(rep.jet)
+    assert again.jet == rep.jet
+    assert (again.cubic_class, again.pick) == (rep.cubic_class, rep.pick)
+    assert again.change == AffineMap.identity()
+
+
+def test_normalization_is_idempotent():
+    # a normalized jet is its own normal form, with the identity change:
+    # every entry at its sweep alpha, and each seed-1 image whose
+    # normalization adjoins no root (a jet over a tower cannot be
+    # normalized again)
+    for eid, e in cat.catalog().items():
+        assert_idempotent(expand_graph(parse_surface(
+            e.surface, e.basepoint, cat.SWEEP_ALPHAS.get(eid)), 4))
+    rational = [f.truncate(4) for _, _, f in _seed1_images()
+                if normalize_jet(f.truncate(3)).tower is None]
+    assert len(rational) == 9
+    for f in rational:
+        assert_idempotent(f)
+
+
 def test_verify_builds_no_normalizing_map(monkeypatch):
     # verify reads only the class and the Pick invariant, which the source
     # coordinates give: the map, its shear and every series solve raise

@@ -871,17 +871,36 @@ def _bracket_closed(basis, free):
                for i, a in enumerate(basis) for b in basis[i + 1:])
 
 
+@lru_cache(maxsize=None)
 def _dense_images(seed):
-    """(entry, jet at order 7) of the dense-images benchmark's image of
-    every entry for this seed, before it samples the ones a pass runs."""
+    """(entry, alpha, jet at order 7) of the dense-images benchmark's image
+    of every entry for this seed, before it samples the ones a pass runs."""
     wl = _workloads()
     rng = random.Random(seed)
     out = []
     for eid in wl.ENTRY_IDS:
         alpha = rng.choice(wl.ALPHA_POOL[eid]) if eid in wl.ALPHA_POOL else None
         text, point = wl.affine_image(rng, eid, alpha)
-        out.append((eid, expand_graph(parse_surface(text, point.split(","), alpha), 7)))
+        out.append((eid, alpha,
+                    expand_graph(parse_surface(text, point.split(","), alpha), 7)))
     return out
+
+
+def _invariants(alg):
+    return (alg.full_dim, alg.isotropy_dim, alg.translation_rank, alg.closed,
+            alg.tangency_ok)
+
+
+def test_affine_images_keep_the_symmetry_algebra():
+    # the classification is affine-invariant: at order 6, each seed-1
+    # image of an entry has the entry's algebra dimensions, translation
+    # rank and closure verdict at the same alpha
+    for eid, alpha, image in _dense_images(1):
+        entry = cat.catalog()[eid]
+        source = expand_graph(parse_surface(entry.surface, entry.basepoint,
+                                            alpha), 6)
+        assert _invariants(full_algebra(image, 6)) == \
+            _invariants(full_algebra(source)), (eid, alpha)
 
 
 def test_integer_closure_equals_the_bracket_check(monkeypatch):
@@ -907,7 +926,7 @@ def test_integer_closure_equals_the_bracket_check(monkeypatch):
     for nf in cat.NORMAL_FORM_IDS:
         cat.confirm_isotropy(nf)
     monkeypatch.undo()
-    algebras["dense"] = [full_algebra(Fj) for _, Fj in _dense_images(1)]
+    algebras["dense"] = [full_algebra(Fj) for _, _, Fj in _dense_images(1)]
     assert [len(algebras[k]) for k in ("normal forms", "dense")] == [10, 20]
 
     verdicts = set()
