@@ -207,9 +207,10 @@ def _echelon(gens: Sequence[Poly]) -> List[Poly]:
     """The reduced row-echelon form of the generators over their monomials,
     from ``linalg.rref`` with the monomials as columns in descending lex
     order: monic rows with distinct leading terms, none of which occurs in
-    another row, by descending leading term. Each sparse pivot row becomes
-    a polynomial with its terms in descending order. Invertible row
-    operations leave the ideal as it was."""
+    another row, by descending leading term. Each sparse pivot row, over
+    its denominator, becomes a polynomial with its terms in descending
+    order, an integer entry as a ``Fraction``. Invertible row operations
+    leave the ideal as it was."""
     for g in gens:
         gens[0]._check(g)
     monos = sorted({m for g in gens for m in g.terms}, reverse=True)
@@ -217,8 +218,9 @@ def _echelon(gens: Sequence[Poly]) -> List[Poly]:
     rows = [{index[m]: c for m, c in g.terms.items()} for g in gens]
     pivot_rows = rref(rows, [0] * len(rows), len(monos))
     return [Poly._canonical(gens[0].vars,
-                            {monos[k]: c for k, c in sorted(row.items())})
-            for row, _ in pivot_rows.values()]
+                            {monos[k]: Fraction(c, den) if type(c) is int else c
+                             for k, c in sorted(row.items())})
+            for row, _, den in pivot_rows.values()]
 
 
 def buchberger(gens: Sequence[Poly]) -> List[Poly]:

@@ -10,8 +10,7 @@ entries. The scalar types choose three things, in ``rref`` alone:
 - a system of ``int`` and ``Fraction`` entries is scaled to primitive
   integer rows, pivots on the smallest ``|c|`` and eliminates
   fraction-free (cross-multiplication, then division by the row
-  content), so ``Fraction`` normalisation is paid only once per output
-  entry;
+  content), so no ``Fraction`` is built at all;
 - any other system (``RationalFunc``, ``TowerElement`` or mixed) keeps
   its rows as given, pivots on the smallest ``_pivot_size`` and
   eliminates over its field by a monic pivot row. ``RationalFunc``
@@ -22,13 +21,24 @@ entries. The scalar types choose three things, in ``rref`` alone:
 
 The types choose the preparation, the pivot order and the row operation,
 which change the cost of a solve only: the RREF is unique, so no value
-depends on them. ``rref`` returns sparse pivot rows. ``solve_rows``
-(dense rows) reads the particular solution and the nullspace off them;
-``linear_solve`` (equations keyed by column index, with named columns)
-passes its equations to ``rref`` as sparse rows and reads the same;
-``nullspace`` is a thin front end to ``solve_rows``, ``matrix_rank``
-counts the pivot rows, and Buchberger's echelon step in ``groebner``
-calls ``rref`` directly.
+depends on them.
+
+Every vector the module hands on is numerators over one positive
+denominator, ``(nums, den)``, with the entries ``nums[k] / den``. Over Q
+the numerators are ``int``s and ``den`` is the lcm of the entries'
+denominators (no factor is common to ``den`` and every numerator); over
+any other domain the numerators are the entries and ``den`` is 1. So
+``rref`` returns each pivot row as its primitive integer row over its
+pivot (the rational branch) or as its monic row over 1 (the field
+branch), ``SolutionFamily`` keeps its vectors so, and ``Fraction``
+entries are built only where a reader asks for them: the
+``particular`` and ``basis`` views, ``member`` and ``solve_rows``.
+``solve_rows`` (dense rows) reads the particular solution and the
+nullspace off the pivot rows; ``linear_solve`` (equations keyed by
+column index, with named columns) passes its equations to ``rref`` as
+sparse rows and reads the same; ``nullspace`` is a thin front end to
+``solve_rows``, ``matrix_rank`` counts the pivot rows, and Buchberger's
+echelon step in ``groebner`` calls ``rref`` directly.
 Inconsistency is a returned value, not an exception.
 """
 
@@ -36,33 +46,60 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import RationalFunc
 
 _RATIONAL = (int, Fraction)
+_ZERO = Fraction(0)
+
+# a vector as its numerators over one positive denominator
+Vector = Tuple[List[object], int]
 
 
 class LinearEquation:
     """sum(coeffs[k] * x[k]) = rhs, keyed by column index"""
     __slots__ = ("coeffs", "rhs")
 
-    def __init__(self, coeffs: Dict[int, object], rhs: object = Fraction(0)):
+    def __init__(self, coeffs: Dict[int, object], rhs: object = _ZERO):
         self.coeffs = coeffs
         self.rhs = rhs
+
+
+def _values(vec: Vector) -> List[object]:
+    """The entries of a vector, each ``int`` numerator as a ``Fraction``."""
+    nums, den = vec
+    return [(Fraction(n, den) if n else _ZERO) if type(n) is int else n
+            for n in nums]
+
+
+def _vector(nums: List[object], den: int) -> Vector:
+    """nums / den as a vector: over Q divided by the factor common to den
+    and every numerator, otherwise divided out to denominator 1."""
+    if den == 1:
+        return nums, 1
+    if all(type(n) is int for n in nums):
+        g = gcd(den, *nums)
+        return ([n // g for n in nums], den // g) if g > 1 else (nums, den)
+    inv = Fraction(1, den)
+    return [n * inv if n else 0 for n in nums], 1
 
 
 class SolutionFamily:
     """Affine solution space: particular + span(basis), as vectors over the
     columns; basis vector k is 1 at column ``free_cols[k]`` and 0 at the
-    other free columns. ``unknowns`` names the columns."""
-    __slots__ = ("unknowns", "particular", "basis", "free_cols")
+    other free columns. ``unknowns`` names the columns.
 
-    def __init__(self, unknowns: List[str], particular: List[object],
-                 basis: List[List[object]], free_cols: List[int]):
+    The vectors are kept as numerators over one denominator (``part``
+    and ``vecs``, see the module docstring); ``particular`` and ``basis``
+    are their views with ``Fraction`` entries."""
+    __slots__ = ("unknowns", "part", "vecs", "free_cols")
+
+    def __init__(self, unknowns: List[str], part: Vector, vecs: List[Vector],
+                 free_cols: List[int]):
         self.unknowns = unknowns
-        self.particular = particular
-        self.basis = basis
+        self.part = part
+        self.vecs = vecs
         self.free_cols = free_cols
 
     def __eq__(self, other):
@@ -71,48 +108,80 @@ class SolutionFamily:
             (other.unknowns, other.particular, other.basis, other.free_cols)
 
     @property
+    def particular(self) -> List[object]:
+        return _values(self.part)
+
+    @property
+    def basis(self) -> List[List[object]]:
+        return [_values(vec) for vec in self.vecs]
+
+    @property
     def free(self) -> List[str]:
         """The names of the free columns."""
         return [self.unknowns[c] for c in self.free_cols]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vecs)
 
     def is_unique(self) -> bool:
-        return not self.basis
+        return not self.vecs
 
     def member(self, free_values: Optional[Dict[str, object]] = None) -> List[object]:
         """The solution, in column order, at the given values of the free
         unknowns (keyed by name), which may be scalars or polynomials;
-        unlisted ones are zero."""
+        unlisted ones are zero.
+
+        The numerators are combined over the lcm L of the vectors'
+        denominators and of each rational value's, with the rational
+        values as integer weights, and each entry is divided by L once:
+        an entry no value reaches keeps the particular's type."""
         free_values = free_values or {}
-        out = list(self.particular)
-        for f, vec in zip(self.free, self.basis):
-            t = free_values.get(f)
-            if t is None or not t:
-                continue
-            for k, c in enumerate(vec):
+        terms = [(t, vec) for f, vec in zip(self.free, self.vecs)
+                 if (t := free_values.get(f)) is not None and t]
+        nums, den = self.part
+        L = den
+        for t, (_, d) in terms:
+            L = lcm(L, d * t.denominator if isinstance(t, _RATIONAL) else d)
+        acc = [n * (L // den) if n else n for n in nums] if L != den else list(nums)
+        for t, (vn, d) in terms:
+            w = (t.numerator * (L // (d * t.denominator)) if isinstance(t, _RATIONAL)
+                 else t * (L // d) if L != d else t)
+            for k, c in enumerate(vn):
                 if c:
-                    out[k] = out[k] + t * c
-        return out
+                    acc[k] = acc[k] + w * c if acc[k] else w * c
+        return _values(_vector(acc, L))
 
     def restrict(self, equations: Sequence[LinearEquation]) -> "SolutionFamily":
-        """The members of this homogeneous family on which the equations,
-        keyed by basis vector, vanish: by RREF uniqueness, the solve with
-        the equations' rows appended (a cancelled entry is ``Fraction(0)``,
-        as ``solve_rows`` writes it)."""
+        """The members of this homogeneous family on which the equations
+        vanish. An equation's coefficient k weighs the numerators of basis
+        vector k (the vector times its denominator), as the rows of
+        residuals built on those numerators do. By RREF uniqueness this is
+        the solve with the equations' rows appended, entry for entry.
+
+        A kernel vector u / d of the equations, 1 at its free column j,
+        gives the member sum(u[k] * nums_k) / (d * den_j), which is 1 at
+        the family's free column of j."""
         kernel = linear_solve(equations, self.free)
-        zero = Fraction(0)
-        basis = [[c if c else zero for c in self.member(dict(zip(self.free, v)))]
-                 for v in kernel.basis]
-        return SolutionFamily(self.unknowns, self.particular, basis,
+        n = len(self.unknowns)
+        vecs = []
+        for (u, d), j in zip(kernel.vecs, kernel.free_cols):
+            acc = [0] * n
+            for uk, (nums, _) in zip(u, self.vecs):
+                if uk:
+                    for i, c in enumerate(nums):
+                        if c:
+                            acc[i] = acc[i] + uk * c if acc[i] else uk * c
+            vecs.append(_vector([a if a else 0 for a in acc], d * self.vecs[j][1]))
+        return SolutionFamily(self.unknowns, self.part, vecs,
                               [self.free_cols[c] for c in kernel.free_cols])
 
 
 def _pivot_size(c) -> int:
     if isinstance(c, Fraction):
         return c.numerator.bit_length() + c.denominator.bit_length()
+    if isinstance(c, int):
+        return c.bit_length() + 1
     if isinstance(c, RationalFunc):
         return 8 * (len(c.n) + len(c.d))
     return 1 << 20
@@ -128,17 +197,19 @@ def rref(rows: Sequence[Mapping[int, object]], rhs: Sequence[object], ncols: int
     """The reduced row-echelon form of ``rows . x = rhs`` over ``ncols``
     columns, each row given sparse as ``{col: entry}`` (a column it does
     not list holds zero). Returns None when inconsistent, else the pivot
-    rows as sparse ``{col: ({col: entry}, rhs)}``, pivot 1 included and no
-    zero entry listed, in ascending pivot column.
+    rows as sparse ``{col: (row, b, den)}`` in ascending pivot column:
+    the RREF row is ``row / den`` with rhs ``b / den``, ``row[col]`` is
+    ``den``, and no zero entry is listed.
 
     An all-``int``/``Fraction`` system runs on primitive integer rows,
     with the smallest ``|c|`` as pivot and the row operation ``(p/g) row
     - (f/g) pivot_row`` (``g = gcd(p, f)``) followed by division by the
-    row content; its pivot rows become ``Fraction`` rows at the end. Any
-    other system runs on its rows as given, with the smallest
-    ``_pivot_size`` as pivot, the pivot row made monic and the row
-    operation ``row - f pivot_row``. That choice and the pivot order
-    change the cost only; the RREF is unique, so never a value."""
+    row content; each pivot row is returned as it is, primitive, with its
+    pivot made positive as ``den``. Any other system runs on its rows as
+    given, with the smallest ``_pivot_size`` as pivot, the pivot row made
+    monic and the row operation ``row - f pivot_row``; its ``den`` is 1.
+    That choice and the pivot order change the cost only; the RREF is
+    unique, so never a value."""
     rational = all(isinstance(c, _RATIONAL) for c in rhs) and all(
         isinstance(c, _RATIONAL) for row in rows for c in row.values())
     work = []
@@ -204,12 +275,36 @@ def rref(rows: Sequence[Mapping[int, object]], rhs: Sequence[object], ncols: int
     out = {}
     for col, row in zip(pivot_cols, work):
         b = row.pop(ncols, 0)
-        if rational:
-            p = row[col]
-            out[col] = ({k: Fraction(a, p) for k, a in row.items()}, Fraction(b, p))
-        else:
-            out[col] = (row, b if b else Fraction(0))
+        den = row[col] if rational else 1
+        if den < 0:
+            row = {k: -a for k, a in row.items()}
+            b, den = -b, -den
+        out[col] = (row, b, den)
     return out
+
+
+def _read_solution(pivot_rows, ncols: int):
+    """``(particular, basis, free_cols)`` as vectors (numerators over one
+    denominator) from the RREF's sparse pivot rows, or None when they are
+    None: each entry off the pivot lies in a free column. Every vector is
+    built over the lcm of the rows' denominators and then reduced."""
+    if pivot_rows is None:
+        return None
+    free_cols = [c for c in range(ncols) if c not in pivot_rows]
+    L = lcm(*(den for _, _, den in pivot_rows.values()))
+    particular = [0] * ncols
+    basis = {fc: [0] * ncols for fc in free_cols}
+    for fc, vec in basis.items():
+        vec[fc] = L
+    for col, (row, b, den) in pivot_rows.items():
+        s = L // den
+        if b:
+            particular[col] = b * s if s != 1 else b
+        for k, c in row.items():
+            if k != col:
+                basis[k][col] = -c * s if s != 1 else -c
+    return (_vector(particular, L), [_vector(vec, L) for vec in basis.values()],
+            free_cols)
 
 
 def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
@@ -219,36 +314,20 @@ def solve_rows(rows: Sequence[Sequence[object]], rhs: Sequence[object],
     Returns None when inconsistent, otherwise ``(particular, basis,
     free_cols)``: a particular solution, one nullspace vector per free
     column (1 there, 0 at the other free columns), and the free column
-    indices.
+    indices, with ``Fraction`` entries where they are rational.
     """
-    return _read_solution(rref([dict(enumerate(row)) for row in rows], rhs, ncols),
-                          ncols)
-
-
-def _read_solution(pivot_rows, ncols: int):
-    """``solve_rows``' result from the RREF's sparse pivot rows (None when
-    inconsistent): each entry off the pivot lies in a free column."""
-    if pivot_rows is None:
+    solved = _read_solution(rref([dict(enumerate(row)) for row in rows], rhs, ncols),
+                            ncols)
+    if solved is None:
         return None
-
-    free_cols = [c for c in range(ncols) if c not in pivot_rows]
-    zero = Fraction(0)
-    particular = [zero] * ncols
-    basis = {fc: [zero] * ncols for fc in free_cols}
-    for fc, vec in basis.items():
-        vec[fc] = Fraction(1)
-    for col, (row, b) in pivot_rows.items():
-        particular[col] = b
-        for k, c in row.items():
-            if k != col:
-                basis[k][col] = -c
-    return particular, list(basis.values()), free_cols
+    part, vecs, free_cols = solved
+    return _values(part), [_values(vec) for vec in vecs], free_cols
 
 
 def nullspace(rows: Sequence[Sequence[object]], ncols: int) -> List[List[object]]:
     """Basis of the nullspace of a matrix given as rows, one vector per
     free column."""
-    return solve_rows(rows, [Fraction(0)] * len(rows), ncols)[1]
+    return solve_rows(rows, [0] * len(rows), ncols)[1]
 
 
 def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
@@ -263,19 +342,16 @@ def matrix_rank(rows: Sequence[Sequence[object]]) -> int:
 def linear_solve(equations: Sequence[LinearEquation],
                  unknowns: Sequence[str]) -> Optional[SolutionFamily]:
     """``solve_rows`` on equations keyed by column index, one column per
-    name in ``unknowns``. Returns None when inconsistent; raises
-    ``ValueError`` on a column index outside the unknowns."""
+    name in ``unknowns``, as a ``SolutionFamily``. Returns None when
+    inconsistent; raises ``ValueError`` on a column index outside the
+    unknowns."""
     unknowns = list(unknowns)
     ncols = len(unknowns)
-    rows = []
     for eq in equations:
         for k in eq.coeffs:
             if not 0 <= k < ncols:
                 raise ValueError(f"column index {k} outside the "
                                  f"{ncols} unknowns")
-        # an int becomes a Fraction, which _pivot_size ranks by its size
-        rows.append({k: Fraction(c) if isinstance(c, int) else c
-                     for k, c in eq.coeffs.items()})
-    solved = _read_solution(rref(rows, [eq.rhs for eq in equations], ncols), ncols)
+    solved = _read_solution(rref([eq.coeffs for eq in equations],
+                                 [eq.rhs for eq in equations], ncols), ncols)
     return None if solved is None else SolutionFamily(unknowns, *solved)
-

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 from .jets import Jet, solve_series
 from .linalg import matrix_rank, solve_rows
 from .poly import Poly
-from .scalars import Tower, rational_sqrt
+from .scalars import Tower, TowerElement, rational_sqrt
 
 XYZ = ("x", "y", "z")
 XYZW = ("x", "y", "z", "w")
@@ -159,9 +159,17 @@ class QuadraticForm:
 
 
 def gram_matrix(F: Jet):
+    """The Gram matrix of F's quadratic part, over Q: a coefficient in a
+    tower whose irrational coordinates are all zero reads as its rational
+    one, and any other tower coefficient raises NormalizationError."""
     q = F.homogeneous_part(2)
     H = [[Fraction(0)] * 3 for _ in range(3)]
     for m, c in q.terms.items():
+        if isinstance(c, TowerElement):
+            if any(c.vec[1:]):
+                raise NormalizationError(
+                    f"the quadratic part has the irrational coefficient {c}")
+            c = c.vec[0]
         idx = [i for i, e in enumerate(m) for _ in range(e)]
         i, j = idx
         if i == j:

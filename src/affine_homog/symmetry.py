@@ -33,15 +33,25 @@ There is one Lie bracket, ``_row_bracket``, over the nonzero entries of
 the augmented rows [A | v] of two fields. The public ``bracket``, the
 closure check and the closure constraints all run it.
 
+The solves and restrictions of a rational jet run over Z. A family keeps
+each vector as integer numerators over one denominator (``linalg``). The
+columns of a solve, or of a family's residuals, are brought over one
+denominator first (``_over_one_denominator``), and a residual weighs them
+by the integer numerators of its field, so the rows handed to ``rref`` and
+to ``SolutionFamily.restrict`` are integers, and a ``Fraction`` is built
+only where a reader asks for a field (``SymmetryAlgebra.basis`` and
+``isotropy``). Over Q(b) or a tower the numerators are the entries, over
+the denominator 1, and the same code runs on them.
+
 A solved span is closed when every bracket of two basis fields lies in it.
 The basis is the RREF nullspace basis of the solve, so each field is 1 at
 its own free coordinate and 0 at the others: a bracket is reduced in those
 free coordinates (it is in the span exactly when it equals the basis
 weighted by its own free coordinates), with no elimination. The check
-runs over Z (``_closed``): the basis is put over one common denominator D
-and bracketed as integer fields, whose brackets are D^2 times the basis
-fields' brackets, and ``reduce_against_span`` reads the scale D at the
-integer fields' free coordinates.
+runs over Z too (``_closed``): the basis numerators are brought to the lcm
+D of their denominators and bracketed as integer fields, whose brackets
+are D^2 times the basis fields' brackets, and ``reduce_against_span``
+reads the scale D at the integer fields' free coordinates.
 
 The closure of the gauge-fixed families, whose free entries are unknowns,
 is a polynomial system (``closure_constraints``), built over Q with no
@@ -67,11 +77,12 @@ degree N.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet
-from .linalg import _RATIONAL, LinearEquation, SolutionFamily, linear_solve
+from .linalg import _RATIONAL, LinearEquation, SolutionFamily, Vector, linear_solve
 from .poly import Poly, grevlex_key
 from .scalars import InputError, over_common_denominator
 
@@ -167,10 +178,24 @@ def _read_columns(F: Jet, fields: Sequence[AffineVectorField], M: int,
     return columns
 
 
+def _over_one_denominator(columns: Sequence[Optional[Jet]]) -> List[Optional[Jet]]:
+    """A column set (None at a column not built) as one common multiple
+    of it: over Q, every coefficient as an integer over the lcm of all
+    their denominators; over any other domain, the columns as they are."""
+    values = [c for col in columns if col is not None for c in col.poly.terms.values()]
+    if not all(isinstance(c, _RATIONAL) for c in values):
+        return list(columns)
+    nums = iter(over_common_denominator(values)[0])
+    return [None if col is None else
+            Jet._canonical(Poly._canonical(XYZ, {m: next(nums) for m in col.poly.terms}),
+                           col.order)
+            for col in columns]
+
+
 def _combine(columns: Sequence[Jet], weights: Sequence[object], M: int) -> Jet:
     """sum(weights[k] * columns[k]), for columns with no term above M.
-    The weights are scalars; no caller in the package passes Poly weights,
-    but the sum takes them."""
+    On the tangency solves the columns are over one denominator and the
+    weights are integer numerators, so the sum is over Z."""
     acc: Dict[Tuple[int, ...], object] = {}
     for col, c in zip(columns, weights):
         if not c:
@@ -187,7 +212,8 @@ def tangency_residual(F: Jet, V: AffineVectorField, M: int,
     ``columns``, when given, are F's columns at order M, indexed as in
     ``tangency_columns`` and covering V's nonzero coordinates; given only
     their parts of degrees lo..M (``_read_columns``), it is the residual's
-    part of those degrees."""
+    part of those degrees, and given as one common multiple of them
+    (``_over_one_denominator``), it is that multiple of the residual."""
     coords = V.coords()
     ks = [k for k, c in enumerate(coords) if c]
     cols = (tangency_columns(F, M, ks) if columns is None
@@ -211,7 +237,7 @@ def linear_equations(columns: Sequence[Jet], base: Jet) -> List[LinearEquation]:
                 coeffs[k] = c
         b = base.poly.terms.get(m)
         if coeffs or b:
-            eqs.append(LinearEquation(coeffs, -b if b else Fraction(0)))
+            eqs.append(LinearEquation(coeffs, -b if b else 0))
     return eqs
 
 
@@ -232,7 +258,7 @@ def solve_tangency(F: Jet, order: Optional[int] = None) -> SolutionFamily:
     other free columns.
     """
     order = F.order - 1 if order is None else order
-    columns = tangency_columns(F, order, range(20))
+    columns = _over_one_denominator(tangency_columns(F, order, range(20)))
     return linear_solve(linear_equations(columns, Jet.zero(order)), COORDINATE_NAMES)
 
 
@@ -247,15 +273,16 @@ def pqr_families(fam: SolutionFamily, gauge: Sequence[int] = ()):
     a residual freedom). Each view takes the basis vector of its
     translation column as its particular solution, shares the
     translation-free basis vectors, and names its coordinates with the
-    family's letter."""
+    family's letter. A gauge row weighs each basis vector's numerators."""
     if gauge:
-        fam = fam.restrict([LinearEquation({i: b[g] for i, b in enumerate(fam.basis) if b[g]})
+        fam = fam.restrict([LinearEquation({i: nums[g] for i, (nums, _) in enumerate(fam.vecs)
+                                            if nums[g]})
                             for g in gauge])
     k = sum(c < 16 for c in fam.free_cols)
     if fam.free_cols[k:k + 3] != [16, 17, 18]:
         return None
     return tuple(SolutionFamily([prefix + name for name in COORDINATE_NAMES],
-                                fam.basis[k + i], fam.basis[:k], fam.free_cols[:k])
+                                fam.vecs[k + i], fam.vecs[:k], fam.free_cols[:k])
                  for i, prefix in enumerate("pqr"))
 
 
@@ -273,8 +300,9 @@ def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
     its basis vector of u) and the bracket is bilinear, so a bracket's
     residual is the sum over unknown monomials mu of u^mu times the residual
     of one matrix. Those matrices are tabled in integers, from the brackets
-    of pairs of vectors, with every vector over one common denominator D and
-    the sixteen matrix columns (built once, at F's order) over theirs: a
+    of pairs of vectors, with every vector over one common denominator D
+    (the lcm of the families' denominators) and the sixteen matrix columns
+    (built once, at F's order) over theirs: a
     pair adds D times the matrix part of its bracket at its mu, and each
     translation coordinate c of that bracket subtracts c*x at mu times u for
     each vector x of the field of that translation (all over D^3). The
@@ -283,21 +311,18 @@ def closure_constraints(F: Jet, famP: SolutionFamily, famQ: SolutionFamily,
     costs one Fraction per term."""
     fams = (famP, famQ, famR)
     ring = tuple(sorted(famP.free + famQ.free + famR.free))
-    vectors = [vec for fam in fams for vec in (fam.particular, *fam.basis)]
-    nums, D = over_common_denominator([c for vec in vectors for c in vec])
-    nums = iter(nums)
+    D = lcm(*(den for fam in fams for _, den in (fam.part, *fam.vecs)))
     # each family as (exponent of u, the nonzero entries (j, x) of each row
     # of [A | v] of u's integer vector), the particular vector at exponent 0
     pieces = []
     for fam in fams:
         keys = [(0,) * len(ring)] + [tuple(int(u == v) for v in ring) for u in fam.free]
-        pieces.append([(key, _augmented_rows([next(nums) for _ in range(20)]))
-                       for key in keys])
+        pieces.append([(key, _augmented_rows([n * (D // den) for n in nums]))
+                       for key, (nums, den) in zip(keys, (fam.part, *fam.vecs))])
     matrices = [[(key, [(4 * i + j, x) for i, row in enumerate(rows) for j, x in row if j < 4])
                  for key, rows in ps] for ps in pieces]
-    columns = [col.poly.terms for col in tangency_columns(F, F.order, range(16))]
-    nums = iter(over_common_denominator([c for terms in columns for c in terms.values()])[0])
-    columns = [[(m, next(nums)) for m in terms] for terms in columns]
+    columns = [list(col.poly.terms.items()) for col in
+               _over_one_denominator(tangency_columns(F, F.order, range(16)))]
     constraints: List[Poly] = []
     for a, b in ((0, 1), (1, 2), (2, 0)):
         table: Dict[Tuple[int, ...], Dict[int, int]] = {}
@@ -408,27 +433,45 @@ def complete_series(f: Jet, P, Q, R, M: int) -> Jet:
 # -- full algebra ------------------------------------------------------------------
 
 class SymmetryAlgebra:
-    __slots__ = ("basis", "free", "isotropy", "order", "closed",
+    """The algebra of the fields of ``family`` (the free family at the
+    order's N-1) and its isotropy at the order (``isotropy_family``), both
+    homogeneous families over the twenty coordinates. ``basis`` and
+    ``isotropy`` are their basis vectors as fields with ``Fraction``
+    coordinates, built when read."""
+    __slots__ = ("family", "isotropy_family", "order", "closed",
                  "translation_rank", "tangency_ok")
 
-    def __init__(self, basis: List[AffineVectorField], free: List[int],
-                 isotropy: List[AffineVectorField], order: int, closed: bool,
-                 translation_rank: int, tangency_ok: bool = True):
-        self.basis = basis
-        self.free = free  # basis field k is 1 at coordinate free[k], 0 at the others
-        self.isotropy = isotropy  # a basis of the isotropy at the order
+    def __init__(self, family: SolutionFamily, isotropy_family: SolutionFamily,
+                 order: int, closed: bool, translation_rank: int,
+                 tangency_ok: bool = True):
+        self.family = family
+        self.isotropy_family = isotropy_family
         self.order = order
         self.closed = closed
         self.translation_rank = translation_rank
         self.tangency_ok = tangency_ok
 
     @property
+    def basis(self) -> List[AffineVectorField]:
+        return [AffineVectorField.from_coords(vec) for vec in self.family.basis]
+
+    @property
+    def free(self) -> List[int]:
+        """Basis field k is 1 at coordinate free[k], 0 at the others."""
+        return self.family.free_cols
+
+    @property
+    def isotropy(self) -> List[AffineVectorField]:
+        """A basis of the isotropy at the order."""
+        return [AffineVectorField.from_coords(vec) for vec in self.isotropy_family.basis]
+
+    @property
     def isotropy_dim(self) -> int:
-        return len(self.isotropy)
+        return self.isotropy_family.dimension
 
     @property
     def full_dim(self) -> int:
-        return len(self.basis)
+        return self.family.dimension
 
     def to_json(self):
         return {"basis": [b.to_json() for b in self.basis],
@@ -462,26 +505,25 @@ def reduce_against_span(fields: Sequence[AffineVectorField],
     return not any(rest)
 
 
-def _closed(basis: Sequence[AffineVectorField], free: Sequence[int]) -> bool:
-    """Whether the span of an RREF nullspace basis (field k is 1 at
-    coordinate ``free[k]``, 0 at the other free coordinates) is closed
-    under the bracket: ``reduce_against_span(basis, bracket(a, b), free)``
-    for every pair a, b in order, stopping at the first pair outside.
+def _closed(fam: SolutionFamily) -> bool:
+    """Whether the span of the basis of a homogeneous family (field k is 1
+    at coordinate ``fam.free_cols[k]``, 0 at the other free coordinates)
+    is closed under the bracket: ``reduce_against_span(basis, bracket(a,
+    b), free_cols)`` for every pair a, b in order, stopping at the first
+    pair outside.
 
-    The brackets are taken over Z. Every coordinate of the basis is put
-    over one common denominator D (D = 1, and the coordinates kept, when
-    one is not rational), so the integer fields are D times the basis and
-    ``_row_bracket`` of two of them is D^2 times their bracket; a
-    multiple of a bracket lies in the span exactly when the bracket does,
-    and ``reduce_against_span`` reads the scale D of the integer fields at
-    their free coordinates."""
-    coords = [c for V in basis for c in V.coords()]
-    if all(isinstance(c, _RATIONAL) for c in coords):
-        coords = over_common_denominator(coords)[0]
-    vecs = [coords[k:k + 20] for k in range(0, len(coords), 20)]
+    The brackets are taken over Z. The basis vectors' numerators are
+    brought to the lcm D of their denominators (D = 1 over Q(b) or a
+    tower, whose numerators are the coordinates), so the integer fields
+    are D times the basis and ``_row_bracket`` of two of them is D^2
+    times their bracket; a multiple of a bracket lies in the span exactly
+    when the bracket does, and ``reduce_against_span`` reads the scale D
+    of the integer fields at their free coordinates."""
+    D = lcm(*(den for _, den in fam.vecs))
+    vecs = [[n * (D // den) for n in nums] if den != D else nums for nums, den in fam.vecs]
     fields = [AffineVectorField.from_coords(vec) for vec in vecs]
     rows = [_augmented_rows(vec) for vec in vecs]
-    return all(reduce_against_span(fields, _bracket_field(ra, rb), free)
+    return all(reduce_against_span(fields, _bracket_field(ra, rb), fam.free_cols)
                for i, ra in enumerate(rows) for rb in rows[i + 1:])
 
 
@@ -513,9 +555,7 @@ def raise_order(alg: SymmetryAlgebra, F: Jet) -> SymmetryAlgebra:
     """``full_algebra(F, alg.order + 1)`` with no free solve: the
     restriction of alg's fields to those whose residuals at its order
     vanish, which keeps alg's closure verdict when it keeps every field."""
-    fam = SolutionFamily(COORDINATE_NAMES, [Fraction(0)] * 20,
-                         [b.coords() for b in alg.basis], alg.free)
-    return _algebra(F, alg.order + 1, (fam, alg.order), alg.closed)
+    return _algebra(F, alg.order + 1, (alg.family, alg.order), alg.closed)
 
 
 def _algebra(F: Jet, N: int,
@@ -544,19 +584,24 @@ def _algebra(F: Jet, N: int,
         fam = solve_tangency(Ft, N - 1)
     else:
         fam, n = below
-        fields = [AffineVectorField.from_coords(vec) for vec in fam.basis]
-        part = _read_columns(Ft, fields, N - 1, n)
-        residuals = [tangency_residual(Ft, b, N - 1, part) for b in fields]
-        fam = fam.restrict(linear_equations(residuals, Jet.zero(N - 1)))
-    basis = [AffineVectorField.from_coords(vec) for vec in fam.basis]
+        fam = fam.restrict(_residual_rows(Ft, fam.vecs, N - 1, n))
     k = sum(c < 16 for c in fam.free_cols)
-    top = _read_columns(Ft, basis[:k], N, N)
-    residuals = [tangency_residual(Ft, b, N, top) for b in basis[:k]]
-    matrix_part = SolutionFamily(fam.unknowns, fam.particular, fam.basis[:k], fam.free_cols[:k])
-    isotropy = [AffineVectorField.from_coords(vec) for vec in
-                matrix_part.restrict(linear_equations(residuals, Jet.zero(N))).basis]
-    tangency_ok = len(isotropy) == k
-    if closed is None or len(basis) != len(below[0].basis):
-        closed = _closed(basis, fam.free_cols)
-    return SymmetryAlgebra(basis, fam.free_cols, isotropy, N, closed and tangency_ok,
-                           sum(1 for b in basis if any(b.v[:3])), tangency_ok)
+    matrix_part = SolutionFamily(fam.unknowns, fam.part, fam.vecs[:k], fam.free_cols[:k])
+    isotropy = matrix_part.restrict(_residual_rows(Ft, fam.vecs[:k], N, N))
+    tangency_ok = isotropy.dimension == k
+    if closed is None or fam.dimension != below[0].dimension:
+        closed = _closed(fam)
+    return SymmetryAlgebra(fam, isotropy, N, closed and tangency_ok,
+                           sum(1 for nums, _ in fam.vecs if any(nums[16:19])), tangency_ok)
+
+
+def _residual_rows(F: Jet, vecs: Sequence[Vector], M: int, lo: int) -> List[LinearEquation]:
+    """The rows of the residuals at order M, in degrees lo..M, of the
+    fields whose coordinates are the numerators of vecs, keyed by vector,
+    as ``SolutionFamily.restrict`` reads them. The columns are brought
+    over one denominator first, which scales every row by one common
+    factor and, over Q, makes the rows integers."""
+    fields = [AffineVectorField.from_coords(nums) for nums, _ in vecs]
+    columns = _over_one_denominator(_read_columns(F, fields, M, lo))
+    return linear_equations([tangency_residual(F, V, M, columns) for V in fields],
+                            Jet.zero(M))

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
-from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
-                                 nullspace, rref, solve_rows)
+from affine_homog.jets import Jet
+from affine_homog.linalg import (LinearEquation, SolutionFamily, linear_solve,
+                                 matrix_rank, nullspace, rref, solve_rows)
+from affine_homog.poly import XYZ, Poly
+from affine_homog.symmetry import _combine, _over_one_denominator
 from affine_homog.scalars import RationalFunc, primitive, primitive_integers
 from test_scalars import ratfuncs
 
@@ -378,12 +381,13 @@ def test_sparse_integer_rref_equals_the_dense_one(system):
         return
     assert list(got) == list(want)
     for col, (row, b) in want.items():
-        sparse, got_b = got[col]
+        sparse, got_b, den = got[col]
         assert all(sparse.values())  # no zero entry is listed
-        dense = [sparse.get(k, F(0)) for k in range(ncols)]
-        assert (dense, got_b) == (row, b)
-        assert [type(c) for c in dense] == [type(c) for c in row]
-        assert type(got_b) is type(b)
+        # a primitive integer row over its positive pivot
+        assert sparse[col] == den > 0 and gcd(*sparse.values(), got_b) == 1
+        assert all(type(c) is int for c in (*sparse.values(), got_b))
+        dense = [F(sparse.get(k, 0), den) for k in range(ncols)]
+        assert (dense, F(got_b, den)) == (row, b)
 
 
 def _as_constants(values):
@@ -500,9 +504,10 @@ def test_restrict_equals_the_solve_with_the_rows_appended(system):
     rows, extra, ncols = system
     names = [f"u{k}" for k in range(ncols)]
     fam = linear_solve([_keyed(r) for r in rows], names)
-    # each extra row, keyed by basis vector: its value on that vector
-    on_basis = [_keyed([sum((c * x for c, x in zip(r, vec) if c and x), F(0))
-                        for vec in fam.basis]) for r in extra]
+    # each extra row, keyed by basis vector: its value on that vector's
+    # numerators, the vector times its denominator
+    on_basis = [_keyed([sum((c * x for c, x in zip(r, nums) if c and x), F(0))
+                        for nums, _ in fam.vecs]) for r in extra]
     got = fam.restrict(on_basis)
     want = linear_solve([_keyed(r) for r in rows + extra], names)
     assert got.free_cols == want.free_cols and got.unknowns == want.unknowns
@@ -518,3 +523,158 @@ def test_restrict_to_the_zero_family():
     fam = linear_solve([eq({0: 1, 1: -1})], ("x", "y", "z"))
     zero = fam.restrict([LinearEquation({0: F(1)}), LinearEquation({1: F(2)})])
     assert zero.basis == [] and zero.free_cols == [] and zero.particular == [0, 0, 0]
+
+
+# -- the integer family operations against a Fraction reference ------------------
+
+def _reference_kernel(rows, ncols):
+    """The nullspace of dense rows by Gauss-Jordan in the values as given
+    (``Fraction`` or ``RationalFunc``): one vector per free column, 1 there
+    and 0 at the other free columns, and the free columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        p = rows[r][col]
+        rows[r] = [x / p for x in rows[r]]
+        for j in range(len(rows)):
+            f = rows[j][col]
+            if j != r and f:
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[r])]
+        pivots.append(col)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = []
+    for fc in free:
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        kernel.append(vec)
+    return kernel, free
+
+
+def _reference_member(fam, values):
+    """particular + sum(t * basis vector), in the views' own values; a zero
+    value or entry adds nothing, so an entry no product reaches keeps the
+    particular's type."""
+    out = list(fam.particular)
+    for t, vec in zip(values, fam.basis):
+        if t:
+            out = [x + t * c if c else x for x, c in zip(out, vec)]
+    return out
+
+
+def _reference_restrict(fam, rows):
+    """The restriction of a homogeneous family by rows that weigh its
+    basis vectors' numerators: each kernel vector u of the rows gives
+    sum(u[k] * numerators_k), divided by its entry at its free column."""
+    kernel, free = _reference_kernel(rows, fam.dimension)
+    out = []
+    for u, j in zip(kernel, free):
+        vec = [F(0)] * len(fam.unknowns)
+        for uk, (nums, _) in zip(u, fam.vecs):
+            vec = [x + uk * n for x, n in zip(vec, nums)]
+        s = vec[fam.free_cols[j]]
+        out.append([x / s for x in vec])
+    return out, [fam.free_cols[j] for j in free]
+
+
+_MONOS = [(i, j, k) for i in range(3) for j in range(3 - i) for k in range(3 - i - j)]
+
+
+def _columns(value):
+    """Jets of order 2 over x, y, z with coefficients drawn from value."""
+    terms = st.dictionaries(st.sampled_from(_MONOS), value.filter(bool), max_size=5)
+    return st.lists(terms.map(lambda t: Jet(Poly(XYZ, t), 2)), min_size=1, max_size=4)
+
+
+def _check_family_operations(fam, values, rows, columns, weights):
+    # member: divided once per entry, equal to the reference by value and
+    # by type
+    got = fam.member(dict(zip(fam.free, values)))
+    want = _reference_member(fam, values)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    # restrict: the homogeneous part of the family, cut by rows on its
+    # numerators
+    hom = SolutionFamily(fam.unknowns, ([0] * len(fam.unknowns), 1), fam.vecs,
+                         fam.free_cols)
+    cut = hom.restrict([LinearEquation({k: c for k, c in enumerate(r) if c})
+                        for r in rows])
+    basis, free_cols = _reference_restrict(hom, rows)
+    assert cut.free_cols == free_cols and cut.basis == basis
+    # _combine: the weighted sum, and over one denominator a multiple of it
+    want = sum((c.poly.scale(w) for c, w in zip(columns, weights) if w), Poly(XYZ))
+    assert _combine(columns, weights, 2).poly == want
+    scaled = _over_one_denominator(columns)
+    got = _combine(scaled, weights, 2).poly
+    return got, want, scaled
+
+
+@st.composite
+def _rational_families(draw):
+    """A rational family from a consistent system, values for its free
+    unknowns, rows on its basis vectors and weighted columns."""
+    rows, rhs, ncols = draw(_rational_systems())
+    fam = linear_solve([LinearEquation(dict(enumerate(r)), b) for r, b in zip(rows, rhs)],
+                       [f"u{k}" for k in range(ncols)])
+    assume(fam is not None)
+    values = draw(st.lists(_entries, min_size=fam.dimension, max_size=fam.dimension))
+    cut = st.lists(st.builds(F, _small, st.integers(1, 4)),
+                   min_size=fam.dimension, max_size=fam.dimension)
+    cuts = draw(st.lists(cut, max_size=2))
+    columns = draw(_columns(_entries))
+    weights = draw(st.lists(_small, min_size=len(columns), max_size=len(columns)))
+    return rows, rhs, fam, values, cuts, columns, weights
+
+
+@seed(38)
+@settings(max_examples=200, deadline=None)
+@given(_rational_families())
+def test_integer_family_operations_match_a_fraction_reference(case):
+    rows, rhs, fam, values, cuts, columns, weights = case
+    # every vector is primitive integers over a positive denominator
+    for nums, den in (fam.part, *fam.vecs):
+        assert den > 0 and all(type(n) is int for n in nums)
+        assert gcd(den, *nums) == 1
+    # a member solves the system
+    member = fam.member(dict(zip(fam.free, values)))
+    for r, b in zip(rows, rhs):
+        assert sum((c * x for c, x in zip(r, member)), F(0)) == b
+    got, want, scaled = _check_family_operations(fam, values, cuts, columns, weights)
+    # the integer sum is the Fraction one times the columns' denominator
+    D = lcm(*(F(c).denominator for col in columns for c in col.poly.terms.values()))
+    assert all(type(c) is int for col in scaled for c in col.poly.terms.values())
+    assert all(type(c) is int for c in got.terms.values())
+    assert got == want.scale(D)
+
+
+@st.composite
+def _parametric_families(draw):
+    """A family over Q(b), values (rational functions or rationals) for
+    its free unknowns, rows on its basis vectors and weighted columns."""
+    rows, rhs, ncols = draw(_parametric_systems())
+    fam = linear_solve([LinearEquation(dict(enumerate(r)), b) for r, b in zip(rows, rhs)],
+                       [f"u{k}" for k in range(ncols)])
+    assume(fam is not None)
+    values = draw(st.lists(_over_Qb, min_size=fam.dimension, max_size=fam.dimension))
+    cut = st.lists(_over_Qb, min_size=fam.dimension, max_size=fam.dimension)
+    cuts = draw(st.lists(cut, max_size=2))
+    columns = draw(_columns(ratfuncs))
+    weights = draw(st.lists(ratfuncs, min_size=len(columns), max_size=len(columns)))
+    return fam, values, cuts, columns, weights
+
+
+@seed(38)
+@settings(max_examples=200, deadline=None)
+@given(_parametric_families())
+def test_parametric_family_operations_keep_denominator_one(case):
+    fam, values, cuts, columns, weights = case
+    # over Q(b) the numerators are the entries, over the denominator 1
+    assert all(den == 1 for _, den in (fam.part, *fam.vecs))
+    got, want, scaled = _check_family_operations(fam, values, cuts, columns, weights)
+    assert scaled == columns and got == want

@@ -573,17 +573,27 @@ def assert_idempotent(f):
 
 def test_normalization_is_idempotent():
     # a normalized jet is its own normal form, with the identity change:
-    # every entry at its sweep alpha, and each seed-1 image whose
-    # normalization adjoins no root (a jet over a tower cannot be
-    # normalized again)
+    # every entry at its sweep alpha, and each of the 20 seed-1 images,
+    # 11 of whose normalizations adjoin a root (the normalized jet is over
+    # a tower, with a rational quadratic part)
     for eid, e in cat.catalog().items():
         assert_idempotent(expand_graph(parse_surface(
             e.surface, e.basepoint, cat.SWEEP_ALPHAS.get(eid)), 4))
-    rational = [f.truncate(4) for _, _, f in _seed1_images()
-                if normalize_jet(f.truncate(3)).tower is None]
-    assert len(rational) == 9
-    for f in rational:
+    images = [f.truncate(4) for _, _, f in _seed1_images()]
+    assert sum(normalize_jet(f.truncate(3)).tower is not None for f in images) == 11
+    for f in images:
         assert_idempotent(f)
+
+
+def test_an_irrational_quadratic_part_is_refused():
+    # a Gram entry over a tower with a nonzero irrational coordinate has
+    # no rational diagonalization here
+    s = Tower(("s",), (F(2),)).generator(0)
+    q = Poly(XYZ, {(1, 1, 0): s, (0, 0, 2): F(1)})
+    with pytest.raises(NormalizationError, match="irrational coefficient"):
+        gram_matrix(Jet(q, 2))
+    with pytest.raises(NormalizationError, match="irrational coefficient"):
+        normalize_jet(Jet(q, 3))
 
 
 def test_verify_builds_no_normalizing_map(monkeypatch):

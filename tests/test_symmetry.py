@@ -13,8 +13,8 @@ from affine_homog import catalog as cat, symmetry
 from affine_homog.cli import CASES
 from affine_homog.frontend import expand_graph, parse_surface
 from affine_homog.jets import Jet
-from affine_homog.linalg import (LinearEquation, linear_solve, matrix_rank,
-                                 solve_rows)
+from affine_homog.linalg import (LinearEquation, SolutionFamily, linear_solve,
+                                 matrix_rank, solve_rows)
 from affine_homog.poly import XYZ, Poly, grevlex_key
 from affine_homog.scalars import InputError, RationalFunc, Tower
 from affine_homog.symmetry import (COORDINATE_NAMES, E_X, E_Y, E_Z, ZERO4,
@@ -823,14 +823,17 @@ def _chain(Fj, low, top):
 def test_checked_residuals_have_only_the_new_degree(monkeypatch):
     # every field whose residual _algebra checks at order M is tangent
     # through M-1, so its full residual has no term below M and the
-    # degree-M part it combines is all of it
+    # degree-M part it combines is all of it, times the one positive
+    # factor that brought its columns over one denominator
     checked = set()
 
     def full_residual(jet, V, M, columns=None):
         got = tangency_residual(jet, V, M, columns)
         full = tangency_residual(jet, V, M)
         assert all(sum(m) == M for m in full.poly.terms), (M, V)
-        assert got == full, (M, V)
+        assert got.poly.terms.keys() == full.poly.terms.keys(), (M, V)
+        ratios = {got.poly.terms[m] / full.poly.terms[m] for m in full.poly.terms}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios), (M, V)
         checked.add(M)
         return got
 
@@ -934,9 +937,60 @@ def test_integer_closure_equals_the_bracket_check(monkeypatch):
     for kind, algs in algebras.items():
         for alg in algs:
             want = _bracket_closed(alg.basis, alg.free)
-            assert _closed(alg.basis, alg.free) is want, (kind, alg.order)
+            assert _closed(alg.family) is want, (kind, alg.order)
             verdicts.add(want)
             scaled += any(isinstance(c, F) and c.denominator > 1
                           for b in alg.basis for c in b.coords())
     # both verdicts occur, and bases whose common denominator is not 1
     assert verdicts == {True, False} and scaled
+
+
+# -- no Fraction on the integer path of the rational algebras ----------------------
+
+def test_rational_algebras_build_no_fraction_in_the_family_operations(monkeypatch):
+    # the residual combinations and the restrictions of full_algebra and
+    # raise_order run on integer numerators: on rational jets, no Fraction
+    # is constructed (by a call or by arithmetic) while _combine,
+    # SolutionFamily.member or SolutionFamily.restrict is on the stack
+    jets = []
+    for eid in ("N1", "N6", "N13"):
+        e = cat.catalog()[eid]
+        jets.append(expand_graph(parse_surface(e.surface, e.basepoint,
+                                               cat.SWEEP_ALPHAS.get(eid)), 7))
+    guarded = {symmetry._combine.__code__: "_combine",
+               SolutionFamily.member.__code__: "member",
+               SolutionFamily.restrict.__code__: "restrict"}
+    built = dict.fromkeys(guarded.values(), 0)
+    calls = dict.fromkeys(guarded.values(), 0)
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    new = vars(F)["__new__"]
+
+    def watched(cls, *args, **kwargs):
+        f = sys._getframe(1)
+        while f is not None:
+            name = guarded.get(f.f_code)
+            if name:
+                built[name] += 1
+                break
+            f = f.f_back
+        return new.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "_combine", counted(symmetry._combine, "_combine"))
+    monkeypatch.setattr(SolutionFamily, "member", counted(SolutionFamily.member, "member"))
+    monkeypatch.setattr(SolutionFamily, "restrict",
+                        counted(SolutionFamily.restrict, "restrict"))
+    F.__new__ = watched
+    try:
+        for Fj in jets:
+            alg = full_algebra(Fj, 6)
+            raise_order(alg, Fj)
+    finally:
+        F.__new__ = new
+    assert built == {"_combine": 0, "member": 0, "restrict": 0}
+    assert calls["_combine"] and calls["restrict"]
